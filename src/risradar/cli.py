@@ -16,14 +16,32 @@ from .experiments import (
 )
 from .fileio import write_config_file, write_loss_history
 from .scenario import ScenarioError, default_scenario, load_scenario
-from .synthesis import train_peak_network
+from .synthesis import TrainingDivergedError, train_peak_network
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors print one line and exit with status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _grid_points(text: str) -> int:
+    """--grid value: an angle grid needs at least two points."""
+    try:
+        points = int(text)
+    except ValueError:
+        points = 0
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return points
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", type=Path, default=None, help="scenario file (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory (overrides scenario output_dir)")
-    parser.add_argument("--grid", type=int, default=721, help="angle grid points over [0, 180] deg")
+    parser.add_argument("--grid", type=_grid_points, default=721, help="angle grid points over [0, 180] deg")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--carrier-only", dest="mode", action="store_const", const=CARRIER_ONLY, help="carrier-wavelength patterns/simulation (default)"
@@ -35,7 +53,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="risradar", description=__doc__)
+    parser = _Parser(prog="risradar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pattern = sub.add_parser("pattern", help="emit peak/notch/combined beampatterns")
@@ -126,6 +144,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDivergedError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

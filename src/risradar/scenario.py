@@ -99,6 +99,9 @@ class Scenario:
     output_dir: str = "out"
 
     def __post_init__(self):
+        for key, (attr, conv) in _SCHEMA.items():
+            if conv in (float, _float_list) and not np.all(np.isfinite(getattr(self, attr))):
+                raise ScenarioError(f"{key} must be finite")
         if self.num_subcarriers < 1:
             raise ScenarioError("ofdm.num_subcarriers must be a positive integer")
         if self.num_symbols < 1:

@@ -10,6 +10,11 @@ noise:
            + z[n,m]
 
 where g = amplitude * (C_m^T b_n(angle)) makes the array gain explicit.
+The noise-free sum of the two array-path terms is built by one helper
+that `simulate_received` and `simulate_frame_pair` share. A frame pair
+builds it once and negates it for the -C frame: negation is exact in
+IEEE arithmetic, so -path equals the path simulated with the negated
+configuration bit for bit.
 Range/velocity are read off a zero-padded 2-D transform of the grid.
 """
 
@@ -71,8 +76,8 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.variance < 0.0:
-            raise ValueError("noise variance must be non-negative")
+        if not 0.0 <= self.variance < np.inf:
+            raise ValueError("noise variance must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,14 @@ class SymbolGrid:
     seed: int
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 2:
+        arr = np.array(self.values, dtype=complex)
+        if arr.ndim != 2:
             raise ValueError("symbol grid must be 2-D (subcarriers x symbols)")
-        arr = np.array(vals, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+
+_QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 
 def generate_symbols(params: OfdmParams, seed: int) -> SymbolGrid:
@@ -98,7 +105,7 @@ def generate_symbols(params: OfdmParams, seed: int) -> SymbolGrid:
     """
     rng = np.random.default_rng(seed)
     k = rng.integers(0, 4, size=(params.num_subcarriers, params.num_symbols))
-    return SymbolGrid(values=np.exp(1j * (np.pi / 4 + k * np.pi / 2)), seed=int(seed))
+    return SymbolGrid(values=_QPSK[k], seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,8 @@ def _gain_matrix(
     return np.array(per_slot)
 
 
-def simulate_received(scenario: RadarScenario) -> np.ndarray:
-    """One symbol-divided received grid for the given scenario."""
+def _path_grid(scenario: RadarScenario) -> np.ndarray:
+    """Noise-free array-path terms: target echo plus interferer."""
     params = scenario.params
     if scenario.subcarrier_mode not in _MODES:
         raise ValueError(f"subcarrier_mode must be one of {_MODES}")
@@ -189,15 +196,21 @@ def simulate_received(scenario: RadarScenario) -> np.ndarray:
             np.exp(-2j * np.pi * n * df * interference.delay_s),
             np.exp(2j * np.pi * fc_t * interference.doppler_scale * m),
         )
-
-    noise = scenario.noise
-    if noise is not None and noise.variance > 0.0:
-        rng = np.random.default_rng(noise.seed)
-        scale = np.sqrt(noise.variance / 2.0)
-        grid = grid + scale * (
-            rng.standard_normal((n_sub, n_sym)) + 1j * rng.standard_normal((n_sub, n_sym))
-        )
     return grid
+
+
+def _add_noise(grid: np.ndarray, noise: NoiseParams | None) -> np.ndarray:
+    """grid plus circular complex Gaussian noise of the given variance."""
+    if noise is None or noise.variance == 0.0:
+        return grid
+    rng = np.random.default_rng(noise.seed)
+    scale = np.sqrt(noise.variance / 2.0)
+    return grid + scale * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+
+
+def simulate_received(scenario: RadarScenario) -> np.ndarray:
+    """One symbol-divided received grid for the given scenario."""
+    return _add_noise(_path_grid(scenario), scenario.noise)
 
 
 def simulate_frame_pair(
@@ -208,9 +221,11 @@ def simulate_frame_pair(
     """Two consecutive frames with sign-flipped configurations.
 
     Both frames share the symbol streams and any static (array-independent)
-    additive term; noise is drawn independently per frame. Frame b uses
-    the negated configuration, so frame differencing preserves the
-    array-path terms and cancels the static term exactly.
+    additive term; noise is drawn independently per frame. The array path
+    is computed once: frame a is path + noise_a, frame b is -path + noise_b,
+    which equals simulating the negated configuration bit for bit. Frame
+    differencing therefore preserves the array-path terms and cancels the
+    static term exactly.
     """
     noise = scenario.noise
     if noise_seeds is None:
@@ -220,25 +235,14 @@ def simulate_frame_pair(
         else:
             noise_seeds = (0, 0)
 
-    def one_frame(config: RisConfig, seed: int) -> np.ndarray:
-        frame_scenario = RadarScenario(
-            params=scenario.params,
-            config=config,
-            target=scenario.target,
-            symbols=scenario.symbols,
-            interference=scenario.interference,
-            noise=None if noise is None else NoiseParams(noise.variance, seed),
-            geometry=scenario.geometry,
-            subcarrier_mode=scenario.subcarrier_mode,
-        )
-        grid = simulate_received(frame_scenario)
+    def one_frame(signed_path: np.ndarray, seed: int) -> np.ndarray:
+        grid = _add_noise(signed_path, None if noise is None else NoiseParams(noise.variance, seed))
         if static_term is not None:
             grid = grid + np.asarray(static_term)
         return grid
 
-    return one_frame(scenario.config, noise_seeds[0]), one_frame(
-        scenario.config.negated(), noise_seeds[1]
-    )
+    path = _path_grid(scenario)
+    return one_frame(path, noise_seeds[0]), one_frame(-path, noise_seeds[1])
 
 
 def frame_difference(y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:

@@ -157,6 +157,7 @@ class TrainingResult:
     network: PeakNetwork
 
 
+@np.errstate(all="ignore")
 def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | None = None) -> TrainingResult:
     """Train the peak network for one target angle.
 
@@ -166,7 +167,8 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | No
     gain_ratio is |c^T b(theta_t)| / L, i.e. relative to the coherent
     optimum attained by analytic_peak.
 
-    Raises TrainingDivergedError if the loss leaves the finite range.
+    Raises TrainingDivergedError if the loss leaves the finite range;
+    the overflow that leads there raises no floating-point warnings.
     """
     spec = spec or PeakNetSpec()
     net = PeakNetwork(num_elements, spec)

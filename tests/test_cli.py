@@ -107,6 +107,39 @@ def test_invalid_scenario_exits_two(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_non_finite_scenario_value_writes_no_sweep(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(SMALL_SCENARIO + "sweep.noise_variance = inf\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "scenario error: sweep.noise_variance must be finite\n"
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-5", "many"])
+def test_grid_below_two_rejected_at_parsing(grid, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["pattern", "--out", str(out), "--grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "argument --grid" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_training_divergence_exits_three(tmp_path, capsys):
+    diverging = tmp_path / "diverging.txt"
+    diverging.write_text(SMALL_SCENARIO + "network.learning_rate = 1e308\n")
+    out = tmp_path / "o"
+    assert main(["train-peak", "--scenario", str(diverging), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training error: training loss became non-finite at iteration ")
+    assert err.count("\n") == 1
+    assert not (out / "peak_config.txt").exists()
+
+
 def test_repeat_runs_are_byte_identical(scenario_file, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

@@ -91,6 +91,32 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=match):
             Scenario(**kwargs)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "ofdm.carrier_freq_hz",
+            "ofdm.bandwidth_hz",
+            "ofdm.cp_ratio",
+            "geometry.element_spacing_wavelengths",
+            "angles.target_rad",
+            "angles.interferer_rad",
+            "network.learning_rate",
+            "notch.spacing_rad",
+            "sweep.power_ratios_db",
+            "sweep.angle_offsets_rad",
+            "sweep.target_range_m",
+            "sweep.target_velocity_mps",
+            "sweep.interferer_delay_s",
+            "sweep.interferer_doppler_scale",
+            "sweep.noise_variance",
+        ],
+    )
+    def test_non_finite_values_rejected(self, key, value):
+        rendered = f"0,{value},1" if key in ("sweep.power_ratios_db", "sweep.angle_offsets_rad") else value
+        with pytest.raises(ScenarioError, match=f"^{key} must be finite$"):
+            parse_scenario(f"{key} = {rendered}\n")
+
     def test_replace_revalidates(self):
         with pytest.raises(ScenarioError):
             default_scenario().replace(trials=0)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risradar import (
     InterferenceParams,
@@ -20,7 +24,7 @@ from risradar import (
     simulate_frame_pair,
     simulate_received,
 )
-from risradar.arrays import SPEED_OF_LIGHT
+from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT
 
 QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
@@ -49,6 +53,19 @@ class TestGenerateSymbols:
         for point in QPSK:
             frequency = np.mean(np.abs(values - point) < 1e-9)
             assert abs(frequency - 0.25) <= 0.0025  # within 1% of 1/4
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        shape=st.tuples(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64)),
+    )
+    def test_table_lookup_is_bitwise_the_direct_exp(self, seed, shape):
+        params = OfdmParams(77e9, 200e6, num_subcarriers=shape[0], num_symbols=shape[1])
+        k = np.random.default_rng(seed).integers(0, 4, size=shape)
+        direct = np.exp(1j * (np.pi / 4 + k * np.pi / 2))
+        values = generate_symbols(params, seed).values
+        assert values.dtype == direct.dtype
+        assert values.tobytes() == direct.tobytes()
 
 
 class TestSimulateReceived:
@@ -135,6 +152,9 @@ class TestSimulateReceived:
             simulate_received(single_element_scenario(params, far))
         with pytest.raises(ValueError):
             TargetParams(range_m=-1.0, angle_rad=1.0)
+        for variance in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                NoiseParams(variance)
 
 
 class TestFrameDifference:
@@ -156,6 +176,68 @@ class TestFrameDifference:
         scenario = single_element_scenario(params, target, interference=interference)
         recovered = frame_difference(*simulate_frame_pair(scenario))
         np.testing.assert_array_equal(recovered, simulate_received(scenario))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(min_value=2, max_value=24), st.integers(min_value=1, max_value=12)),
+        num_elements=st.integers(min_value=1, max_value=16),
+        multi_slot=st.booleans(),
+        mode=st.sampled_from([CARRIER_ONLY, ALL_SUBCARRIERS]),
+        with_interference=st.booleans(),
+        with_static=st.booleans(),
+        variance=st.sampled_from([None, 0.0, 0.5, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_each_frame_equals_simulating_that_frame(
+        self, shape, num_elements, multi_slot, mode, with_interference, with_static, variance, seed
+    ):
+        # the pair computes the array path once and negates it for frame b;
+        # each frame must still be exactly a full simulation of that frame
+        n_sub, n_sym = shape
+        params = OfdmParams(77e9, 200e6, num_subcarriers=n_sub, num_symbols=n_sym)
+        rng = np.random.default_rng(seed)
+        slots = n_sym if multi_slot else 1
+        config = RisConfig(
+            rng.normal(size=(num_elements, slots)) + 1j * rng.normal(size=(num_elements, slots))
+        )
+        target = TargetParams(
+            range_m=rng.uniform(0.0, 0.9 * params.unambiguous_range),
+            angle_rad=rng.uniform(0.0, np.pi),
+            velocity_mps=rng.normal(scale=5.0),
+            amplitude=complex(rng.normal(), rng.normal()),
+        )
+        interference = None
+        if with_interference:
+            interference = InterferenceParams(
+                delay_s=rng.uniform(0.0, 5e-7),
+                angle_rad=rng.uniform(0.0, np.pi),
+                doppler_scale=rng.normal(scale=1e-8),
+                amplitude=rng.uniform(0.0, 100.0),
+                symbol_seed=int(rng.integers(2**32)),
+            )
+        static = None
+        if with_static:
+            static = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        seeds = tuple(int(s) for s in rng.integers(2**32, size=2))
+
+        def noise(noise_seed):
+            return None if variance is None else NoiseParams(variance, noise_seed)
+
+        scenario = RadarScenario(
+            params=params,
+            config=config,
+            target=target,
+            symbols=generate_symbols(params, seed),
+            interference=interference,
+            noise=noise(0),
+            subcarrier_mode=mode,
+        )
+        y_a, y_b = simulate_frame_pair(scenario, static_term=static, noise_seeds=seeds)
+        for frame, frame_config, noise_seed in ((y_a, config, seeds[0]), (y_b, config.negated(), seeds[1])):
+            expected = simulate_received(replace(scenario, config=frame_config, noise=noise(noise_seed)))
+            if static is not None:
+                expected = expected + static
+            assert np.array_equal(frame, expected)
 
     def test_noise_variance_halves(self, params):
         silent = TargetParams(range_m=0.0, angle_rad=1.0, amplitude=0.0)
