@@ -1,10 +1,11 @@
-"""Array geometry, steering vectors, and beampattern evaluation.
+"""OFDM parameters, the array-response kernel, and beampattern evaluation.
 
 Shared math substrate for configuration synthesis and the OFDM radar
 simulation.  All angles are in radians over [0, pi] (linear-array
-half-space); element phases follow the half-wavelength spacing
-convention, i.e. exp(-1j * pi * (f_n / f_c) * l * cos(theta)) for
-element index l at subcarrier n.
+half-space).  The array has half-wavelength element spacing at the
+carrier, so element l responds to a plane wave from theta at subcarrier
+n with exp(-1j * pi * (f_n / f_c) * l * cos(theta)); `steering` is the
+one place that phase is built.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ ALL_SUBCARRIERS = "all"
 _MODES = (CARRIER_ONLY, ALL_SUBCARRIERS)
 
 DB_FLOOR = -300.0
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -70,17 +65,10 @@ class OfdmParams:
         """Symbol duration including the cyclic prefix."""
         return self.symbol_time * (1.0 + self.cp_ratio)
 
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq_hz
-
     def subcarrier_freq(self, n: int) -> float:
         if not 0 <= n < self.num_subcarriers:
             raise ValueError(f"subcarrier index {n} outside 0..{self.num_subcarriers - 1}")
         return self.carrier_freq_hz + n * self.subcarrier_spacing
-
-    def subcarrier_wavelength(self, n: int) -> float:
-        return SPEED_OF_LIGHT / self.subcarrier_freq(n)
 
     def wavelength_ratio(self, n: int) -> float:
         """lambda / lambda_n = f_n / f_c, the per-subcarrier phase stretch."""
@@ -100,33 +88,6 @@ class OfdmParams:
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
-    """Linear element array: spacing in carrier wavelengths, optional
-    per-element path offsets to the receive antenna (zero when co-located)."""
-
-    num_elements: int
-    element_spacing_wavelengths: float = 0.5
-    element_offsets_m: np.ndarray | None = None
-
-    def __post_init__(self):
-        if int(self.num_elements) < 1:
-            raise ValueError("num_elements must be a positive integer")
-        if self.element_spacing_wavelengths <= 0:
-            raise ValueError("element_spacing_wavelengths must be positive")
-        if self.element_offsets_m is not None:
-            off = np.asarray(self.element_offsets_m, dtype=float)
-            if off.shape != (self.num_elements,):
-                raise ValueError("element_offsets_m must have one entry per element")
-            object.__setattr__(self, "element_offsets_m", _readonly(off))
-
-    @property
-    def offsets(self) -> np.ndarray:
-        if self.element_offsets_m is None:
-            return np.zeros(self.num_elements)
-        return self.element_offsets_m
-
-
-@dataclass(frozen=True)
 class RisConfig:
     """Complex reflection coefficients, one column per time slot.
 
@@ -138,14 +99,15 @@ class RisConfig:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=complex)
+        coeffs = np.array(self.coefficients, dtype=complex)  # private, read-only copy
         if coeffs.ndim == 1:
             coeffs = coeffs[:, np.newaxis]
         if coeffs.ndim != 2 or coeffs.shape[0] < 1 or coeffs.shape[1] < 1:
             raise ValueError("coefficients must be a (num_elements, num_slots) matrix")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coefficients", _readonly(coeffs))
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def num_elements(self) -> int:
@@ -173,15 +135,6 @@ class RisConfig:
         return RisConfig(-self.coefficients)
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    """Per-element complex array response b_n(theta) at one subcarrier."""
-
-    values: np.ndarray
-    subcarrier_index: int
-    angle_rad: float
-
-
 def _as_matrix(config) -> np.ndarray:
     """Coerce a RisConfig / vector / matrix to a (num_elements, num_slots) array."""
     if isinstance(config, RisConfig):
@@ -194,58 +147,37 @@ def _as_matrix(config) -> np.ndarray:
     raise ValueError("config must be a vector or (num_elements, num_slots) matrix")
 
 
-def _as_column(config) -> np.ndarray:
-    if isinstance(config, RisConfig):
-        return config.static_column()
-    coeffs = np.asarray(config, dtype=complex)
-    if coeffs.ndim != 1:
-        raise ValueError("expected a single configuration column")
-    return coeffs
+def _subcarrier_ratios(params: OfdmParams) -> np.ndarray:
+    """f_n / f_c for every subcarrier n."""
+    return np.array([params.wavelength_ratio(n) for n in range(params.num_subcarriers)])
 
 
-def steering_vector(geometry: ArrayGeometry, params: OfdmParams, n: int, theta: float) -> SteeringVector:
-    """Array response at subcarrier n for a plane wave from angle theta.
+def steering(num_elements: int, thetas, ratios=None) -> np.ndarray:
+    """Array response b_l = exp(-1j * pi * r * l * cos(theta)).
 
-    Element l carries phase exp(-2j*pi*spacing*(f_n/f_c)*l*cos(theta)),
-    times exp(-2j*pi*d_l/lambda_n) when element offsets are nonzero.
+    `thetas` and `ratios` (r = f_n / f_c, the carrier alone when omitted)
+    are scalars or 1-D; the result has shape (A, L), or (R, A, L) with
+    ratios, where a scalar contributes no axis.  The pattern of
+    coefficients c is steering(...) @ c.
+
+    The phase is formed as r * ((pi * l) * cos(theta)); training and the
+    simulated gains are pinned bit for bit to that order.
     """
-    if not (isinstance(n, (int, np.integer)) and 0 <= n < params.num_subcarriers):
-        raise ValueError(f"subcarrier index {n} outside 0..{params.num_subcarriers - 1}")
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    l = np.arange(geometry.num_elements)
-    ratio = params.wavelength_ratio(n)
-    phase = -2.0 * np.pi * geometry.element_spacing_wavelengths * ratio * l * np.cos(theta)
-    values = np.exp(1j * phase)
-    offsets = geometry.offsets
-    if np.any(offsets != 0.0):
-        values = values * np.exp(-2j * np.pi * offsets / params.subcarrier_wavelength(n))
-    return SteeringVector(values=_readonly(values), subcarrier_index=int(n), angle_rad=float(theta))
+    if num_elements < 1:
+        raise ValueError("num_elements must be a positive integer")
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim > 1 or (ratios is not None and np.ndim(ratios) > 1):
+        raise ValueError("thetas and ratios must be scalars or 1-D arrays")
+    phase = np.multiply.outer(np.cos(thetas), np.pi * np.arange(num_elements))
+    if ratios is not None:
+        phase = np.multiply.outer(ratios, phase)
+    # exponentiate in place so the real phase never outlives its complex image
+    b = -1j * phase
+    del phase
+    return np.exp(b, out=b)
 
 
-def pattern_value(config, params: OfdmParams, n: int, theta: float) -> complex:
-    """Complex pattern of one configuration column at subcarrier n, angle theta.
-
-    Evaluates sum_l c_l * exp(-1j*omega*l) with omega = pi*(f_n/f_c)*cos(theta)
-    (half-wavelength spacing convention; omega = pi*cos(theta) at the carrier).
-    """
-    column = _as_column(config)
-    if not (isinstance(n, (int, np.integer)) and 0 <= n < params.num_subcarriers):
-        raise ValueError(f"subcarrier index {n} outside 0..{params.num_subcarriers - 1}")
-    if not np.isfinite(theta):
-        raise ValueError("theta must be finite")
-    omega = np.pi * params.wavelength_ratio(n) * np.cos(theta)
-    l = np.arange(column.size)
-    return complex(np.sum(column * np.exp(-1j * omega * l)))
-
-
-def power_pattern(
-    config,
-    params: OfdmParams,
-    angles,
-    subcarrier_mode: str = CARRIER_ONLY,
-    geometry: ArrayGeometry | None = None,
-) -> np.ndarray:
+def power_pattern(config, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> np.ndarray:
     """Received power versus angle: sum_n || C^T b_n(phi) ||^2.
 
     Parameters
@@ -257,8 +189,6 @@ def power_pattern(
     subcarrier_mode : "carrier" or "all"
         "carrier" restricts the sum to the carrier subcarrier (n = 0);
         "all" sums over every subcarrier with its exact wavelength.
-    geometry : ArrayGeometry, optional
-        Defaults to half-wavelength spacing with zero offsets.
     """
     coeffs = _as_matrix(config)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
@@ -266,27 +196,12 @@ def power_pattern(
         raise ValueError("angle grid must be non-empty")
     if subcarrier_mode not in _MODES:
         raise ValueError(f"subcarrier_mode must be one of {_MODES}")
-    num_elements = coeffs.shape[0]
-    if geometry is None:
-        geometry = ArrayGeometry(num_elements)
-    elif geometry.num_elements != num_elements:
-        raise ValueError(
-            f"geometry has {geometry.num_elements} elements, config has {num_elements}"
-        )
-
-    l = np.arange(num_elements)
-    cos_grid = np.cos(angles)
-    base = -2.0 * np.pi * geometry.element_spacing_wavelengths * np.outer(l, cos_grid)
-    offsets = geometry.offsets
-    subcarriers = (0,) if subcarrier_mode == CARRIER_ONLY else range(params.num_subcarriers)
-
+    ratios = (None,) if subcarrier_mode == CARRIER_ONLY else _subcarrier_ratios(params)
     total = np.zeros(angles.shape)
-    for n in subcarriers:
-        b = np.exp(1j * params.wavelength_ratio(n) * base)
-        if np.any(offsets != 0.0):
-            b = b * np.exp(-2j * np.pi * offsets / params.subcarrier_wavelength(n))[:, np.newaxis]
-        slot_values = coeffs.T @ b  # (num_slots, num_angles)
-        total += np.sum(np.abs(slot_values) ** 2, axis=0)
+    # one (angles x elements) block per subcarrier keeps memory flat in N
+    for ratio in ratios:
+        slot_values = steering(coeffs.shape[0], angles, ratio) @ coeffs  # (num_angles, num_slots)
+        total += np.sum(np.abs(slot_values) ** 2, axis=1)
     return total
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,28 @@ def _grid_points(text: str) -> int:
     return points
 
 
+def _worker_count(text: str) -> int:
+    """--workers value: at least one process."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return workers
+
+
+def _spacings(text: str) -> list[float]:
+    """--epsilon value: a comma list of finite, non-negative notch spacings."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values or not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise argparse.ArgumentTypeError(f"expected a comma list of finite spacings >= 0, got {text!r}")
+    return values
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", type=Path, default=None, help="scenario file (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
@@ -64,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="interference power / angle-offset error sweep")
     _common_flags(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel workers over sweep grid points")
+    p_sweep.add_argument("--workers", type=_worker_count, default=1, help="parallel workers over sweep grid points")
 
     p_multi = sub.add_parser("multinotch", help="widened-notch study over a list of spacings")
     _common_flags(p_multi)
-    p_multi.add_argument("--workers", type=int, default=1)
-    p_multi.add_argument("--epsilon", type=str, default="0,1e-3,1e-2", help="comma-separated notch spacings (rad)")
+    p_multi.add_argument("--workers", type=_worker_count, default=1)
+    p_multi.add_argument("--epsilon", type=_spacings, default="0,1e-3,1e-2", help="comma-separated notch spacings (rad)")
     p_multi.add_argument("--no-sweeps", action="store_true", help="skip the per-spacing error sweeps")
 
     p_report = sub.add_parser("report", help="summarize the studies found in the output directory")
@@ -125,10 +148,9 @@ def main(argv=None) -> int:
             print(f"wrote {table}")
             print(f"wrote {records}")
         elif args.command == "multinotch":
-            epsilons = [float(v) for v in args.epsilon.split(",") if v.strip()]
             result = run_multinotch_study(
                 scenario,
-                epsilon_list=epsilons,
+                epsilon_list=args.epsilon,
                 out_dir=out_dir,
                 subcarrier_mode=args.mode,
                 workers=args.workers,

@@ -1,4 +1,4 @@
-"""Plain-text export/import for patterns, configurations, grids, and sweeps.
+"""Plain-text export/import for patterns, configurations, metrics, and sweeps.
 
 All floats are written with repr (shortest round-trip form) so parsing
 an emitted file reproduces the in-memory values exactly, and repeated
@@ -95,37 +95,6 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
             raise ValueError(f"{path}: row {l} has {len(vals)} values, expected {2 * slots}")
         coeffs[l] = [complex(vals[2 * m], vals[2 * m + 1]) for m in range(slots)]
     return RisConfig(coeffs), meta
-
-
-def write_matrix(path, matrix: np.ndarray) -> Path:
-    """Complex matrix as `re,im` pairs with a `# rows= cols=` header."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    rows, cols = matrix.shape
-    lines = [f"# rows={rows} cols={cols}"]
-    for r in range(rows):
-        parts = []
-        for c in range(cols):
-            parts += [_fmt(matrix[r, c].real), _fmt(matrix[r, c].imag)]
-        lines.append(",".join(parts))
-    return _write_lines(path, lines)
-
-
-def read_matrix(path) -> np.ndarray:
-    text_lines = Path(path).read_text().splitlines()
-    if not text_lines or not text_lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing matrix header")
-    meta = dict(token.split("=") for token in text_lines[0].lstrip("#").split())
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    data = [ln for ln in text_lines[1:] if ln and not ln.startswith("#")]
-    if len(data) != rows:
-        raise ValueError(f"{path}: expected {rows} rows, found {len(data)}")
-    out = np.empty((rows, cols), dtype=complex)
-    for r, line in enumerate(data):
-        vals = [float(v) for v in line.split(",")]
-        if len(vals) != 2 * cols:
-            raise ValueError(f"{path}: row {r} has {len(vals)} values, expected {2 * cols}")
-        out[r] = [complex(vals[2 * c], vals[2 * c + 1]) for c in range(cols)]
-    return out
 
 
 PEAK_RECORD_HEADER = "seed,power_ratio_db,angle_rad,range_err_m"

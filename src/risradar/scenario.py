@@ -3,9 +3,10 @@
 Flat `key = value` text files with dotted sections (ofdm.*, geometry.*,
 angles.*, network.*, notch.*, sweep.*) plus the top-level master_seed
 and output_dir. Unknown keys, duplicates, and out-of-domain values are
-rejected with distinct diagnostics. Omitted keys fall back to the
-defaults below (77 GHz carrier, 200 MHz bandwidth, 100 x 50 grid,
-200-element peak array, target at 2*pi/5, interferer at pi/4).
+rejected with distinct diagnostics; a check on a key the file sets
+names its line. Omitted keys fall back to the defaults below (77 GHz
+carrier, 200 MHz bandwidth, 100 x 50 grid, 200-element peak array,
+target at 2*pi/5, interferer at pi/4).
 """
 
 from __future__ import annotations
@@ -20,7 +21,17 @@ from .synthesis import NotchSpec, PeakNetSpec
 
 
 class ScenarioError(ValueError):
-    """Scenario file rejected: carries a single-problem diagnostic."""
+    """Scenario rejected: carries a single-problem diagnostic and, when
+    one field is at fault, the scenario key that names it."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
+
+
+def _require(ok: bool, key: str, requirement: str) -> None:
+    if not ok:
+        raise ScenarioError(f"{key} {requirement}", key)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -38,7 +49,6 @@ _SCHEMA = {
     "ofdm.num_symbols": ("num_symbols", int),
     "ofdm.cp_ratio": ("cp_ratio", float),
     "geometry.num_peak_elements": ("num_peak_elements", int),
-    "geometry.element_spacing_wavelengths": ("element_spacing_wavelengths", float),
     "angles.target_rad": ("target_angle_rad", float),
     "angles.interferer_rad": ("interferer_angle_rad", float),
     "network.num_layers": ("net_num_layers", int),
@@ -46,7 +56,6 @@ _SCHEMA = {
     "network.learning_rate": ("net_learning_rate", float),
     "network.num_iterations": ("net_num_iterations", int),
     "network.init_seed": ("net_init_seed", int),
-    "network.optimizer": ("net_optimizer", str),
     "notch.num_notches": ("num_notches", int),
     "notch.spacing_rad": ("notch_spacing_rad", float),
     "sweep.power_ratios_db": ("power_ratios_db", _float_list),
@@ -74,7 +83,6 @@ class Scenario:
     num_symbols: int = 50
     cp_ratio: float = 0.125
     num_peak_elements: int = 200
-    element_spacing_wavelengths: float = 0.5
     target_angle_rad: float = 2.0 * np.pi / 5.0
     interferer_angle_rad: float = np.pi / 4.0
     net_num_layers: int = 6
@@ -82,7 +90,6 @@ class Scenario:
     net_learning_rate: float = 1e-2
     net_num_iterations: int = 5000
     net_init_seed: int = 0
-    net_optimizer: str = "adam"
     num_notches: int = 1
     notch_spacing_rad: float = 0.0
     power_ratios_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
@@ -100,28 +107,40 @@ class Scenario:
 
     def __post_init__(self):
         for key, (attr, conv) in _SCHEMA.items():
-            if conv in (float, _float_list) and not np.all(np.isfinite(getattr(self, attr))):
-                raise ScenarioError(f"{key} must be finite")
-        if self.num_subcarriers < 1:
-            raise ScenarioError("ofdm.num_subcarriers must be a positive integer")
-        if self.num_symbols < 1:
-            raise ScenarioError("ofdm.num_symbols must be a positive integer")
-        if not 0.0 <= self.target_angle_rad <= np.pi:
-            raise ScenarioError("angles.target_rad must lie in [0, pi]")
-        if not 0.0 <= self.interferer_angle_rad <= np.pi:
-            raise ScenarioError("angles.interferer_rad must lie in [0, pi]")
-        if self.notch_spacing_rad < 0.0:
-            raise ScenarioError("notch.spacing_rad must be non-negative")
-        if self.num_notches < 1:
-            raise ScenarioError("notch.num_notches must be at least 1")
-        if self.trials < 1:
-            raise ScenarioError("sweep.trials must be a positive integer")
-        if self.num_peak_elements < 1:
-            raise ScenarioError("geometry.num_peak_elements must be a positive integer")
-        if self.noise_variance < 0.0:
-            raise ScenarioError("sweep.noise_variance must be non-negative")
-        if self.pad_range < 1 or self.pad_velocity < 1:
-            raise ScenarioError("sweep padding factors must be >= 1")
+            if conv in (float, _float_list):
+                _require(np.all(np.isfinite(getattr(self, attr))), key, "must be finite")
+        _require(self.carrier_freq_hz > 0.0, "ofdm.carrier_freq_hz", "must be positive")
+        _require(self.bandwidth_hz > 0.0, "ofdm.bandwidth_hz", "must be positive")
+        _require(self.num_subcarriers >= 1, "ofdm.num_subcarriers", "must be a positive integer")
+        _require(self.num_symbols >= 1, "ofdm.num_symbols", "must be a positive integer")
+        _require(0.0 <= self.cp_ratio < 1.0, "ofdm.cp_ratio", "must lie in [0, 1)")
+        _require(self.num_peak_elements >= 1, "geometry.num_peak_elements", "must be a positive integer")
+        _require(0.0 <= self.target_angle_rad <= np.pi, "angles.target_rad", "must lie in [0, pi]")
+        _require(0.0 <= self.interferer_angle_rad <= np.pi, "angles.interferer_rad", "must lie in [0, pi]")
+        _require(self.net_num_layers >= 2, "network.num_layers", "must be at least 2")
+        _require(self.net_hidden_width >= 1, "network.hidden_width", "must be a positive integer")
+        _require(self.net_learning_rate > 0.0, "network.learning_rate", "must be positive")
+        _require(self.net_num_iterations >= 0, "network.num_iterations", "must be non-negative")
+        _require(self.net_init_seed >= 0, "network.init_seed", "must be non-negative")
+        _require(self.num_notches >= 1, "notch.num_notches", "must be at least 1")
+        _require(self.notch_spacing_rad >= 0.0, "notch.spacing_rad", "must be non-negative")
+        notch_angles = self.notch_spec().notch_angles()
+        _require(
+            bool(np.all((0.0 <= notch_angles) & (notch_angles <= np.pi))),
+            "notch.spacing_rad",
+            "pushes the shifted notches outside [0, pi]",
+        )
+        _require(self.trials >= 1, "sweep.trials", "must be a positive integer")
+        max_range = self.ofdm_params().unambiguous_range
+        _require(
+            0.0 <= self.target_range_m < max_range,
+            "sweep.target_range_m",
+            f"must lie in [0, {max_range!r}) m, below the unambiguous range",
+        )
+        _require(self.noise_variance >= 0.0, "sweep.noise_variance", "must be non-negative")
+        _require(self.pad_range >= 1, "sweep.pad_range", "must be a padding factor >= 1")
+        _require(self.pad_velocity >= 1, "sweep.pad_velocity", "must be a padding factor >= 1")
+        _require(self.master_seed >= 0, "master_seed", "must be non-negative")
 
     def ofdm_params(self) -> OfdmParams:
         return OfdmParams(
@@ -139,7 +158,6 @@ class Scenario:
             learning_rate=self.net_learning_rate,
             num_iterations=self.net_num_iterations,
             init_seed=self.net_init_seed,
-            optimizer=self.net_optimizer,
         )
 
     def notch_spec(self, num_notches: int | None = None, spacing_rad: float | None = None) -> NotchSpec:
@@ -170,8 +188,10 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
+    """Build a Scenario from `key = value` text; every diagnostic about a
+    key the text sets starts with `line N: `."""
     values: dict = {}
-    seen: set[str] = set()
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -183,15 +203,20 @@ def parse_scenario(text: str) -> Scenario:
         value = value.strip()
         if key not in _SCHEMA:
             raise ScenarioError(f"line {lineno}: unknown scenario key {key!r}")
-        if key in seen:
+        if key in line_of:
             raise ScenarioError(f"line {lineno}: duplicate scenario key {key!r}")
-        seen.add(key)
+        line_of[key] = lineno
         attr, conv = _SCHEMA[key]
         try:
             values[attr] = conv(value)
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    return Scenario(**values)
+    try:
+        return Scenario(**values)
+    except ScenarioError as exc:
+        if exc.key not in line_of:
+            raise
+        raise ScenarioError(f"line {line_of[exc.key]}: {exc}", exc.key) from None
 
 
 def load_scenario(path) -> Scenario:

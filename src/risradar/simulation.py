@@ -24,16 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (
-    ALL_SUBCARRIERS,
-    CARRIER_ONLY,
-    SPEED_OF_LIGHT,
-    ArrayGeometry,
-    OfdmParams,
-    RisConfig,
-)
-
-_MODES = (CARRIER_ONLY, ALL_SUBCARRIERS)
+from .arrays import CARRIER_ONLY, SPEED_OF_LIGHT, _MODES, OfdmParams, RisConfig, _subcarrier_ratios, steering
 
 
 @dataclass(frozen=True)
@@ -118,42 +109,18 @@ class RadarScenario:
     symbols: SymbolGrid
     interference: InterferenceParams | None = None
     noise: NoiseParams | None = None
-    geometry: ArrayGeometry | None = None
     subcarrier_mode: str = CARRIER_ONLY
 
 
-def _gain_matrix(
-    config: RisConfig,
-    params: OfdmParams,
-    geometry: ArrayGeometry | None,
-    theta: float,
-    subcarrier_mode: str,
-) -> np.ndarray:
+def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, subcarrier_mode: str) -> np.ndarray:
     """g[n, m] = C_m^T b_n(theta) for every subcarrier and symbol slot."""
     coeffs = config.coefficients
-    num_elements = coeffs.shape[0]
-    if geometry is None:
-        geometry = ArrayGeometry(num_elements)
-    elif geometry.num_elements != num_elements:
-        raise ValueError(
-            f"geometry has {geometry.num_elements} elements, config has {num_elements}"
-        )
     n_sub, n_sym = params.num_subcarriers, params.num_symbols
     if config.num_slots not in (1, n_sym):
         raise ValueError(f"config must have 1 or {n_sym} time slots, has {config.num_slots}")
 
-    l = np.arange(num_elements)
-    base = -2.0 * np.pi * geometry.element_spacing_wavelengths * l * np.cos(theta)
-    offsets = geometry.offsets
-    if subcarrier_mode == CARRIER_ONLY:
-        ratios = np.ones(1)
-    else:
-        ratios = np.array([params.wavelength_ratio(n) for n in range(n_sub)])
-    b = np.exp(1j * np.outer(ratios, base))  # (n_eff, L)
-    if np.any(offsets != 0.0):
-        freqs = params.carrier_freq_hz + np.arange(len(ratios)) * params.subcarrier_spacing
-        b = b * np.exp(-2j * np.pi * np.outer(freqs / SPEED_OF_LIGHT, offsets))
-    per_slot = b @ coeffs  # (n_eff, num_slots)
+    ratios = None if subcarrier_mode == CARRIER_ONLY else _subcarrier_ratios(params)
+    per_slot = np.atleast_2d(steering(coeffs.shape[0], theta, ratios)) @ coeffs  # (n_eff, num_slots)
     if subcarrier_mode == CARRIER_ONLY:
         per_slot = np.broadcast_to(per_slot, (n_sub, config.num_slots))
     if config.num_slots == 1:
@@ -178,9 +145,7 @@ def _path_grid(scenario: RadarScenario) -> np.ndarray:
     fc_t = params.carrier_freq_hz * params.total_symbol_time
 
     target = scenario.target
-    gain_t = scenario.target.amplitude * _gain_matrix(
-        scenario.config, params, scenario.geometry, target.angle_rad, scenario.subcarrier_mode
-    )
+    gain_t = target.amplitude * _gain_matrix(scenario.config, params, target.angle_rad, scenario.subcarrier_mode)
     grid = gain_t * np.outer(
         np.exp(-2j * np.pi * n * df * target.delay_s),
         np.exp(2j * np.pi * fc_t * target.doppler_scale * m),
@@ -189,7 +154,7 @@ def _path_grid(scenario: RadarScenario) -> np.ndarray:
     interference = scenario.interference
     if interference is not None:
         gain_i = interference.amplitude * _gain_matrix(
-            scenario.config, params, scenario.geometry, interference.angle_rad, scenario.subcarrier_mode
+            scenario.config, params, interference.angle_rad, scenario.subcarrier_mode
         )
         ratio = generate_symbols(params, interference.symbol_seed).values / scenario.symbols.values
         grid = grid + gain_i * ratio * np.outer(
@@ -295,7 +260,8 @@ def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: 
     n_sub, n_sym = y.shape
     n_range = int(pad_range) * n_sub
     n_vel = int(pad_velocity) * n_sym
-    values = n_range * np.fft.fft(np.fft.ifft(y, n=n_range, axis=0), n=n_vel, axis=1)
+    values = np.fft.fft(np.fft.ifft(y, n=n_range, axis=0), n=n_vel, axis=1)
+    values *= n_range  # in place: no second map-sized array per trial
     return RvMap(
         values=values,
         range_bin_m=params.range_bin_size / int(pad_range),

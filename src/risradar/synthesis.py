@@ -11,8 +11,8 @@ Produces the building-block configurations and their combination:
 * the SINR objective used to judge a configuration against an
   interferer angle.
 
-Synthesis works in the carrier approximation: element phase
-pi * l * cos(theta), i.e. subcarrier index 0.
+Synthesis works in the carrier approximation: the array response
+`steering` at subcarrier index 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ALL_SUBCARRIERS, OfdmParams, RisConfig, _as_matrix, power_pattern
+from .arrays import ALL_SUBCARRIERS, OfdmParams, RisConfig, _as_matrix, power_pattern, steering
 
 
 class TrainingDivergedError(RuntimeError):
@@ -38,8 +38,7 @@ class PeakNetSpec:
 
     The network maps the angle encoding [cos(theta), sin(theta)] through
     `num_layers` linear layers with tanh activations to unit-modulus
-    coefficients; its emitted configuration of length L is 2*L real
-    values (one complex number per element).
+    coefficients, one per element; it is trained with Adam.
     """
 
     num_layers: int = 6
@@ -48,7 +47,6 @@ class PeakNetSpec:
     learning_rate: float = 1e-2
     num_iterations: int = 5000
     init_seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.num_layers < 2:
@@ -61,13 +59,8 @@ class PeakNetSpec:
             raise ValueError("learning_rate must be positive")
         if self.num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError("optimizer must be 'adam' or 'gd'")
-
-
-def carrier_steering(num_elements: int, theta: float) -> np.ndarray:
-    """b(theta) at the carrier: exp(-1j*pi*l*cos(theta))."""
-    return np.exp(-1j * np.pi * np.arange(num_elements) * np.cos(theta))
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be non-negative")
 
 
 class PeakNetwork:
@@ -92,11 +85,6 @@ class PeakNetwork:
             self.weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
             self.biases.append(rng.uniform(-bound, bound, fan_out))
 
-    @property
-    def output_size(self) -> int:
-        """Real values in the emitted configuration (2 per element)."""
-        return 2 * self.num_elements
-
     @staticmethod
     def _encode(theta: float) -> np.ndarray:
         return np.array([np.cos(theta), np.sin(theta)])
@@ -118,7 +106,7 @@ class PeakNetwork:
     def loss(self, theta: float) -> float:
         """1 / |c^T b(theta)|^2 under the carrier approximation."""
         coeffs = self.config_for(theta)
-        s = np.sum(coeffs * carrier_steering(self.num_elements, theta))
+        s = np.sum(coeffs * steering(self.num_elements, theta))
         return float(1.0 / np.abs(s) ** 2)
 
     def loss_and_gradients(self, theta: float):
@@ -128,7 +116,7 @@ class PeakNetwork:
         ordered like self.weights / self.biases.
         """
         activations, head_tanh, coeffs = self._forward(theta)
-        steer = carrier_steering(self.num_elements, theta)
+        steer = steering(self.num_elements, theta)
         s = np.sum(coeffs * steer)
         power = float(np.abs(s) ** 2)
         loss = 1.0 / power
@@ -161,11 +149,11 @@ class TrainingResult:
 def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | None = None) -> TrainingResult:
     """Train the peak network for one target angle.
 
-    Full-batch updates on the single encoded input; Adam by default
-    (plain gradient descent on the 1/power loss stalls: the gradient
-    scale collapses like 1/power^2 as the peak grows). The reported
-    gain_ratio is |c^T b(theta_t)| / L, i.e. relative to the coherent
-    optimum attained by analytic_peak.
+    Full-batch Adam updates on the single encoded input (plain gradient
+    descent on the 1/power loss stalls: the gradient scale collapses like
+    1/power^2 as the peak grows). The reported gain_ratio is
+    |c^T b(theta_t)| / L, i.e. relative to the coherent optimum attained
+    by analytic_peak.
 
     Raises TrainingDivergedError if the loss leaves the finite range;
     the overflow that leads there raises no floating-point warnings.
@@ -174,38 +162,32 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | No
     net = PeakNetwork(num_elements, spec)
     history = np.empty(spec.num_iterations)
 
-    if spec.optimizer == "adam":
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
-        m_w = [np.zeros_like(w) for w in net.weights]
-        v_w = [np.zeros_like(w) for w in net.weights]
-        m_b = [np.zeros_like(b) for b in net.biases]
-        v_b = [np.zeros_like(b) for b in net.biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in net.weights]
+    v_w = [np.zeros_like(w) for w in net.weights]
+    m_b = [np.zeros_like(b) for b in net.biases]
+    v_b = [np.zeros_like(b) for b in net.biases]
 
     for it in range(spec.num_iterations):
         loss, grads_w, grads_b = net.loss_and_gradients(theta_t)
         if not np.isfinite(loss):
             raise TrainingDivergedError(it)
         history[it] = loss
-        if spec.optimizer == "gd":
-            for k in range(len(net.weights)):
-                net.weights[k] -= spec.learning_rate * grads_w[k]
-                net.biases[k] -= spec.learning_rate * grads_b[k]
-        else:
-            t = it + 1
-            for k in range(len(net.weights)):
-                m_w[k] = beta1 * m_w[k] + (1 - beta1) * grads_w[k]
-                v_w[k] = beta2 * v_w[k] + (1 - beta2) * grads_w[k] ** 2
-                m_b[k] = beta1 * m_b[k] + (1 - beta1) * grads_b[k]
-                v_b[k] = beta2 * v_b[k] + (1 - beta2) * grads_b[k] ** 2
-                net.weights[k] -= spec.learning_rate * (m_w[k] / (1 - beta1**t)) / (
-                    np.sqrt(v_w[k] / (1 - beta2**t)) + eps
-                )
-                net.biases[k] -= spec.learning_rate * (m_b[k] / (1 - beta1**t)) / (
-                    np.sqrt(v_b[k] / (1 - beta2**t)) + eps
-                )
+        t = it + 1
+        for k in range(len(net.weights)):
+            m_w[k] = beta1 * m_w[k] + (1 - beta1) * grads_w[k]
+            v_w[k] = beta2 * v_w[k] + (1 - beta2) * grads_w[k] ** 2
+            m_b[k] = beta1 * m_b[k] + (1 - beta1) * grads_b[k]
+            v_b[k] = beta2 * v_b[k] + (1 - beta2) * grads_b[k] ** 2
+            net.weights[k] -= spec.learning_rate * (m_w[k] / (1 - beta1**t)) / (
+                np.sqrt(v_w[k] / (1 - beta2**t)) + eps
+            )
+            net.biases[k] -= spec.learning_rate * (m_b[k] / (1 - beta1**t)) / (
+                np.sqrt(v_b[k] / (1 - beta2**t)) + eps
+            )
 
     coeffs = net.config_for(theta_t)
-    gain = np.abs(np.sum(coeffs * carrier_steering(num_elements, theta_t)))
+    gain = np.abs(np.sum(coeffs * steering(num_elements, theta_t)))
     final_loss = float(1.0 / gain**2)
     if not np.isfinite(final_loss):
         raise TrainingDivergedError(spec.num_iterations)
@@ -218,14 +200,14 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | No
 
 
 def analytic_peak(theta_t: float, num_elements: int) -> RisConfig:
-    """Conjugate phase alignment: element l = exp(+1j*pi*l*cos(theta_t)).
+    """Conjugate phase alignment: c = conj(b(theta_t)) at the carrier.
 
     Pattern magnitude at theta_t equals num_elements exactly; the
     closed-form optimum the trained network is measured against.
     """
     if num_elements < 1:
         raise ValueError("num_elements must be positive")
-    return RisConfig(np.exp(1j * np.pi * np.arange(num_elements) * np.cos(theta_t)))
+    return RisConfig(np.conj(steering(num_elements, theta_t)))
 
 
 def notch_config(theta_n: float) -> RisConfig:

@@ -24,12 +24,12 @@ from risradar import (
     normalize_coefficients,
     normalize_pattern_db,
     notch_config,
-    pattern_value,
     power_pattern,
     range_error_metric,
     rv_map,
     simulate_frame_pair,
     simulate_received,
+    steering,
 )
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, RisConfig
 from risradar.cli import main as cli_main
@@ -78,7 +78,7 @@ def test_criterion_2_null_exactness(params):
     rng = np.random.default_rng(31415)
     worst_null = 0.0
     for theta_n in rng.uniform(0.0, np.pi, size=50):
-        value = pattern_value(notch_config(theta_n), params, 0, theta_n)
+        value = steering(2, theta_n) @ notch_config(theta_n).static_column()
         worst_null = max(worst_null, abs(value))
 
     scenario = default_scenario()

@@ -4,27 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risradar import (
-    ArrayGeometry,
     OfdmParams,
     RisConfig,
     angle_grid,
     angle_grid_deg,
     normalize_pattern_db,
-    pattern_value,
     power_pattern,
-    steering_vector,
+    steering,
 )
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT
 
 
-def brute_force_steering(geometry, params, n, theta):
-    """Element-by-element oracle straight from the phase definition."""
+def brute_force_steering(num_elements, params, n, theta):
+    """Element-by-element oracle straight from the phase definition:
+    half-wavelength spacing, phase 2*pi*(d/lambda_n)*l*cos(theta)."""
     lam = SPEED_OF_LIGHT / params.carrier_freq_hz
     lam_n = SPEED_OF_LIGHT / (params.carrier_freq_hz + n * params.subcarrier_spacing)
-    out = np.empty(geometry.num_elements, dtype=complex)
-    for l in range(geometry.num_elements):
-        phase = -2.0 * np.pi * geometry.element_spacing_wavelengths * (lam / lam_n) * l * np.cos(theta)
-        out[l] = np.exp(1j * phase) * np.exp(-2j * np.pi * geometry.offsets[l] / lam_n)
+    out = np.empty(num_elements, dtype=complex)
+    for l in range(num_elements):
+        phase = -2.0 * np.pi * (0.5 * lam / lam_n) * l * np.cos(theta)
+        out[l] = np.exp(1j * phase)
     return out
 
 
@@ -49,7 +48,6 @@ class TestOfdmParams:
         assert params.subcarrier_spacing == 2e6
         assert params.symbol_time == 0.5e-6
         assert params.total_symbol_time == pytest.approx(0.5625e-6, rel=1e-15)
-        assert params.wavelength == pytest.approx(SPEED_OF_LIGHT / 77e9, rel=1e-15)
         assert params.range_bin_size == 0.75
         assert params.unambiguous_range == 75.0
         assert params.velocity_bin_size == pytest.approx(
@@ -61,7 +59,7 @@ class TestOfdmParams:
         n = 99
         f_n = 77e9 + n * 2e6
         assert params.subcarrier_freq(n) == f_n
-        assert params.subcarrier_wavelength(n) == pytest.approx(SPEED_OF_LIGHT / f_n, rel=1e-15)
+        assert params.wavelength_ratio(n) == f_n / 77e9
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -82,67 +80,85 @@ class TestOfdmParams:
 
 
 class TestSteeringVector:
-    def test_single_element_is_unity(self, params):
-        sv = steering_vector(ArrayGeometry(1), params, 0, 1.234)
-        assert sv.values == pytest.approx([1.0 + 0.0j])
+    def test_single_element_is_unity(self):
+        assert steering(1, 1.234) == pytest.approx([1.0 + 0.0j])
 
     def test_broadside_two_elements(self, params):
-        sv = steering_vector(ArrayGeometry(2), params, 57, np.pi / 2)
-        assert sv.values == pytest.approx([1.0, 1.0], abs=1e-12)
+        values = steering(2, np.pi / 2, params.wavelength_ratio(57))
+        assert values == pytest.approx([1.0, 1.0], abs=1e-12)
 
-    def test_four_elements_at_pi_third(self, params):
+    def test_four_elements_at_pi_third(self):
         # cos(pi/3) = 1/2 gives phases exp(-1j*pi*l/2): 1, -j, -1, j
-        sv = steering_vector(ArrayGeometry(4), params, 0, np.pi / 3)
-        assert sv.values == pytest.approx([1.0, -1.0j, -1.0, 1.0j], abs=1e-12)
+        assert steering(4, np.pi / 3) == pytest.approx([1.0, -1.0j, -1.0, 1.0j], abs=1e-12)
 
-    def test_matches_brute_force_with_offsets(self, params):
-        geometry = ArrayGeometry(5, element_offsets_m=np.array([0.0, 1e-3, 2e-3, 0.5e-3, 4e-3]))
-        for n in (0, 13, 99):
-            for theta in (0.3, 1.1, 2.7):
-                sv = steering_vector(geometry, params, n, theta)
-                np.testing.assert_allclose(sv.values, brute_force_steering(geometry, params, n, theta), atol=1e-12)
+    def test_matches_brute_force(self, params):
+        subcarriers = (0, 13, 99)
+        thetas = np.array([0.3, 1.1, 2.7])
+        ratios = np.array([params.wavelength_ratio(n) for n in subcarriers])
+        values = steering(5, thetas, ratios)
+        assert values.shape == (3, 3, 5)
+        for i, n in enumerate(subcarriers):
+            for j, theta in enumerate(thetas):
+                np.testing.assert_allclose(values[i, j], brute_force_steering(5, params, n, theta), atol=1e-12)
+
+    def test_phase_order_is_pinned(self, params):
+        # r * ((pi*l) * cos(theta)), bit for bit: training and the simulated
+        # gains were recorded with this order
+        ratios = np.array([params.wavelength_ratio(n) for n in range(100)])
+        for theta in np.random.default_rng(4).uniform(0.0, np.pi, size=20):
+            phase = (np.pi * np.arange(16)) * np.cos(theta)
+            np.testing.assert_array_equal(steering(16, theta), np.exp(-1j * phase))
+            np.testing.assert_array_equal(steering(16, theta, ratios), np.exp(-1j * np.outer(ratios, phase)))
 
     @settings(max_examples=50, deadline=None)
     @given(theta=st.floats(min_value=0.0, max_value=np.pi), n=st.integers(min_value=0, max_value=99))
     def test_unit_magnitude_without_offsets(self, params, theta, n):
-        sv = steering_vector(ArrayGeometry(16), params, n, theta)
-        assert np.all(np.abs(np.abs(sv.values) - 1.0) < 1e-12)
+        values = steering(16, theta, params.wavelength_ratio(n))
+        assert np.all(np.abs(np.abs(values) - 1.0) < 1e-12)
 
-    def test_rejects_bad_inputs(self, params):
+    def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            steering_vector(ArrayGeometry(4), params, 100, 0.5)
+            steering(0, 0.5)
         with pytest.raises(ValueError):
-            steering_vector(ArrayGeometry(4), params, -1, 0.5)
-        with pytest.raises(ValueError):
-            steering_vector(ArrayGeometry(4), params, 0, np.nan)
+            steering(-1, 0.5)
 
 
 class TestPatternValue:
-    def test_two_element_cancellation(self, params):
-        assert pattern_value([1, -1], params, 0, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
+    """A pattern value is the kernel times the coefficients: steering(...) @ c."""
 
-    def test_two_element_coherent(self, params):
-        assert pattern_value([1, 1], params, 0, np.pi / 2) == pytest.approx(2.0, abs=1e-12)
+    def test_two_element_cancellation(self):
+        assert steering(2, np.pi / 2) @ np.array([1, -1]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_matches_termwise_sum(self, params):
+    def test_two_element_coherent(self):
+        assert steering(2, np.pi / 2) @ np.array([1, 1]) == pytest.approx(2.0, abs=1e-12)
+
+    def test_matches_termwise_sum(self):
         rng = np.random.default_rng(7)
         coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
         theta = 1.1
         acc = 0.0 + 0.0j
         for l in range(8):
             acc += coeffs[l] * np.exp(-1j * np.pi * l * np.cos(theta))
-        assert pattern_value(coeffs, params, 0, theta) == pytest.approx(acc, abs=1e-12)
+        assert steering(8, theta) @ coeffs == pytest.approx(acc, abs=1e-12)
 
     def test_agrees_with_steering_dot_product(self, params):
+        # the batched (R, A, L) kernel equals one evaluation per (ratio, angle)
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-        for n in (0, 42):
-            sv = steering_vector(ArrayGeometry(6), params, n, 0.8)
-            assert pattern_value(coeffs, params, n, 0.8) == pytest.approx(np.dot(coeffs, sv.values), abs=1e-12)
+        ratios = np.array([params.wavelength_ratio(n) for n in (0, 42)])
+        thetas = np.array([0.8, 2.1])
+        batch = steering(6, thetas, ratios)
+        for i, ratio in enumerate(ratios):
+            for j, theta in enumerate(thetas):
+                single = steering(6, theta, ratio)
+                np.testing.assert_array_equal(batch[i, j], single)
+                assert (batch @ coeffs)[i, j] == pytest.approx(np.dot(coeffs, single), abs=1e-12)
 
-    def test_rejects_matrix_input(self, params):
+    def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
-            pattern_value(np.ones((2, 2)), params, 0, 0.5)
+            steering(2, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            steering(2, 0.5, np.ones((2, 2)))
 
 
 class TestPowerPattern:
@@ -200,7 +216,9 @@ class TestPowerPattern:
         with pytest.raises(ValueError):
             power_pattern(np.ones(4), params, np.array([]), CARRIER_ONLY)
         with pytest.raises(ValueError):
-            power_pattern(np.ones(4), params, 0.5, CARRIER_ONLY, geometry=ArrayGeometry(5))
+            power_pattern(np.ones((4, 2, 2)), params, 0.5, CARRIER_ONLY)
+        with pytest.raises(ValueError):
+            power_pattern(np.ones(4), params, np.ones((2, 2)), CARRIER_ONLY)
         with pytest.raises(ValueError):
             power_pattern(np.ones(4), params, 0.5, "bogus")
 

@@ -112,8 +112,73 @@ def test_non_finite_scenario_value_writes_no_sweep(tmp_path, capsys):
     bad.write_text(SMALL_SCENARIO + "sweep.noise_variance = inf\n")
     out = tmp_path / "o"
     assert main(["sweep", "--scenario", str(bad), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "scenario error: sweep.noise_variance must be finite\n"
+    assert capsys.readouterr().err == "scenario error: line 14: sweep.noise_variance must be finite\n"
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "ofdm.carrier_freq_hz = 0",
+        "ofdm.bandwidth_hz = -1",
+        "ofdm.cp_ratio = 1.5",
+        "ofdm.cp_ratio = -0.1",
+        "sweep.target_range_m = 1000",
+        "sweep.target_range_m = -1",
+        "network.num_layers = 1",
+        "network.hidden_width = 0",
+        "network.learning_rate = 0",
+        "network.num_iterations = -1",
+        "network.init_seed = -1",
+        "master_seed = -1",
+        "notch.num_notches = 4\nnotch.spacing_rad = 5",
+        "geometry.element_spacing_wavelengths = 3.0",
+        "network.optimizer = sgd",
+    ],
+)
+def test_out_of_domain_scenario_exits_two_before_any_work(line, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(SMALL_SCENARIO + line + "\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    last_line = (SMALL_SCENARIO + line).count("\n") + 1  # the line that set the offending key
+    assert err.startswith(f"scenario error: line {last_line}: ")
+    assert err.count("\n") == 1
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["multinotch", "--epsilon", "abc"],
+        ["multinotch", "--epsilon", "-1"],
+        ["multinotch", "--epsilon", "0,nan"],
+        ["multinotch", "--epsilon", "inf"],
+        ["multinotch", "--epsilon", ","],
+        ["multinotch", "--workers", "0"],
+        ["sweep", "--workers", "0"],
+        ["sweep", "--workers", "-3"],
+        ["sweep", "--workers", "two"],
+    ],
+)
+def test_bad_flag_rejected_at_parsing(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"argument {argv[1]}" in err
+    assert not out.exists()
+
+
+def test_notch_spacing_leaving_domain_exits_two(scenario_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["multinotch", "--scenario", str(scenario_file), "--out", str(out), "--epsilon", "0,5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "scenario error: notch spacing 5.0 pushes the shifted notches outside [0, pi]\n"
+    assert not (out / "multinotch_summary.csv").exists()
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-5", "many"])

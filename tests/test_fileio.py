@@ -6,14 +6,12 @@ from risradar.experiments import SweepPoint
 from risradar.fileio import (
     read_config_file,
     read_keyvals,
-    read_matrix,
     read_pattern_table,
     read_peak_records,
     read_sweep_table,
     write_config_file,
     write_keyvals,
     write_loss_history,
-    write_matrix,
     write_pattern_table,
     write_peak_records,
     write_sweep_table,
@@ -59,18 +57,6 @@ def test_config_file_round_trip_multislot(tmp_path):
     path = write_config_file(tmp_path / "c.txt", config)
     back, _ = read_config_file(path)
     np.testing.assert_array_equal(back.coefficients, config.coefficients)
-
-
-def test_matrix_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    grid = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
-    path = write_matrix(tmp_path / "m.txt", grid)
-    np.testing.assert_array_equal(read_matrix(path), grid)
-
-
-def test_matrix_header_carries_dimensions(tmp_path):
-    path = write_matrix(tmp_path / "m.txt", np.ones((2, 3), dtype=complex))
-    assert path.read_text().splitlines()[0] == "# rows=2 cols=3"
 
 
 def test_peak_records_round_trip(tmp_path):

@@ -61,6 +61,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="sweep.trials"):
             parse_scenario("sweep.trials = many\n")
 
+    @pytest.mark.parametrize("key", ["geometry.element_spacing_wavelengths", "network.optimizer"])
+    def test_removed_keys_are_unknown(self, key):
+        # the array is fixed at half-wavelength spacing and training uses Adam
+        with pytest.raises(ScenarioError, match=f"^line 2: unknown scenario key '{key}'$"):
+            parse_scenario(f"sweep.trials = 3\n{key} = 3.0\n")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("master_seed = 7\noutput_dir = results\n")
@@ -85,6 +91,20 @@ class TestValidation:
             (dict(num_peak_elements=0), "num_peak_elements"),
             (dict(noise_variance=-1.0), "noise_variance"),
             (dict(pad_range=0), "padding"),
+            (dict(carrier_freq_hz=0.0), "^ofdm.carrier_freq_hz must be positive$"),
+            (dict(bandwidth_hz=-1.0), "^ofdm.bandwidth_hz must be positive$"),
+            (dict(cp_ratio=1.0), r"^ofdm.cp_ratio must lie in \[0, 1\)$"),
+            (dict(cp_ratio=-0.1), r"^ofdm.cp_ratio must lie in \[0, 1\)$"),
+            (dict(target_range_m=75.0), r"^sweep.target_range_m must lie in \[0, 75.0\) m"),
+            (dict(target_range_m=-0.5), "^sweep.target_range_m must lie in"),
+            (dict(net_num_layers=1), "^network.num_layers must be at least 2$"),
+            (dict(net_hidden_width=0), "^network.hidden_width must be a positive integer$"),
+            (dict(net_learning_rate=0.0), "^network.learning_rate must be positive$"),
+            (dict(net_num_iterations=-1), "^network.num_iterations must be non-negative$"),
+            (dict(net_init_seed=-1), "^network.init_seed must be non-negative$"),
+            (dict(pad_velocity=0), "^sweep.pad_velocity must be a padding factor >= 1$"),
+            (dict(master_seed=-1), "^master_seed must be non-negative$"),
+            (dict(num_notches=4, notch_spacing_rad=1.0), r"^notch.spacing_rad pushes the shifted notches outside \[0, pi\]$"),
         ],
     )
     def test_distinct_diagnostics(self, kwargs, match):
@@ -98,7 +118,6 @@ class TestValidation:
             "ofdm.carrier_freq_hz",
             "ofdm.bandwidth_hz",
             "ofdm.cp_ratio",
-            "geometry.element_spacing_wavelengths",
             "angles.target_rad",
             "angles.interferer_rad",
             "network.learning_rate",
@@ -114,8 +133,24 @@ class TestValidation:
     )
     def test_non_finite_values_rejected(self, key, value):
         rendered = f"0,{value},1" if key in ("sweep.power_ratios_db", "sweep.angle_offsets_rad") else value
-        with pytest.raises(ScenarioError, match=f"^{key} must be finite$"):
+        with pytest.raises(ScenarioError, match=f"^line 1: {key} must be finite$"):
             parse_scenario(f"{key} = {rendered}\n")
+
+    def test_check_names_the_line_that_set_the_key(self):
+        text = "# header\nofdm.num_subcarriers = 64\n\nofdm.cp_ratio = 1.5\n"
+        with pytest.raises(ScenarioError, match=r"^line 4: ofdm.cp_ratio must lie in \[0, 1\)$") as excinfo:
+            parse_scenario(text)
+        assert excinfo.value.key == "ofdm.cp_ratio"
+
+    def test_check_on_a_default_value_has_no_line(self):
+        # 2 subcarriers at 200 MHz leave a 1.5 m unambiguous range, below the
+        # default 30 m target the file does not set
+        with pytest.raises(ScenarioError, match=r"^sweep.target_range_m must lie in \[0, 1.5\) m"):
+            parse_scenario("ofdm.num_subcarriers = 2\n")
+
+    def test_direct_construction_has_no_line(self):
+        with pytest.raises(ScenarioError, match="^sweep.noise_variance must be finite$"):
+            Scenario(noise_variance=np.inf)
 
     def test_replace_revalidates(self):
         with pytest.raises(ScenarioError):
