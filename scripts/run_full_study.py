@@ -7,12 +7,12 @@
 whole pipeline finishes in seconds; omit it to run the full default setup.
 """
 
-import argparse
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from risradar.cli import _Parser, _worker_count
 from risradar.experiments import (
     report,
     run_interference_sweep,
@@ -38,10 +38,10 @@ QUICK_OVERRIDES = dict(
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--scenario", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_worker_count, default=1)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
 

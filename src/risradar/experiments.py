@@ -76,19 +76,14 @@ class SynthesisBundle:
     combined: RisConfig
 
 
-def synthesize_configs(
-    scenario: Scenario,
-    num_notches: int | None = None,
-    spacing_rad: float | None = None,
-    training: TrainingResult | None = None,
-) -> SynthesisBundle:
+def synthesize_configs(scenario: Scenario, training: TrainingResult | None = None) -> SynthesisBundle:
     """Train the peak (unless supplied), build the notch, convolve, and
     rescale the combination into the unit disk."""
     if training is None:
         training = train_peak_network(
             scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
         )
-    notch = multi_notch(scenario.notch_spec(num_notches, spacing_rad))
+    notch = multi_notch(scenario.notch_spec())
     combined = normalize_coefficients(combine_convolve(training.config, notch))
     return SynthesisBundle(training=training, peak=training.config, notch=notch, combined=combined)
 
@@ -260,10 +255,6 @@ def run_interference_sweep(
     measurements with the frame-difference pipeline. Results are sorted
     by (ratio, offset) and identical for any worker count.
     """
-    for offset in scenario.angle_offsets_rad:
-        shifted = scenario.interferer_angle_rad + offset
-        if not 0.0 <= shifted <= np.pi:
-            raise ScenarioError(f"angle offset {offset} pushes the interferer outside [0, pi]")
     if config is None:
         config = synthesize_configs(scenario, training=training).combined
 
@@ -314,28 +305,27 @@ def _carrier_power(column: np.ndarray, thetas) -> np.ndarray:
     return np.abs(steering(column.size, np.atleast_1d(thetas)) @ column) ** 2
 
 
-def _carrier_peak(column: np.ndarray) -> float:
-    """Peak carrier power over a 200001-point scan of [0, pi], taken in
-    blocks of 16384 angles: a block's kernel is 1.3 MB for five elements,
-    where the whole scan's would be 16 MB."""
-    dense = np.linspace(0.0, np.pi, 200001)
-    return max(_carrier_power(column, dense[i : i + 16384]).max() for i in range(0, dense.size, 16384))
+def _carrier_scan(column: np.ndarray) -> np.ndarray:
+    """Carrier power at 200001 evenly spaced angles over [0, pi], each block
+    of 16384 angles overwritten by its powers: a block's kernel is 1.3 MB
+    for five elements, where the whole scan's would be 16 MB."""
+    scan = np.linspace(0.0, np.pi, 200001)
+    for i in range(0, scan.size, 16384):
+        block = scan[i : i + 16384]
+        block[:] = _carrier_power(column, block)
+    return scan
 
 
-def suppression_band(
-    config: RisConfig,
-    center_rad: float,
-    threshold_db: float = SUPPRESSION_THRESHOLD_DB,
-    scan_step_rad: float = 1e-4,
-) -> tuple[float, float]:
-    """Contiguous angle span around the center where the normalized
-    carrier pattern stays below threshold_db.
+def suppression_band(column: np.ndarray, scan: np.ndarray, center_rad: float) -> tuple[float, float]:
+    """Contiguous angle span around the center where the carrier pattern
+    stays below SUPPRESSION_THRESHOLD_DB relative to the peak of its scan.
 
-    Edges are located by an outward scan followed by bisection, so
-    spacings far below any practical plot grid still order correctly.
+    Each edge is bracketed by the nearest scan point at or above the
+    threshold on its side, then bisected from the center, so spacings far
+    below the scan step still order correctly; a side with no such point
+    extends to 0 or pi.
     """
-    column = config.static_column()
-    threshold = _carrier_peak(column) * 10.0 ** (threshold_db / 10.0)
+    threshold = scan.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
 
     def above(theta: float) -> bool:
         return _carrier_power(column, theta)[0] >= threshold
@@ -343,15 +333,8 @@ def suppression_band(
     if above(center_rad):
         return (center_rad, center_rad)
 
-    def find_edge(direction: float) -> float:
+    def find_edge(outside: float) -> float:
         inside = center_rad
-        probe = center_rad + direction * scan_step_rad
-        while 0.0 <= probe <= np.pi and not above(probe):
-            inside = probe
-            probe += direction * scan_step_rad
-        if not 0.0 <= probe <= np.pi:
-            return 0.0 if direction < 0 else float(np.pi)
-        outside = probe
         for _ in range(80):
             mid = 0.5 * (inside + outside)
             if above(mid):
@@ -360,15 +343,21 @@ def suppression_band(
                 inside = mid
         return 0.5 * (inside + outside)
 
-    return (find_edge(-1.0), find_edge(+1.0))
+    step = np.pi / (scan.size - 1)
+    split = int(center_rad / step) + 1  # scan points [0, split) lie at or left of the center
+    hits = scan >= threshold
+    left, right = hits[:split][::-1], hits[split:]
+    low = find_edge((split - 1 - int(np.argmax(left))) * step) if left.any() else 0.0
+    high = find_edge((split + int(np.argmax(right))) * step) if right.any() else float(np.pi)
+    return (low, high)
 
 
-def min_inband_suppression_db(config: RisConfig, center_rad: float, spacing_rad: float, num_notches: int) -> float:
-    """Worst-case suppression (positive dB, capped at 300) over the span
-    between the outermost notch angles; at zero spacing, the depth at the
-    center itself."""
-    column = config.static_column()
-    peak = _carrier_peak(column)
+def min_inband_suppression_db(
+    column: np.ndarray, scan: np.ndarray, center_rad: float, spacing_rad: float, num_notches: int
+) -> float:
+    """Worst-case suppression (positive dB, capped at 300) relative to the
+    peak of `scan` over the span between the outermost notch angles; at
+    zero spacing, the depth at the center itself."""
     half_span = (num_notches - 1) / 2.0 * spacing_rad
     if half_span == 0.0:
         worst = _carrier_power(column, center_rad)[0]
@@ -377,7 +366,7 @@ def min_inband_suppression_db(config: RisConfig, center_rad: float, spacing_rad:
         worst = _carrier_power(column, span).max()
     if worst == 0.0:
         return MAX_SUPPRESSION_DB
-    return float(min(-10.0 * np.log10(worst / peak), MAX_SUPPRESSION_DB))
+    return float(min(-10.0 * np.log10(worst / scan.max()), MAX_SUPPRESSION_DB))
 
 
 @dataclass
@@ -427,7 +416,11 @@ def run_multinotch_study(
     entries = []
     for epsilon in epsilon_list:
         notch = multi_notch(scenario.notch_spec(num_notches, epsilon))
-        band = suppression_band(notch, scenario.interferer_angle_rad)
+        column = notch.static_column()
+        scan = _carrier_scan(column)
+        band = suppression_band(column, scan, scenario.interferer_angle_rad)
+        depth = min_inband_suppression_db(column, scan, scenario.interferer_angle_rad, float(epsilon), num_notches)
+        del scan  # 1.6 MB that the sweep's pool workers need not inherit
         entry = MultinotchEntry(
             epsilon_rad=float(epsilon),
             notch=notch,
@@ -435,9 +428,7 @@ def run_multinotch_study(
             sweep=None,
             band=band,
             bandwidth_rad=float(band[1] - band[0]),
-            min_inband_suppression_db=min_inband_suppression_db(
-                notch, scenario.interferer_angle_rad, float(epsilon), num_notches
-            ),
+            min_inband_suppression_db=depth,
         )
         if out_dir is not None:
             pattern_db = normalize_pattern_db(power_pattern(notch, params, grid_rad, subcarrier_mode))
@@ -459,7 +450,7 @@ def run_multinotch_study(
             f"# suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
             f"# center_rad={float(scenario.interferer_angle_rad)!r}",
             f"# num_notches={num_notches}",
-            "# edges located by outward scan plus bisection on the carrier pattern",
+            "# edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
             "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db",
         ]
         for e in entries:

@@ -130,6 +130,14 @@ class Scenario:
             "notch.spacing_rad",
             "pushes the shifted notches outside [0, pi]",
         )
+        # the program's 300 dB floor and cap; far beyond it the amplitude 10**(r/20) overflows
+        _require(bool(np.all(np.abs(self.power_ratios_db) <= 300.0)), "sweep.power_ratios_db", "must lie in [-300, 300] dB")
+        shifted = self.interferer_angle_rad + np.asarray(self.angle_offsets_rad)
+        _require(
+            bool(np.all((0.0 <= shifted) & (shifted <= np.pi))),
+            "sweep.angle_offsets_rad",
+            "pushes the interferer outside [0, pi]",
+        )
         _require(self.trials >= 1, "sweep.trials", "must be a positive integer")
         max_range = self.ofdm_params().unambiguous_range
         _require(

@@ -289,6 +289,8 @@ def estimate_target(rv: RvMap) -> PeakEstimate:
     if magnitude.size == 0:
         raise ValueError("range-velocity map is empty")
     range_bin, velocity_bin = np.unravel_index(int(np.argmax(magnitude)), magnitude.shape)
+    if not np.isfinite(magnitude[range_bin, velocity_bin]):  # argmax picks a NaN's index
+        raise ValueError("range-velocity map is not finite")
     n_vel = rv.num_velocity_bins
     signed_vel_bin = velocity_bin if velocity_bin < (n_vel + 1) // 2 else velocity_bin - n_vel
     return PeakEstimate(

@@ -43,7 +43,6 @@ class PeakNetSpec:
 
     num_layers: int = 6
     hidden_width: int = 128
-    activation: str = "tanh"
     learning_rate: float = 1e-2
     num_iterations: int = 5000
     init_seed: int = 0
@@ -53,8 +52,6 @@ class PeakNetSpec:
             raise ValueError("num_layers must be at least 2")
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be positive")
-        if self.activation != "tanh":
-            raise ValueError("only tanh activation is supported")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.num_iterations < 0:

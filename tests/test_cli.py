@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -146,6 +150,42 @@ def test_out_of_domain_scenario_exits_two_before_any_work(line, tmp_path, capsys
     assert err.startswith(f"scenario error: line {last_line}: ")
     assert err.count("\n") == 1
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["pattern", "train-peak", "sweep", "multinotch"])
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("sweep.angle_offsets_rad", "0,3.0", "pushes the interferer outside [0, pi]"),
+        ("sweep.power_ratios_db", "0,6160", "must lie in [-300, 300] dB"),
+        ("sweep.power_ratios_db", "-400", "must lie in [-300, 300] dB"),
+    ],
+)
+def test_sweep_grid_out_of_domain_exits_two_for_every_command(command, key, value, problem, tmp_path, capsys):
+    lines = [f"{key} = {value}" if line.startswith(key) else line for line in SMALL_SCENARIO.splitlines()]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key))
+    assert capsys.readouterr().err == f"scenario error: line {lineno}: {key} {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["-3", "0", "two"])
+def test_full_study_script_rejects_bad_workers(workers, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, str(script), "--quick", "--workers", workers, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.count("\n") == 1
+    assert "argument --workers" in run.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

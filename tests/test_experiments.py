@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risradar import (
+    NotchSpec,
     analytic_peak,
     combine_convolve,
+    multi_notch,
     normalize_coefficients,
     notch_config,
 )
+from risradar import experiments
 from risradar.experiments import (
+    SUPPRESSION_THRESHOLD_DB,
+    min_inband_suppression_db,
     report,
     run_interference_sweep,
     run_multinotch_study,
     run_pattern_study,
+    suppression_band,
     synthesize_configs,
     trial_seeds,
 )
 from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_table
-from risradar.scenario import Scenario, ScenarioError
+from risradar.scenario import Scenario, ScenarioError, default_scenario
 
 SMALL = Scenario(
     num_subcarriers=32,
@@ -131,9 +139,9 @@ class TestInterferenceSweep:
         assert (parallel / "sweep_records.csv").read_bytes() == (out / "sweep_records.csv").read_bytes()
 
     def test_rejects_offsets_leaving_domain(self):
-        bad = SMALL.replace(angle_offsets_rad=(3.0,))
+        # the scenario itself refuses offsets the sweep could not run
         with pytest.raises(ScenarioError, match="outside"):
-            run_interference_sweep(bad, config=small_combined())
+            SMALL.replace(angle_offsets_rad=(3.0,))
 
 
 class TestMultinotchStudy:
@@ -170,6 +178,81 @@ class TestMultinotchStudy:
             assert entry.sweep is not None
             assert entry.sweep.points[0].mean_range_error_m == 0.0
         assert (tmp_path / "multinotch_sweep_eps0.0.csv").exists()
+
+
+def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):
+    column = multi_notch(NotchSpec(center_rad, num_notches, spacing_rad)).static_column()
+    scan = experiments._carrier_scan(column)
+    return column, scan, suppression_band(column, scan, center_rad)
+
+
+class TestSuppressionBand:
+    # (low edge, high edge, minimum in-band suppression) of the default
+    # scenario's four-notch study, recorded with the earlier outward walk in
+    # 1e-4 rad steps; the edges agree to float resolution, the depths exactly
+    PINNED = {
+        0.0: (0.1777883356088622, 1.1263297752739345, 300.0),
+        1e-3: (0.1777848663630786, 1.126331433849852, 236.33180463813056),
+        1e-2: (0.177441180939704, 1.1264956585482295, 156.1588482737971),
+    }
+
+    @pytest.mark.parametrize("epsilon", sorted(PINNED))
+    def test_matches_pinned_edges_and_depths(self, epsilon):
+        center = default_scenario().interferer_angle_rad
+        column, scan, (low, high) = notch_band(4, epsilon, center)
+        low_ref, high_ref, depth_ref = self.PINNED[epsilon]
+        assert abs(low - low_ref) <= 1e-13
+        assert abs(high - high_ref) <= 1e-13
+        assert min_inband_suppression_db(column, scan, center, epsilon, 4) == depth_ref
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_notches=st.integers(1, 4),
+        spacing=st.floats(0.0, 0.05),
+        center=st.floats(0.1, np.pi - 0.1),
+    )
+    def test_edges_separate_suppressed_from_unsuppressed(self, num_notches, spacing, center):
+        column, scan, (low, high) = notch_band(num_notches, spacing, center)
+        threshold = scan.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
+
+        def power(theta):
+            return experiments._carrier_power(column, theta)[0]
+
+        assert 0.0 <= low < center < high <= np.pi
+        assert power(low + 1e-9) < threshold
+        assert power(high - 1e-9) < threshold
+        if low > 0.0:
+            assert power(low - 1e-9) >= threshold
+        if high < np.pi:
+            assert power(high + 1e-9) >= threshold
+        angles = np.linspace(0.0, np.pi, scan.size)
+        assert np.all(scan[(angles > low) & (angles < high)] < threshold)
+
+    def test_bisects_with_few_kernel_calls(self, monkeypatch):
+        column = multi_notch(NotchSpec(np.pi / 4, 4, 1e-3)).static_column()
+        scan = experiments._carrier_scan(column)
+        calls = []
+
+        def counted(column, thetas):
+            calls.append(thetas)
+            return carrier_power(column, thetas)
+
+        carrier_power = experiments._carrier_power
+        monkeypatch.setattr(experiments, "_carrier_power", counted)
+        suppression_band(column, scan, np.pi / 4)
+        assert len(calls) <= 200
+
+    def test_one_scan_per_spacing(self, monkeypatch):
+        scans = []
+
+        def counted(column):
+            scans.append(column)
+            return carrier_scan(column)
+
+        carrier_scan = experiments._carrier_scan
+        monkeypatch.setattr(experiments, "_carrier_scan", counted)
+        run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
+        assert len(scans) == 3
 
 
 class TestSynthesizeConfigs:

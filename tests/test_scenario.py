@@ -1,7 +1,49 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risradar.scenario import Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios drawn from inside every domain check."""
+    bandwidth_hz = draw(st.floats(1e6, 1e9))
+    num_subcarriers = draw(st.integers(1, 256))
+    probe = Scenario(bandwidth_hz=bandwidth_hz, num_subcarriers=num_subcarriers, target_range_m=0.0)
+    max_range = probe.ofdm_params().unambiguous_range
+    return Scenario(
+        carrier_freq_hz=draw(st.floats(1e9, 1e12)),
+        bandwidth_hz=bandwidth_hz,
+        num_subcarriers=num_subcarriers,
+        num_symbols=draw(st.integers(1, 128)),
+        cp_ratio=draw(st.floats(0.0, 0.99)),
+        num_peak_elements=draw(st.integers(1, 512)),
+        target_angle_rad=draw(st.floats(0.0, np.pi)),
+        interferer_angle_rad=draw(st.floats(0.5, np.pi - 0.5)),
+        net_num_layers=draw(st.integers(2, 8)),
+        net_hidden_width=draw(st.integers(1, 256)),
+        net_learning_rate=draw(st.floats(1e-6, 1.0)),
+        net_num_iterations=draw(st.integers(0, 10000)),
+        net_init_seed=draw(st.integers(0, 2**32)),
+        num_notches=draw(st.integers(1, 6)),
+        notch_spacing_rad=draw(st.floats(0.0, 0.05)),
+        power_ratios_db=tuple(draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=5))),
+        angle_offsets_rad=tuple(draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=5))),
+        trials=draw(st.integers(1, 100)),
+        target_range_m=draw(st.floats(0.0, 0.999)) * max_range,
+        target_velocity_mps=draw(st.floats(-100.0, 100.0)),
+        interferer_delay_s=draw(st.floats(0.0, 1e-5)),
+        interferer_doppler_scale=draw(st.floats(-1.0, 1.0)),
+        noise_variance=draw(st.floats(0.0, 10.0)),
+        pad_range=draw(st.integers(1, 8)),
+        pad_velocity=draw(st.integers(1, 8)),
+        master_seed=draw(st.integers(0, 2**32)),
+        output_dir=draw(st.text(string.ascii_letters + string.digits + "_-./", min_size=1, max_size=20)),
+    )
 
 
 class TestDefaults:
@@ -32,6 +74,11 @@ class TestDefaults:
 class TestParsing:
     def test_round_trip_is_exact(self):
         sc = default_scenario().replace(master_seed=99, power_ratios_db=(0.0, 12.5))
+        assert parse_scenario(sc.to_text()) == sc
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_scenarios())
+    def test_round_trip_holds_for_any_valid_scenario(self, sc):
         assert parse_scenario(sc.to_text()) == sc
 
     def test_comments_and_blank_lines(self):
@@ -105,6 +152,10 @@ class TestValidation:
             (dict(pad_velocity=0), "^sweep.pad_velocity must be a padding factor >= 1$"),
             (dict(master_seed=-1), "^master_seed must be non-negative$"),
             (dict(num_notches=4, notch_spacing_rad=1.0), r"^notch.spacing_rad pushes the shifted notches outside \[0, pi\]$"),
+            (dict(power_ratios_db=(0.0, 300.5)), r"^sweep.power_ratios_db must lie in \[-300, 300\] dB$"),
+            (dict(power_ratios_db=(-6160.0,)), r"^sweep.power_ratios_db must lie in \[-300, 300\] dB$"),
+            (dict(angle_offsets_rad=(0.0, 3.0)), r"^sweep.angle_offsets_rad pushes the interferer outside \[0, pi\]$"),
+            (dict(angle_offsets_rad=(-0.8,)), r"^sweep.angle_offsets_rad pushes the interferer outside \[0, pi\]$"),
         ],
     )
     def test_distinct_diagnostics(self, kwargs, match):
@@ -151,6 +202,9 @@ class TestValidation:
     def test_direct_construction_has_no_line(self):
         with pytest.raises(ScenarioError, match="^sweep.noise_variance must be finite$"):
             Scenario(noise_variance=np.inf)
+
+    def test_power_ratio_bound_is_inclusive(self):
+        assert Scenario(power_ratios_db=(-300.0, 300.0)).power_ratios_db == (-300.0, 300.0)
 
     def test_replace_revalidates(self):
         with pytest.raises(ScenarioError):

@@ -333,6 +333,16 @@ class TestEstimateTarget:
         rv = RvMap(values=values, range_bin_m=1.0, velocity_bin_mps=1.0, pad_range=1, pad_velocity=1)
         assert estimate_target(rv).exact_bins == (2, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+    def test_rejects_non_finite_peak(self, bad):
+        from risradar.simulation import RvMap
+
+        values = np.ones((6, 6), dtype=complex)
+        values[3, 2] = bad
+        rv = RvMap(values=values, range_bin_m=1.0, velocity_bin_mps=1.0, pad_range=1, pad_velocity=1)
+        with pytest.raises(ValueError, match="not finite"):
+            estimate_target(rv)
+
     def test_negative_velocity_wraps(self, params):
         target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
         rv = rv_map(simulate_received(single_element_scenario(params, target)), params)

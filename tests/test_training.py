@@ -81,7 +81,7 @@ class TestPeakNetSpec:
         [
             dict(num_layers=1),
             dict(hidden_width=0),
-            dict(activation="relu"),
+            dict(num_layers=0),
             dict(learning_rate=0.0),
             dict(num_iterations=-1),
             dict(init_seed=-1),
