@@ -5,6 +5,8 @@
 
 --quick swaps in a scaled-down scenario (small grid, small network) so the
 whole pipeline finishes in seconds; omit it to run the full default setup.
+Exit status: 0 when every check passes, 1 when one fails, 2 on a bad
+argument or scenario (one `scenario error:` line), 3 when training diverges.
 """
 
 import sys
@@ -20,8 +22,8 @@ from risradar.experiments import (
     run_pattern_study,
     write_sweep_files,
 )
-from risradar.scenario import default_scenario, load_scenario
-from risradar.synthesis import train_peak_network
+from risradar.scenario import ScenarioError, default_scenario, load_scenario
+from risradar.synthesis import TrainingDivergedError, train_peak_network
 
 QUICK_OVERRIDES = dict(
     num_subcarriers=32,
@@ -44,7 +46,18 @@ def main() -> int:
     parser.add_argument("--workers", type=_worker_count, default=1)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
+    try:
+        return run_study(args)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except TrainingDivergedError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
+        return 3
 
+
+def run_study(args) -> int:
+    """Every study in turn; 0 when the report's checks all pass, else 1."""
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
     if args.quick:
         scenario = scenario.replace(**QUICK_OVERRIDES)

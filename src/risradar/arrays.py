@@ -89,21 +89,18 @@ class OfdmParams:
 
 @dataclass(frozen=True)
 class RisConfig:
-    """Complex reflection coefficients, one column per time slot.
+    """Complex reflection coefficients, one per element.
 
     Magnitudes are unconstrained (convolution-combined configurations
-    need amplitude freedom); a config is static when every column is
-    identical.
+    need amplitude freedom).
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=complex)  # private, read-only copy
-        if coeffs.ndim == 1:
-            coeffs = coeffs[:, np.newaxis]
-        if coeffs.ndim != 2 or coeffs.shape[0] < 1 or coeffs.shape[1] < 1:
-            raise ValueError("coefficients must be a (num_elements, num_slots) matrix")
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError("coefficients must be a non-empty vector")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         coeffs.flags.writeable = False
@@ -111,40 +108,11 @@ class RisConfig:
 
     @property
     def num_elements(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def num_slots(self) -> int:
-        return self.coefficients.shape[1]
-
-    @property
-    def is_static(self) -> bool:
-        return self.num_slots == 1 or bool(
-            np.all(self.coefficients == self.coefficients[:, :1])
-        )
-
-    def column(self, m: int) -> np.ndarray:
-        return np.asarray(self.coefficients[:, m])
+        return self.coefficients.size
 
     def static_column(self) -> np.ndarray:
-        if not self.is_static:
-            raise ValueError("config is not static")
-        return self.column(0)
-
-    def negated(self) -> "RisConfig":
-        return RisConfig(-self.coefficients)
-
-
-def _as_matrix(config) -> np.ndarray:
-    """Coerce a RisConfig / vector / matrix to a (num_elements, num_slots) array."""
-    if isinstance(config, RisConfig):
-        return np.asarray(config.coefficients)
-    coeffs = np.asarray(config, dtype=complex)
-    if coeffs.ndim == 1:
-        return coeffs[:, np.newaxis]
-    if coeffs.ndim == 2:
-        return coeffs
-    raise ValueError("config must be a vector or (num_elements, num_slots) matrix")
+        """The coefficient vector; an alias of `coefficients` for existing callers."""
+        return self.coefficients
 
 
 def _subcarrier_ratios(params: OfdmParams) -> np.ndarray:
@@ -177,20 +145,18 @@ def steering(num_elements: int, thetas, ratios=None) -> np.ndarray:
     return np.exp(b, out=b)
 
 
-def power_pattern(config, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> np.ndarray:
-    """Received power versus angle: sum_n || C^T b_n(phi) ||^2.
+def power_pattern(config: RisConfig, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> np.ndarray:
+    """Received power versus angle: sum_n |c^T b_n(phi)|^2.
 
     Parameters
     ----------
-    config : RisConfig or array
-        Coefficients, one column per time slot.
     angles : array of radians
         Evaluation grid (non-empty).
     subcarrier_mode : "carrier" or "all"
         "carrier" restricts the sum to the carrier subcarrier (n = 0);
         "all" sums over every subcarrier with its exact wavelength.
     """
-    coeffs = _as_matrix(config)
+    coeffs = config.coefficients
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size == 0:
         raise ValueError("angle grid must be non-empty")
@@ -200,8 +166,7 @@ def power_pattern(config, params: OfdmParams, angles, subcarrier_mode: str = CAR
     total = np.zeros(angles.shape)
     # one (angles x elements) block per subcarrier keeps memory flat in N
     for ratio in ratios:
-        slot_values = steering(coeffs.shape[0], angles, ratio) @ coeffs  # (num_angles, num_slots)
-        total += np.sum(np.abs(slot_values) ** 2, axis=1)
+        total += np.abs(steering(coeffs.size, angles, ratio) @ coeffs) ** 2
     return total
 
 

@@ -416,7 +416,7 @@ def run_multinotch_study(
     entries = []
     for epsilon in epsilon_list:
         notch = multi_notch(scenario.notch_spec(num_notches, epsilon))
-        column = notch.static_column()
+        column = notch.coefficients
         scan = _carrier_scan(column)
         band = suppression_band(column, scan, scenario.interferer_angle_rad)
         depth = min_inband_suppression_db(column, scan, scenario.interferer_angle_rad, float(epsilon), num_notches)

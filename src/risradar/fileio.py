@@ -52,22 +52,15 @@ def read_pattern_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_config_file(path, config: RisConfig, theta_t: float | None = None, seed: int | None = None) -> Path:
-    """One line per element, `re,im` pairs per time slot, with a header
-    carrying the element count, slot count, and (when known) the trained
-    angle and seed."""
-    header = f"# elements={config.num_elements} slots={config.num_slots}"
+    """One `re,im` line per element, with a header carrying the element
+    count, the fixed `slots=1`, and (when known) the trained angle and seed."""
+    header = f"# elements={config.num_elements} slots=1"
     if theta_t is not None:
         header += f" theta_t={_fmt(theta_t)}"
     if seed is not None:
         header += f" seed={int(seed)}"
-    columns = ",".join(f"re{m},im{m}" for m in range(config.num_slots)) if config.num_slots > 1 else "re,im"
-    lines = [header, columns]
-    for l in range(config.num_elements):
-        parts = []
-        for m in range(config.num_slots):
-            c = config.coefficients[l, m]
-            parts += [_fmt(c.real), _fmt(c.imag)]
-        lines.append(",".join(parts))
+    lines = [header, "re,im"]
+    lines += [f"{_fmt(c.real)},{_fmt(c.imag)}" for c in config.coefficients]
     return _write_lines(path, lines)
 
 
@@ -80,7 +73,8 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
         key, _, value = token.partition("=")
         meta[key] = value
     elements = int(meta["elements"])
-    slots = int(meta["slots"])
+    if meta.get("slots") != "1":
+        raise ValueError(f"{path}: expected slots=1, found slots={meta.get('slots')}")
     if "theta_t" in meta:
         meta["theta_t"] = float(meta["theta_t"])
     if "seed" in meta:
@@ -88,12 +82,12 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
     rows = [ln for ln in text_lines[1:] if ln and not ln.startswith("#")][1:]  # skip column header
     if len(rows) != elements:
         raise ValueError(f"{path}: expected {elements} element rows, found {len(rows)}")
-    coeffs = np.empty((elements, slots), dtype=complex)
+    coeffs = np.empty(elements, dtype=complex)
     for l, row in enumerate(rows):
         vals = [float(v) for v in row.split(",")]
-        if len(vals) != 2 * slots:
-            raise ValueError(f"{path}: row {l} has {len(vals)} values, expected {2 * slots}")
-        coeffs[l] = [complex(vals[2 * m], vals[2 * m + 1]) for m in range(slots)]
+        if len(vals) != 2:
+            raise ValueError(f"{path}: row {l} has {len(vals)} values, expected 2")
+        coeffs[l] = complex(vals[0], vals[1])
     return RisConfig(coeffs), meta
 
 

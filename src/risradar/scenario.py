@@ -72,9 +72,6 @@ _SCHEMA = {
     "output_dir": ("output_dir", str),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _SCHEMA.items()}
-
-
 @dataclass(frozen=True)
 class Scenario:
     carrier_freq_hz: float = 77e9

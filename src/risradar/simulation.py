@@ -9,12 +9,12 @@ noise:
                       * exp(-2j*pi*n*df*tau_i) * exp(+2j*pi*fc*nu_i*m*T)
            + z[n,m]
 
-where g = amplitude * (C_m^T b_n(angle)) makes the array gain explicit.
+where g = amplitude * (c^T b_n(angle)) makes the array gain explicit.
 The noise-free sum of the two array-path terms is built by one helper
 that `simulate_received` and `simulate_frame_pair` share. A frame pair
-builds it once and negates it for the -C frame: negation is exact in
-IEEE arithmetic, so -path equals the path simulated with the negated
-configuration bit for bit.
+builds it once and negates it for the -c frame: negation is exact in
+IEEE arithmetic, so -path equals the path simulated with the
+configuration -c bit for bit.
 Range/velocity are read off a zero-padded 2-D transform of the grid.
 """
 
@@ -113,19 +113,11 @@ class RadarScenario:
 
 
 def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, subcarrier_mode: str) -> np.ndarray:
-    """g[n, m] = C_m^T b_n(theta) for every subcarrier and symbol slot."""
+    """g[n, m] = c^T b_n(theta) for every subcarrier n, repeated over the symbols m."""
     coeffs = config.coefficients
-    n_sub, n_sym = params.num_subcarriers, params.num_symbols
-    if config.num_slots not in (1, n_sym):
-        raise ValueError(f"config must have 1 or {n_sym} time slots, has {config.num_slots}")
-
     ratios = None if subcarrier_mode == CARRIER_ONLY else _subcarrier_ratios(params)
-    per_slot = np.atleast_2d(steering(coeffs.shape[0], theta, ratios)) @ coeffs  # (n_eff, num_slots)
-    if subcarrier_mode == CARRIER_ONLY:
-        per_slot = np.broadcast_to(per_slot, (n_sub, config.num_slots))
-    if config.num_slots == 1:
-        per_slot = np.broadcast_to(per_slot, (n_sub, n_sym))
-    return np.array(per_slot)
+    gains = steering(coeffs.size, theta, ratios) @ coeffs  # scalar, or one per subcarrier
+    return np.array(np.broadcast_to(np.reshape(gains, (-1, 1)), (params.num_subcarriers, params.num_symbols)))
 
 
 def _path_grid(scenario: RadarScenario) -> np.ndarray:
@@ -188,7 +180,7 @@ def simulate_frame_pair(
     Both frames share the symbol streams and any static (array-independent)
     additive term; noise is drawn independently per frame. The array path
     is computed once: frame a is path + noise_a, frame b is -path + noise_b,
-    which equals simulating the negated configuration bit for bit. Frame
+    which equals simulating the configuration -c bit for bit. Frame
     differencing therefore preserves the array-path terms and cancels the
     static term exactly.
     """
@@ -211,7 +203,7 @@ def simulate_frame_pair(
 
 
 def frame_difference(y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
-    """(y_a - y_b) / 2 for frames simulated with configs C and -C.
+    """(y_a - y_b) / 2 for frames simulated with configs c and -c.
 
     Array-path terms are preserved exactly; additive terms common to
     both frames cancel exactly; independent noise averages to variance
@@ -260,8 +252,14 @@ def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: 
     n_sub, n_sym = y.shape
     n_range = int(pad_range) * n_sub
     n_vel = int(pad_velocity) * n_sym
-    values = np.fft.fft(np.fft.ifft(y, n=n_range, axis=0), n=n_vel, axis=1)
-    values *= n_range  # in place: no second map-sized array per trial
+    # One zero-padded map-sized buffer, transformed and scaled in place: a
+    # trial allocates no second map-sized array, which keeps its heap peak
+    # clear of glibc's trim threshold and the page faults that come with it.
+    values = np.zeros((n_range, n_vel), dtype=complex)
+    values[:n_sub, :n_sym] = y
+    np.fft.ifft(values[:, :n_sym], axis=0, out=values[:, :n_sym])
+    np.fft.fft(values, axis=1, out=values)
+    values *= n_range
     return RvMap(
         values=values,
         range_bin_m=params.range_bin_size / int(pad_range),

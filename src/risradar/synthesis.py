@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ALL_SUBCARRIERS, OfdmParams, RisConfig, _as_matrix, power_pattern, steering
+from .arrays import ALL_SUBCARRIERS, OfdmParams, RisConfig, power_pattern, steering
 
 
 class TrainingDivergedError(RuntimeError):
@@ -52,8 +52,8 @@ class PeakNetSpec:
             raise ValueError("num_layers must be at least 2")
         if self.hidden_width < 1:
             raise ValueError("hidden_width must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.num_iterations < 0:
             raise ValueError("num_iterations must be non-negative")
         if self.init_seed < 0:
@@ -251,29 +251,17 @@ def multi_notch(spec: NotchSpec) -> RisConfig:
         raise ValueError("shifted notch angles must stay inside [0, pi]")
     coeffs = np.array([1.0 + 0.0j])
     for theta in angles:
-        coeffs = np.convolve(coeffs, notch_config(theta).static_column())
+        coeffs = np.convolve(coeffs, notch_config(theta).coefficients)
     return RisConfig(coeffs)
 
 
 def combine_convolve(a: RisConfig, b: RisConfig) -> RisConfig:
-    """Per-slot discrete convolution of two configurations.
+    """Discrete convolution of two configurations.
 
     The output pattern equals the product of the input patterns at every
-    angle; output length is L_a + L_b - 1. A single-slot (static) input
-    broadcasts against a multi-slot one.
+    angle; output length is L_a + L_b - 1.
     """
-    ca = _as_matrix(a)
-    cb = _as_matrix(b)
-    slots_a, slots_b = ca.shape[1], cb.shape[1]
-    if slots_a != slots_b and slots_a != 1 and slots_b != 1:
-        raise ValueError(f"incompatible time-slot counts: {slots_a} vs {slots_b}")
-    slots = max(slots_a, slots_b)
-    out = np.empty((ca.shape[0] + cb.shape[0] - 1, slots), dtype=complex)
-    for m in range(slots):
-        col_a = ca[:, m if slots_a > 1 else 0]
-        col_b = cb[:, m if slots_b > 1 else 0]
-        out[:, m] = np.convolve(col_a, col_b)
-    return RisConfig(out)
+    return RisConfig(np.convolve(a.coefficients, b.coefficients))
 
 
 def normalize_coefficients(config: RisConfig) -> RisConfig:
@@ -282,7 +270,7 @@ def normalize_coefficients(config: RisConfig) -> RisConfig:
     Global scaling leaves the pattern shape (and any normalized pattern)
     unchanged while keeping combined configurations inside the unit disk.
     """
-    coeffs = _as_matrix(config)
+    coeffs = config.coefficients
     peak = np.abs(coeffs).max()
     if peak == 0.0:
         raise ValueError("cannot normalize an all-zero configuration")
@@ -302,7 +290,7 @@ class SinrReport:
 
 
 def sinr(
-    config,
+    config: RisConfig,
     theta: float,
     theta_i: float,
     sigma2: float,

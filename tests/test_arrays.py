@@ -28,18 +28,14 @@ def brute_force_steering(num_elements, params, n, theta):
 
 
 def brute_force_power(coeffs, params, theta, subcarriers, spacing=0.5):
-    """Triple loop over (subcarrier, slot, element)."""
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-    if coeffs.shape[1] > coeffs.shape[0] and coeffs.ndim == 2 and coeffs.shape[0] == 1:
-        coeffs = coeffs.T
+    """Double loop over (subcarrier, element)."""
     total = 0.0
     for n in subcarriers:
         ratio = params.wavelength_ratio(n)
-        for m in range(coeffs.shape[1]):
-            acc = 0.0 + 0.0j
-            for l in range(coeffs.shape[0]):
-                acc += coeffs[l, m] * np.exp(-2j * np.pi * spacing * ratio * l * np.cos(theta))
-            total += abs(acc) ** 2
+        acc = 0.0 + 0.0j
+        for l, c in enumerate(coeffs):
+            acc += c * np.exp(-2j * np.pi * spacing * ratio * l * np.cos(theta))
+        total += abs(acc) ** 2
     return total
 
 
@@ -163,9 +159,9 @@ class TestPatternValue:
 
 class TestPowerPattern:
     def test_coherent_broadside_sum(self, params):
-        config = RisConfig(np.ones((6, 3)))
+        config = RisConfig(np.ones(6))
         value = power_pattern(config, params, np.pi / 2, CARRIER_ONLY)
-        assert value[0] == pytest.approx(3 * 6**2, rel=1e-12)  # L^2 per time slot
+        assert value[0] == pytest.approx(6**2, rel=1e-12)  # L^2
 
     def test_notch_is_null(self, params):
         from risradar import notch_config
@@ -177,28 +173,28 @@ class TestPowerPattern:
     def test_matches_brute_force_triple_sum(self, params):
         small = OfdmParams(77e9, 200e6, num_subcarriers=3, num_symbols=2)
         rng = np.random.default_rng(11)
-        coeffs = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         angles = np.array([0.2, 1.0, 2.2])
-        fast = power_pattern(coeffs, small, angles, ALL_SUBCARRIERS)
+        fast = power_pattern(RisConfig(coeffs), small, angles, ALL_SUBCARRIERS)
         slow = [brute_force_power(coeffs, small, theta, range(3)) for theta in angles]
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
     def test_all_subcarriers_dominates_each_subcarrier(self, params):
         rng = np.random.default_rng(5)
-        coeffs = rng.normal(size=(8, 1)) + 1j * rng.normal(size=(8, 1))
+        coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
         angles = angle_grid(181)
-        combined = power_pattern(coeffs, params, angles, ALL_SUBCARRIERS)
+        combined = power_pattern(RisConfig(coeffs), params, angles, ALL_SUBCARRIERS)
         for n in (0, 50, 99):
             single = np.array([brute_force_power(coeffs, params, theta, [n]) for theta in angles])
             assert np.all(combined >= single - 1e-9)
 
     def test_global_phase_invariance(self, params):
         rng = np.random.default_rng(123)
-        coeffs = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
+        coeffs = rng.normal(size=10) + 1j * rng.normal(size=10)
         angles = angle_grid(91)
-        reference = power_pattern(coeffs, params, angles, CARRIER_ONLY)
+        reference = power_pattern(RisConfig(coeffs), params, angles, CARRIER_ONLY)
         for psi in rng.uniform(0, 2 * np.pi, size=100):
-            rotated = power_pattern(coeffs * np.exp(1j * psi), params, angles, CARRIER_ONLY)
+            rotated = power_pattern(RisConfig(coeffs * np.exp(1j * psi)), params, angles, CARRIER_ONLY)
             np.testing.assert_allclose(rotated, reference, rtol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -207,20 +203,19 @@ class TestPowerPattern:
         st.floats(min_value=0.05, max_value=np.pi - 0.05),
     )
     def test_mirror_symmetry_for_real_configs(self, params, values, theta):
-        coeffs = np.array(values, dtype=float)
-        p1 = power_pattern(coeffs, params, theta, CARRIER_ONLY)[0]
-        p2 = power_pattern(coeffs, params, np.pi - theta, CARRIER_ONLY)[0]
+        config = RisConfig(np.array(values, dtype=float))
+        p1 = power_pattern(config, params, theta, CARRIER_ONLY)[0]
+        p2 = power_pattern(config, params, np.pi - theta, CARRIER_ONLY)[0]
         assert p2 == pytest.approx(p1, rel=1e-9, abs=1e-9)
 
     def test_rejects_empty_grid_and_shape_mismatch(self, params):
+        config = RisConfig(np.ones(4))
         with pytest.raises(ValueError):
-            power_pattern(np.ones(4), params, np.array([]), CARRIER_ONLY)
+            power_pattern(config, params, np.array([]), CARRIER_ONLY)
         with pytest.raises(ValueError):
-            power_pattern(np.ones((4, 2, 2)), params, 0.5, CARRIER_ONLY)
+            power_pattern(config, params, np.ones((2, 2)), CARRIER_ONLY)
         with pytest.raises(ValueError):
-            power_pattern(np.ones(4), params, np.ones((2, 2)), CARRIER_ONLY)
-        with pytest.raises(ValueError):
-            power_pattern(np.ones(4), params, 0.5, "bogus")
+            power_pattern(config, params, 0.5, "bogus")
 
 
 class TestNormalizePatternDb:
@@ -248,23 +243,21 @@ class TestNormalizePatternDb:
 
 
 class TestRisConfig:
-    def test_vector_becomes_column(self):
+    def test_vector_stays_a_complex_vector(self):
         config = RisConfig([1, 2, 3])
         assert config.num_elements == 3
-        assert config.num_slots == 1
-        assert config.is_static
+        assert config.coefficients.shape == (3,)
+        assert config.coefficients.dtype == complex
+        assert config.static_column() is config.coefficients
 
-    def test_static_detection(self):
-        config = RisConfig(np.tile(np.array([[1.0], [2.0]]), (1, 4)))
-        assert config.is_static
-        varying = RisConfig(np.array([[1.0, -1.0], [2.0, 2.0]]))
-        assert not varying.is_static
-        with pytest.raises(ValueError):
-            varying.static_column()
-
-    def test_negated(self):
-        config = RisConfig([1 + 1j, -2])
-        np.testing.assert_array_equal(config.negated().coefficients, -config.coefficients)
+    @pytest.mark.parametrize(
+        "coefficients",
+        [np.ones((2, 1)), np.ones((1, 2)), np.ones((2, 2, 2)), [], np.ones((0, 1)), 1.0],
+        ids=["column", "row", "3-d", "empty", "empty-matrix", "scalar"],
+    )
+    def test_rejects_matrix_and_empty_input(self, coefficients):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            RisConfig(coefficients)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,39 @@ def test_full_study_script_rejects_bad_workers(workers, tmp_path):
     assert not out.exists()
 
 
+def test_full_study_script_scenario_error_exits_two(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("sweep.trials = 0\n")
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, str(script), "--scenario", str(bad), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "scenario error: line 1: sweep.trials must be a positive integer\n"
+    assert not out.exists()
+
+
+def test_full_study_script_training_divergence_exits_three(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    diverging = tmp_path / "diverging.txt"
+    diverging.write_text(SMALL_SCENARIO + "network.learning_rate = 1e308\n")
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "-W", "error", str(script), "--quick", "--scenario", str(diverging), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 3
+    assert run.stderr.startswith("training error: training loss became non-finite at iteration ")
+    assert run.stderr.count("\n") == 1
+    assert not (out / "peak_config.txt").exists()
+    assert not (out / "summary.txt").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

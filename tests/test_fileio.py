@@ -51,12 +51,23 @@ def test_config_file_round_trip_static(tmp_path):
     assert meta["elements"] == "6" or int(meta["elements"]) == 6
 
 
-def test_config_file_round_trip_multislot(tmp_path):
-    rng = np.random.default_rng(2)
-    config = RisConfig(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
-    path = write_config_file(tmp_path / "c.txt", config)
-    back, _ = read_config_file(path)
-    np.testing.assert_array_equal(back.coefficients, config.coefficients)
+def test_config_file_bytes_are_pinned(tmp_path):
+    config = RisConfig([1.0, 0.5 - 0.25j, -1e-300 + 3j])
+    path = write_config_file(tmp_path / "c.txt", config, theta_t=0.75, seed=2)
+    assert path.read_bytes() == (
+        b"# elements=3 slots=1 theta_t=0.75 seed=2\n"
+        b"re,im\n"
+        b"1.0,0.0\n"
+        b"0.5,-0.25\n"
+        b"-1e-300,3.0\n"
+    )
+
+
+def test_config_file_rejects_more_than_one_slot(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("# elements=2 slots=2\nre0,im0,re1,im1\n1.0,0.0,1.0,0.0\n0.0,1.0,0.0,1.0\n")
+    with pytest.raises(ValueError, match="slots=1"):
+        read_config_file(path)
 
 
 def test_peak_records_round_trip(tmp_path):

@@ -85,6 +85,8 @@ class TestPeakNetSpec:
             dict(learning_rate=0.0),
             dict(num_iterations=-1),
             dict(init_seed=-1),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
         ],
     )
     def test_rejects_bad_spec(self, kwargs):
