@@ -60,33 +60,38 @@ def _spacings(text: str) -> list[float]:
     return values
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags(parser: argparse.ArgumentParser, seed: bool = True, grid: bool = True, mode: bool = True) -> None:
+    """Add the shared flags a command reads; it is offered no others."""
     parser.add_argument("--scenario", type=Path, default=None, help="scenario file (defaults apply if omitted)")
-    parser.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
+    if seed:
+        parser.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory (overrides scenario output_dir)")
-    parser.add_argument("--grid", type=_grid_points, default=721, help="angle grid points over [0, 180] deg")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--carrier-only", dest="mode", action="store_const", const=CARRIER_ONLY, help="carrier-wavelength patterns/simulation (default)"
-    )
-    mode.add_argument(
-        "--all-subcarriers", dest="mode", action="store_const", const=ALL_SUBCARRIERS, help="exact per-subcarrier wavelengths"
-    )
-    parser.set_defaults(mode=CARRIER_ONLY)
+    if grid:
+        parser.add_argument("--grid", type=_grid_points, default=721, help="angle grid points over [0, 180] deg")
+    if mode:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument(
+            "--carrier-only", dest="mode", action="store_const", const=CARRIER_ONLY, help="carrier-wavelength patterns/simulation (default)"
+        )
+        group.add_argument(
+            "--all-subcarriers", dest="mode", action="store_const", const=ALL_SUBCARRIERS, help="exact per-subcarrier wavelengths"
+        )
+        parser.set_defaults(mode=CARRIER_ONLY)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="risradar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the master seed drives only the sweeps' trial draws; training uses network.init_seed
     p_pattern = sub.add_parser("pattern", help="emit peak/notch/combined beampatterns")
-    _common_flags(p_pattern)
+    _common_flags(p_pattern, seed=False)
 
     p_train = sub.add_parser("train-peak", help="train the peak network and save its configuration")
-    _common_flags(p_train)
+    _common_flags(p_train, seed=False, grid=False, mode=False)
 
     p_sweep = sub.add_parser("sweep", help="interference power / angle-offset error sweep")
-    _common_flags(p_sweep)
+    _common_flags(p_sweep, grid=False)
     p_sweep.add_argument("--workers", type=_worker_count, default=1, help="parallel workers over sweep grid points")
 
     p_multi = sub.add_parser("multinotch", help="widened-notch study over a list of spacings")
@@ -102,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> tuple:
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         scenario = scenario.replace(master_seed=args.seed)
     out_dir = Path(args.out) if args.out is not None else Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -72,13 +72,17 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
     for token in text_lines[0].lstrip("#").split():
         key, _, value = token.partition("=")
         meta[key] = value
-    elements = int(meta["elements"])
+    if "elements" not in meta:
+        raise ValueError(f"{path}: header key elements is missing")
+    for key, kind in (("elements", int), ("theta_t", float), ("seed", int)):
+        if key in meta:
+            try:
+                meta[key] = kind(meta[key])
+            except ValueError:
+                raise ValueError(f"{path}: header key {key} must be {kind.__name__}, got {meta[key]!r}") from None
+    elements = meta["elements"]
     if meta.get("slots") != "1":
         raise ValueError(f"{path}: expected slots=1, found slots={meta.get('slots')}")
-    if "theta_t" in meta:
-        meta["theta_t"] = float(meta["theta_t"])
-    if "seed" in meta:
-        meta["seed"] = int(meta["seed"])
     rows = [ln for ln in text_lines[1:] if ln and not ln.startswith("#")][1:]  # skip column header
     if len(rows) != elements:
         raise ValueError(f"{path}: expected {elements} element rows, found {len(rows)}")

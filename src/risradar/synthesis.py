@@ -60,12 +60,25 @@ class PeakNetSpec:
             raise ValueError("init_seed must be non-negative")
 
 
+def _layer_views(flat: np.ndarray, dims: list[int]):
+    """Per-layer weight and bias views into one flat vector."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        stop = start + fan_out * fan_in
+        weights.append(flat[start:stop].reshape(fan_out, fan_in))
+        biases.append(flat[stop : stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 class PeakNetwork:
     """Feed-forward network emitting a unit-modulus configuration.
 
     Architecture: `num_layers` linear layers; tanh after each hidden
     layer, and the head's raw outputs z become phases phi = pi*tanh(z),
     so coefficients exp(1j*phi) stay on the unit circle by construction.
+    Every weight and bias is a view into the flat vector `params`, every
+    gradient a view into `grads`, so one in-place step updates them all.
     """
 
     def __init__(self, num_elements: int, spec: PeakNetSpec):
@@ -74,13 +87,16 @@ class PeakNetwork:
         self.num_elements = num_elements
         self.spec = spec
         dims = [2] + [spec.hidden_width] * (spec.num_layers - 1) + [num_elements]
+        self.params = np.empty(sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims[:-1], dims[1:])))
+        self.grads = np.zeros_like(self.params)
+        self.weights, self.biases = _layer_views(self.params, dims)
+        self._weight_grads, self._bias_grads = _layer_views(self.grads, dims)
         rng = np.random.default_rng(spec.init_seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
-            self.biases.append(rng.uniform(-bound, bound, fan_out))
+        for W, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(W.shape[1])
+            W[...] = rng.uniform(-bound, bound, W.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
+        self._steer_theta, self._steer = None, None
 
     @staticmethod
     def _encode(theta: float) -> np.ndarray:
@@ -96,6 +112,12 @@ class PeakNetwork:
         coeffs = np.exp(1j * np.pi * head_tanh)
         return activations, head_tanh, coeffs
 
+    def _steering(self, theta: float) -> np.ndarray:
+        """Carrier steering vector, rebuilt only when theta changes."""
+        if theta != self._steer_theta:
+            self._steer_theta, self._steer = theta, steering(self.num_elements, theta)
+        return self._steer
+
     def config_for(self, theta: float) -> np.ndarray:
         """Emit the length-L complex configuration for an input angle."""
         return self._forward(theta)[2]
@@ -103,17 +125,18 @@ class PeakNetwork:
     def loss(self, theta: float) -> float:
         """1 / |c^T b(theta)|^2 under the carrier approximation."""
         coeffs = self.config_for(theta)
-        s = np.sum(coeffs * steering(self.num_elements, theta))
+        s = np.sum(coeffs * self._steering(theta))
         return float(1.0 / np.abs(s) ** 2)
 
     def loss_and_gradients(self, theta: float):
         """Loss plus exact backpropagated gradients for every parameter.
 
         Returns (loss, weight_grads, bias_grads) with the gradient lists
-        ordered like self.weights / self.biases.
+        ordered like self.weights / self.biases.  The gradients are views
+        into self.grads, overwritten by the next call.
         """
         activations, head_tanh, coeffs = self._forward(theta)
-        steer = steering(self.num_elements, theta)
+        steer = self._steering(theta)
         s = np.sum(coeffs * steer)
         power = float(np.abs(s) ** 2)
         loss = 1.0 / power
@@ -121,17 +144,15 @@ class PeakNetwork:
         dphi = 2.0 * np.imag(np.conj(s) * coeffs * steer) / power**2
         delta = dphi * np.pi * (1.0 - head_tanh**2)
 
-        weight_grads: list[np.ndarray] = [np.empty(0)] * len(self.weights)
-        bias_grads: list[np.ndarray] = [np.empty(0)] * len(self.biases)
-        weight_grads[-1] = np.outer(delta, activations[-1])
-        bias_grads[-1] = delta
+        np.multiply.outer(delta, activations[-1], out=self._weight_grads[-1])
+        self._bias_grads[-1][...] = delta
         upstream = self.weights[-1].T @ delta
         for k in range(len(self.weights) - 2, -1, -1):
             delta = upstream * (1.0 - activations[k + 1] ** 2)
-            weight_grads[k] = np.outer(delta, activations[k])
-            bias_grads[k] = delta
+            np.multiply.outer(delta, activations[k], out=self._weight_grads[k])
+            self._bias_grads[k][...] = delta
             upstream = self.weights[k].T @ delta
-        return loss, weight_grads, bias_grads
+        return loss, self._weight_grads, self._bias_grads
 
 
 @dataclass
@@ -160,28 +181,28 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | No
     history = np.empty(spec.num_iterations)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m_w = [np.zeros_like(w) for w in net.weights]
-    v_w = [np.zeros_like(w) for w in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    g = net.grads
+    m, v, step, denom = (np.zeros_like(g) for _ in range(4))
 
     for it in range(spec.num_iterations):
-        loss, grads_w, grads_b = net.loss_and_gradients(theta_t)
+        loss = net.loss_and_gradients(theta_t)[0]
         if not np.isfinite(loss):
             raise TrainingDivergedError(it)
         history[it] = loss
         t = it + 1
-        for k in range(len(net.weights)):
-            m_w[k] = beta1 * m_w[k] + (1 - beta1) * grads_w[k]
-            v_w[k] = beta2 * v_w[k] + (1 - beta2) * grads_w[k] ** 2
-            m_b[k] = beta1 * m_b[k] + (1 - beta1) * grads_b[k]
-            v_b[k] = beta2 * v_b[k] + (1 - beta2) * grads_b[k] ** 2
-            net.weights[k] -= spec.learning_rate * (m_w[k] / (1 - beta1**t)) / (
-                np.sqrt(v_w[k] / (1 - beta2**t)) + eps
-            )
-            net.biases[k] -= spec.learning_rate * (m_b[k] / (1 - beta1**t)) / (
-                np.sqrt(v_b[k] / (1 - beta2**t)) + eps
-            )
+        # params -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), in place and in
+        # the written-out expression's elementwise order, so it matches bit for bit
+        m *= beta1
+        m += np.multiply(g, 1 - beta1, out=step)
+        v *= beta2
+        v += np.multiply(np.square(g, out=step), 1 - beta2, out=step)
+        np.divide(m, 1 - beta1**t, out=step)
+        step *= spec.learning_rate
+        np.divide(v, 1 - beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        net.params -= step
 
     coeffs = net.config_for(theta_t)
     gain = np.abs(np.sum(coeffs * steering(num_elements, theta_t)))

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -100,8 +101,30 @@ def test_multinotch_command(scenario_file, tmp_path):
 
 def test_seed_override_lands_in_echo(scenario_file, tmp_path):
     out = tmp_path / "out"
-    assert main(["train-peak", "--scenario", str(scenario_file), "--out", str(out), "--seed", "123"]) == 0
+    assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out), "--seed", "123"]) == 0
     assert "master_seed = 123" in (out / "scenario_used.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-peak", "--seed", "7"],
+        ["train-peak", "--grid", "3"],
+        ["train-peak", "--carrier-only"],
+        ["train-peak", "--all-subcarriers"],
+        ["sweep", "--grid", "3"],
+        ["pattern", "--seed", "7"],
+    ],
+)
+def test_flag_the_command_never_reads_is_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+    assert not out.exists()
 
 
 def test_invalid_scenario_exits_two(tmp_path, capsys):
@@ -276,6 +299,32 @@ def test_training_divergence_exits_three(tmp_path, capsys):
     assert err.startswith("training error: training loss became non-finite at iteration ")
     assert err.count("\n") == 1
     assert not (out / "peak_config.txt").exists()
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(scenario_file, tmp_path):
+    """Training's matrix-vector products run through BLAS; one and two
+    BLAS threads must write the same bytes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update({name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        common = ["--scenario", str(scenario_file), "--out", str(out)]
+        for argv in (["train-peak"], ["pattern", "--all-subcarriers"]):
+            run = subprocess.run([sys.executable, "-m", "risradar", *argv, *common], env=env, capture_output=True)
+            assert run.returncode == 0, run.stderr
+        written[threads] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(written["1"]) == {
+        "scenario_used.txt",
+        "peak_config.txt",
+        "training_loss.csv",
+        "pattern_peak.csv",
+        "pattern_notch.csv",
+        "pattern_combined.csv",
+        "pattern_metrics.txt",
+    }
+    assert written["1"] == written["2"]
 
 
 def test_repeat_runs_are_byte_identical(scenario_file, tmp_path):

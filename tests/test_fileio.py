@@ -70,6 +70,27 @@ def test_config_file_rejects_more_than_one_slot(tmp_path):
         read_config_file(path)
 
 
+@pytest.mark.parametrize(
+    "header, key",
+    [
+        ("# slots=1 theta_t=0.5", "elements"),
+        ("# elements=two slots=1", "elements"),
+        ("# elements=2.0 slots=1", "elements"),
+        ("# elements=2 slots=1 theta_t=wide", "theta_t"),
+        ("# elements=2 slots=1 seed=1.5", "seed"),
+        ("# elements=2 slots=1 seed=", "seed"),
+    ],
+)
+def test_config_file_bad_header_names_path_and_key(tmp_path, header, key):
+    path = tmp_path / "c.txt"
+    path.write_text(f"{header}\nre,im\n1.0,0.0\n0.0,1.0\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_config_file(path)
+    assert type(excinfo.value) is ValueError
+    assert str(path) in str(excinfo.value)
+    assert f"header key {key} " in str(excinfo.value)
+
+
 def test_peak_records_round_trip(tmp_path):
     records = [(12, 30.0, 0.7853981633974483, 0.75), (13, 35.0, 0.79, 0.0)]
     path = write_peak_records(tmp_path / "r.csv", records)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from risradar import RisConfig, steering
+from risradar.scenario import default_scenario
 from risradar.synthesis import (
     PeakNetSpec,
     PeakNetwork,
@@ -25,6 +26,28 @@ PINNED_LOSS_HISTORY = [
     "0x1.34b47734c7082p-8", "0x1.3364f95efa20dp-8",
 ]
 PINNED_GAIN_RATIO = "0x1.d45810b9f8338p-1"
+
+# The same at the benchmark's shape (6x128 network, L=200, the default
+# target angle, 60 iterations), recorded while every weight, bias and Adam
+# moment was still a separate array.
+DEFAULT_SHAPE_LOSS_HISTORY = [
+    "0x1.c6ea1739a2a60p-2", "0x1.f5f66ad91ba2cp-13", "0x1.55739fdeeb41ap-13", "0x1.11e8e2397be72p-13",
+    "0x1.d57e300ba5a0cp-14", "0x1.a3ed0708dc39ep-14", "0x1.830f1794b5675p-14", "0x1.6ca60c935b309p-14",
+    "0x1.5d2a2ce6bddacp-14", "0x1.52780fbeda773p-14", "0x1.4b2edfc335ccep-14", "0x1.465dbb15b6cf1p-14",
+    "0x1.435744cd0a62bp-14", "0x1.4198c06943250p-14", "0x1.40bbb3e9167b4p-14", "0x1.406d7a024f9e2p-14",
+    "0x1.406a4ef46ce27p-14", "0x1.407a7379fc2f9p-14", "0x1.40708f8a66a0fp-14", "0x1.4028cc0b21bc4p-14",
+    "0x1.3f8847a29bf6cp-14", "0x1.3e7ca7ed7dd60p-14", "0x1.3cfb9d8d1aa32p-14", "0x1.3b0242acc2502p-14",
+    "0x1.38944a0f58547p-14", "0x1.35bb0092a70dfp-14", "0x1.32842bf9c36adp-14", "0x1.2f00d7602303dp-14",
+    "0x1.2b441fe70c840p-14", "0x1.27621358cec3fp-14", "0x1.236eaf530f9f8p-14", "0x1.1f7d0af06b79fp-14",
+    "0x1.1b9eafcc295aep-14", "0x1.17e322635ef54p-14", "0x1.145795d8b3758p-14", "0x1.1106c4509e192p-14",
+    "0x1.0df8e39a8039bp-14", "0x1.0b33ad9da7057p-14", "0x1.08ba74e44fa32p-14", "0x1.068e3f6e5ee54p-14",
+    "0x1.04ade470e461dp-14", "0x1.03162c7e41da1p-14", "0x1.01c1f65f86550p-14", "0x1.00aa652e6f9a3p-14",
+    "0x1.ff8e3aeed692cp-15", "0x1.fe1d2dab00fbbp-15", "0x1.fced0a94e12bcp-15", "0x1.fbe8b33962974p-15",
+    "0x1.fafba5a61ffcep-15", "0x1.fa132b142c021p-15", "0x1.f91f73723ce9fp-15", "0x1.f8147bbe53926p-15",
+    "0x1.f6eaa09c40d49p-15", "0x1.f59ec8c2eb0efp-15", "0x1.f43221c8f7631p-15", "0x1.f2a97a36b974bp-15",
+    "0x1.f10c51d8727e9p-15", "0x1.ef63c224d29d0p-15", "0x1.edb962c7aee94p-15", "0x1.ec164a664ee39p-15",
+]
+DEFAULT_SHAPE_GAIN_RATIO = "0x1.4ec812afeb383p-1"
 
 
 def finite_difference_grads(net, theta, step=1e-5):
@@ -146,6 +169,27 @@ class TestTraining:
         result = train_peak_network(1.0, 16, PeakNetSpec(num_layers=3, hidden_width=8, num_iterations=30))
         assert [float(v).hex() for v in result.loss_history] == PINNED_LOSS_HISTORY
         assert float(result.gain_ratio).hex() == PINNED_GAIN_RATIO
+
+    def test_default_shape_loss_history_is_pinned_bit_for_bit(self):
+        scenario = default_scenario()
+        spec = PeakNetSpec(num_layers=6, hidden_width=128, num_iterations=60)
+        result = train_peak_network(scenario.target_angle_rad, 200, spec)
+        assert [float(v).hex() for v in result.loss_history] == DEFAULT_SHAPE_LOSS_HISTORY
+        assert float(result.gain_ratio).hex() == DEFAULT_SHAPE_GAIN_RATIO
+
+    def test_parameters_and_gradients_share_flat_vectors(self):
+        spec = PeakNetSpec(num_layers=4, hidden_width=8, init_seed=4)
+        net = PeakNetwork(16, spec)
+        _, grads_w, grads_b = net.loss_and_gradients(0.8)
+        assert all(np.shares_memory(p, net.params) for p in net.weights + net.biases)
+        assert all(np.shares_memory(g, net.grads) for g in grads_w + grads_b)
+        assert sum(p.size for p in net.weights + net.biases) == net.params.size == net.grads.size
+        # a second angle must not reuse the first angle's steering vector
+        loss, grads_w, grads_b = net.loss_and_gradients(2.1)
+        fresh_loss, fresh_w, fresh_b = PeakNetwork(16, spec).loss_and_gradients(2.1)
+        assert float(loss).hex() == float(fresh_loss).hex()
+        for got, want in zip(grads_w + grads_b, fresh_w + fresh_b):
+            assert got.tobytes() == want.tobytes()
 
     def test_divergence_raises_with_iteration_index(self, monkeypatch):
         original = PeakNetwork.loss_and_gradients
