@@ -18,6 +18,7 @@ number of workers.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,13 +42,13 @@ from .fileio import (
 )
 from .scenario import Scenario, ScenarioError
 from .simulation import (
+    FrameTerms,
     InterferenceParams,
     NoiseParams,
-    RadarScenario,
     TargetParams,
     estimate_target,
     frame_difference,
-    generate_symbols,
+    frame_terms,
     range_error_metric,
     rv_map,
     simulate_frame_pair,
@@ -179,6 +180,25 @@ def trial_seeds(master_seed: int, ratio_idx: int, offset_idx: int, trial: int) -
     return tuple(int(s) for s in seq.generate_state(4))
 
 
+def _point_terms(
+    scenario: Scenario, config: RisConfig, power_ratio_db: float, angle_offset_rad: float, subcarrier_mode: str
+) -> FrameTerms:
+    """The frame terms of one sweep point, which all of its trials share."""
+    target = TargetParams(
+        range_m=scenario.target_range_m,
+        angle_rad=scenario.target_angle_rad,
+        velocity_mps=scenario.target_velocity_mps,
+    )
+    interference = InterferenceParams(
+        delay_s=scenario.interferer_delay_s,
+        angle_rad=scenario.interferer_angle_rad + angle_offset_rad,
+        doppler_scale=scenario.interferer_doppler_scale,
+        amplitude=10.0 ** (power_ratio_db / 20.0),
+    )
+    noise = NoiseParams(scenario.noise_variance)
+    return frame_terms(scenario.ofdm_params(), config, target, interference, noise, subcarrier_mode)
+
+
 def run_trial(
     scenario: Scenario,
     config: RisConfig,
@@ -186,47 +206,30 @@ def run_trial(
     angle_offset_rad: float,
     seeds: tuple[int, int, int, int],
     subcarrier_mode: str = CARRIER_ONLY,
+    terms: FrameTerms | None = None,
 ) -> float:
-    """One simulated measurement; returns the absolute range error in meters."""
-    params = scenario.ofdm_params()
-    symbols = generate_symbols(params, seeds[0])
-    target = TargetParams(
-        range_m=scenario.target_range_m,
-        angle_rad=scenario.target_angle_rad,
-        velocity_mps=scenario.target_velocity_mps,
-        amplitude=1.0 + 0.0j,
-    )
-    interference = InterferenceParams(
-        delay_s=scenario.interferer_delay_s,
-        angle_rad=scenario.interferer_angle_rad + angle_offset_rad,
-        doppler_scale=scenario.interferer_doppler_scale,
-        amplitude=10.0 ** (power_ratio_db / 20.0),
-        symbol_seed=seeds[1],
-    )
-    radar = RadarScenario(
-        params=params,
-        config=config,
-        target=target,
-        symbols=symbols,
-        interference=interference,
-        noise=NoiseParams(scenario.noise_variance, 0),
-        subcarrier_mode=subcarrier_mode,
-    )
-    # Dropping the two frames before the transform keeps a trial's heap peak
-    # below glibc's trim threshold, so the map-sized arrays reuse freed memory
+    """One simulated measurement; returns the absolute range error in meters.
+    A sweep passes the point's prebuilt `terms`; without them the trial builds its own."""
+    if terms is None:
+        terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
+    frames = simulate_frame_pair(terms, noise_seeds=(seeds[2], seeds[3]), symbol_seeds=(seeds[0], seeds[1]))
+    grid = frame_difference(*frames, out=frames[0])
+    # Dropping frame b before the transform keeps a trial's heap peak below
+    # glibc's trim threshold, so the map-sized arrays reuse freed memory
     # instead of faulting in fresh pages on every trial.
-    grid = frame_difference(*simulate_frame_pair(radar, noise_seeds=(seeds[2], seeds[3])))
-    estimate = estimate_target(rv_map(grid, params, scenario.pad_range, scenario.pad_velocity))
+    del frames
+    estimate = estimate_target(rv_map(grid, terms.params, scenario.pad_range, scenario.pad_velocity))
     return range_error_metric(scenario.target_range_m, estimate.range_m)
 
 
 def _sweep_point(args) -> tuple[SweepPoint, list[tuple[int, float, float, float]]]:
     scenario, config, ratio_db, ratio_idx, offset_rad, offset_idx, mode = args
+    terms = _point_terms(scenario, config, ratio_db, offset_rad, mode)
     errors = np.empty(scenario.trials)
     records = []
     for trial in range(scenario.trials):
         seeds = trial_seeds(scenario.master_seed, ratio_idx, offset_idx, trial)
-        errors[trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode)
+        errors[trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode, terms)
         records.append(
             (seeds[0], float(ratio_db), float(scenario.interferer_angle_rad + offset_rad), float(errors[trial]))
         )
@@ -239,6 +242,35 @@ def _sweep_point(args) -> tuple[SweepPoint, list[tuple[int, float, float, float]
         trials=scenario.trials,
     )
     return point, records
+
+
+def _sweep_tasks(scenario: Scenario, config: RisConfig, subcarrier_mode: str) -> list[tuple]:
+    ratios = sorted(scenario.power_ratios_db)
+    offsets = sorted(scenario.angle_offsets_rad)
+    return [
+        (scenario, config, ratio, i, offset, j, subcarrier_mode)
+        for i, ratio in enumerate(ratios)
+        for j, offset in enumerate(offsets)
+    ]
+
+
+def _map_points(tasks: list[tuple], workers: int) -> list:
+    """`_sweep_point` over the tasks, in order; a pool's workers take them in
+    chunks, about four a worker, so few messages go out yet none idles long."""
+    if workers <= 1:
+        return [_sweep_point(t) for t in tasks]
+    chunksize = max(1, math.ceil(len(tasks) / (4 * workers)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_point, tasks, chunksize=chunksize))
+
+
+def _sweep_result(scenario: Scenario, outcomes: list) -> SweepResult:
+    return SweepResult(
+        points=[point for point, _ in outcomes],
+        records=[record for _, point_records in outcomes for record in point_records],
+        interferer_angle_rad=scenario.interferer_angle_rad,
+        range_bin_m=scenario.ofdm_params().range_bin_size,
+    )
 
 
 def run_interference_sweep(
@@ -257,29 +289,7 @@ def run_interference_sweep(
     """
     if config is None:
         config = synthesize_configs(scenario, training=training).combined
-
-    ratios = sorted(scenario.power_ratios_db)
-    offsets = sorted(scenario.angle_offsets_rad)
-    tasks = [
-        (scenario, config, ratio, i, offset, j, subcarrier_mode)
-        for i, ratio in enumerate(ratios)
-        for j, offset in enumerate(offsets)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, tasks))
-    else:
-        outcomes = [_sweep_point(t) for t in tasks]
-
-    points = [point for point, _ in outcomes]
-    records = [record for _, point_records in outcomes for record in point_records]
-    params = scenario.ofdm_params()
-    result = SweepResult(
-        points=points,
-        records=records,
-        interferer_angle_rad=scenario.interferer_angle_rad,
-        range_bin_m=params.range_bin_size,
-    )
+    result = _sweep_result(scenario, _map_points(_sweep_tasks(scenario, config, subcarrier_mode), workers))
     if out_dir is not None:
         write_sweep_files(result, Path(out_dir))
     return result
@@ -435,14 +445,20 @@ def run_multinotch_study(
             entry.pattern_path = write_pattern_table(
                 out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, pattern_db
             )
-        if include_sweeps:
-            combined = normalize_coefficients(combine_convolve(training.config, notch))
-            entry.sweep = run_interference_sweep(
-                scenario, out_dir=None, subcarrier_mode=subcarrier_mode, workers=workers, config=combined
-            )
-            if out_dir is not None:
-                write_sweep_files(entry.sweep, out_dir, stem=f"multinotch_sweep_eps{float(epsilon)!r}")
         entries.append(entry)
+
+    if include_sweeps:
+        # one pool maps every spacing's points; each sweep takes its run back
+        tasks = [
+            _sweep_tasks(scenario, normalize_coefficients(combine_convolve(training.config, e.notch)), subcarrier_mode)
+            for e in entries
+        ]
+        outcomes = _map_points([task for spacing in tasks for task in spacing], workers)
+        for entry, spacing in zip(entries, tasks):
+            entry.sweep = _sweep_result(scenario, outcomes[: len(spacing)])
+            outcomes = outcomes[len(spacing) :]
+            if out_dir is not None:
+                write_sweep_files(entry.sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
 
     summary_path = None
     if out_dir is not None:

@@ -10,9 +10,9 @@ noise:
            + z[n,m]
 
 where g = amplitude * (c^T b_n(angle)) makes the array gain explicit.
-The noise-free sum of the two array-path terms is built by one helper
-that `simulate_received` and `simulate_frame_pair` share. A frame pair
-builds it once and negates it for the -c frame: negation is exact in
+What no symbol or noise draw changes is built once by `frame_terms`;
+every draw combines those terms through one helper. A frame pair builds
+the path once and negates it for the -c frame: negation is exact in
 IEEE arithmetic, so -path equals the path simulated with the
 configuration -c bit for bit.
 Range/velocity are read off a zero-padded 2-D transform of the grid.
@@ -20,7 +20,7 @@ Range/velocity are read off a zero-padded 2-D transform of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,9 +94,11 @@ def generate_symbols(params: OfdmParams, seed: int) -> SymbolGrid:
 
     Constellation points exp(1j*(pi/4 + k*pi/2)), k in 0..3, equiprobable.
     """
-    rng = np.random.default_rng(seed)
-    k = rng.integers(0, 4, size=(params.num_subcarriers, params.num_symbols))
-    return SymbolGrid(values=_QPSK[k], seed=int(seed))
+    return SymbolGrid(values=_QPSK[_qpsk_indices(params, seed)], seed=int(seed))
+
+
+def _qpsk_indices(params: OfdmParams, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 4, size=(params.num_subcarriers, params.num_symbols))
 
 
 @dataclass(frozen=True)
@@ -120,62 +122,101 @@ def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, subcarrier
     return np.array(np.broadcast_to(np.reshape(gains, (-1, 1)), (params.num_subcarriers, params.num_symbols)))
 
 
-def _path_grid(scenario: RadarScenario) -> np.ndarray:
-    """Noise-free array-path terms: target echo plus interferer."""
-    params = scenario.params
-    if scenario.subcarrier_mode not in _MODES:
-        raise ValueError(f"subcarrier_mode must be one of {_MODES}")
-    if scenario.target.range_m >= params.unambiguous_range:
-        raise ValueError("target range beyond the unambiguous range")
-    n_sub, n_sym = params.num_subcarriers, params.num_symbols
-    if scenario.symbols.values.shape != (n_sub, n_sym):
-        raise ValueError("symbol grid shape does not match the OFDM parameters")
+@dataclass(frozen=True)
+class FrameTerms:
+    """What no symbol or noise draw changes: the target term g_t * ramp_t,
+    the interferer's gain and ramp (a draw scales their product by d_i/d_r
+    cell by cell), and the noise variance."""
 
-    n = np.arange(n_sub)
-    m = np.arange(n_sym)
+    params: OfdmParams
+    target: np.ndarray
+    gain_i: np.ndarray | None = None
+    ramp_i: np.ndarray | None = None
+    noise_variance: float = 0.0
+
+
+def frame_terms(
+    params: OfdmParams,
+    config: RisConfig,
+    target: TargetParams,
+    interference: InterferenceParams | None = None,
+    noise: NoiseParams | None = None,
+    subcarrier_mode: str = CARRIER_ONLY,
+) -> FrameTerms:
+    """Check the mode and target range, then build the draw-independent terms."""
+    if subcarrier_mode not in _MODES:
+        raise ValueError(f"subcarrier_mode must be one of {_MODES}")
+    if target.range_m >= params.unambiguous_range:
+        raise ValueError("target range beyond the unambiguous range")
+    n = np.arange(params.num_subcarriers)
+    m = np.arange(params.num_symbols)
     df = params.subcarrier_spacing
     fc_t = params.carrier_freq_hz * params.total_symbol_time
 
-    target = scenario.target
-    gain_t = target.amplitude * _gain_matrix(scenario.config, params, target.angle_rad, scenario.subcarrier_mode)
-    grid = gain_t * np.outer(
-        np.exp(-2j * np.pi * n * df * target.delay_s),
-        np.exp(2j * np.pi * fc_t * target.doppler_scale * m),
+    def ramp(delay_s: float, doppler_scale: float) -> np.ndarray:
+        return np.outer(np.exp(-2j * np.pi * n * df * delay_s), np.exp(2j * np.pi * fc_t * doppler_scale * m))
+
+    gain_t = target.amplitude * _gain_matrix(config, params, target.angle_rad, subcarrier_mode)
+    variance = 0.0 if noise is None else noise.variance
+    terms = FrameTerms(params, gain_t * ramp(target.delay_s, target.doppler_scale), noise_variance=variance)
+    if interference is None:
+        return terms
+    gain_i = interference.amplitude * _gain_matrix(config, params, interference.angle_rad, subcarrier_mode)
+    return replace(terms, gain_i=gain_i, ramp_i=ramp(interference.delay_s, interference.doppler_scale))
+
+
+def _path(terms: FrameTerms, ratio: np.ndarray | None) -> np.ndarray:
+    """Noise-free array path of one draw: target + (g_i * d_i/d_r) * ramp_i."""
+    if terms.gain_i is None:
+        return terms.target
+    return terms.target + (terms.gain_i * ratio) * terms.ramp_i
+
+
+def _scenario_path(scenario: RadarScenario) -> tuple[FrameTerms, np.ndarray]:
+    terms = frame_terms(
+        scenario.params, scenario.config, scenario.target, scenario.interference, scenario.noise, scenario.subcarrier_mode
     )
-
-    interference = scenario.interference
-    if interference is not None:
-        gain_i = interference.amplitude * _gain_matrix(
-            scenario.config, params, interference.angle_rad, scenario.subcarrier_mode
-        )
-        ratio = generate_symbols(params, interference.symbol_seed).values / scenario.symbols.values
-        grid = grid + gain_i * ratio * np.outer(
-            np.exp(-2j * np.pi * n * df * interference.delay_s),
-            np.exp(2j * np.pi * fc_t * interference.doppler_scale * m),
-        )
-    return grid
+    if scenario.symbols.values.shape != terms.target.shape:
+        raise ValueError("symbol grid shape does not match the OFDM parameters")
+    ratio = None
+    if scenario.interference is not None:
+        ratio = generate_symbols(scenario.params, scenario.interference.symbol_seed).values / scenario.symbols.values
+    return terms, _path(terms, ratio)
 
 
-def _add_noise(grid: np.ndarray, noise: NoiseParams | None) -> np.ndarray:
-    """grid plus circular complex Gaussian noise of the given variance."""
-    if noise is None or noise.variance == 0.0:
-        return grid
-    rng = np.random.default_rng(noise.seed)
-    scale = np.sqrt(noise.variance / 2.0)
-    return grid + scale * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+def _noisy(path: np.ndarray, variance: float, seed: int, negate: bool = False) -> np.ndarray:
+    """path (-path if negate) plus circular complex Gaussian noise, with no
+    complex temporary: the normal draws are scaled into the real and
+    imaginary parts, then the path is added (subtracted) in place. IEEE
+    addition commutes and x - y equals x + (-y), so the bits are those of
+    path + noise (-path + noise)."""
+    if variance == 0.0:
+        return -path if negate else path.copy()
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(variance / 2.0)
+    out = np.empty(path.shape, dtype=complex)
+    np.multiply(rng.standard_normal(path.shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(path.shape), scale, out=out.imag)
+    return np.subtract(out, path, out=out) if negate else np.add(out, path, out=out)
 
 
 def simulate_received(scenario: RadarScenario) -> np.ndarray:
     """One symbol-divided received grid for the given scenario."""
-    return _add_noise(_path_grid(scenario), scenario.noise)
+    terms, path = _scenario_path(scenario)
+    return _noisy(path, terms.noise_variance, 0 if scenario.noise is None else scenario.noise.seed)
 
 
 def simulate_frame_pair(
-    scenario: RadarScenario,
+    scenario: RadarScenario | FrameTerms,
     static_term: np.ndarray | None = None,
     noise_seeds: tuple[int, int] | None = None,
+    symbol_seeds: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two consecutive frames with sign-flipped configurations.
+
+    `scenario` is a RadarScenario, or FrameTerms with both (radar,
+    interferer) `symbol_seeds` and `noise_seeds`, whose QPSK draws equal
+    `generate_symbols` from the same seeds bit for bit.
 
     Both frames share the symbol streams and any static (array-independent)
     additive term; noise is drawn independently per frame. The array path
@@ -184,26 +225,26 @@ def simulate_frame_pair(
     differencing therefore preserves the array-path terms and cancels the
     static term exactly.
     """
-    noise = scenario.noise
-    if noise_seeds is None:
-        if noise is not None:
-            seq = np.random.SeedSequence(noise.seed)
-            noise_seeds = tuple(int(s) for s in seq.generate_state(2))
-        else:
-            noise_seeds = (0, 0)
+    if isinstance(scenario, FrameTerms):
+        terms = scenario
+        k_r, k_i = (_qpsk_indices(terms.params, seed) for seed in symbol_seeds)
+        path = _path(terms, None if terms.gain_i is None else _QPSK[k_i] / _QPSK[k_r])
+    else:
+        terms, path = _scenario_path(scenario)
+        if noise_seeds is None:
+            seed = 0 if scenario.noise is None else scenario.noise.seed
+            noise_seeds = tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(2))
+    y_a = _noisy(path, terms.noise_variance, noise_seeds[0])
+    y_b = _noisy(path, terms.noise_variance, noise_seeds[1], negate=True)
+    if static_term is not None:
+        static = np.asarray(static_term)
+        y_a, y_b = y_a + static, y_b + static
+    return y_a, y_b
 
-    def one_frame(signed_path: np.ndarray, seed: int) -> np.ndarray:
-        grid = _add_noise(signed_path, None if noise is None else NoiseParams(noise.variance, seed))
-        if static_term is not None:
-            grid = grid + np.asarray(static_term)
-        return grid
 
-    path = _path_grid(scenario)
-    return one_frame(path, noise_seeds[0]), one_frame(-path, noise_seeds[1])
-
-
-def frame_difference(y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
-    """(y_a - y_b) / 2 for frames simulated with configs c and -c.
+def frame_difference(y_a: np.ndarray, y_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(y_a - y_b) / 2 for frames simulated with configs c and -c, written
+    into `out` when given (which may be y_a itself).
 
     Array-path terms are preserved exactly; additive terms common to
     both frames cancel exactly; independent noise averages to variance
@@ -213,7 +254,7 @@ def frame_difference(y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
     y_b = np.asarray(y_b)
     if y_a.shape != y_b.shape:
         raise ValueError(f"frame shapes differ: {y_a.shape} vs {y_b.shape}")
-    return (y_a - y_b) / 2.0
+    return np.divide(np.subtract(y_a, y_b, out=out), 2.0, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risradar import (
+    InterferenceParams,
+    NoiseParams,
     NotchSpec,
+    RadarScenario,
+    TargetParams,
     analytic_peak,
     combine_convolve,
+    frame_difference,
+    generate_symbols,
     multi_notch,
     normalize_coefficients,
     notch_config,
+    simulate_frame_pair,
 )
 from risradar import experiments
 from risradar.experiments import (
@@ -42,9 +51,32 @@ SMALL = Scenario(
 )
 
 
-def small_combined():
-    peak = analytic_peak(SMALL.target_angle_rad, SMALL.num_peak_elements)
-    return normalize_coefficients(combine_convolve(peak, notch_config(SMALL.interferer_angle_rad)))
+# A sweep whose trials often miss the target: interferers up to 120 dB at
+# offsets out to 0.2 rad, heavy noise, a moving target and a Doppler-shifted
+# interferer, so its files see any change in the range-velocity maps' bits.
+NONZERO = Scenario(
+    num_subcarriers=32,
+    num_symbols=8,
+    num_peak_elements=4,
+    power_ratios_db=(0.0, 30.0, 60.0, 90.0, 120.0),
+    angle_offsets_rad=(-0.2, -0.1, 0.0, 0.1, 0.2),
+    trials=3,
+    target_range_m=9.75,
+    target_velocity_mps=3.0,
+    interferer_doppler_scale=2e-8,
+    pad_range=2,
+    pad_velocity=2,
+    master_seed=3,
+)
+
+
+def small_combined(scenario=SMALL):
+    peak = analytic_peak(scenario.target_angle_rad, scenario.num_peak_elements)
+    return normalize_coefficients(combine_convolve(peak, notch_config(scenario.interferer_angle_rad)))
+
+
+def file_digests(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +170,95 @@ class TestInterferenceSweep:
         assert (parallel / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
         assert (parallel / "sweep_records.csv").read_bytes() == (out / "sweep_records.csv").read_bytes()
 
+    def test_single_point_under_two_workers_matches_one(self, tmp_path):
+        # one point is fewer than four per worker: the chunk size still rounds up to 1
+        scenario = SMALL.replace(power_ratios_db=(30.0,), angle_offsets_rad=(0.01,))
+        serial = run_interference_sweep(scenario, out_dir=tmp_path / "serial", config=small_combined())
+        pooled = run_interference_sweep(scenario, out_dir=tmp_path / "pooled", config=small_combined(), workers=2)
+        assert len(pooled.points) == 1 and pooled.records == serial.records
+        assert file_digests(tmp_path / "pooled") == file_digests(tmp_path / "serial")
+
+    # sha256 of sweep.csv and sweep_records.csv, recorded before the trial
+    # was split into per-point and per-trial work
+    @pytest.mark.parametrize(
+        "mode, noise_variance, nonzero, table_sha, records_sha",
+        [
+            (
+                "carrier",
+                5.0,
+                38,
+                "ea8f5f3f6282cdf92227de9642d51318af1932e57eff24067a6fa62515a30181",
+                "a388a31baa23d3a9fcf0a4782384b4a710e3b554e145120a3c2aa15b6c29d1df",
+            ),
+            (
+                "all",
+                30.0,
+                43,
+                "b47634d60689ee19083ab9a7b143738459fe0f6719878edd3cc5187e62ff8f5e",
+                "f32084dbc3e82c3dc8857acfe399f1aae5b4d4a612d268f5af506a118f02e04e",
+            ),
+        ],
+        ids=["carrier", "all"],
+    )
+    def test_sweep_with_range_errors_is_pinned(self, tmp_path, mode, noise_variance, nonzero, table_sha, records_sha):
+        scenario = NONZERO.replace(noise_variance=noise_variance)
+        result = run_interference_sweep(scenario, out_dir=tmp_path, config=small_combined(NONZERO), subcarrier_mode=mode)
+        assert sum(record[3] != 0.0 for record in result.records) == nonzero
+        digests = file_digests(tmp_path)
+        assert (digests["sweep.csv"], digests["sweep_records.csv"]) == (table_sha, records_sha)
+
+    @pytest.mark.parametrize("noise_variance", [4.0, 0.0])
+    @pytest.mark.parametrize("velocity_mps, doppler_scale", [(0.0, 0.0), (3.0, 2e-8)])
+    @pytest.mark.parametrize("mode", ["carrier", "all"])
+    def test_trial_grid_equals_the_scenario_frame_pair(self, monkeypatch, mode, velocity_mps, doppler_scale, noise_variance):
+        """The grid each sweep trial hands to rv_map is the frame difference
+        of a RadarScenario built from the same seeds, bit for bit."""
+        scenario = NONZERO.replace(
+            power_ratios_db=(0.0, 120.0),
+            angle_offsets_rad=(-0.2, 0.1),
+            target_velocity_mps=velocity_mps,
+            interferer_doppler_scale=doppler_scale,
+            noise_variance=noise_variance,
+        )
+        config = small_combined(NONZERO)
+        grids = []
+
+        def capture(y, *args):
+            grids.append(y.tobytes())
+            return real_rv_map(y, *args)
+
+        real_rv_map = experiments.rv_map
+        monkeypatch.setattr(experiments, "rv_map", capture)
+        run_interference_sweep(scenario, config=config, subcarrier_mode=mode)
+
+        params = scenario.ofdm_params()
+        target = TargetParams(scenario.target_range_m, scenario.target_angle_rad, velocity_mps)
+        expected = []
+        for i, ratio in enumerate(scenario.power_ratios_db):
+            for j, offset in enumerate(scenario.angle_offsets_rad):
+                for trial in range(scenario.trials):
+                    seeds = trial_seeds(scenario.master_seed, i, j, trial)
+                    interference = InterferenceParams(
+                        scenario.interferer_delay_s,
+                        scenario.interferer_angle_rad + offset,
+                        doppler_scale,
+                        10.0 ** (ratio / 20.0),
+                        seeds[1],
+                    )
+                    radar = RadarScenario(
+                        params,
+                        config,
+                        target,
+                        generate_symbols(params, seeds[0]),
+                        interference,
+                        NoiseParams(noise_variance, 0),
+                        mode,
+                    )
+                    pair = simulate_frame_pair(radar, noise_seeds=(seeds[2], seeds[3]))
+                    expected.append(frame_difference(*pair).tobytes())
+        assert len(grids) == 12
+        assert grids == expected
+
     def test_rejects_offsets_leaving_domain(self):
         # the scenario itself refuses offsets the sweep could not run
         with pytest.raises(ScenarioError, match="outside"):
@@ -178,6 +299,13 @@ class TestMultinotchStudy:
             assert entry.sweep is not None
             assert entry.sweep.points[0].mean_range_error_m == 0.0
         assert (tmp_path / "multinotch_sweep_eps0.0.csv").exists()
+
+    def test_shared_pool_writes_the_one_worker_bytes(self, tmp_path):
+        scenario = SMALL.replace(angle_offsets_rad=(-0.01, 0.0, 0.01))
+        for workers in (1, 2):
+            run_multinotch_study(scenario, epsilon_list=(0.0, 1e-2), out_dir=tmp_path / f"w{workers}", workers=workers)
+        assert len(file_digests(tmp_path / "w1")) == 7  # summary, 2 patterns, 2 sweep tables, 2 record files
+        assert file_digests(tmp_path / "w2") == file_digests(tmp_path / "w1")
 
 
 def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):

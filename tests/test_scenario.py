@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risradar.scenario import Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
+from risradar.scenario import _SCHEMA, Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
 
 
 @st.composite
@@ -44,6 +44,58 @@ def valid_scenarios(draw):
         master_seed=draw(st.integers(0, 2**32)),
         output_dir=draw(st.text(string.ascii_letters + string.digits + "_-./", min_size=1, max_size=20)),
     )
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+NEGATIVE = st.floats(max_value=-1e-300)
+
+
+def _list_with(bad):
+    """A list of in-domain values with one out-of-domain value appended."""
+    return st.tuples(st.lists(st.floats(-0.5, 0.5), max_size=3), bad).map(lambda t: (*t[0], t[1]))
+
+
+# Out-of-domain values for each checked key, every other key at its
+# default (interferer at pi/4, one notch, 75 m unambiguous range).
+# output_dir takes any string, so it has none.
+OUT_OF_DOMAIN = {
+    "ofdm.carrier_freq_hz": st.floats(max_value=0.0) | NON_FINITE,
+    "ofdm.bandwidth_hz": st.floats(max_value=0.0) | NON_FINITE,
+    "ofdm.num_subcarriers": st.integers(max_value=0),
+    "ofdm.num_symbols": st.integers(max_value=0),
+    "ofdm.cp_ratio": NEGATIVE | st.floats(min_value=1.0) | NON_FINITE,
+    "geometry.num_peak_elements": st.integers(max_value=0),
+    "angles.target_rad": NEGATIVE | st.floats(min_value=np.pi, exclude_min=True) | NON_FINITE,
+    "angles.interferer_rad": NEGATIVE | st.floats(min_value=np.pi, exclude_min=True) | NON_FINITE,
+    "network.num_layers": st.integers(max_value=1),
+    "network.hidden_width": st.integers(max_value=0),
+    "network.learning_rate": st.floats(max_value=0.0) | NON_FINITE,
+    "network.num_iterations": st.integers(max_value=-1),
+    "network.init_seed": st.integers(max_value=-1),
+    "notch.num_notches": st.integers(max_value=0),
+    "notch.spacing_rad": NEGATIVE | NON_FINITE,
+    "sweep.power_ratios_db": _list_with(
+        st.floats(min_value=300.0, exclude_min=True) | st.floats(max_value=-300.0, exclude_max=True) | NON_FINITE
+    ),
+    "sweep.angle_offsets_rad": _list_with(
+        st.floats(max_value=-np.pi / 4 - 1e-6) | st.floats(min_value=3 * np.pi / 4 + 1e-6) | NON_FINITE
+    ),
+    "sweep.trials": st.integers(max_value=0),
+    "sweep.target_range_m": NEGATIVE | st.floats(min_value=75.0) | NON_FINITE,
+    "sweep.target_velocity_mps": NON_FINITE,
+    "sweep.interferer_delay_s": NON_FINITE,
+    "sweep.interferer_doppler_scale": NON_FINITE,
+    "sweep.noise_variance": NEGATIVE | NON_FINITE,
+    "sweep.pad_range": st.integers(max_value=0),
+    "sweep.pad_velocity": st.integers(max_value=0),
+    "master_seed": st.integers(max_value=-1),
+}
+
+
+def _render(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class TestDefaults:
@@ -205,6 +257,20 @@ class TestValidation:
 
     def test_power_ratio_bound_is_inclusive(self):
         assert Scenario(power_ratios_db=(-300.0, 300.0)).power_ratios_db == (-300.0, 300.0)
+
+    def test_every_checked_key_has_out_of_domain_values(self):
+        assert set(OUT_OF_DOMAIN) == set(_SCHEMA) - {"output_dir"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(OUT_OF_DOMAIN)).flatmap(lambda key: st.tuples(st.just(key), OUT_OF_DOMAIN[key])))
+    def test_out_of_domain_value_names_its_key(self, case):
+        key, value = case
+        with pytest.raises(ScenarioError) as direct:
+            Scenario(**{_SCHEMA[key][0]: value})
+        assert direct.value.key == key
+        with pytest.raises(ScenarioError, match=f"^line 1: {key} ") as parsed:
+            parse_scenario(f"{key} = {_render(value)}\n")
+        assert parsed.value.key == key
 
     def test_replace_revalidates(self):
         with pytest.raises(ScenarioError):

@@ -229,6 +229,14 @@ class TestFrameDifference:
         with pytest.raises(ValueError):
             frame_difference(np.ones((2, 2)), np.ones((2, 3)))
 
+    def test_in_place_difference_is_bitwise_the_fresh_one(self):
+        rng = np.random.default_rng(5)
+        y_a, y_b = (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)) for _ in range(2))
+        fresh = frame_difference(y_a, y_b)
+        assert frame_difference(y_a, y_b, out=y_a) is y_a
+        assert y_a.tobytes() == fresh.tobytes()
+        np.testing.assert_array_equal(frame_difference(np.array([3, 1]), np.array([0, 0])), [1.5, 0.5])
+
 
 class TestRvMap:
     def test_constant_grid_single_peak(self, params):
