@@ -145,29 +145,39 @@ def steering(num_elements: int, thetas, ratios=None) -> np.ndarray:
     return np.exp(b, out=b)
 
 
-def power_pattern(config: RisConfig, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> np.ndarray:
-    """Received power versus angle: sum_n |c^T b_n(phi)|^2.
+def power_patterns(configs, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> list[np.ndarray]:
+    """Received power versus angle, sum_n |c^T b_n(phi)|^2, for each configuration.
 
     Parameters
     ----------
+    configs : sequence of RisConfig
+        Share one steering block per subcarrier; one of L elements reads its leading L columns.
     angles : array of radians
         Evaluation grid (non-empty).
     subcarrier_mode : "carrier" or "all"
         "carrier" restricts the sum to the carrier subcarrier (n = 0);
         "all" sums over every subcarrier with its exact wavelength.
     """
-    coeffs = config.coefficients
+    coeffs = [config.coefficients for config in configs]
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size == 0:
         raise ValueError("angle grid must be non-empty")
     if subcarrier_mode not in _MODES:
         raise ValueError(f"subcarrier_mode must be one of {_MODES}")
     ratios = (None,) if subcarrier_mode == CARRIER_ONLY else _subcarrier_ratios(params)
-    total = np.zeros(angles.shape)
-    # one (angles x elements) block per subcarrier keeps memory flat in N
+    totals = [np.zeros(angles.shape) for _ in coeffs]
+    # one (angles x elements) block per subcarrier, freed before the next, keeps memory flat in N
     for ratio in ratios:
-        total += np.abs(steering(coeffs.size, angles, ratio) @ coeffs) ** 2
-    return total
+        block = steering(max((c.size for c in coeffs), default=1), angles, ratio)
+        for total, c in zip(totals, coeffs):
+            total += np.abs(block[:, : c.size] @ c) ** 2
+        del block
+    return totals
+
+
+def power_pattern(config: RisConfig, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> np.ndarray:
+    """`power_patterns` of one configuration."""
+    return power_patterns((config,), params, angles, subcarrier_mode)[0]
 
 
 def normalize_pattern_db(pattern, floor_db: float = DB_FLOOR) -> np.ndarray:

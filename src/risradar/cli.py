@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .arrays import ALL_SUBCARRIERS, CARRIER_ONLY
 from .experiments import (
+    ReportError,
     report,
     run_interference_sweep,
     run_multinotch_study,
@@ -170,6 +171,9 @@ def main(argv=None) -> int:
             print(f"wrote {result.summary_path}")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 2
+    except ReportError as exc:
+        print(f"report error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
         print(f"training error: {exc}", file=sys.stderr)

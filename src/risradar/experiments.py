@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,10 +32,12 @@ from .arrays import (
     angle_grid,
     angle_grid_deg,
     normalize_pattern_db,
-    power_pattern,
+    power_patterns,
     steering,
 )
 from .fileio import (
+    read_keyvals,
+    read_sweep_table,
     write_keyvals,
     write_pattern_table,
     write_peak_records,
@@ -119,10 +122,8 @@ def run_pattern_study(
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
 
-    patterns = {}
-    for name, config in (("peak", bundle.peak), ("notch", bundle.notch), ("combined", bundle.combined)):
-        linear = power_pattern(config, params, grid_rad, subcarrier_mode)
-        patterns[name] = normalize_pattern_db(linear)
+    linear = power_patterns((bundle.peak, bundle.notch, bundle.combined), params, grid_rad, subcarrier_mode)
+    patterns = dict(zip(("peak", "notch", "combined"), map(normalize_pattern_db, linear)))
 
     peak_path = write_pattern_table(out_dir / "pattern_peak.csv", grid_deg, patterns["peak"])
     notch_path = write_pattern_table(out_dir / "pattern_notch.csv", grid_deg, patterns["notch"])
@@ -311,40 +312,74 @@ def write_sweep_files(result: SweepResult, out_dir: Path, stem: str = "sweep") -
 # multi-notch study
 
 
+SCAN_POINTS = 200001  # evenly spaced over [0, pi]
+SCAN_BLOCK = 16384  # angles a steering block covers: 1.3 MB for five elements, where 200001 would take 16 MB
+SCAN_STEP = np.pi / (SCAN_POINTS - 1)
+
+
 def _carrier_power(column: np.ndarray, thetas) -> np.ndarray:
     return np.abs(steering(column.size, np.atleast_1d(thetas)) @ column) ** 2
 
 
-def _carrier_scan(column: np.ndarray) -> np.ndarray:
-    """Carrier power at 200001 evenly spaced angles over [0, pi], each block
-    of 16384 angles overwritten by its powers: a block's kernel is 1.3 MB
-    for five elements, where the whole scan's would be 16 MB."""
-    scan = np.linspace(0.0, np.pi, 200001)
-    for i in range(0, scan.size, 16384):
-        block = scan[i : i + 16384]
-        block[:] = _carrier_power(column, block)
-    return scan
+@dataclass(frozen=True)
+class CarrierScan:
+    """A column's scan peak and threshold, and its nearest scan index at or above it each side of the center."""
+
+    center_rad: float
+    peak: float
+    threshold: float
+    left: int | None
+    right: int | None
 
 
-def suppression_band(column: np.ndarray, scan: np.ndarray, center_rad: float) -> tuple[float, float]:
-    """Contiguous angle span around the center where the carrier pattern
-    stays below SUPPRESSION_THRESHOLD_DB relative to the peak of its scan.
+def _carrier_scans(columns, center_rad: float) -> list[CarrierScan]:
+    """Every column's carrier scan in one pass: each block of SCAN_BLOCK angles builds one steering
+    block that all columns read for their block maxima. Walking outward from the center, a column
+    then rebuilds, over the same angles, the blocks holding its nearest points at or above threshold."""
+    grid = np.linspace(0.0, np.pi, SCAN_POINTS)
+    starts = range(0, SCAN_POINTS, SCAN_BLOCK)
+
+    def block_maxima(block):  # an argument, so each block is freed before the next is built
+        return [(np.abs(block[:, : c.size] @ c) ** 2).max() for c in columns]
+
+    size = max((c.size for c in columns), default=1)
+    maxima = np.array([block_maxima(steering(size, grid[start : start + SCAN_BLOCK])) for start in starts]).T
+    split = int(center_rad / SCAN_STEP) + 1  # scan points [0, split) lie at or left of the center
+    center_block = split // SCAN_BLOCK
+    scans = []
+    for column, column_maxima in zip(columns, maxima):
+        threshold = column_maxima.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
+        left = right = None
+        for b, start in sorted(enumerate(starts), key=lambda block: abs(block[0] - center_block)):
+            found = (b < center_block and left is not None) or (b > center_block and right is not None)
+            if found or column_maxima[b] < threshold:
+                continue
+            hits = start + np.flatnonzero(_carrier_power(column, grid[start : start + SCAN_BLOCK]) >= threshold)
+            before, after = hits[hits < split], hits[hits >= split]
+            left = int(before[-1]) if before.size else left
+            right = int(after[0]) if after.size else right
+        scans.append(CarrierScan(center_rad, column_maxima.max(), threshold, left, right))
+    return scans
+
+
+def suppression_band(column: np.ndarray, scan: CarrierScan) -> tuple[float, float]:
+    """Contiguous angle span around the scan's center where the carrier
+    pattern stays below SUPPRESSION_THRESHOLD_DB relative to the scan's peak.
 
     Each edge is bracketed by the nearest scan point at or above the
     threshold on its side, then bisected from the center, so spacings far
     below the scan step still order correctly; a side with no such point
     extends to 0 or pi.
     """
-    threshold = scan.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
 
     def above(theta: float) -> bool:
-        return _carrier_power(column, theta)[0] >= threshold
+        return _carrier_power(column, theta)[0] >= scan.threshold
 
-    if above(center_rad):
-        return (center_rad, center_rad)
+    if above(scan.center_rad):
+        return (scan.center_rad, scan.center_rad)
 
     def find_edge(outside: float) -> float:
-        inside = center_rad
+        inside = scan.center_rad
         for _ in range(80):
             mid = 0.5 * (inside + outside)
             if above(mid):
@@ -353,30 +388,24 @@ def suppression_band(column: np.ndarray, scan: np.ndarray, center_rad: float) ->
                 inside = mid
         return 0.5 * (inside + outside)
 
-    step = np.pi / (scan.size - 1)
-    split = int(center_rad / step) + 1  # scan points [0, split) lie at or left of the center
-    hits = scan >= threshold
-    left, right = hits[:split][::-1], hits[split:]
-    low = find_edge((split - 1 - int(np.argmax(left))) * step) if left.any() else 0.0
-    high = find_edge((split + int(np.argmax(right))) * step) if right.any() else float(np.pi)
+    low = find_edge(scan.left * SCAN_STEP) if scan.left is not None else 0.0
+    high = find_edge(scan.right * SCAN_STEP) if scan.right is not None else float(np.pi)
     return (low, high)
 
 
-def min_inband_suppression_db(
-    column: np.ndarray, scan: np.ndarray, center_rad: float, spacing_rad: float, num_notches: int
-) -> float:
+def min_inband_suppression_db(column: np.ndarray, scan: CarrierScan, spacing_rad: float, num_notches: int) -> float:
     """Worst-case suppression (positive dB, capped at 300) relative to the
-    peak of `scan` over the span between the outermost notch angles; at
-    zero spacing, the depth at the center itself."""
+    peak of `scan` over the span between the outermost notch angles around
+    its center; at zero spacing, the depth at the center itself."""
     half_span = (num_notches - 1) / 2.0 * spacing_rad
     if half_span == 0.0:
-        worst = _carrier_power(column, center_rad)[0]
+        worst = _carrier_power(column, scan.center_rad)[0]
     else:
-        span = np.linspace(center_rad - half_span, center_rad + half_span, 4001)
+        span = np.linspace(scan.center_rad - half_span, scan.center_rad + half_span, 4001)
         worst = _carrier_power(column, span).max()
     if worst == 0.0:
         return MAX_SUPPRESSION_DB
-    return float(min(-10.0 * np.log10(worst / scan.max()), MAX_SUPPRESSION_DB))
+    return float(min(-10.0 * np.log10(worst / scan.peak), MAX_SUPPRESSION_DB))
 
 
 @dataclass
@@ -423,14 +452,12 @@ def run_multinotch_study(
     grid_rad = angle_grid(grid_points)
     out_dir = Path(out_dir) if out_dir is not None else None
 
+    notches = [multi_notch(scenario.notch_spec(num_notches, epsilon)) for epsilon in epsilon_list]
+    scans = _carrier_scans([notch.coefficients for notch in notches], scenario.interferer_angle_rad)
+    patterns = power_patterns(notches, params, grid_rad, subcarrier_mode) if out_dir is not None else [None] * len(notches)
     entries = []
-    for epsilon in epsilon_list:
-        notch = multi_notch(scenario.notch_spec(num_notches, epsilon))
-        column = notch.coefficients
-        scan = _carrier_scan(column)
-        band = suppression_band(column, scan, scenario.interferer_angle_rad)
-        depth = min_inband_suppression_db(column, scan, scenario.interferer_angle_rad, float(epsilon), num_notches)
-        del scan  # 1.6 MB that the sweep's pool workers need not inherit
+    for epsilon, notch, scan, pattern in zip(epsilon_list, notches, scans, patterns):
+        band = suppression_band(notch.coefficients, scan)
         entry = MultinotchEntry(
             epsilon_rad=float(epsilon),
             notch=notch,
@@ -438,12 +465,11 @@ def run_multinotch_study(
             sweep=None,
             band=band,
             bandwidth_rad=float(band[1] - band[0]),
-            min_inband_suppression_db=depth,
+            min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, scan, float(epsilon), num_notches),
         )
         if out_dir is not None:
-            pattern_db = normalize_pattern_db(power_pattern(notch, params, grid_rad, subcarrier_mode))
             entry.pattern_path = write_pattern_table(
-                out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, pattern_db
+                out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, normalize_pattern_db(pattern)
             )
         entries.append(entry)
 
@@ -495,6 +521,19 @@ class ReportResult:
         return all(ok for _, ok, _ in self.checks)
 
 
+class ReportError(ValueError):
+    """A study file that `report` cannot parse; the message leads with its path."""
+
+
+@contextmanager
+def _parsing(path: Path):
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc).removeprefix(f"{path}: ")
+        raise ReportError(f"{path}: {reason}") from None
+
+
 def _read_comment_meta(path: Path) -> dict:
     meta = {}
     for line in path.read_text().splitlines():
@@ -506,18 +545,17 @@ def _read_comment_meta(path: Path) -> dict:
 
 
 def _check_pattern_study(out_dir: Path, checks: list, artifacts: list) -> bool:
-    from .fileio import read_keyvals
-
     path = out_dir / "pattern_metrics.txt"
     if not path.exists():
         return False
     for name in ("pattern_peak.csv", "pattern_notch.csv", "pattern_combined.csv", "pattern_metrics.txt"):
         if (out_dir / name).exists():
             artifacts.append(out_dir / name)
-    metrics = read_keyvals(path)
-    argmax = float(metrics["combined_argmax_deg"])
-    target = float(metrics["target_angle_deg"])
-    null_db = float(metrics["combined_db_at_interferer"])
+    with _parsing(path):
+        metrics = read_keyvals(path)
+        argmax = float(metrics["combined_argmax_deg"])
+        target = float(metrics["target_angle_deg"])
+        null_db = float(metrics["combined_db_at_interferer"])
     checks.append(
         (
             "pattern: combined argmax within 0.25 deg of target",
@@ -536,15 +574,15 @@ def _check_pattern_study(out_dir: Path, checks: list, artifacts: list) -> bool:
 
 
 def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "sweep") -> bool:
-    from .fileio import read_sweep_table
-
     path = out_dir / f"{stem}.csv"
     if not path.exists():
         return False
     artifacts.append(path)
-    rows = read_sweep_table(path)
-    meta = _read_comment_meta(path)
-    bin_m = float(meta.get("range_bin_m", 0.75))
+    with _parsing(path):
+        rows = read_sweep_table(path)
+        if not rows:
+            raise ValueError("no data rows")
+        bin_m = float(_read_comment_meta(path).get("range_bin_m", 0.75))
     by_offset: dict = {}
     for ratio, offset, mean, _std, _trials in rows:
         by_offset.setdefault(offset, []).append((ratio, mean))
@@ -590,13 +628,9 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
         return False
     artifacts.append(path)
     artifacts.extend(sorted(out_dir.glob("multinotch_pattern_eps*.csv")))
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("epsilon_rad"):
-            continue
-        eps, bw, _lo, _hi, sup = (float(v) for v in line.split(","))
-        rows.append((eps, bw, sup))
-    rows.sort()
+    lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith(("#", "epsilon_rad"))]
+    with _parsing(path):
+        rows = sorted((eps, bw, sup) for eps, bw, _lo, _hi, sup in ([float(v) for v in ln.split(",")] for ln in lines))
     bw_ordered = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     sup_ordered = all(b[2] < a[2] for a, b in zip(rows, rows[1:]))
     checks.append(

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +221,39 @@ class TestPowerPattern:
             power_pattern(config, params, np.ones((2, 2)), CARRIER_ONLY)
         with pytest.raises(ValueError):
             power_pattern(config, params, 0.5, "bogus")
+
+
+# Runs in a fresh interpreter so that the BLAS thread count takes effect.
+SLICED_BLOCK_CHECK = """
+import sys
+import numpy as np
+from risradar import OfdmParams, RisConfig, angle_grid, power_pattern, power_patterns, steering
+
+params = OfdmParams(77e9, 200e6, num_subcarriers=100, num_symbols=50)
+rng = np.random.default_rng(7)
+configs = [RisConfig(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (2, 48, 49)]
+angles = angle_grid(721)
+all_ratios = [params.wavelength_ratio(n) for n in range(params.num_subcarriers)]
+for mode, ratios in (("carrier", [None]), ("all", all_ratios)):
+    shared = power_patterns(configs, params, angles, mode)
+    for config, pattern in zip(configs, shared):
+        own = np.zeros(angles.shape)
+        for ratio in ratios:
+            own += np.abs(steering(config.num_elements, angles, ratio) @ config.coefficients) ** 2
+        single = power_pattern(config, params, angles, mode)
+        if pattern.tobytes() != own.tobytes() or single.tobytes() != own.tobytes():
+            sys.exit(f"{mode} mode, {config.num_elements} elements: bits differ from its own block")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_shared_block_gives_each_configuration_its_own_bits(threads):
+    """One steering block serves configurations of 2, 48 and 49 elements;
+    each one's leading columns must give the bits of its own block."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.update({name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    run = subprocess.run([sys.executable, "-c", SLICED_BLOCK_CHECK], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestNormalizePatternDb:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from risradar.cli import main
-from risradar.fileio import read_config_file, read_pattern_table, read_sweep_table
+from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table
 
 SMALL_SCENARIO = """
 ofdm.num_subcarriers = 32
@@ -77,6 +77,26 @@ def test_report_on_empty_directory_signals_nothing_run(tmp_path):
     out.mkdir()
     assert main(["report", "--out", str(out)]) == 1
     assert "studies: 0" in (out / "summary.txt").read_text()
+
+
+SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
+
+
+@pytest.mark.parametrize(
+    "name, text, reason",
+    [
+        ("sweep.csv", SWEEP_HEADER + "\n", "no data rows"),
+        ("multinotch_summary.csv", f"{SUMMARY_HEADER}\n0.0,wide,0.1,1.1,300.0\n", "could not convert string to float"),
+        ("pattern_metrics.txt", "target_angle_deg=72.0\ncombined_db_at_interferer=-80.0\n", "missing key 'combined_argmax_deg'"),
+    ],
+    ids=["sweep-without-rows", "summary-non-numeric", "metrics-missing-key"],
+)
+def test_report_on_unparsable_study_file_exits_two(name, text, reason, tmp_path, capsys):
+    (tmp_path / name).write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"report error: {tmp_path / name}: {reason}")
+    assert err.count("\n") == 1
 
 
 def test_multinotch_command(scenario_file, tmp_path):

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from risradar import (
@@ -19,8 +19,9 @@ from risradar import (
     normalize_coefficients,
     notch_config,
     simulate_frame_pair,
+    steering,
 )
-from risradar import experiments
+from risradar import arrays, experiments
 from risradar.experiments import (
     SUPPRESSION_THRESHOLD_DB,
     min_inband_suppression_db,
@@ -140,6 +141,52 @@ class TestPatternStudy:
         again = run_pattern_study(SMALL, tmp_path)
         assert again.peak_path.read_bytes() == result.peak_path.read_bytes()
         assert again.combined_path.read_bytes() == result.combined_path.read_bytes()
+
+    def test_all_subcarrier_study_builds_one_block_per_subcarrier(self, monkeypatch, tmp_path):
+        sizes = []
+
+        def counted(num_elements, thetas, ratios=None):
+            sizes.append(num_elements)
+            return steering(num_elements, thetas, ratios)
+
+        monkeypatch.setattr(arrays, "steering", counted)
+        run_pattern_study(SMALL, tmp_path, subcarrier_mode="all")
+        assert sizes == [33] * SMALL.num_subcarriers  # sized to the combined configuration
+
+
+class TestPinnedBytes:
+    """sha256 of the pattern and multi-notch files on SMALL, recorded before
+    one steering block served every configuration on its angle grid."""
+
+    PATTERN = {
+        "carrier": {
+            "pattern_combined.csv": "43a083730d5552e839f2f9d05245632e477cbbc263a4b2d4ab83c61e99afaa37",
+            "pattern_metrics.txt": "e2244b52c6ad470ff2448c71c54fd5f6290de93b26facc709fb7b6b865c19a87",
+            "pattern_notch.csv": "2121f8f5f8ec5008c96a4705dc414cef5471dbb54e8f3945d5d0770abcfb27e8",
+            "pattern_peak.csv": "a519627b21f41a7ce78e2589044f42bb7a54d27ee5306bd1a0cfcc24893a70a7",
+        },
+        "all": {
+            "pattern_combined.csv": "97156436327cd04b3921bb933d915b23b3049132864ff88badbe28890897f1ea",
+            "pattern_metrics.txt": "004b74e93d84c4aeac3249e8e448524b07f3de95078ca540218fc5c1658687c7",
+            "pattern_notch.csv": "fa6f0b44701560b375b2383b57fdcc2936ee8cc563b4eac50d284c494b8509cd",
+            "pattern_peak.csv": "6010300d8cedfb17c7faa97189d9394f972042187bd2e4700277d542bbce2e12",
+        },
+    }
+    MULTINOTCH = {
+        "multinotch_pattern_eps0.0.csv": "4463e798133e2be744ca5ea3ccacc2fef9be462dac2b26e882dcf8c92188c1cb",
+        "multinotch_pattern_eps0.001.csv": "c9d0e69bd8b1bf8a58bdc0110c4d1948f91fee8c7d50b53f8156b7cf3bf2a52e",
+        "multinotch_pattern_eps0.01.csv": "ec451a32269399c5a9a651b2a0fae46138d0d902ddff3a08bce7729b0bd2ba1c",
+        "multinotch_summary.csv": "2088895595af4108f653fddf3d6522fc4e91f94a5172d687f250c7fb079f4b4e",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PATTERN))
+    def test_pattern_study(self, mode, tmp_path):
+        run_pattern_study(SMALL, tmp_path, subcarrier_mode=mode)
+        assert file_digests(tmp_path) == self.PATTERN[mode]
+
+    def test_multinotch_study(self, multi):
+        _, out = multi
+        assert file_digests(out) == self.MULTINOTCH
 
 
 class TestInterferenceSweep:
@@ -300,6 +347,11 @@ class TestMultinotchStudy:
             assert entry.sweep.points[0].mean_range_error_m == 0.0
         assert (tmp_path / "multinotch_sweep_eps0.0.csv").exists()
 
+    def test_no_spacings_writes_an_empty_summary(self, tmp_path):
+        result = run_multinotch_study(SMALL, epsilon_list=(), out_dir=tmp_path, include_sweeps=False)
+        assert result.entries == []
+        assert result.summary_path.read_text().splitlines()[-1].startswith("epsilon_rad,")
+
     def test_shared_pool_writes_the_one_worker_bytes(self, tmp_path):
         scenario = SMALL.replace(angle_offsets_rad=(-0.01, 0.0, 0.01))
         for workers in (1, 2):
@@ -310,8 +362,23 @@ class TestMultinotchStudy:
 
 def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):
     column = multi_notch(NotchSpec(center_rad, num_notches, spacing_rad)).static_column()
-    scan = experiments._carrier_scan(column)
-    return column, scan, suppression_band(column, scan, center_rad)
+    scan = experiments._carrier_scans([column], center_rad)[0]
+    return column, scan, suppression_band(column, scan)
+
+
+SCAN_STEP = np.pi / 200000
+
+
+def reference_scan(column):
+    """Carrier power of one column at all 200001 scan angles of [0, pi],
+    each block of 16384 angles through its own `steering` call."""
+    angles = np.linspace(0.0, np.pi, 200001)
+    blocks = [angles[i : i + 16384] for i in range(0, angles.size, 16384)]
+    return np.concatenate([np.abs(steering(column.size, block) @ column) ** 2 for block in blocks])
+
+
+def reference_threshold(reference):
+    return reference.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
 
 
 class TestSuppressionBand:
@@ -331,7 +398,7 @@ class TestSuppressionBand:
         low_ref, high_ref, depth_ref = self.PINNED[epsilon]
         assert abs(low - low_ref) <= 1e-13
         assert abs(high - high_ref) <= 1e-13
-        assert min_inband_suppression_db(column, scan, center, epsilon, 4) == depth_ref
+        assert min_inband_suppression_db(column, scan, epsilon, 4) == depth_ref
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -340,8 +407,9 @@ class TestSuppressionBand:
         center=st.floats(0.1, np.pi - 0.1),
     )
     def test_edges_separate_suppressed_from_unsuppressed(self, num_notches, spacing, center):
-        column, scan, (low, high) = notch_band(num_notches, spacing, center)
-        threshold = scan.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
+        column, _, (low, high) = notch_band(num_notches, spacing, center)
+        reference = reference_scan(column)
+        threshold = reference_threshold(reference)
 
         def power(theta):
             return experiments._carrier_power(column, theta)[0]
@@ -353,12 +421,43 @@ class TestSuppressionBand:
             assert power(low - 1e-9) >= threshold
         if high < np.pi:
             assert power(high + 1e-9) >= threshold
-        angles = np.linspace(0.0, np.pi, scan.size)
-        assert np.all(scan[(angles > low) & (angles < high)] < threshold)
+        angles = np.linspace(0.0, np.pi, reference.size)
+        assert np.all(reference[(angles > low) & (angles < high)] < threshold)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        notches=st.lists(st.tuples(st.integers(1, 4), st.floats(0.0, 0.05)), min_size=1, max_size=3),
+        center=st.one_of(
+            st.floats(0.0, np.pi),
+            st.floats(0.0, 1e-3),
+            st.floats(np.pi - 1e-3, np.pi),
+            # on a block boundary of the shared pass, or one scan step off it
+            st.builds(lambda k, d: (k * 16384 + d) * SCAN_STEP, st.integers(1, 12), st.integers(-1, 1)),
+        ),
+    )
+    @example(notches=[(4, 0.01), (2, 0.0)], center=16384 * SCAN_STEP)
+    @example(notches=[(1, 0.0)], center=0.0)
+    @example(notches=[(3, 0.05)], center=np.pi)
+    def test_shared_scan_matches_a_reference_scan(self, notches, center):
+        columns = []
+        for num_notches, spacing in notches:
+            # the notch stays inside [0, pi]; the scan's center need not sit on it
+            half = (num_notches - 1) / 2.0 * spacing
+            notch_center = float(np.clip(center, half + 1e-12, np.pi - half - 1e-12))
+            columns.append(multi_notch(NotchSpec(notch_center, num_notches, spacing)).static_column())
+        split = int(center / SCAN_STEP) + 1
+        for column, scan in zip(columns, experiments._carrier_scans(columns, center)):
+            reference = reference_scan(column)
+            hits = np.flatnonzero(reference >= reference_threshold(reference))
+            left, right = hits[hits < split], hits[hits >= split]
+            assert scan.peak == reference.max()
+            assert scan.threshold == reference_threshold(reference)
+            assert scan.left == (int(left[-1]) if left.size else None)
+            assert scan.right == (int(right[0]) if right.size else None)
 
     def test_bisects_with_few_kernel_calls(self, monkeypatch):
         column = multi_notch(NotchSpec(np.pi / 4, 4, 1e-3)).static_column()
-        scan = experiments._carrier_scan(column)
+        scan = experiments._carrier_scans([column], np.pi / 4)[0]
         calls = []
 
         def counted(column, thetas):
@@ -367,20 +466,22 @@ class TestSuppressionBand:
 
         carrier_power = experiments._carrier_power
         monkeypatch.setattr(experiments, "_carrier_power", counted)
-        suppression_band(column, scan, np.pi / 4)
+        suppression_band(column, scan)
         assert len(calls) <= 200
 
-    def test_one_scan_per_spacing(self, monkeypatch):
-        scans = []
+    def test_spacings_share_one_scan(self, monkeypatch):
+        # the shared pass builds the 13 blocks once (a scan per spacing built
+        # 39), and each spacing rebuilds at most the block of each band edge
+        sizes = []
 
-        def counted(column):
-            scans.append(column)
-            return carrier_scan(column)
+        def counted(num_elements, thetas, ratios=None):
+            sizes.append(np.size(thetas))
+            return steering(num_elements, thetas, ratios)
 
-        carrier_scan = experiments._carrier_scan
-        monkeypatch.setattr(experiments, "_carrier_scan", counted)
+        monkeypatch.setattr(experiments, "steering", counted)
         run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
-        assert len(scans) == 3
+        blocks = [size for size in sizes if size in (16384, 200001 - 12 * 16384)]
+        assert 13 <= len(blocks) <= 13 + 6
 
 
 class TestSynthesizeConfigs:
