@@ -6,7 +6,8 @@
 --quick swaps in a scaled-down scenario (small grid, small network) so the
 whole pipeline finishes in seconds; omit it to run the full default setup.
 Exit status: 0 when every check passes, 1 when one fails, 2 on a bad
-argument or scenario (one `scenario error:` line), 3 when training diverges.
+argument, scenario or study file (one `scenario error:` or `report error:`
+line), 3 when training diverges.
 """
 
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from risradar.cli import _Parser, _worker_count
+from risradar.cli import study_script
 from risradar.experiments import (
     report,
     run_interference_sweep,
@@ -22,8 +23,7 @@ from risradar.experiments import (
     run_pattern_study,
     write_sweep_files,
 )
-from risradar.scenario import ScenarioError, default_scenario, load_scenario
-from risradar.synthesis import TrainingDivergedError, train_peak_network
+from risradar.synthesis import train_peak_network
 
 QUICK_OVERRIDES = dict(
     num_subcarriers=32,
@@ -39,31 +39,9 @@ QUICK_OVERRIDES = dict(
 )
 
 
-def main() -> int:
-    parser = _Parser(description=__doc__)
-    parser.add_argument("--scenario", type=Path, default=None)
-    parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--workers", type=_worker_count, default=1)
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args()
-    try:
-        return run_study(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingDivergedError as exc:
-        print(f"training error: {exc}", file=sys.stderr)
-        return 3
-
-
-def run_study(args) -> int:
-    """Every study in turn; 0 when the report's checks all pass, else 1."""
-    scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
-    if args.quick:
-        scenario = scenario.replace(**QUICK_OVERRIDES)
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "scenario_used.txt").write_text(scenario.to_text())
-
+def run_study(scenario, out_dir: Path, workers: int) -> int:
+    """Every study in turn on one trained network; 0 when the report's
+    checks all pass, else 1."""
     print("training peak network ...")
     training = train_peak_network(
         scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
@@ -71,28 +49,28 @@ def run_study(args) -> int:
     print(f"  gain ratio vs analytic optimum: {training.gain_ratio:.4f}")
 
     print("pattern study ...")
-    patterns = run_pattern_study(scenario, args.out, training=training)
+    patterns = run_pattern_study(scenario, out_dir, training=training)
     print(f"  combined argmax {patterns.argmax_deg} deg, "
           f"level at interferer {patterns.combined_db_at_interferer:.1f} dB")
 
     print("interference sweep ...")
-    sweep = run_interference_sweep(scenario, workers=args.workers, training=training)
-    write_sweep_files(sweep, args.out)
+    sweep = run_interference_sweep(scenario, workers=workers, training=training)
+    write_sweep_files(sweep, out_dir)
     worst = max(p.mean_range_error_m for p in sweep.points)
     print(f"  {len(sweep.points)} grid points, worst mean error {worst:.3f} m")
 
     print("multi-notch study ...")
     multi = run_multinotch_study(
-        scenario, out_dir=args.out, workers=args.workers, training=training
+        scenario, out_dir=out_dir, workers=workers, training=training
     )
     for entry in multi.entries:
         print(f"  eps={entry.epsilon_rad}: bandwidth {entry.bandwidth_rad:.6f} rad, "
               f"min in-band suppression {entry.min_inband_suppression_db:.1f} dB")
 
-    summary = report(args.out)
+    summary = report(out_dir)
     print(summary.path.read_text())
     return 0 if summary.all_passed else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(study_script(run_study, QUICK_OVERRIDES))

@@ -106,69 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple:
+def _load(args, overrides: dict | None = None) -> tuple:
+    """The overridden scenario and the output directory, created with the echo `scenario_used.txt`."""
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
     if getattr(args, "seed", None) is not None:
         scenario = scenario.replace(master_seed=args.seed)
+    if overrides:
+        scenario = scenario.replace(**overrides)
     out_dir = Path(args.out) if args.out is not None else Path(scenario.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "scenario_used.txt").write_text(scenario.to_text())
     return scenario, out_dir
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _exit_status(run, *args) -> int:
+    """run(*args); a bad scenario or study file exits 2, divergence 3, each with one stderr line."""
     try:
-        if args.command == "report":
-            result = report(args.out)
-            print(result.path.read_text(), end="")
-            return 1 if result.num_studies == 0 else 0
-
-        scenario, out_dir = _load(args)
-        if args.command == "pattern":
-            result = run_pattern_study(scenario, out_dir, subcarrier_mode=args.mode, grid_points=args.grid)
-            print(f"combined argmax: {result.argmax_deg} deg")
-            print(f"combined level at interferer: {result.combined_db_at_interferer} dB")
-            print(f"peak gain ratio: {result.gain_ratio}")
-            for path in (result.peak_path, result.notch_path, result.combined_path, result.metrics_path):
-                print(f"wrote {path}")
-        elif args.command == "train-peak":
-            training = train_peak_network(
-                scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
-            )
-            config_path = write_config_file(
-                out_dir / "peak_config.txt",
-                training.config,
-                theta_t=scenario.target_angle_rad,
-                seed=scenario.net_init_seed,
-            )
-            loss_path = write_loss_history(out_dir / "training_loss.csv", training.loss_history)
-            print(f"gain ratio vs analytic optimum: {training.gain_ratio}")
-            print(f"wrote {config_path}")
-            print(f"wrote {loss_path}")
-        elif args.command == "sweep":
-            result = run_interference_sweep(
-                scenario, out_dir=None, subcarrier_mode=args.mode, workers=args.workers
-            )
-            table, records = write_sweep_files(result, out_dir)
-            print(f"wrote {table}")
-            print(f"wrote {records}")
-        elif args.command == "multinotch":
-            result = run_multinotch_study(
-                scenario,
-                epsilon_list=args.epsilon,
-                out_dir=out_dir,
-                subcarrier_mode=args.mode,
-                workers=args.workers,
-                grid_points=args.grid,
-                include_sweeps=not args.no_sweeps,
-            )
-            for entry in result.entries:
-                print(
-                    f"epsilon={entry.epsilon_rad}: bandwidth={entry.bandwidth_rad} rad, "
-                    f"min in-band suppression={entry.min_inband_suppression_db} dB"
-                )
-            print(f"wrote {result.summary_path}")
+        return run(*args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -178,7 +132,73 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    return _exit_status(_command, build_parser().parse_args(argv))
+
+
+def _command(args) -> int:
+    if args.command == "report":
+        result = report(args.out)
+        print(result.path.read_text(), end="")
+        return 1 if result.num_studies == 0 else 0
+
+    scenario, out_dir = _load(args)
+    if args.command == "pattern":
+        result = run_pattern_study(scenario, out_dir, subcarrier_mode=args.mode, grid_points=args.grid)
+        print(f"combined argmax: {result.argmax_deg} deg")
+        print(f"combined level at interferer: {result.combined_db_at_interferer} dB")
+        print(f"peak gain ratio: {result.gain_ratio}")
+        for path in (result.peak_path, result.notch_path, result.combined_path, result.metrics_path):
+            print(f"wrote {path}")
+    elif args.command == "train-peak":
+        training = train_peak_network(scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec())
+        config_path = write_config_file(
+            out_dir / "peak_config.txt", training.config, theta_t=scenario.target_angle_rad, seed=scenario.net_init_seed
+        )
+        loss_path = write_loss_history(out_dir / "training_loss.csv", training.loss_history)
+        print(f"gain ratio vs analytic optimum: {training.gain_ratio}")
+        print(f"wrote {config_path}")
+        print(f"wrote {loss_path}")
+    elif args.command == "sweep":
+        result = run_interference_sweep(scenario, out_dir=None, subcarrier_mode=args.mode, workers=args.workers)
+        table, records = write_sweep_files(result, out_dir)
+        print(f"wrote {table}")
+        print(f"wrote {records}")
+    elif args.command == "multinotch":
+        result = run_multinotch_study(
+            scenario,
+            epsilon_list=args.epsilon,
+            out_dir=out_dir,
+            subcarrier_mode=args.mode,
+            workers=args.workers,
+            grid_points=args.grid,
+            include_sweeps=not args.no_sweeps,
+        )
+        for entry in result.entries:
+            print(
+                f"epsilon={entry.epsilon_rad}: bandwidth={entry.bandwidth_rad} rad, "
+                f"min in-band suppression={entry.min_inband_suppression_db} dB"
+            )
+        print(f"wrote {result.summary_path}")
     return 0
+
+
+def study_script(study, quick_overrides: dict) -> int:
+    """`scripts/run_full_study.py`'s flags, scenario load and echo (`--quick` applies
+    `quick_overrides`), then study(scenario, out_dir, workers) under the CLI's exit statuses."""
+    parser = _Parser(description="Run every study end to end and write the summary report.")
+    parser.add_argument("--scenario", type=Path, default=None)
+    parser.add_argument("--out", type=Path, default=Path("out"))
+    parser.add_argument("--workers", type=_worker_count, default=1)
+    parser.add_argument("--quick", action="store_true", help="scaled-down scenario")
+    args = parser.parse_args()
+
+    def run() -> int:
+        return study(*_load(args, quick_overrides if args.quick else None), args.workers)
+
+    return _exit_status(run)
 
 
 if __name__ == "__main__":

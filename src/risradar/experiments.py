@@ -213,7 +213,7 @@ def run_trial(
     A sweep passes the point's prebuilt `terms`; without them the trial builds its own."""
     if terms is None:
         terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
-    frames = simulate_frame_pair(terms, noise_seeds=(seeds[2], seeds[3]), symbol_seeds=(seeds[0], seeds[1]))
+    frames = simulate_frame_pair(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
     grid = frame_difference(*frames, out=frames[0])
     # Dropping frame b before the transform keeps a trial's heap peak below
     # glibc's trim threshold, so the map-sized arrays reuse freed memory
@@ -257,7 +257,9 @@ def _sweep_tasks(scenario: Scenario, config: RisConfig, subcarrier_mode: str) ->
 
 def _map_points(tasks: list[tuple], workers: int) -> list:
     """`_sweep_point` over the tasks, in order; a pool's workers take them in
-    chunks, about four a worker, so few messages go out yet none idles long."""
+    chunks, about four a worker, so few messages go out yet none idles long.
+    A pool forks all its workers at once, so it gets no more than the tasks."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [_sweep_point(t) for t in tasks]
     chunksize = max(1, math.ceil(len(tasks) / (4 * workers)))
@@ -453,16 +455,25 @@ def run_multinotch_study(
     out_dir = Path(out_dir) if out_dir is not None else None
 
     notches = [multi_notch(scenario.notch_spec(num_notches, epsilon)) for epsilon in epsilon_list]
+    sweeps = [None] * len(notches)
+    if include_sweeps:
+        # one pool for every spacing's points, forked before the scans leave freed heap behind
+        tasks = [
+            _sweep_tasks(scenario, normalize_coefficients(combine_convolve(training.config, notch)), subcarrier_mode)
+            for notch in notches
+        ]
+        outcomes = iter(_map_points([task for spacing in tasks for task in spacing], workers))
+        sweeps = [_sweep_result(scenario, [next(outcomes) for _ in spacing]) for spacing in tasks]
     scans = _carrier_scans([notch.coefficients for notch in notches], scenario.interferer_angle_rad)
     patterns = power_patterns(notches, params, grid_rad, subcarrier_mode) if out_dir is not None else [None] * len(notches)
     entries = []
-    for epsilon, notch, scan, pattern in zip(epsilon_list, notches, scans, patterns):
+    for epsilon, notch, sweep, scan, pattern in zip(epsilon_list, notches, sweeps, scans, patterns):
         band = suppression_band(notch.coefficients, scan)
         entry = MultinotchEntry(
             epsilon_rad=float(epsilon),
             notch=notch,
             pattern_path=None,
-            sweep=None,
+            sweep=sweep,
             band=band,
             bandwidth_rad=float(band[1] - band[0]),
             min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, scan, float(epsilon), num_notches),
@@ -471,20 +482,9 @@ def run_multinotch_study(
             entry.pattern_path = write_pattern_table(
                 out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, normalize_pattern_db(pattern)
             )
+            if sweep is not None:
+                write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
         entries.append(entry)
-
-    if include_sweeps:
-        # one pool maps every spacing's points; each sweep takes its run back
-        tasks = [
-            _sweep_tasks(scenario, normalize_coefficients(combine_convolve(training.config, e.notch)), subcarrier_mode)
-            for e in entries
-        ]
-        outcomes = _map_points([task for spacing in tasks for task in spacing], workers)
-        for entry, spacing in zip(entries, tasks):
-            entry.sweep = _sweep_result(scenario, outcomes[: len(spacing)])
-            outcomes = outcomes[len(spacing) :]
-            if out_dir is not None:
-                write_sweep_files(entry.sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
 
     summary_path = None
     if out_dir is not None:

@@ -5,15 +5,16 @@ a target echo, an optional synchronized interferer, and complex Gaussian
 noise:
 
     y[n,m] = g_t[n,m] * exp(-2j*pi*n*df*tau)   * exp(+2j*pi*fc*nu*m*T)
-           + g_i[n,m] * (d_i/d_v)[n,m]
+           + g_i[n,m] * (d_i/d_r)[n,m]
                       * exp(-2j*pi*n*df*tau_i) * exp(+2j*pi*fc*nu_i*m*T)
            + z[n,m]
 
 where g = amplitude * (c^T b_n(angle)) makes the array gain explicit.
 What no symbol or noise draw changes is built once by `frame_terms`;
-every draw combines those terms through one helper. A frame pair builds
-the path once and negates it for the -c frame: negation is exact in
-IEEE arithmetic, so -path equals the path simulated with the
+`simulate_received` (one frame) and `simulate_frame_pair` (the frames of
+c and -c) read those terms and take every seed explicitly. A frame pair
+builds the path once and negates it for the -c frame: negation is exact
+in IEEE arithmetic, so -path equals the path simulated with the
 configuration -c bit for bit.
 Range/velocity are read off a zero-padded 2-D transform of the grid.
 """
@@ -51,67 +52,30 @@ class TargetParams:
 
 @dataclass(frozen=True)
 class InterferenceParams:
-    """Synchronized interfering radar: its own delay/Doppler/angle and
-    an independent symbol stream drawn from symbol_seed."""
+    """Synchronized interfering radar with its own delay, Doppler and angle."""
 
     delay_s: float
     angle_rad: float
     doppler_scale: float = 0.0
     amplitude: complex = 1.0 + 0.0j
-    symbol_seed: int = 0
 
 
 @dataclass(frozen=True)
 class NoiseParams:
     variance: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.variance < np.inf:
             raise ValueError("noise variance must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class SymbolGrid:
-    """Unit-power QPSK symbols, one per (subcarrier, symbol) cell."""
-
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("symbol grid must be 2-D (subcarriers x symbols)")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-
 _QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 
-def generate_symbols(params: OfdmParams, seed: int) -> SymbolGrid:
-    """Draw an N x M QPSK grid, reproducible per seed.
-
-    Constellation points exp(1j*(pi/4 + k*pi/2)), k in 0..3, equiprobable.
-    """
-    return SymbolGrid(values=_QPSK[_qpsk_indices(params, seed)], seed=int(seed))
-
-
-def _qpsk_indices(params: OfdmParams, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 4, size=(params.num_subcarriers, params.num_symbols))
-
-
-@dataclass(frozen=True)
-class RadarScenario:
-    """Everything one received-grid realization depends on."""
-
-    params: OfdmParams
-    config: RisConfig
-    target: TargetParams
-    symbols: SymbolGrid
-    interference: InterferenceParams | None = None
-    noise: NoiseParams | None = None
-    subcarrier_mode: str = CARRIER_ONLY
+def generate_symbols(params: OfdmParams, seed: int) -> np.ndarray:
+    """Draw an N x M QPSK grid, reproducible per seed: constellation points
+    exp(1j*(pi/4 + k*pi/2)), k in 0..3, equiprobable."""
+    return _QPSK[np.random.default_rng(seed).integers(0, 4, size=(params.num_subcarriers, params.num_symbols))]
 
 
 def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, subcarrier_mode: str) -> np.ndarray:
@@ -165,23 +129,13 @@ def frame_terms(
     return replace(terms, gain_i=gain_i, ramp_i=ramp(interference.delay_s, interference.doppler_scale))
 
 
-def _path(terms: FrameTerms, ratio: np.ndarray | None) -> np.ndarray:
-    """Noise-free array path of one draw: target + (g_i * d_i/d_r) * ramp_i."""
+def _path(terms: FrameTerms, symbol_seeds: tuple[int, int]) -> np.ndarray:
+    """Noise-free array path target + (g_i * d_i/d_r) * ramp_i, the radar and
+    interferer symbols d_r, d_i drawn from `symbol_seeds` (unused without an interferer)."""
     if terms.gain_i is None:
         return terms.target
-    return terms.target + (terms.gain_i * ratio) * terms.ramp_i
-
-
-def _scenario_path(scenario: RadarScenario) -> tuple[FrameTerms, np.ndarray]:
-    terms = frame_terms(
-        scenario.params, scenario.config, scenario.target, scenario.interference, scenario.noise, scenario.subcarrier_mode
-    )
-    if scenario.symbols.values.shape != terms.target.shape:
-        raise ValueError("symbol grid shape does not match the OFDM parameters")
-    ratio = None
-    if scenario.interference is not None:
-        ratio = generate_symbols(scenario.params, scenario.interference.symbol_seed).values / scenario.symbols.values
-    return terms, _path(terms, ratio)
+    radar, interferer = (generate_symbols(terms.params, seed) for seed in symbol_seeds)
+    return terms.target + (terms.gain_i * (interferer / radar)) * terms.ramp_i
 
 
 def _noisy(path: np.ndarray, variance: float, seed: int, negate: bool = False) -> np.ndarray:
@@ -200,46 +154,22 @@ def _noisy(path: np.ndarray, variance: float, seed: int, negate: bool = False) -
     return np.subtract(out, path, out=out) if negate else np.add(out, path, out=out)
 
 
-def simulate_received(scenario: RadarScenario) -> np.ndarray:
-    """One symbol-divided received grid for the given scenario."""
-    terms, path = _scenario_path(scenario)
-    return _noisy(path, terms.noise_variance, 0 if scenario.noise is None else scenario.noise.seed)
+def simulate_received(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seed: int) -> np.ndarray:
+    """One symbol-divided received grid: the path drawn from the (radar,
+    interferer) `symbol_seeds` plus noise drawn from `noise_seed`."""
+    return _noisy(_path(terms, symbol_seeds), terms.noise_variance, noise_seed)
 
 
-def simulate_frame_pair(
-    scenario: RadarScenario | FrameTerms,
-    static_term: np.ndarray | None = None,
-    noise_seeds: tuple[int, int] | None = None,
-    symbol_seeds: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two consecutive frames with sign-flipped configurations.
-
-    `scenario` is a RadarScenario, or FrameTerms with both (radar,
-    interferer) `symbol_seeds` and `noise_seeds`, whose QPSK draws equal
-    `generate_symbols` from the same seeds bit for bit.
-
-    Both frames share the symbol streams and any static (array-independent)
-    additive term; noise is drawn independently per frame. The array path
-    is computed once: frame a is path + noise_a, frame b is -path + noise_b,
-    which equals simulating the configuration -c bit for bit. Frame
-    differencing therefore preserves the array-path terms and cancels the
-    static term exactly.
-    """
-    if isinstance(scenario, FrameTerms):
-        terms = scenario
-        k_r, k_i = (_qpsk_indices(terms.params, seed) for seed in symbol_seeds)
-        path = _path(terms, None if terms.gain_i is None else _QPSK[k_i] / _QPSK[k_r])
-    else:
-        terms, path = _scenario_path(scenario)
-        if noise_seeds is None:
-            seed = 0 if scenario.noise is None else scenario.noise.seed
-            noise_seeds = tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(2))
-    y_a = _noisy(path, terms.noise_variance, noise_seeds[0])
-    y_b = _noisy(path, terms.noise_variance, noise_seeds[1], negate=True)
-    if static_term is not None:
-        static = np.asarray(static_term)
-        y_a, y_b = y_a + static, y_b + static
-    return y_a, y_b
+def simulate_frame_pair(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, int]) -> tuple:
+    """Frames a and b of the sign-flipped configurations c and -c: both share
+    the symbol streams, each draws its own noise. The path is computed once;
+    frame a is simulate_received(terms, symbol_seeds, noise_seeds[0]), frame b
+    that call on the terms of -c with noise_seeds[1], bit for bit."""
+    path = _path(terms, symbol_seeds)
+    return (
+        _noisy(path, terms.noise_variance, noise_seeds[0]),
+        _noisy(path, terms.noise_variance, noise_seeds[1], negate=True),
+    )
 
 
 def frame_difference(y_a: np.ndarray, y_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -12,7 +12,6 @@ import pytest
 
 from risradar import (
     InterferenceParams,
-    RadarScenario,
     TargetParams,
     analytic_peak,
     angle_grid,
@@ -20,7 +19,7 @@ from risradar import (
     combine_convolve,
     estimate_target,
     frame_difference,
-    generate_symbols,
+    frame_terms,
     normalize_coefficients,
     normalize_pattern_db,
     notch_config,
@@ -145,10 +144,7 @@ def test_criterion_4_combined_pattern_figure(params, default_training, default_c
 def test_criterion_5_range_pipeline_exactness(params):
     start = time.monotonic()
     target = TargetParams(range_m=30.0, angle_rad=1.0)
-    scenario = RadarScenario(
-        params=params, config=RisConfig([1.0]), target=target, symbols=generate_symbols(params, 1)
-    )
-    grid = simulate_received(scenario)
+    grid = simulate_received(frame_terms(params, RisConfig([1.0]), target), (1, 0), 0)
     rv = rv_map(grid, params)
     estimate = estimate_target(rv)
     error = range_error_metric(30.0, estimate.range_m)
@@ -217,17 +213,12 @@ def test_criterion_8_frame_difference_cancellation(params):
     rng = np.random.default_rng(6)
     static = 10.0 * (rng.normal(size=(100, 50)) + 1j * rng.normal(size=(100, 50)))
     target = TargetParams(range_m=18.0, angle_rad=1.2, velocity_mps=5.0)
-    interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, amplitude=2.0, symbol_seed=3)
-    scenario = RadarScenario(
-        params=params,
-        config=RisConfig(np.exp(1j * np.linspace(0.0, 2.0, 8))),
-        target=target,
-        symbols=generate_symbols(params, 9),
-        interference=interference,
-    )
-    expected = simulate_received(scenario)
-    clean = frame_difference(*simulate_frame_pair(scenario))
-    with_static = frame_difference(*simulate_frame_pair(scenario, static_term=static))
+    interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, amplitude=2.0)
+    terms = frame_terms(params, RisConfig(np.exp(1j * np.linspace(0.0, 2.0, 8))), target, interference)
+    expected = simulate_received(terms, (9, 3), 0)
+    y_a, y_b = simulate_frame_pair(terms, (9, 3), (0, 1))
+    clean = frame_difference(y_a, y_b)
+    with_static = frame_difference(y_a + static, y_b + static)
     exact = np.array_equal(clean, expected)
     residual = float(np.max(np.abs(with_static - expected)))
     elapsed = time.monotonic() - start

@@ -264,6 +264,21 @@ def test_full_study_script_training_divergence_exits_three(tmp_path):
     assert not (out / "summary.txt").exists()
 
 
+def test_full_study_script_report_error_exits_two(tmp_path):
+    # a stale study file the run does not overwrite makes the report fail
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    out = tmp_path / "o"
+    out.mkdir()
+    stale = out / "multinotch_sweep_eps0.5.csv"
+    stale.write_text(SWEEP_HEADER + "\n")
+    run = subprocess.run(
+        [sys.executable, str(script), "--quick", "--out", str(out)], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"report error: {stale}: no data rows\n"
+    assert not (out / "summary.txt").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

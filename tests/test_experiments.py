@@ -9,12 +9,11 @@ from risradar import (
     InterferenceParams,
     NoiseParams,
     NotchSpec,
-    RadarScenario,
     TargetParams,
     analytic_peak,
     combine_convolve,
     frame_difference,
-    generate_symbols,
+    frame_terms,
     multi_notch,
     normalize_coefficients,
     notch_config,
@@ -218,12 +217,40 @@ class TestInterferenceSweep:
         assert (parallel / "sweep_records.csv").read_bytes() == (out / "sweep_records.csv").read_bytes()
 
     def test_single_point_under_two_workers_matches_one(self, tmp_path):
-        # one point is fewer than four per worker: the chunk size still rounds up to 1
+        # one point gets no pool at all, so two workers must give the one-worker bytes
         scenario = SMALL.replace(power_ratios_db=(30.0,), angle_offsets_rad=(0.01,))
         serial = run_interference_sweep(scenario, out_dir=tmp_path / "serial", config=small_combined())
         pooled = run_interference_sweep(scenario, out_dir=tmp_path / "pooled", config=small_combined(), workers=2)
         assert len(pooled.points) == 1 and pooled.records == serial.records
         assert file_digests(tmp_path / "pooled") == file_digests(tmp_path / "serial")
+
+    def test_pool_gets_no_more_workers_than_points(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process: nothing is forked
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        serial = run_interference_sweep(SMALL, config=small_combined())
+        pooled = run_interference_sweep(SMALL, config=small_combined(), workers=5000)
+        assert sizes == [4]
+        assert pooled.records == serial.records
+        single = SMALL.replace(power_ratios_db=(30.0,), angle_offsets_rad=(0.01,))
+        run_interference_sweep(single, config=small_combined(), workers=8)
+        assert sizes == [4]  # one point runs serially
+        run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-2), workers=5000)
+        assert sizes == [4, 8]
 
     # sha256 of sweep.csv and sweep_records.csv, recorded before the trial
     # was split into per-point and per-trial work
@@ -259,7 +286,7 @@ class TestInterferenceSweep:
     @pytest.mark.parametrize("mode", ["carrier", "all"])
     def test_trial_grid_equals_the_scenario_frame_pair(self, monkeypatch, mode, velocity_mps, doppler_scale, noise_variance):
         """The grid each sweep trial hands to rv_map is the frame difference
-        of a RadarScenario built from the same seeds, bit for bit."""
+        of a frame pair built here from the same seeds, bit for bit."""
         scenario = NONZERO.replace(
             power_ratios_db=(0.0, 120.0),
             angle_offsets_rad=(-0.2, 0.1),
@@ -290,18 +317,9 @@ class TestInterferenceSweep:
                         scenario.interferer_angle_rad + offset,
                         doppler_scale,
                         10.0 ** (ratio / 20.0),
-                        seeds[1],
                     )
-                    radar = RadarScenario(
-                        params,
-                        config,
-                        target,
-                        generate_symbols(params, seeds[0]),
-                        interference,
-                        NoiseParams(noise_variance, 0),
-                        mode,
-                    )
-                    pair = simulate_frame_pair(radar, noise_seeds=(seeds[2], seeds[3]))
+                    terms = frame_terms(params, config, target, interference, NoiseParams(noise_variance), mode)
+                    pair = simulate_frame_pair(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
                     expected.append(frame_difference(*pair).tobytes())
         assert len(grids) == 12
         assert grids == expected

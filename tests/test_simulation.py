@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +7,13 @@ from risradar import (
     InterferenceParams,
     NoiseParams,
     OfdmParams,
-    RadarScenario,
     RisConfig,
     TargetParams,
     analytic_peak,
     combine_convolve,
     estimate_target,
     frame_difference,
+    frame_terms,
     generate_symbols,
     normalize_coefficients,
     notch_config,
@@ -23,33 +21,33 @@ from risradar import (
     rv_map,
     simulate_frame_pair,
     simulate_received,
+    steering,
 )
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT
 
 QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 
-def single_element_scenario(params, target, **kwargs):
-    symbols = kwargs.pop("symbols", generate_symbols(params, 1))
-    return RadarScenario(params=params, config=RisConfig([1.0]), target=target, symbols=symbols, **kwargs)
+def single_element_terms(params, target, interference=None, noise=None):
+    return frame_terms(params, RisConfig([1.0]), target, interference, noise)
 
 
 class TestGenerateSymbols:
     def test_unit_modulus(self, params):
         grid = generate_symbols(params, 0)
-        assert np.all(np.abs(np.abs(grid.values) - 1.0) < 1e-15)
-        assert grid.values.shape == (100, 50)
+        assert np.all(np.abs(np.abs(grid) - 1.0) < 1e-15)
+        assert grid.shape == (100, 50)
 
     def test_deterministic_per_seed(self, params):
         a = generate_symbols(params, 42)
         b = generate_symbols(params, 42)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
         c = generate_symbols(params, 43)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_constellation_is_uniform_over_a_million_draws(self):
         big = OfdmParams(77e9, 200e6, num_subcarriers=1000, num_symbols=1000)
-        values = generate_symbols(big, 7).values.ravel()
+        values = generate_symbols(big, 7).ravel()
         for point in QPSK:
             frequency = np.mean(np.abs(values - point) < 1e-9)
             assert abs(frequency - 0.25) <= 0.0025  # within 1% of 1/4
@@ -63,7 +61,7 @@ class TestGenerateSymbols:
         params = OfdmParams(77e9, 200e6, num_subcarriers=shape[0], num_symbols=shape[1])
         k = np.random.default_rng(seed).integers(0, 4, size=shape)
         direct = np.exp(1j * (np.pi / 4 + k * np.pi / 2))
-        values = generate_symbols(params, seed).values
+        values = generate_symbols(params, seed)
         assert values.dtype == direct.dtype
         assert values.tobytes() == direct.tobytes()
 
@@ -71,19 +69,19 @@ class TestGenerateSymbols:
 class TestSimulateReceived:
     def test_all_phases_unity(self, params):
         target = TargetParams(range_m=0.0, angle_rad=1.0, velocity_mps=0.0, amplitude=1.0)
-        grid = simulate_received(single_element_scenario(params, target))
+        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
         np.testing.assert_allclose(grid, np.ones((100, 50)), atol=1e-12)
 
     def test_delay_phase_peaks_at_expected_range_bin(self, params):
         # 2*R*B/c = 2*30*200e6/3e8 = 40
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        grid = simulate_received(single_element_scenario(params, target))
+        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
         profile = np.abs(np.fft.ifft(grid, axis=0))
         np.testing.assert_array_equal(np.argmax(profile, axis=0), np.full(50, 40))
 
     def test_delay_peak_agrees_with_dense_correlation_oracle(self, params):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        grid = simulate_received(single_element_scenario(params, target))
+        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
         taus = np.linspace(0.0, 60.0, 2401) * 2.0 / SPEED_OF_LIGHT
         n = np.arange(params.num_subcarriers)
         correlation = np.abs(
@@ -94,41 +92,64 @@ class TestSimulateReceived:
 
     def test_doppler_phase_peaks_at_velocity_bin_one(self, params):
         target = TargetParams(range_m=0.0, angle_rad=1.0, velocity_mps=params.velocity_bin_size)
-        grid = simulate_received(single_element_scenario(params, target))
+        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
         spectrum = np.abs(np.fft.fft(grid, axis=1))
         np.testing.assert_array_equal(np.argmax(spectrum, axis=1), np.full(100, 1))
 
     def test_linearity_of_target_and_interferer(self, params):
-        symbols = generate_symbols(params, 3)
+        symbol_seeds = (3, 9)
         target = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.7 + 0.2j)
-        interference = InterferenceParams(
-            delay_s=2e-7, angle_rad=0.8, doppler_scale=1e-8, amplitude=2.0 - 1.0j, symbol_seed=9
-        )
+        interference = InterferenceParams(delay_s=2e-7, angle_rad=0.8, doppler_scale=1e-8, amplitude=2.0 - 1.0j)
         config = RisConfig(np.exp(1j * np.linspace(0, 1, 4)))
-        both = simulate_received(
-            RadarScenario(params=params, config=config, target=target, symbols=symbols, interference=interference)
-        )
-        target_only = simulate_received(
-            RadarScenario(params=params, config=config, target=target, symbols=symbols)
-        )
+        both = simulate_received(frame_terms(params, config, target, interference), symbol_seeds, 0)
+        target_only = simulate_received(frame_terms(params, config, target), symbol_seeds, 0)
         silent = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.0)
-        interferer_only = simulate_received(
-            RadarScenario(params=params, config=config, target=silent, symbols=symbols, interference=interference)
-        )
+        interferer_only = simulate_received(frame_terms(params, config, silent, interference), symbol_seeds, 0)
         np.testing.assert_allclose(both, target_only + interferer_only, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [CARRIER_ONLY, ALL_SUBCARRIERS])
+    def test_matches_the_formula_built_here(self, mode):
+        # y = g_t * ramp_t + g_i * (d_i / d_r) * ramp_i, with g = a * (b(theta) @ c),
+        # written out from the module docstring without frame_terms or _path
+        params = OfdmParams(77e9, 200e6, num_subcarriers=24, num_symbols=10)
+        coeffs = np.exp(1j * np.linspace(0.0, 2.0, 6)) * np.linspace(1.0, 0.5, 6)
+        target = TargetParams(range_m=12.0, angle_rad=1.2, velocity_mps=5.0, amplitude=0.7 + 0.2j)
+        interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, doppler_scale=3e-8, amplitude=2.0 - 1.0j)
+        grid = simulate_received(frame_terms(params, RisConfig(coeffs), target, interference, None, mode), (9, 3), 0)
+
+        ratios = None
+        if mode == ALL_SUBCARRIERS:
+            ratios = np.array([params.wavelength_ratio(n) for n in range(params.num_subcarriers)])
+        n = np.arange(params.num_subcarriers)[:, None]
+        m = np.arange(params.num_symbols)[None, :]
+        df, symbol_time = params.subcarrier_spacing, params.total_symbol_time
+
+        def gain(amplitude, theta):
+            return amplitude * np.reshape(steering(coeffs.size, theta, ratios) @ coeffs, (-1, 1))
+
+        def ramp(delay_s, doppler_scale):
+            return np.exp(-2j * np.pi * n * df * delay_s) * np.exp(
+                2j * np.pi * params.carrier_freq_hz * doppler_scale * m * symbol_time
+            )
+
+        d_r, d_i = generate_symbols(params, 9), generate_symbols(params, 3)
+        expected = gain(target.amplitude, target.angle_rad) * ramp(target.delay_s, target.doppler_scale)
+        expected = expected + gain(interference.amplitude, interference.angle_rad) * (d_i / d_r) * ramp(
+            interference.delay_s, interference.doppler_scale
+        )
+        assert grid.shape == expected.shape
+        np.testing.assert_allclose(grid, expected, rtol=1e-12)
 
     def test_noise_variance(self, params):
         silent = TargetParams(range_m=0.0, angle_rad=1.0, amplitude=0.0)
-        grid = simulate_received(
-            single_element_scenario(params, silent, noise=NoiseParams(variance=3.0, seed=11))
-        )
+        grid = simulate_received(single_element_terms(params, silent, noise=NoiseParams(variance=3.0)), (1, 0), 11)
         measured = np.mean(np.abs(grid) ** 2)
         assert measured == pytest.approx(3.0, rel=0.05)
 
     def test_rejects_bad_shapes_and_ranges(self, params):
         far = TargetParams(range_m=80.0, angle_rad=1.0)  # beyond c/(2 df) = 75 m
         with pytest.raises(ValueError):
-            simulate_received(single_element_scenario(params, far))
+            simulate_received(single_element_terms(params, far), (1, 0), 0)
         with pytest.raises(ValueError):
             TargetParams(range_m=-1.0, angle_rad=1.0)
         for variance in (-1.0, np.inf, np.nan):
@@ -141,20 +162,20 @@ class TestFrameDifference:
         rng = np.random.default_rng(5)
         static = rng.normal(size=(100, 50)) + 1j * rng.normal(size=(100, 50))
         target = TargetParams(range_m=21.0, angle_rad=0.9, velocity_mps=3.0)
-        scenario = single_element_scenario(params, target)
-        with_static = frame_difference(*simulate_frame_pair(scenario, static_term=static))
-        without = frame_difference(*simulate_frame_pair(scenario))
+        y_a, y_b = simulate_frame_pair(single_element_terms(params, target), (1, 0), (0, 1))
+        with_static = frame_difference(y_a + static, y_b + static)
+        without = frame_difference(y_a, y_b)
         # (y+s) and (-y+s) each round once, so cancellation is machine-precision
         np.testing.assert_allclose(with_static, without, atol=1e-13)
-        huge = frame_difference(*simulate_frame_pair(scenario, static_term=1e6 * static))
+        huge = frame_difference(y_a + 1e6 * static, y_b + 1e6 * static)
         np.testing.assert_allclose(huge, without, atol=1e-7)
 
     def test_ris_path_preserved_exactly(self, params):
         target = TargetParams(range_m=21.0, angle_rad=0.9, velocity_mps=3.0)
-        interference = InterferenceParams(delay_s=1e-7, angle_rad=0.4, amplitude=3.0, symbol_seed=2)
-        scenario = single_element_scenario(params, target, interference=interference)
-        recovered = frame_difference(*simulate_frame_pair(scenario))
-        np.testing.assert_array_equal(recovered, simulate_received(scenario))
+        interference = InterferenceParams(delay_s=1e-7, angle_rad=0.4, amplitude=3.0)
+        terms = single_element_terms(params, target, interference=interference)
+        recovered = frame_difference(*simulate_frame_pair(terms, (1, 2), (0, 1)))
+        np.testing.assert_array_equal(recovered, simulate_received(terms, (1, 2), 0))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -162,12 +183,11 @@ class TestFrameDifference:
         num_elements=st.integers(min_value=1, max_value=16),
         mode=st.sampled_from([CARRIER_ONLY, ALL_SUBCARRIERS]),
         with_interference=st.booleans(),
-        with_static=st.booleans(),
         variance=st.sampled_from([None, 0.0, 0.5, 2.0]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_each_frame_equals_simulating_that_frame(
-        self, shape, num_elements, mode, with_interference, with_static, variance, seed
+        self, shape, num_elements, mode, with_interference, variance, seed
     ):
         # the pair computes the array path once and negates it for frame b;
         # each frame must still be exactly a full simulation of that frame
@@ -183,36 +203,24 @@ class TestFrameDifference:
             amplitude=complex(rng.normal(), rng.normal()),
         )
         interference = None
+        symbol_seeds = (seed, 0)
         if with_interference:
             interference = InterferenceParams(
                 delay_s=rng.uniform(0.0, 5e-7),
                 angle_rad=rng.uniform(0.0, np.pi),
                 doppler_scale=rng.normal(scale=1e-8),
                 amplitude=rng.uniform(0.0, 100.0),
-                symbol_seed=int(rng.integers(2**32)),
             )
-        static = None
-        if with_static:
-            static = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            symbol_seeds = (seed, int(rng.integers(2**32)))
         seeds = tuple(int(s) for s in rng.integers(2**32, size=2))
+        noise = None if variance is None else NoiseParams(variance)
 
-        def noise(noise_seed):
-            return None if variance is None else NoiseParams(variance, noise_seed)
+        def terms(frame_config):
+            return frame_terms(params, frame_config, target, interference, noise, mode)
 
-        scenario = RadarScenario(
-            params=params,
-            config=config,
-            target=target,
-            symbols=generate_symbols(params, seed),
-            interference=interference,
-            noise=noise(0),
-            subcarrier_mode=mode,
-        )
-        y_a, y_b = simulate_frame_pair(scenario, static_term=static, noise_seeds=seeds)
+        y_a, y_b = simulate_frame_pair(terms(config), symbol_seeds, seeds)
         for frame, frame_config, noise_seed in ((y_a, config, seeds[0]), (y_b, RisConfig(-coeffs), seeds[1])):
-            expected = simulate_received(replace(scenario, config=frame_config, noise=noise(noise_seed)))
-            if static is not None:
-                expected = expected + static
+            expected = simulate_received(terms(frame_config), symbol_seeds, noise_seed)
             assert np.array_equal(frame, expected)
 
     def test_noise_variance_halves(self, params):
@@ -220,8 +228,9 @@ class TestFrameDifference:
         sigma2 = 2.0
         samples = []
         for trial in range(2):  # 2 x 5000 = 1e4 noise samples
-            scenario = single_element_scenario(params, silent, noise=NoiseParams(sigma2, seed=trial))
-            samples.append(frame_difference(*simulate_frame_pair(scenario)).ravel())
+            terms = single_element_terms(params, silent, noise=NoiseParams(sigma2))
+            noise_seeds = tuple(int(s) for s in np.random.SeedSequence(trial).generate_state(2))
+            samples.append(frame_difference(*simulate_frame_pair(terms, (1, 0), noise_seeds)).ravel())
         measured = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert measured == pytest.approx(sigma2 / 2.0, rel=0.05)
 
@@ -249,7 +258,7 @@ class TestRvMap:
     def test_target_peak_magnitude_and_location(self, params):
         gain = 0.7
         target = TargetParams(range_m=30.0, angle_rad=1.0, amplitude=gain)
-        rv = rv_map(simulate_received(single_element_scenario(params, target)), params)
+        rv = rv_map(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
         estimate = estimate_target(rv)
         assert estimate.exact_bins == (40, 0)
         assert np.sqrt(estimate.peak_power) == pytest.approx(5000.0 * gain, rel=1e-9)
@@ -260,11 +269,9 @@ class TestRvMap:
         bound = 10.0 * np.sqrt(5000.0)  # |g_i| = 1 for the single-element config
         exceeded = 0
         for seed in range(200):
-            interference = InterferenceParams(delay_s=2e-7, angle_rad=0.5, amplitude=1.0, symbol_seed=seed)
-            scenario = single_element_scenario(
-                params, silent, symbols=generate_symbols(params, 1000 + seed), interference=interference
-            )
-            rv = rv_map(simulate_received(scenario), params)
+            interference = InterferenceParams(delay_s=2e-7, angle_rad=0.5, amplitude=1.0)
+            terms = single_element_terms(params, silent, interference=interference)
+            rv = rv_map(simulate_received(terms, (1000 + seed, seed), 0), params)
             if np.abs(rv.values).max() > bound:
                 exceeded += 1
         assert exceeded <= 2  # 99% of seeds
@@ -314,9 +321,9 @@ class TestRvMap:
         shifted = TargetParams(
             range_m=30.0 + params.range_bin_size, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size
         )
-        bins_base = estimate_target(rv_map(simulate_received(single_element_scenario(params, base)), params)).exact_bins
+        bins_base = estimate_target(rv_map(simulate_received(single_element_terms(params, base), (1, 0), 0), params)).exact_bins
         bins_shift = estimate_target(
-            rv_map(simulate_received(single_element_scenario(params, shifted)), params)
+            rv_map(simulate_received(single_element_terms(params, shifted), (1, 0), 0), params)
         ).exact_bins
         assert bins_base == (40, 2)
         assert bins_shift == (41, 2)
@@ -325,7 +332,7 @@ class TestRvMap:
 class TestEstimateTarget:
     def test_on_grid_target_zero_error(self, params):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        rv = rv_map(simulate_received(single_element_scenario(params, target)), params)
+        rv = rv_map(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
         estimate = estimate_target(rv)
         assert estimate.range_m == 30.0
         assert range_error_metric(30.0, estimate.range_m) == 0.0
@@ -351,7 +358,7 @@ class TestEstimateTarget:
 
     def test_negative_velocity_wraps(self, params):
         target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
-        rv = rv_map(simulate_received(single_element_scenario(params, target)), params)
+        rv = rv_map(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
         estimate = estimate_target(rv)
         assert estimate.velocity_mps == pytest.approx(-params.velocity_bin_size, rel=1e-12)
 
@@ -360,17 +367,9 @@ class TestEstimateTarget:
         combined = normalize_coefficients(
             combine_convolve(analytic_peak(theta_t, 200), notch_config(theta_i))
         )
-        interference = InterferenceParams(
-            delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0), symbol_seed=5
-        )
-        scenario = RadarScenario(
-            params=params,
-            config=combined,
-            target=TargetParams(range_m=30.0, angle_rad=theta_t),
-            symbols=generate_symbols(params, 4),
-            interference=interference,
-        )
-        estimate = estimate_target(rv_map(simulate_received(scenario), params))
+        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0))
+        terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference)
+        estimate = estimate_target(rv_map(simulate_received(terms, (4, 5), 0), params))
         assert estimate.exact_bins == (40, 0)
         assert estimate.range_m == 30.0
 
@@ -385,14 +384,10 @@ class TestNullSuppression:
         )
         aligned = analytic_peak(theta_i, combined.num_elements)
         silent = TargetParams(range_m=0.0, angle_rad=theta_t, amplitude=0.0)
-        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=1.0, symbol_seed=8)
-        symbols = generate_symbols(params, 2)
+        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=1.0)
 
         def interference_grid(config):
-            scenario = RadarScenario(
-                params=params, config=config, target=silent, symbols=symbols, interference=interference
-            )
-            return simulate_received(scenario)
+            return simulate_received(frame_terms(params, config, silent, interference), (2, 8), 0)
 
         suppressed = np.abs(interference_grid(combined))
         reference = np.abs(interference_grid(aligned))
@@ -420,17 +415,14 @@ class TestRangeErrorMetric:
             for seed in range(100):
                 seq = np.random.SeedSequence([int(ratio_db), seed])
                 s_sym, s_int, s_noise = (int(v) for v in seq.generate_state(3))
-                scenario = RadarScenario(
-                    params=small,
-                    config=config,
-                    target=TargetParams(range_m=true_range, angle_rad=theta_t),
-                    symbols=generate_symbols(small, s_sym),
-                    interference=InterferenceParams(
-                        delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (ratio_db / 20.0), symbol_seed=s_int
-                    ),
-                    noise=NoiseParams(1.0, s_noise),
+                terms = frame_terms(
+                    small,
+                    config,
+                    TargetParams(range_m=true_range, angle_rad=theta_t),
+                    InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (ratio_db / 20.0)),
+                    NoiseParams(1.0),
                 )
-                estimate = estimate_target(rv_map(simulate_received(scenario), small, 4, 4))
+                estimate = estimate_target(rv_map(simulate_received(terms, (s_sym, s_int), s_noise), small, 4, 4))
                 errors.append(range_error_metric(true_range, estimate.range_m))
             means.append(float(np.mean(errors)))
         assert means[0] <= small.range_bin_size
