@@ -21,9 +21,10 @@ from risradar.experiments import (
     run_interference_sweep,
     run_multinotch_study,
     run_pattern_study,
+    synthesize_configs,
+    train_peak,
     write_sweep_files,
 )
-from risradar.synthesis import train_peak_network
 
 QUICK_OVERRIDES = dict(
     num_subcarriers=32,
@@ -43,9 +44,7 @@ def run_study(scenario, out_dir: Path, workers: int) -> int:
     """Every study in turn on one trained network; 0 when the report's
     checks all pass, else 1."""
     print("training peak network ...")
-    training = train_peak_network(
-        scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
-    )
+    training = train_peak(scenario)
     print(f"  gain ratio vs analytic optimum: {training.gain_ratio:.4f}")
 
     print("pattern study ...")
@@ -54,15 +53,14 @@ def run_study(scenario, out_dir: Path, workers: int) -> int:
           f"level at interferer {patterns.combined_db_at_interferer:.1f} dB")
 
     print("interference sweep ...")
-    sweep = run_interference_sweep(scenario, workers=workers, training=training)
+    config = synthesize_configs(scenario, training).combined
+    sweep = run_interference_sweep(scenario, config, workers=workers)
     write_sweep_files(sweep, out_dir)
     worst = max(p.mean_range_error_m for p in sweep.points)
     print(f"  {len(sweep.points)} grid points, worst mean error {worst:.3f} m")
 
     print("multi-notch study ...")
-    multi = run_multinotch_study(
-        scenario, out_dir=out_dir, workers=workers, training=training
-    )
+    multi = run_multinotch_study(scenario, out_dir, workers=workers, training=training)
     for entry in multi.entries:
         print(f"  eps={entry.epsilon_rad}: bandwidth {entry.bandwidth_rad:.6f} rad, "
               f"min in-band suppression {entry.min_inband_suppression_db:.1f} dB")

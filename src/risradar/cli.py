@@ -14,11 +14,13 @@ from .experiments import (
     run_interference_sweep,
     run_multinotch_study,
     run_pattern_study,
+    synthesize_configs,
+    train_peak,
     write_sweep_files,
 )
 from .fileio import write_config_file, write_loss_history
 from .scenario import ScenarioError, default_scenario, load_scenario
-from .synthesis import TrainingDivergedError, train_peak_network
+from .synthesis import TrainingDivergedError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,13 +53,14 @@ def _worker_count(text: str) -> int:
 
 
 def _spacings(text: str) -> list[float]:
-    """--epsilon value: a comma list of finite, non-negative notch spacings."""
+    """--epsilon value: a comma list of distinct, finite, non-negative notch spacings,
+    compared as floats (1e-3 repeats 0.001, and -0 repeats 0)."""
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         values = []
-    if not values or not all(math.isfinite(v) and v >= 0.0 for v in values):
-        raise argparse.ArgumentTypeError(f"expected a comma list of finite spacings >= 0, got {text!r}")
+    if not values or not all(math.isfinite(v) and v >= 0.0 for v in values) or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected a comma list of distinct finite spacings >= 0, got {text!r}")
     return values
 
 
@@ -153,7 +156,7 @@ def _command(args) -> int:
         for path in (result.peak_path, result.notch_path, result.combined_path, result.metrics_path):
             print(f"wrote {path}")
     elif args.command == "train-peak":
-        training = train_peak_network(scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec())
+        training = train_peak(scenario)
         config_path = write_config_file(
             out_dir / "peak_config.txt", training.config, theta_t=scenario.target_angle_rad, seed=scenario.net_init_seed
         )
@@ -162,15 +165,16 @@ def _command(args) -> int:
         print(f"wrote {config_path}")
         print(f"wrote {loss_path}")
     elif args.command == "sweep":
-        result = run_interference_sweep(scenario, out_dir=None, subcarrier_mode=args.mode, workers=args.workers)
+        config = synthesize_configs(scenario).combined
+        result = run_interference_sweep(scenario, config, subcarrier_mode=args.mode, workers=args.workers)
         table, records = write_sweep_files(result, out_dir)
         print(f"wrote {table}")
         print(f"wrote {records}")
     elif args.command == "multinotch":
         result = run_multinotch_study(
             scenario,
+            out_dir,
             epsilon_list=args.epsilon,
-            out_dir=out_dir,
             subcarrier_mode=args.mode,
             workers=args.workers,
             grid_points=args.grid,

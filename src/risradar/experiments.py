@@ -72,10 +72,14 @@ MAX_SUPPRESSION_DB = 300.0
 # configuration synthesis shared by the studies
 
 
+def train_peak(scenario: Scenario) -> TrainingResult:
+    """The scenario's peak network, trained for its target angle."""
+    return train_peak_network(scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec())
+
+
 @dataclass
 class SynthesisBundle:
     training: TrainingResult
-    peak: RisConfig
     notch: RisConfig
     combined: RisConfig
 
@@ -84,12 +88,10 @@ def synthesize_configs(scenario: Scenario, training: TrainingResult | None = Non
     """Train the peak (unless supplied), build the notch, convolve, and
     rescale the combination into the unit disk."""
     if training is None:
-        training = train_peak_network(
-            scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
-        )
+        training = train_peak(scenario)
     notch = multi_notch(scenario.notch_spec())
     combined = normalize_coefficients(combine_convolve(training.config, notch))
-    return SynthesisBundle(training=training, peak=training.config, notch=notch, combined=combined)
+    return SynthesisBundle(training=training, notch=notch, combined=combined)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +124,8 @@ def run_pattern_study(
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
 
-    linear = power_patterns((bundle.peak, bundle.notch, bundle.combined), params, grid_rad, subcarrier_mode)
+    configs = (bundle.training.config, bundle.notch, bundle.combined)
+    linear = power_patterns(configs, params, grid_rad, subcarrier_mode)
     patterns = dict(zip(("peak", "notch", "combined"), map(normalize_pattern_db, linear)))
 
     peak_path = write_pattern_table(out_dir / "pattern_peak.csv", grid_deg, patterns["peak"])
@@ -277,25 +280,16 @@ def _sweep_result(scenario: Scenario, outcomes: list) -> SweepResult:
 
 
 def run_interference_sweep(
-    scenario: Scenario,
-    out_dir=None,
-    subcarrier_mode: str = CARRIER_ONLY,
-    workers: int = 1,
-    config: RisConfig | None = None,
-    training: TrainingResult | None = None,
+    scenario: Scenario, config: RisConfig, subcarrier_mode: str = CARRIER_ONLY, workers: int = 1
 ) -> SweepResult:
-    """Range-error statistics over (power ratio, interferer-angle offset).
+    """Range-error statistics of `config` over (power ratio, interferer-angle offset).
 
     Every grid point runs `scenario.trials` fresh-symbol, fresh-noise
     measurements with the frame-difference pipeline. Results are sorted
-    by (ratio, offset) and identical for any worker count.
+    by (ratio, offset) and identical for any worker count;
+    `write_sweep_files` writes them.
     """
-    if config is None:
-        config = synthesize_configs(scenario, training=training).combined
-    result = _sweep_result(scenario, _map_points(_sweep_tasks(scenario, config, subcarrier_mode), workers))
-    if out_dir is not None:
-        write_sweep_files(result, Path(out_dir))
-    return result
+    return _sweep_result(scenario, _map_points(_sweep_tasks(scenario, config, subcarrier_mode), workers))
 
 
 def write_sweep_files(result: SweepResult, out_dir: Path, stem: str = "sweep") -> tuple[Path, Path]:
@@ -414,7 +408,7 @@ def min_inband_suppression_db(column: np.ndarray, scan: CarrierScan, spacing_rad
 class MultinotchEntry:
     epsilon_rad: float
     notch: RisConfig
-    pattern_path: Path | None
+    pattern_path: Path
     sweep: SweepResult | None
     band: tuple[float, float]
     bandwidth_rad: float
@@ -424,13 +418,13 @@ class MultinotchEntry:
 @dataclass
 class MultinotchStudyResult:
     entries: list[MultinotchEntry]
-    summary_path: Path | None
+    summary_path: Path
 
 
 def run_multinotch_study(
     scenario: Scenario,
+    out_dir,
     epsilon_list=(0.0, 1e-3, 1e-2),
-    out_dir=None,
     subcarrier_mode: str = CARRIER_ONLY,
     workers: int = 1,
     grid_points: int = 721,
@@ -438,7 +432,8 @@ def run_multinotch_study(
     training: TrainingResult | None = None,
 ) -> MultinotchStudyResult:
     """Widened notches for each spacing epsilon: pattern file, suppression
-    metrics, and (optionally) the error sweep with the combined config."""
+    metrics, and (optionally) the error sweep with the combined config,
+    all written under out_dir with the summary table."""
     # a single notch cannot widen; 4 notches (5 elements) is the study default
     num_notches = scenario.num_notches if scenario.num_notches >= 2 else 4
     for epsilon in epsilon_list:
@@ -447,12 +442,10 @@ def run_multinotch_study(
             raise ScenarioError(f"notch spacing {epsilon} pushes the shifted notches outside [0, pi]")
     params = scenario.ofdm_params()
     if include_sweeps and training is None:
-        training = train_peak_network(
-            scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
-        )
+        training = train_peak(scenario)
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
-    out_dir = Path(out_dir) if out_dir is not None else None
+    out_dir = Path(out_dir)
 
     notches = [multi_notch(scenario.notch_spec(num_notches, epsilon)) for epsilon in epsilon_list]
     sweeps = [None] * len(notches)
@@ -465,44 +458,40 @@ def run_multinotch_study(
         outcomes = iter(_map_points([task for spacing in tasks for task in spacing], workers))
         sweeps = [_sweep_result(scenario, [next(outcomes) for _ in spacing]) for spacing in tasks]
     scans = _carrier_scans([notch.coefficients for notch in notches], scenario.interferer_angle_rad)
-    patterns = power_patterns(notches, params, grid_rad, subcarrier_mode) if out_dir is not None else [None] * len(notches)
+    patterns = power_patterns(notches, params, grid_rad, subcarrier_mode)
     entries = []
     for epsilon, notch, sweep, scan, pattern in zip(epsilon_list, notches, sweeps, scans, patterns):
         band = suppression_band(notch.coefficients, scan)
         entry = MultinotchEntry(
             epsilon_rad=float(epsilon),
             notch=notch,
-            pattern_path=None,
+            pattern_path=write_pattern_table(
+                out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, normalize_pattern_db(pattern)
+            ),
             sweep=sweep,
             band=band,
             bandwidth_rad=float(band[1] - band[0]),
             min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, scan, float(epsilon), num_notches),
         )
-        if out_dir is not None:
-            entry.pattern_path = write_pattern_table(
-                out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, normalize_pattern_db(pattern)
-            )
-            if sweep is not None:
-                write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
+        if sweep is not None:
+            write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
         entries.append(entry)
 
-    summary_path = None
-    if out_dir is not None:
-        lines = [
-            f"# suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
-            f"# center_rad={float(scenario.interferer_angle_rad)!r}",
-            f"# num_notches={num_notches}",
-            "# edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
-            "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db",
-        ]
-        for e in entries:
-            lines.append(
-                f"{e.epsilon_rad!r},{e.bandwidth_rad!r},{e.band[0]!r},{e.band[1]!r},"
-                f"{e.min_inband_suppression_db!r}"
-            )
-        summary_path = out_dir / "multinotch_summary.csv"
-        summary_path.parent.mkdir(parents=True, exist_ok=True)
-        summary_path.write_text("\n".join(lines) + "\n")
+    lines = [
+        f"# suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
+        f"# center_rad={float(scenario.interferer_angle_rad)!r}",
+        f"# num_notches={num_notches}",
+        "# edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
+        "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db",
+    ]
+    for e in entries:
+        lines.append(
+            f"{e.epsilon_rad!r},{e.bandwidth_rad!r},{e.band[0]!r},{e.band[1]!r},"
+            f"{e.min_inband_suppression_db!r}"
+        )
+    summary_path = out_dir / "multinotch_summary.csv"
+    summary_path.parent.mkdir(parents=True, exist_ok=True)
+    summary_path.write_text("\n".join(lines) + "\n")
     return MultinotchStudyResult(entries=entries, summary_path=summary_path)
 
 
@@ -582,7 +571,7 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
         rows = read_sweep_table(path)
         if not rows:
             raise ValueError("no data rows")
-        bin_m = float(_read_comment_meta(path).get("range_bin_m", 0.75))
+        bin_m = float(_read_comment_meta(path)["range_bin_m"])
     by_offset: dict = {}
     for ratio, offset, mean, _std, _trials in rows:
         by_offset.setdefault(offset, []).append((ratio, mean))
@@ -654,9 +643,12 @@ def report(out_dir) -> ReportResult:
     """Aggregate study outputs under out_dir into summary.txt.
 
     Zero discovered studies still writes the summary; the CLI maps that
-    to a nonzero exit status.
+    to a nonzero exit status. A path that is not a directory is a
+    ReportError, raised before anything is written.
     """
     out_dir = Path(out_dir)
+    if not out_dir.is_dir():
+        raise ReportError(f"{out_dir}: not a directory")
     checks: list[tuple[str, bool, str]] = []
     artifacts: list[Path] = []
     num_studies = 0
@@ -685,6 +677,5 @@ def report(out_dir) -> ReportResult:
     lines.append("")
     lines.append(f"result: {'pass' if checks and all(c[1] for c in checks) else ('nothing-run' if not checks else 'fail')}")
     path = out_dir / "summary.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return ReportResult(path=path, num_studies=num_studies, checks=checks)

@@ -160,7 +160,6 @@ class TrainingResult:
     config: RisConfig
     loss_history: np.ndarray
     gain_ratio: float
-    network: PeakNetwork
 
 
 @np.errstate(all="ignore")
@@ -213,7 +212,6 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | No
         config=RisConfig(coeffs),
         loss_history=history,
         gain_ratio=float(gain / num_elements),
-        network=net,
     )
 
 

@@ -191,11 +191,11 @@ def test_criterion_6_interference_sweep_trends(default_combined):
     )
 
 
-def test_criterion_7_multinotch_tradeoff():
+def test_criterion_7_multinotch_tradeoff(tmp_path):
     start = time.monotonic()
     scenario = default_scenario()
     result = run_multinotch_study(
-        scenario, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False
+        scenario, tmp_path, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False
     )
     widths = [entry.bandwidth_rad for entry in result.entries]
     depths = [entry.min_inband_suppression_db for entry in result.entries]

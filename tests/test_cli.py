@@ -86,10 +86,11 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
     "name, text, reason",
     [
         ("sweep.csv", SWEEP_HEADER + "\n", "no data rows"),
+        ("sweep.csv", f"# interferer_angle_rad=0.8\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n", "missing key 'range_bin_m'"),
         ("multinotch_summary.csv", f"{SUMMARY_HEADER}\n0.0,wide,0.1,1.1,300.0\n", "could not convert string to float"),
         ("pattern_metrics.txt", "target_angle_deg=72.0\ncombined_db_at_interferer=-80.0\n", "missing key 'combined_argmax_deg'"),
     ],
-    ids=["sweep-without-rows", "summary-non-numeric", "metrics-missing-key"],
+    ids=["sweep-without-rows", "sweep-without-range-bin", "summary-non-numeric", "metrics-missing-key"],
 )
 def test_report_on_unparsable_study_file_exits_two(name, text, reason, tmp_path, capsys):
     (tmp_path / name).write_text(text)
@@ -97,6 +98,13 @@ def test_report_on_unparsable_study_file_exits_two(name, text, reason, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"report error: {tmp_path / name}: {reason}")
     assert err.count("\n") == 1
+
+
+def test_report_on_missing_directory_exits_two_and_creates_nothing(tmp_path, capsys):
+    out = tmp_path / "does" / "not" / "exist"
+    assert main(["report", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"report error: {out}: not a directory\n"
+    assert not (tmp_path / "does").exists()
 
 
 def test_multinotch_command(scenario_file, tmp_path):
@@ -291,6 +299,8 @@ def test_full_study_script_report_error_exits_two(tmp_path):
         ["sweep", "--workers", "0"],
         ["sweep", "--workers", "-3"],
         ["sweep", "--workers", "two"],
+        ["multinotch", "--epsilon", "0,1e-3,0.001"],
+        ["multinotch", "--epsilon", "0,-0"],
     ],
 )
 def test_bad_flag_rejected_at_parsing(argv, tmp_path, capsys):

@@ -31,6 +31,7 @@ from risradar.experiments import (
     suppression_band,
     synthesize_configs,
     trial_seeds,
+    write_sweep_files,
 )
 from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_table
 from risradar.scenario import Scenario, ScenarioError, default_scenario
@@ -88,13 +89,15 @@ def study(tmp_path_factory):
 @pytest.fixture(scope="module")
 def sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    return run_interference_sweep(SMALL, out_dir=out, config=small_combined()), out
+    result = run_interference_sweep(SMALL, small_combined())
+    write_sweep_files(result, out)
+    return result, out
 
 
 @pytest.fixture(scope="module")
 def multi(tmp_path_factory):
     out = tmp_path_factory.mktemp("multinotch")
-    result = run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-3, 1e-2), out_dir=out, include_sweeps=False)
+    result = run_multinotch_study(SMALL, out, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
     return result, out
 
 
@@ -212,19 +215,21 @@ class TestInterferenceSweep:
     def test_worker_count_does_not_change_bytes(self, sweep, tmp_path):
         _, out = sweep
         parallel = tmp_path / "parallel"
-        run_interference_sweep(SMALL, out_dir=parallel, config=small_combined(), workers=2)
+        write_sweep_files(run_interference_sweep(SMALL, small_combined(), workers=2), parallel)
         assert (parallel / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
         assert (parallel / "sweep_records.csv").read_bytes() == (out / "sweep_records.csv").read_bytes()
 
     def test_single_point_under_two_workers_matches_one(self, tmp_path):
         # one point gets no pool at all, so two workers must give the one-worker bytes
         scenario = SMALL.replace(power_ratios_db=(30.0,), angle_offsets_rad=(0.01,))
-        serial = run_interference_sweep(scenario, out_dir=tmp_path / "serial", config=small_combined())
-        pooled = run_interference_sweep(scenario, out_dir=tmp_path / "pooled", config=small_combined(), workers=2)
+        serial = run_interference_sweep(scenario, small_combined())
+        write_sweep_files(serial, tmp_path / "serial")
+        pooled = run_interference_sweep(scenario, small_combined(), workers=2)
+        write_sweep_files(pooled, tmp_path / "pooled")
         assert len(pooled.points) == 1 and pooled.records == serial.records
         assert file_digests(tmp_path / "pooled") == file_digests(tmp_path / "serial")
 
-    def test_pool_gets_no_more_workers_than_points(self, monkeypatch):
+    def test_pool_gets_no_more_workers_than_points(self, monkeypatch, tmp_path):
         # a stand-in pool records its size and maps in this process: nothing is forked
         sizes = []
 
@@ -249,7 +254,7 @@ class TestInterferenceSweep:
         single = SMALL.replace(power_ratios_db=(30.0,), angle_offsets_rad=(0.01,))
         run_interference_sweep(single, config=small_combined(), workers=8)
         assert sizes == [4]  # one point runs serially
-        run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-2), workers=5000)
+        run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-2), workers=5000)
         assert sizes == [4, 8]
 
     # sha256 of sweep.csv and sweep_records.csv, recorded before the trial
@@ -276,7 +281,8 @@ class TestInterferenceSweep:
     )
     def test_sweep_with_range_errors_is_pinned(self, tmp_path, mode, noise_variance, nonzero, table_sha, records_sha):
         scenario = NONZERO.replace(noise_variance=noise_variance)
-        result = run_interference_sweep(scenario, out_dir=tmp_path, config=small_combined(NONZERO), subcarrier_mode=mode)
+        result = run_interference_sweep(scenario, small_combined(NONZERO), subcarrier_mode=mode)
+        write_sweep_files(result, tmp_path)
         assert sum(record[3] != 0.0 for record in result.records) == nonzero
         digests = file_digests(tmp_path)
         assert (digests["sweep.csv"], digests["sweep_records.csv"]) == (table_sha, records_sha)
@@ -358,7 +364,7 @@ class TestMultinotchStudy:
     def test_sweeps_attached_when_requested(self, tmp_path):
         scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
         result = run_multinotch_study(
-            scenario, epsilon_list=(0.0, 1e-2), out_dir=tmp_path, include_sweeps=True
+            scenario, tmp_path, epsilon_list=(0.0, 1e-2), include_sweeps=True
         )
         for entry in result.entries:
             assert entry.sweep is not None
@@ -366,14 +372,14 @@ class TestMultinotchStudy:
         assert (tmp_path / "multinotch_sweep_eps0.0.csv").exists()
 
     def test_no_spacings_writes_an_empty_summary(self, tmp_path):
-        result = run_multinotch_study(SMALL, epsilon_list=(), out_dir=tmp_path, include_sweeps=False)
+        result = run_multinotch_study(SMALL, tmp_path, epsilon_list=(), include_sweeps=False)
         assert result.entries == []
         assert result.summary_path.read_text().splitlines()[-1].startswith("epsilon_rad,")
 
     def test_shared_pool_writes_the_one_worker_bytes(self, tmp_path):
         scenario = SMALL.replace(angle_offsets_rad=(-0.01, 0.0, 0.01))
         for workers in (1, 2):
-            run_multinotch_study(scenario, epsilon_list=(0.0, 1e-2), out_dir=tmp_path / f"w{workers}", workers=workers)
+            run_multinotch_study(scenario, tmp_path / f"w{workers}", epsilon_list=(0.0, 1e-2), workers=workers)
         assert len(file_digests(tmp_path / "w1")) == 7  # summary, 2 patterns, 2 sweep tables, 2 record files
         assert file_digests(tmp_path / "w2") == file_digests(tmp_path / "w1")
 
@@ -487,7 +493,7 @@ class TestSuppressionBand:
         suppression_band(column, scan)
         assert len(calls) <= 200
 
-    def test_spacings_share_one_scan(self, monkeypatch):
+    def test_spacings_share_one_scan(self, monkeypatch, tmp_path):
         # the shared pass builds the 13 blocks once (a scan per spacing built
         # 39), and each spacing rebuilds at most the block of each band edge
         sizes = []
@@ -497,7 +503,7 @@ class TestSuppressionBand:
             return steering(num_elements, thetas, ratios)
 
         monkeypatch.setattr(experiments, "steering", counted)
-        run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
+        run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
         blocks = [size for size in sizes if size in (16384, 200001 - 12 * 16384)]
         assert 13 <= len(blocks) <= 13 + 6
 
@@ -505,10 +511,27 @@ class TestSuppressionBand:
 class TestSynthesizeConfigs:
     def test_combined_has_convolved_length(self):
         bundle = synthesize_configs(SMALL)
-        assert bundle.peak.num_elements == 32
+        assert bundle.training.config.num_elements == 32
         assert bundle.notch.num_elements == 2
         assert bundle.combined.num_elements == 33
         assert np.abs(bundle.combined.coefficients).max() == pytest.approx(1.0, rel=1e-15)
+
+
+class TestHandedInputs:
+    def test_a_study_handed_its_inputs_never_trains(self, monkeypatch, tmp_path):
+        training = experiments.train_peak(SMALL)
+
+        def refuse(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(experiments, "train_peak_network", refuse)
+        with pytest.raises(AssertionError, match="trained"):
+            synthesize_configs(SMALL)
+        scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
+        run_pattern_study(scenario, tmp_path / "pattern", training=training)
+        run_interference_sweep(scenario, synthesize_configs(scenario, training).combined)
+        result = run_multinotch_study(scenario, tmp_path / "multinotch", epsilon_list=(0.0, 1e-2), training=training)
+        assert all(entry.sweep is not None for entry in result.entries)
 
 
 class TestReport:
@@ -530,8 +553,8 @@ class TestReport:
 
     def test_full_small_run_passes(self, tmp_path):
         run_pattern_study(SMALL, tmp_path)
-        run_interference_sweep(SMALL, out_dir=tmp_path, config=small_combined())
-        run_multinotch_study(SMALL, epsilon_list=(0.0, 1e-3, 1e-2), out_dir=tmp_path, include_sweeps=False)
+        write_sweep_files(run_interference_sweep(SMALL, small_combined()), tmp_path)
+        run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
         result = report(tmp_path)
         assert result.num_studies == 3
         assert result.all_passed, result.checks
