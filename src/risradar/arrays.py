@@ -116,8 +116,9 @@ class RisConfig:
 
 
 def _subcarrier_ratios(params: OfdmParams) -> np.ndarray:
-    """f_n / f_c for every subcarrier n."""
-    return np.array([params.wavelength_ratio(n) for n in range(params.num_subcarriers)])
+    """f_n / f_c for every subcarrier n: the IEEE operations of `wavelength_ratio`, over all n at once."""
+    fc = params.carrier_freq_hz
+    return (fc + np.arange(params.num_subcarriers) * params.subcarrier_spacing) / fc
 
 
 def steering(num_elements: int, thetas, ratios=None) -> np.ndarray:

@@ -13,7 +13,8 @@
 Sweep grid points are independent: per-trial seeds derive from
 (master_seed, ratio index, offset index, trial index) through one
 SeedSequence rule, so results do not depend on execution order or the
-number of workers.
+number of workers. The seeds do not depend on the configuration, so a
+point sweeps every configuration of a study on one draw per trial.
 """
 
 from __future__ import annotations
@@ -49,12 +50,14 @@ from .simulation import (
     InterferenceParams,
     NoiseParams,
     TargetParams,
+    TrialDraws,
+    draw_trial,
     estimate_target,
     frame_difference,
+    frame_pair,
     frame_terms,
     range_error_metric,
     rv_map,
-    simulate_frame_pair,
 )
 from .synthesis import (
     TrainingResult,
@@ -211,12 +214,18 @@ def run_trial(
     seeds: tuple[int, int, int, int],
     subcarrier_mode: str = CARRIER_ONLY,
     terms: FrameTerms | None = None,
+    draws: TrialDraws | None = None,
+    keep_draws: bool = False,
 ) -> float:
     """One simulated measurement; returns the absolute range error in meters.
-    A sweep passes the point's prebuilt `terms`; without them the trial builds its own."""
+    A sweep passes the point's prebuilt `terms` and the trial's `draws`, and
+    keeps the draws for the point's next configuration with `keep_draws`;
+    without them the trial builds and draws its own from `seeds`."""
     if terms is None:
         terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
-    frames = simulate_frame_pair(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
+    if draws is None:
+        draws = draw_trial(terms, seeds[:2], seeds[2:])
+    frames = frame_pair(terms, draws, consume=not keep_draws)
     grid = frame_difference(*frames, out=frames[0])
     # Dropping frame b before the transform keeps a trial's heap peak below
     # glibc's trim threshold, so the map-sized arrays reuse freed memory
@@ -226,33 +235,44 @@ def run_trial(
     return range_error_metric(scenario.target_range_m, estimate.range_m)
 
 
-def _sweep_point(args) -> tuple[SweepPoint, list[tuple[int, float, float, float]]]:
-    scenario, config, ratio_db, ratio_idx, offset_rad, offset_idx, mode = args
-    terms = _point_terms(scenario, config, ratio_db, offset_rad, mode)
-    errors = np.empty(scenario.trials)
-    records = []
+def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, float]]]]:
+    """Every configuration's statistics and records at one grid point. Each
+    trial draws once for all configurations; the last one takes the draws
+    over, so a one-configuration sweep allocates no copy of them."""
+    scenario, configs, ratio_db, ratio_idx, offset_rad, offset_idx, mode = args
+    point_terms = [_point_terms(scenario, config, ratio_db, offset_rad, mode) for config in configs]
+    errors = np.empty((len(configs), scenario.trials))
+    radar_seeds = []
     for trial in range(scenario.trials):
         seeds = trial_seeds(scenario.master_seed, ratio_idx, offset_idx, trial)
-        errors[trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode, terms)
-        records.append(
-            (seeds[0], float(ratio_db), float(scenario.interferer_angle_rad + offset_rad), float(errors[trial]))
+        draws = draw_trial(point_terms[0], seeds[:2], seeds[2:])
+        for k, (config, terms) in enumerate(zip(configs, point_terms)):
+            keep = k < len(configs) - 1
+            errors[k, trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode, terms, draws, keep)
+        radar_seeds.append(seeds[0])
+    angle = float(scenario.interferer_angle_rad + offset_rad)
+    outcomes = []
+    for config_errors in errors:
+        point = SweepPoint(
+            power_ratio_db=float(ratio_db),
+            angle_offset_rad=float(offset_rad),
+            mean_range_error_m=float(np.mean(config_errors)),
+            std_range_error_m=float(np.std(config_errors, ddof=1)) if scenario.trials > 1 else 0.0,
+            trials=scenario.trials,
         )
-    std = float(np.std(errors, ddof=1)) if scenario.trials > 1 else 0.0
-    point = SweepPoint(
-        power_ratio_db=float(ratio_db),
-        angle_offset_rad=float(offset_rad),
-        mean_range_error_m=float(np.mean(errors)),
-        std_range_error_m=std,
-        trials=scenario.trials,
-    )
-    return point, records
+        records = [(seed, float(ratio_db), angle, float(error)) for seed, error in zip(radar_seeds, config_errors)]
+        outcomes.append((point, records))
+    return outcomes
 
 
-def _sweep_tasks(scenario: Scenario, config: RisConfig, subcarrier_mode: str) -> list[tuple]:
+def _sweep_tasks(scenario: Scenario, configs: tuple[RisConfig, ...], subcarrier_mode: str) -> list[tuple]:
+    """One task per (ratio, offset) point, carrying every configuration swept there."""
+    if not configs:
+        return []
     ratios = sorted(scenario.power_ratios_db)
     offsets = sorted(scenario.angle_offsets_rad)
     return [
-        (scenario, config, ratio, i, offset, j, subcarrier_mode)
+        (scenario, configs, ratio, i, offset, j, subcarrier_mode)
         for i, ratio in enumerate(ratios)
         for j, offset in enumerate(offsets)
     ]
@@ -270,13 +290,18 @@ def _map_points(tasks: list[tuple], workers: int) -> list:
         return list(pool.map(_sweep_point, tasks, chunksize=chunksize))
 
 
-def _sweep_result(scenario: Scenario, outcomes: list) -> SweepResult:
-    return SweepResult(
-        points=[point for point, _ in outcomes],
-        records=[record for _, point_records in outcomes for record in point_records],
-        interferer_angle_rad=scenario.interferer_angle_rad,
-        range_bin_m=scenario.ofdm_params().range_bin_size,
-    )
+def _sweep_results(scenario: Scenario, configs, subcarrier_mode: str, workers: int) -> list[SweepResult]:
+    """One `SweepResult` per configuration, all swept on one pass over the grid points."""
+    outcomes = _map_points(_sweep_tasks(scenario, tuple(configs), subcarrier_mode), workers)
+    return [
+        SweepResult(
+            points=[point_outcomes[k][0] for point_outcomes in outcomes],
+            records=[record for point_outcomes in outcomes for record in point_outcomes[k][1]],
+            interferer_angle_rad=scenario.interferer_angle_rad,
+            range_bin_m=scenario.ofdm_params().range_bin_size,
+        )
+        for k in range(len(configs))
+    ]
 
 
 def run_interference_sweep(
@@ -289,7 +314,7 @@ def run_interference_sweep(
     by (ratio, offset) and identical for any worker count;
     `write_sweep_files` writes them.
     """
-    return _sweep_result(scenario, _map_points(_sweep_tasks(scenario, config, subcarrier_mode), workers))
+    return _sweep_results(scenario, (config,), subcarrier_mode, workers)[0]
 
 
 def write_sweep_files(result: SweepResult, out_dir: Path, stem: str = "sweep") -> tuple[Path, Path]:
@@ -450,13 +475,10 @@ def run_multinotch_study(
     notches = [multi_notch(scenario.notch_spec(num_notches, epsilon)) for epsilon in epsilon_list]
     sweeps = [None] * len(notches)
     if include_sweeps:
-        # one pool for every spacing's points, forked before the scans leave freed heap behind
-        tasks = [
-            _sweep_tasks(scenario, normalize_coefficients(combine_convolve(training.config, notch)), subcarrier_mode)
-            for notch in notches
-        ]
-        outcomes = iter(_map_points([task for spacing in tasks for task in spacing], workers))
-        sweeps = [_sweep_result(scenario, [next(outcomes) for _ in spacing]) for spacing in tasks]
+        # every spacing is swept at each point on the same draws, in one pool
+        # forked before the scans leave freed heap behind
+        combined = [normalize_coefficients(combine_convolve(training.config, notch)) for notch in notches]
+        sweeps = _sweep_results(scenario, combined, subcarrier_mode, workers)
     scans = _carrier_scans([notch.coefficients for notch in notches], scenario.interferer_angle_rad)
     patterns = power_patterns(notches, params, grid_rad, subcarrier_mode)
     entries = []

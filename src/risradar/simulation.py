@@ -10,12 +10,15 @@ noise:
            + z[n,m]
 
 where g = amplitude * (c^T b_n(angle)) makes the array gain explicit.
-What no symbol or noise draw changes is built once by `frame_terms`;
-`simulate_received` (one frame) and `simulate_frame_pair` (the frames of
-c and -c) read those terms and take every seed explicitly. A frame pair
-builds the path once and negates it for the -c frame: negation is exact
-in IEEE arithmetic, so -path equals the path simulated with the
-configuration -c bit for bit.
+What no symbol or noise draw changes is built once by `frame_terms`.
+A trial's draws (the symbol ratio d_i/d_r and the noise of both frames)
+come from `draw_trial` and do not depend on the configuration, so
+`frame_pair` can build the frames of several configurations from one
+draw. `simulate_received` (one frame) and `simulate_frame_pair` (the
+frames of c and -c) draw and build in one call and take every seed
+explicitly. A frame pair builds the path once and negates it for the -c
+frame: negation is exact in IEEE arithmetic, so -path equals the path
+simulated with the configuration -c bit for bit.
 Range/velocity are read off a zero-padded 2-D transform of the grid.
 """
 
@@ -129,47 +132,95 @@ def frame_terms(
     return replace(terms, gain_i=gain_i, ramp_i=ramp(interference.delay_s, interference.doppler_scale))
 
 
-def _path(terms: FrameTerms, symbol_seeds: tuple[int, int]) -> np.ndarray:
-    """Noise-free array path target + (g_i * d_i/d_r) * ramp_i, the radar and
-    interferer symbols d_r, d_i drawn from `symbol_seeds` (unused without an interferer)."""
-    if terms.gain_i is None:
-        return terms.target
-    radar, interferer = (generate_symbols(terms.params, seed) for seed in symbol_seeds)
-    return terms.target + (terms.gain_i * (interferer / radar)) * terms.ramp_i
+@dataclass
+class TrialDraws:
+    """One trial's random draws, which every configuration at a sweep point
+    shares: the symbol ratio d_i/d_r (None without an interferer) and one
+    complex noise grid per frame (None at zero variance). A consuming
+    `frame_pair` writes its frames into the noise grids and empties the draws."""
+
+    ratio: np.ndarray | None
+    noise: tuple
 
 
-def _noisy(path: np.ndarray, variance: float, seed: int, negate: bool = False) -> np.ndarray:
-    """path (-path if negate) plus circular complex Gaussian noise, with no
-    complex temporary: the normal draws are scaled into the real and
-    imaginary parts, then the path is added (subtracted) in place. IEEE
-    addition commutes and x - y equals x + (-y), so the bits are those of
-    path + noise (-path + noise)."""
+def _symbol_ratio(params: OfdmParams, symbol_seeds: tuple[int, int]) -> np.ndarray:
+    """d_i/d_r; both symbol grids are freed on return, before any noise is drawn."""
+    radar, interferer = (generate_symbols(params, seed) for seed in symbol_seeds)
+    return interferer / radar
+
+
+def _noise(shape: tuple[int, int], variance: float, seed: int) -> np.ndarray | None:
+    """Circular complex Gaussian noise with no complex temporary: the normal
+    draws are scaled straight into the real and imaginary parts."""
     if variance == 0.0:
-        return -path if negate else path.copy()
+        return None
     rng = np.random.default_rng(seed)
     scale = np.sqrt(variance / 2.0)
-    out = np.empty(path.shape, dtype=complex)
-    np.multiply(rng.standard_normal(path.shape), scale, out=out.real)
-    np.multiply(rng.standard_normal(path.shape), scale, out=out.imag)
-    return np.subtract(out, path, out=out) if negate else np.add(out, path, out=out)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(rng.standard_normal(shape), scale, out=out.real)
+    np.multiply(rng.standard_normal(shape), scale, out=out.imag)
+    return out
+
+
+def draw_trial(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, ...]) -> TrialDraws:
+    """The radar and interferer symbols from the (radar, interferer)
+    `symbol_seeds` (not drawn without an interferer), reduced to their ratio,
+    and one noise grid from each of `noise_seeds`. Only the terms' grid size,
+    interferer and noise variance matter, so the draws serve every
+    configuration whose terms share those."""
+    ratio = None if terms.gain_i is None else _symbol_ratio(terms.params, symbol_seeds)
+    shape = terms.target.shape
+    return TrialDraws(ratio, tuple(_noise(shape, terms.noise_variance, seed) for seed in noise_seeds))
+
+
+def _path(terms: FrameTerms, ratio: np.ndarray | None) -> np.ndarray:
+    """Noise-free array path target + (g_i * d_i/d_r) * ramp_i, built in one
+    buffer: IEEE addition commutes, so adding the target last in place gives
+    the same bits, and the drawn noise grids get no second temporary beside them."""
+    if ratio is None:
+        return terms.target
+    path = terms.gain_i * ratio
+    path *= terms.ramp_i
+    path += terms.target
+    return path
+
+
+def _frame(path: np.ndarray, noise: np.ndarray | None, negate: bool = False, into: bool = False) -> np.ndarray:
+    """path (-path if negate) plus the drawn noise, written into the noise
+    grid when `into`. IEEE addition commutes and x - y equals x + (-y), so
+    the bits are those of path + noise (-path + noise)."""
+    if noise is None:
+        return -path if negate else path.copy()
+    out = noise if into else None
+    return np.subtract(noise, path, out=out) if negate else np.add(noise, path, out=out)
+
+
+def frame_pair(terms: FrameTerms, draws: TrialDraws, consume: bool = False) -> tuple:
+    """Frames a and b of the sign-flipped configurations c and -c from one
+    trial's draws, frame a with the first noise grid, frame b with the second.
+    The path is computed once. Without `consume` the frames are fresh arrays
+    and the draws serve the next configuration; with it the frames take over
+    the noise grids and the draws are emptied, so nothing else holds them."""
+    path = _path(terms, draws.ratio)
+    noise_a, noise_b = draws.noise
+    if consume:
+        draws.ratio = draws.noise = None
+    return _frame(path, noise_a, into=consume), _frame(path, noise_b, negate=True, into=consume)
 
 
 def simulate_received(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seed: int) -> np.ndarray:
     """One symbol-divided received grid: the path drawn from the (radar,
     interferer) `symbol_seeds` plus noise drawn from `noise_seed`."""
-    return _noisy(_path(terms, symbol_seeds), terms.noise_variance, noise_seed)
+    draws = draw_trial(terms, symbol_seeds, (noise_seed,))
+    return _frame(_path(terms, draws.ratio), draws.noise[0], into=True)
 
 
 def simulate_frame_pair(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, int]) -> tuple:
     """Frames a and b of the sign-flipped configurations c and -c: both share
-    the symbol streams, each draws its own noise. The path is computed once;
-    frame a is simulate_received(terms, symbol_seeds, noise_seeds[0]), frame b
-    that call on the terms of -c with noise_seeds[1], bit for bit."""
-    path = _path(terms, symbol_seeds)
-    return (
-        _noisy(path, terms.noise_variance, noise_seeds[0]),
-        _noisy(path, terms.noise_variance, noise_seeds[1], negate=True),
-    )
+    the symbol streams, each draws its own noise. Frame a is
+    simulate_received(terms, symbol_seeds, noise_seeds[0]), frame b that call
+    on the terms of -c with noise_seeds[1], bit for bit."""
+    return frame_pair(terms, draw_trial(terms, symbol_seeds, noise_seeds), consume=True)
 
 
 def frame_difference(y_a: np.ndarray, y_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

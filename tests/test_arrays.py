@@ -17,7 +17,7 @@ from risradar import (
     power_pattern,
     steering,
 )
-from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT
+from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT, _subcarrier_ratios
 
 
 def brute_force_steering(num_elements, params, n, theta):
@@ -61,6 +61,12 @@ class TestOfdmParams:
         f_n = 77e9 + n * 2e6
         assert params.subcarrier_freq(n) == f_n
         assert params.wavelength_ratio(n) == f_n / 77e9
+
+    @pytest.mark.parametrize("num_subcarriers", [1, 7, 32, 100, 4096])
+    def test_all_ratios_are_the_per_subcarrier_bits(self, num_subcarriers):
+        params = OfdmParams(77e9, 200e6, num_subcarriers, 8)
+        loop = np.array([params.wavelength_ratio(n) for n in range(num_subcarriers)])
+        assert _subcarrier_ratios(params).tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",

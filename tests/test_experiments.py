@@ -20,7 +20,7 @@ from risradar import (
     simulate_frame_pair,
     steering,
 )
-from risradar import arrays, experiments
+from risradar import RisConfig, arrays, experiments, simulation
 from risradar.experiments import (
     SUPPRESSION_THRESHOLD_DB,
     min_inband_suppression_db,
@@ -35,6 +35,7 @@ from risradar.experiments import (
 )
 from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_table
 from risradar.scenario import Scenario, ScenarioError, default_scenario
+from risradar.synthesis import TrainingResult
 
 SMALL = Scenario(
     num_subcarriers=32,
@@ -255,7 +256,7 @@ class TestInterferenceSweep:
         run_interference_sweep(single, config=small_combined(), workers=8)
         assert sizes == [4]  # one point runs serially
         run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-2), workers=5000)
-        assert sizes == [4, 8]
+        assert sizes == [4, 4]  # one task per point carries both spacings
 
     # sha256 of sweep.csv and sweep_records.csv, recorded before the trial
     # was split into per-point and per-trial work
@@ -382,6 +383,93 @@ class TestMultinotchStudy:
             run_multinotch_study(scenario, tmp_path / f"w{workers}", epsilon_list=(0.0, 1e-2), workers=workers)
         assert len(file_digests(tmp_path / "w1")) == 7  # summary, 2 patterns, 2 sweep tables, 2 record files
         assert file_digests(tmp_path / "w2") == file_digests(tmp_path / "w1")
+
+
+def analytic_training(scenario):
+    """A TrainingResult holding the analytic peak, so a study runs without training."""
+    peak = analytic_peak(scenario.target_angle_rad, scenario.num_peak_elements)
+    return TrainingResult(peak, np.zeros(0), 1.0)
+
+
+class TestSharedSweepPoint:
+    """Every configuration swept at a grid point shares each trial's draws."""
+
+    # sha256 of the multi-notch sweep files on NONZERO (noise 5.0), recorded
+    # before the spacings shared their draws
+    SPACINGS = (0.0, 0.05, 0.1)
+    SWEEPS = {
+        "carrier": {
+            "multinotch_sweep_eps0.0.csv": "ba820e5ba85778ef4169cdc5a4f049eb08856c60a5d4bd7513fb5d48f7096291",
+            "multinotch_sweep_eps0.0_records.csv": "69098a34d3973f41080dff591aad45eb7ffb5b18fccd1278c09e13685fd6ce69",
+            "multinotch_sweep_eps0.05.csv": "335e6eef0f5fc84c2312ddf01271bb5f23f7ef95b41151e362cb0d2322d35f1f",
+            "multinotch_sweep_eps0.05_records.csv": "1632841e4bc0c89ab95d025ed2d599da5b47fef3f0288ec3476a3be252fef8dd",
+            "multinotch_sweep_eps0.1.csv": "37e9cd3f4d60f893b3d8a5960b85ec301cae5c63e2d18f02cf699046f2e07d13",
+            "multinotch_sweep_eps0.1_records.csv": "5b1f24a5571ca2c819e25113dda448cfe9c7ac17f60aaf44d42d0d4359402b25",
+        },
+        "all": {
+            "multinotch_sweep_eps0.0.csv": "2bf51eba7c0769685e56a039990ba6def3c404f60a9f2da96247d55a59151f57",
+            "multinotch_sweep_eps0.0_records.csv": "c31ccbdbf807829b7c24a68ffecff760031734ef624f238c1a5fdc2578632281",
+            "multinotch_sweep_eps0.05.csv": "6e92beb6ab40e9cefbd0aff4dce53d87258832db46408be9185b6f0895bb7440",
+            "multinotch_sweep_eps0.05_records.csv": "2495fd7e351845da550e785df9a157c93a1200fde68d79e07897efb082ec3cfd",
+            "multinotch_sweep_eps0.1.csv": "3e2d29caa9e4215e8e4b11ad1ec9c18222dad28b73331f10a3c6815951fb13a6",
+            "multinotch_sweep_eps0.1_records.csv": "5223bb6a3c4617f4da5bead4a60c505142c177803b6f0eeedf8b00a9e44b0554",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", sorted(SWEEPS))
+    def test_multinotch_sweeps_with_range_errors_are_pinned(self, mode, tmp_path):
+        scenario = NONZERO.replace(noise_variance=5.0)
+        result = run_multinotch_study(
+            scenario, tmp_path, self.SPACINGS, subcarrier_mode=mode, training=analytic_training(scenario)
+        )
+        assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == 81
+        tables = [(tmp_path / f"multinotch_sweep_eps{eps!r}.csv").read_bytes() for eps in self.SPACINGS]
+        assert len(set(tables)) == len(self.SPACINGS)
+        digests = file_digests(tmp_path)
+        assert {name: digests[name] for name in self.SWEEPS[mode]} == self.SWEEPS[mode]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        configs=st.lists(
+            st.lists(
+                st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False), min_size=2, max_size=6
+            ).filter(lambda c: max(abs(v) for v in c) > 1e-3),
+            min_size=1,
+            max_size=3,
+        ),
+        mode=st.sampled_from(["carrier", "all"]),
+        noise_variance=st.sampled_from([0.0, 0.5, 5.0]),
+        doppler=st.booleans(),
+    )
+    def test_shared_point_equals_separate_sweeps(self, configs, mode, noise_variance, doppler):
+        scenario = NONZERO.replace(
+            power_ratios_db=(0.0, 20.0),
+            angle_offsets_rad=(-0.2, 0.1),
+            trials=2,
+            noise_variance=noise_variance,
+            target_velocity_mps=3.0 if doppler else 0.0,
+            interferer_doppler_scale=2e-8 if doppler else 0.0,
+        )
+        configs = [RisConfig(np.array(c)) for c in configs]
+        shared = experiments._sweep_results(scenario, configs, mode, workers=1)
+        for config, result in zip(configs, shared, strict=True):
+            alone = run_interference_sweep(scenario, config, subcarrier_mode=mode)
+            assert result.records == alone.records
+            assert result.points == alone.points
+
+    def test_each_trial_draws_once_for_every_spacing(self, monkeypatch, tmp_path):
+        draws = []
+
+        def counting(params, seed):
+            draws.append(seed)
+            return real_generate_symbols(params, seed)
+
+        real_generate_symbols = simulation.generate_symbols
+        monkeypatch.setattr(simulation, "generate_symbols", counting)
+        spacings, points, trials = (0.0, 1e-3, 1e-2), 4, SMALL.trials
+        result = run_multinotch_study(SMALL, tmp_path, spacings, training=analytic_training(SMALL))
+        assert [len(e.sweep.records) for e in result.entries] == [points * trials] * len(spacings)
+        assert len(draws) == 2 * points * trials  # not 2 * spacings * points * trials
 
 
 def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):
