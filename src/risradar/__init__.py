@@ -1,95 +1,8 @@
-"""RIS-assisted OFDM radar interference mitigation toolkit."""
+"""RIS-assisted OFDM radar interference mitigation toolkit.
 
-from .arrays import (
-    ALL_SUBCARRIERS,
-    CARRIER_ONLY,
-    SPEED_OF_LIGHT,
-    OfdmParams,
-    RisConfig,
-    angle_grid,
-    angle_grid_deg,
-    normalize_pattern_db,
-    power_pattern,
-    power_patterns,
-    steering,
-)
-from .scenario import Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
-from .simulation import (
-    FrameTerms,
-    InterferenceParams,
-    NoiseParams,
-    PeakEstimate,
-    RvMap,
-    TargetParams,
-    estimate_target,
-    frame_difference,
-    frame_terms,
-    generate_symbols,
-    range_error_metric,
-    rv_map,
-    simulate_frame_pair,
-    simulate_received,
-)
-from .synthesis import (
-    NotchSpec,
-    PeakNetSpec,
-    PeakNetwork,
-    SinrReport,
-    TrainingDivergedError,
-    TrainingResult,
-    analytic_peak,
-    combine_convolve,
-    multi_notch,
-    normalize_coefficients,
-    notch_config,
-    sinr,
-    train_peak_network,
-)
-
-__all__ = [
-    "ALL_SUBCARRIERS",
-    "CARRIER_ONLY",
-    "FrameTerms",
-    "InterferenceParams",
-    "NoiseParams",
-    "NotchSpec",
-    "OfdmParams",
-    "PeakEstimate",
-    "PeakNetSpec",
-    "PeakNetwork",
-    "RisConfig",
-    "RvMap",
-    "SPEED_OF_LIGHT",
-    "Scenario",
-    "ScenarioError",
-    "SinrReport",
-    "TargetParams",
-    "TrainingDivergedError",
-    "TrainingResult",
-    "analytic_peak",
-    "angle_grid",
-    "angle_grid_deg",
-    "combine_convolve",
-    "default_scenario",
-    "estimate_target",
-    "frame_difference",
-    "frame_terms",
-    "generate_symbols",
-    "load_scenario",
-    "multi_notch",
-    "normalize_coefficients",
-    "normalize_pattern_db",
-    "notch_config",
-    "parse_scenario",
-    "power_pattern",
-    "power_patterns",
-    "range_error_metric",
-    "rv_map",
-    "simulate_frame_pair",
-    "simulate_received",
-    "sinr",
-    "steering",
-    "train_peak_network",
-]
+Names are imported from their module (`risradar.arrays.steering`,
+`risradar.experiments.run_interference_sweep`); the package root
+re-exports nothing.
+"""
 
 __version__ = "0.1.0"

@@ -117,13 +117,16 @@ def _load(args, overrides: dict | None = None) -> tuple:
     if overrides:
         scenario = scenario.replace(**overrides)
     out_dir = Path(args.out) if args.out is not None else Path(scenario.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "scenario_used.txt").write_text(scenario.to_text())
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "scenario_used.txt").write_text(scenario.to_text())
+    except OSError as exc:
+        raise ScenarioError(f"output directory {out_dir}: {exc.strerror or exc}") from None
     return scenario, out_dir
 
 
 def _exit_status(run, *args) -> int:
-    """run(*args); a bad scenario or study file exits 2, divergence 3, each with one stderr line."""
+    """run(*args); a bad scenario, output directory or study file exits 2, divergence 3, each with one stderr line."""
     try:
         return run(*args)
     except ScenarioError as exc:

@@ -56,7 +56,6 @@ from .simulation import (
     frame_difference,
     frame_pair,
     frame_terms,
-    range_error_metric,
     rv_map,
 )
 from .synthesis import (
@@ -232,7 +231,7 @@ def run_trial(
     # instead of faulting in fresh pages on every trial.
     del frames
     estimate = estimate_target(rv_map(grid, terms.params, scenario.pad_range, scenario.pad_velocity))
-    return range_error_metric(scenario.target_range_m, estimate.range_m)
+    return abs(scenario.target_range_m - estimate.range_m)
 
 
 def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, float]]]]:

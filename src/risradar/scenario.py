@@ -225,7 +225,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    return parse_scenario(text)
 
 
 def default_scenario() -> Scenario:

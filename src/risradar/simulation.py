@@ -245,16 +245,6 @@ class RvMap:
     values: np.ndarray
     range_bin_m: float
     velocity_bin_mps: float
-    pad_range: int
-    pad_velocity: int
-
-    @property
-    def num_range_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_velocity_bins(self) -> int:
-        return self.values.shape[1]
 
 
 def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> RvMap:
@@ -286,8 +276,6 @@ def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: 
         values=values,
         range_bin_m=params.range_bin_size / int(pad_range),
         velocity_bin_mps=params.velocity_bin_size / int(pad_velocity),
-        pad_range=int(pad_range),
-        pad_velocity=int(pad_velocity),
     )
 
 
@@ -295,7 +283,6 @@ def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: 
 class PeakEstimate:
     range_m: float
     velocity_mps: float
-    peak_power: float
     exact_bins: tuple[int, int]
 
 
@@ -311,16 +298,11 @@ def estimate_target(rv: RvMap) -> PeakEstimate:
     range_bin, velocity_bin = np.unravel_index(int(np.argmax(magnitude)), magnitude.shape)
     if not np.isfinite(magnitude[range_bin, velocity_bin]):  # argmax picks a NaN's index
         raise ValueError("range-velocity map is not finite")
-    n_vel = rv.num_velocity_bins
+    n_vel = rv.values.shape[1]
     signed_vel_bin = velocity_bin if velocity_bin < (n_vel + 1) // 2 else velocity_bin - n_vel
     return PeakEstimate(
         range_m=float(range_bin * rv.range_bin_m),
         velocity_mps=float(signed_vel_bin * rv.velocity_bin_mps),
-        peak_power=float(magnitude[range_bin, velocity_bin] ** 2),
         exact_bins=(int(range_bin), int(velocity_bin)),
     )
 
-
-def range_error_metric(true_range_m: float, estimated_range_m: float) -> float:
-    """Absolute range estimation error in meters."""
-    return abs(float(true_range_m) - float(estimated_range_m))

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from risradar import OfdmParams
+from risradar.arrays import OfdmParams
 from risradar.scenario import default_scenario
 from risradar.synthesis import train_peak_network
 

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risradar import (
+from risradar.arrays import (
+    ALL_SUBCARRIERS,
+    CARRIER_ONLY,
+    SPEED_OF_LIGHT,
     OfdmParams,
     RisConfig,
+    _subcarrier_ratios,
     angle_grid,
     angle_grid_deg,
     normalize_pattern_db,
     power_pattern,
     steering,
 )
-from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT, _subcarrier_ratios
 
 
 def brute_force_steering(num_elements, params, n, theta):
@@ -175,7 +178,7 @@ class TestPowerPattern:
         assert value[0] == pytest.approx(6**2, rel=1e-12)  # L^2
 
     def test_notch_is_null(self, params):
-        from risradar import notch_config
+        from risradar.synthesis import notch_config
 
         theta_n = 0.9
         value = power_pattern(notch_config(theta_n), params, theta_n, CARRIER_ONLY)
@@ -233,7 +236,7 @@ class TestPowerPattern:
 SLICED_BLOCK_CHECK = """
 import sys
 import numpy as np
-from risradar import OfdmParams, RisConfig, angle_grid, power_pattern, power_patterns, steering
+from risradar.arrays import OfdmParams, RisConfig, angle_grid, power_pattern, power_patterns, steering
 
 params = OfdmParams(77e9, 200e6, num_subcarriers=100, num_symbols=50)
 rng = np.random.default_rng(7)

@@ -223,6 +223,39 @@ def test_sweep_grid_out_of_domain_exits_two_for_every_command(command, key, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario_name, out_name, problem",
+    [
+        ("missing.txt", "o", "{scenario}: No such file or directory"),
+        ("folder", "o", "{scenario}: Is a directory"),
+        ("latin1.txt", "o", "{scenario}: 'utf-8' codec can't decode byte 0xe9"),
+        (None, "plain", "output directory {out}: File exists"),
+        (None, "plain/o", "output directory {out}: Not a directory"),
+    ],
+    ids=["missing-scenario", "directory-scenario", "non-utf8-scenario", "out-is-a-file", "out-under-a-file"],
+)
+def test_unreadable_scenario_or_uncreatable_out_exits_two(scenario_name, out_name, problem, scenario_file, tmp_path):
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1.txt").write_bytes((SMALL_SCENARIO + "# café\n").encode("latin-1"))
+    (tmp_path / "plain").write_text("")
+    scenario = scenario_file if scenario_name is None else tmp_path / scenario_name
+    out = tmp_path / out_name
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "risradar", "train-peak", "--scenario", str(scenario), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("scenario error: " + problem.format(scenario=scenario, out=out))
+    assert run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+    if scenario_name is not None:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["-3", "0", "two"])
 def test_full_study_script_rejects_bad_workers(workers, tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
@@ -252,6 +285,21 @@ def test_full_study_script_scenario_error_exits_two(tmp_path):
     assert run.returncode == 2
     assert run.stdout == ""
     assert run.stderr == "scenario error: line 1: sweep.trials must be a positive integer\n"
+    assert not out.exists()
+
+
+def test_full_study_script_unreadable_scenario_exits_two(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    missing = tmp_path / "missing.txt"
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, str(script), "--quick", "--scenario", str(missing), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"scenario error: {missing}: No such file or directory\n"
     assert not out.exists()
 
 

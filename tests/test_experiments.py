@@ -5,22 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from risradar import (
-    InterferenceParams,
-    NoiseParams,
-    NotchSpec,
-    TargetParams,
-    analytic_peak,
-    combine_convolve,
-    frame_difference,
-    frame_terms,
-    multi_notch,
-    normalize_coefficients,
-    notch_config,
-    simulate_frame_pair,
-    steering,
-)
-from risradar import RisConfig, arrays, experiments, simulation
+from risradar import arrays, experiments, simulation
+from risradar.arrays import RisConfig, steering
 from risradar.experiments import (
     SUPPRESSION_THRESHOLD_DB,
     min_inband_suppression_db,
@@ -35,7 +21,23 @@ from risradar.experiments import (
 )
 from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_table
 from risradar.scenario import Scenario, ScenarioError, default_scenario
-from risradar.synthesis import TrainingResult
+from risradar.simulation import (
+    InterferenceParams,
+    NoiseParams,
+    TargetParams,
+    frame_difference,
+    frame_terms,
+    simulate_frame_pair,
+)
+from risradar.synthesis import (
+    NotchSpec,
+    TrainingResult,
+    analytic_peak,
+    combine_convolve,
+    multi_notch,
+    normalize_coefficients,
+    notch_config,
+)
 
 SMALL = Scenario(
     num_subcarriers=32,
@@ -330,6 +332,22 @@ class TestInterferenceSweep:
                     expected.append(frame_difference(*pair).tobytes())
         assert len(grids) == 12
         assert grids == expected
+
+    @pytest.mark.parametrize("mode", ["carrier", "all"])
+    def test_trial_from_seeds_alone_returns_the_recorded_error(self, mode):
+        """run_trial handed only a trial's seeds builds its own terms and
+        draws; it returns the error the sweep records for that trial, bit for bit."""
+        scenario = NONZERO.replace(power_ratios_db=(0.0, 120.0), angle_offsets_rad=(-0.2, 0.1))
+        config = small_combined(NONZERO)
+        recorded = [record[3] for record in run_interference_sweep(scenario, config, subcarrier_mode=mode).records]
+        errors = [
+            experiments.run_trial(scenario, config, ratio, offset, trial_seeds(scenario.master_seed, i, j, trial), mode)
+            for i, ratio in enumerate(scenario.power_ratios_db)
+            for j, offset in enumerate(scenario.angle_offsets_rad)
+            for trial in range(scenario.trials)
+        ]
+        assert any(error != 0.0 for error in errors)
+        assert np.array(errors).tobytes() == np.array(recorded).tobytes()
 
     def test_rejects_offsets_leaving_domain(self):
         # the scenario itself refuses offsets the sweep could not run

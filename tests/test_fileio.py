@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risradar import RisConfig
+from risradar.arrays import RisConfig
 from risradar.experiments import SweepPoint
 from risradar.fileio import (
     read_config_file,

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risradar import (
+from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, RisConfig, angle_grid, normalize_pattern_db, power_pattern
+from risradar.synthesis import (
     NotchSpec,
-    RisConfig,
     analytic_peak,
-    angle_grid,
     combine_convolve,
     multi_notch,
     normalize_coefficients,
-    normalize_pattern_db,
     notch_config,
-    power_pattern,
     sinr,
 )
-from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY
 
 
 def carrier_pattern(coeffs, theta):

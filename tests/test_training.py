@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from risradar import RisConfig, steering
+from risradar.arrays import RisConfig, steering
 from risradar.scenario import default_scenario
 from risradar.synthesis import (
     PeakNetSpec,
