@@ -7,6 +7,7 @@ Needs matplotlib; everything else in the package runs without it.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,10 @@ try:
 except ImportError:
     raise SystemExit("matplotlib is required for plotting (pip install matplotlib)")
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from risradar.fileio import read_pattern_table  # noqa: E402
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -28,9 +33,7 @@ def main() -> int:
     args = parser.parse_args()
 
     for path in args.patterns:
-        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        angles = np.array([float(r[0]) for r in rows])
-        power = np.array([float(r[1]) for r in rows])
+        angles, power = read_pattern_table(path)
         fig, ax = plt.subplots(figsize=(6, 3.5))
         ax.plot(angles, np.maximum(power, args.floor))
         ax.set_xlabel("angle (deg)")

@@ -18,7 +18,7 @@ from .experiments import (
     train_peak,
     write_sweep_files,
 )
-from .fileio import write_config_file, write_loss_history
+from .fileio import write_config_file, write_lines, write_loss_history
 from .scenario import ScenarioError, default_scenario, load_scenario
 from .synthesis import TrainingDivergedError
 
@@ -30,26 +30,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _grid_points(text: str) -> int:
-    """--grid value: an angle grid needs at least two points."""
-    try:
-        points = int(text)
-    except ValueError:
-        points = 0
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
-    return points
+def _integer_at_least(minimum: int):
+    """An argparse type for an integer no smaller than `minimum`."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
 
-def _worker_count(text: str) -> int:
-    """--workers value: at least one process."""
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return workers
+    return parse
 
 
 def _spacings(text: str) -> list[float]:
@@ -71,7 +64,7 @@ def _common_flags(parser: argparse.ArgumentParser, seed: bool = True, grid: bool
         parser.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory (overrides scenario output_dir)")
     if grid:
-        parser.add_argument("--grid", type=_grid_points, default=721, help="angle grid points over [0, 180] deg")
+        parser.add_argument("--grid", type=_integer_at_least(2), default=721, help="angle grid points over [0, 180] deg")
     if mode:
         group = parser.add_mutually_exclusive_group()
         group.add_argument(
@@ -96,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="interference power / angle-offset error sweep")
     _common_flags(p_sweep, grid=False)
-    p_sweep.add_argument("--workers", type=_worker_count, default=1, help="parallel workers over sweep grid points")
+    p_sweep.add_argument("--workers", type=_integer_at_least(1), default=1, help="parallel workers over sweep grid points")
 
     p_multi = sub.add_parser("multinotch", help="widened-notch study over a list of spacings")
     _common_flags(p_multi)
-    p_multi.add_argument("--workers", type=_worker_count, default=1)
+    p_multi.add_argument("--workers", type=_integer_at_least(1), default=1)
     p_multi.add_argument("--epsilon", type=_spacings, default="0,1e-3,1e-2", help="comma-separated notch spacings (rad)")
     p_multi.add_argument("--no-sweeps", action="store_true", help="skip the per-spacing error sweeps")
 
@@ -118,15 +111,14 @@ def _load(args, overrides: dict | None = None) -> tuple:
         scenario = scenario.replace(**overrides)
     out_dir = Path(args.out) if args.out is not None else Path(scenario.output_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "scenario_used.txt").write_text(scenario.to_text())
+        write_lines(out_dir / "scenario_used.txt", scenario.to_text().splitlines())
     except OSError as exc:
         raise ScenarioError(f"output directory {out_dir}: {exc.strerror or exc}") from None
     return scenario, out_dir
 
 
 def _exit_status(run, *args) -> int:
-    """run(*args); a bad scenario, output directory or study file exits 2, divergence 3, each with one stderr line."""
+    """run(*args); a bad scenario, output directory, study file or file access exits 2, divergence 3, each with one stderr line."""
     try:
         return run(*args)
     except ScenarioError as exc:
@@ -134,6 +126,11 @@ def _exit_status(run, *args) -> int:
         return 2
     except ReportError as exc:
         print(f"report error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
         print(f"training error: {exc}", file=sys.stderr)
@@ -198,7 +195,7 @@ def study_script(study, quick_overrides: dict) -> int:
     parser = _Parser(description="Run every study end to end and write the summary report.")
     parser.add_argument("--scenario", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("out"))
-    parser.add_argument("--workers", type=_worker_count, default=1)
+    parser.add_argument("--workers", type=_integer_at_least(1), default=1)
     parser.add_argument("--quick", action="store_true", help="scaled-down scenario")
     args = parser.parse_args()
 

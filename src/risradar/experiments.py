@@ -38,8 +38,12 @@ from .arrays import (
 )
 from .fileio import (
     read_keyvals,
+    read_multinotch_summary,
     read_sweep_table,
+    read_table_comments,
     write_keyvals,
+    write_lines,
+    write_multinotch_summary,
     write_pattern_table,
     write_peak_records,
     write_sweep_table,
@@ -498,21 +502,14 @@ def run_multinotch_study(
             write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
         entries.append(entry)
 
-    lines = [
-        f"# suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
-        f"# center_rad={float(scenario.interferer_angle_rad)!r}",
-        f"# num_notches={num_notches}",
-        "# edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
-        "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db",
-    ]
-    for e in entries:
-        lines.append(
-            f"{e.epsilon_rad!r},{e.bandwidth_rad!r},{e.band[0]!r},{e.band[1]!r},"
-            f"{e.min_inband_suppression_db!r}"
-        )
-    summary_path = out_dir / "multinotch_summary.csv"
-    summary_path.parent.mkdir(parents=True, exist_ok=True)
-    summary_path.write_text("\n".join(lines) + "\n")
+    comments = (
+        f"suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
+        f"center_rad={float(scenario.interferer_angle_rad)!r}",
+        f"num_notches={num_notches}",
+        "edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
+    )
+    rows = [(e.epsilon_rad, e.bandwidth_rad, *e.band, e.min_inband_suppression_db) for e in entries]
+    summary_path = write_multinotch_summary(out_dir / "multinotch_summary.csv", rows, comments)
     return MultinotchStudyResult(entries=entries, summary_path=summary_path)
 
 
@@ -542,16 +539,6 @@ def _parsing(path: Path):
     except (KeyError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc).removeprefix(f"{path}: ")
         raise ReportError(f"{path}: {reason}") from None
-
-
-def _read_comment_meta(path: Path) -> dict:
-    meta = {}
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            key, sep, value = line.lstrip("# ").partition("=")
-            if sep:
-                meta[key.strip()] = value.strip()
-    return meta
 
 
 def _check_pattern_study(out_dir: Path, checks: list, artifacts: list) -> bool:
@@ -592,7 +579,7 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
         rows = read_sweep_table(path)
         if not rows:
             raise ValueError("no data rows")
-        bin_m = float(_read_comment_meta(path)["range_bin_m"])
+        bin_m = float(read_table_comments(path)["range_bin_m"])
     by_offset: dict = {}
     for ratio, offset, mean, _std, _trials in rows:
         by_offset.setdefault(offset, []).append((ratio, mean))
@@ -638,9 +625,8 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
         return False
     artifacts.append(path)
     artifacts.extend(sorted(out_dir.glob("multinotch_pattern_eps*.csv")))
-    lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith(("#", "epsilon_rad"))]
     with _parsing(path):
-        rows = sorted((eps, bw, sup) for eps, bw, _lo, _hi, sup in ([float(v) for v in ln.split(",")] for ln in lines))
+        rows = sorted((eps, bw, sup) for eps, bw, _lo, _hi, sup in read_multinotch_summary(path))
     bw_ordered = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
     sup_ordered = all(b[2] < a[2] for a, b in zip(rows, rows[1:]))
     checks.append(
@@ -697,6 +683,5 @@ def report(out_dir) -> ReportResult:
             lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name} ({detail})")
     lines.append("")
     lines.append(f"result: {'pass' if checks and all(c[1] for c in checks) else ('nothing-run' if not checks else 'fail')}")
-    path = out_dir / "summary.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path = write_lines(out_dir / "summary.txt", lines)
     return ReportResult(path=path, num_studies=num_studies, checks=checks)

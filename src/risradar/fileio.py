@@ -1,6 +1,7 @@
 """Plain-text export/import for patterns, configurations, metrics, and sweeps.
 
-All floats are written with repr (shortest round-trip form) so parsing
+Each table is declared once, as its header and the kind of each column.
+Its values are written with repr (shortest round-trip form) so parsing
 an emitted file reproduces the in-memory values exactly, and repeated
 runs produce byte-identical files.
 """
@@ -8,17 +9,32 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .arrays import RisConfig
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+class Table(NamedTuple):
+    header: str
+    kinds: tuple[type, ...]
 
 
-def _write_lines(path, lines) -> Path:
+PEAK_RECORD_HEADER = "seed,power_ratio_db,angle_rad,range_err_m"
+SWEEP_HEADER = "power_ratio_db,angle_offset_rad,mean_range_error_m,std_range_error_m,trials"
+MULTINOTCH_SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
+
+PATTERN_TABLE = Table("angle_deg,power_db", (float, float))
+CONFIG_TABLE = Table("re,im", (float, float))
+PEAK_RECORD_TABLE = Table(PEAK_RECORD_HEADER, (int, float, float, float))
+SWEEP_TABLE = Table(SWEEP_HEADER, (float, float, float, float, int))
+LOSS_TABLE = Table("iteration,loss", (int, float))
+MULTINOTCH_SUMMARY_TABLE = Table(MULTINOTCH_SUMMARY_HEADER, (float, float, float, float, float))
+
+
+def write_lines(path, lines) -> Path:
+    """Write `lines`, each ended by a newline, creating the parent directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
@@ -30,38 +46,66 @@ def _data_lines(path) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
+def _columns(rows, width: int) -> list:
+    """The columns of `rows`; `width` empty columns when there are none."""
+    return list(zip(*rows, strict=True)) or [()] * width
+
+
+def _write_table(path, table: Table, columns, comments=()) -> Path:
+    """`# ` comment lines, the header, then one comma-separated row per record;
+    each column is converted to its kind once, and columns of unequal length are a ValueError."""
+    cells = [np.asarray(column, dtype=kind).tolist() for column, kind in zip(columns, table.kinds, strict=True)]
+    rows = map(",".join, zip(*(map(repr, column) for column in cells), strict=True))
+    return write_lines(path, [*(f"# {c}" for c in comments), table.header, *rows])
+
+
+def _read_table(path, table: Table) -> list[list]:
+    """The typed columns of a `table` file; a wrong header, a row with the wrong
+    number of values or a value of the wrong kind is a ValueError naming the path."""
+    lines = _data_lines(path)
+    if not lines or lines[0] != table.header:
+        raise ValueError(f"{path}: expected the header {table.header}")
+    rows = [line.split(",") for line in lines[1:]]
+    for number, values in enumerate(rows, 1):
+        if len(values) != len(table.kinds):
+            raise ValueError(f"{path}: row {number} has {len(values)} values, expected {len(table.kinds)}")
+    try:
+        return [list(map(kind, column)) for kind, column in zip(table.kinds, _columns(rows, len(table.kinds)))]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_table_comments(path) -> dict:
+    """The `# key=value` comment lines of a table, as strings."""
+    meta = {}
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("#"):
+            key, sep, value = line.lstrip("# ").partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+    return meta
+
+
 def write_pattern_table(path, angles_deg, power_db) -> Path:
-    """Two-column `angle_deg,power_db` table, one row per grid point."""
-    angles_deg = np.asarray(angles_deg, dtype=float)
-    power_db = np.asarray(power_db, dtype=float)
-    if angles_deg.shape != power_db.shape:
-        raise ValueError("angle and power columns must have equal length")
-    lines = ["angle_deg,power_db"]
-    lines += [f"{_fmt(a)},{_fmt(p)}" for a, p in zip(angles_deg, power_db)]
-    return _write_lines(path, lines)
+    """The pattern table: one (angle in degrees, power in dB) row per grid point."""
+    return _write_table(path, PATTERN_TABLE, (angles_deg, power_db))
 
 
 def read_pattern_table(path) -> tuple[np.ndarray, np.ndarray]:
-    lines = _data_lines(path)
-    if not lines or lines[0] != "angle_deg,power_db":
-        raise ValueError(f"{path}: not a pattern table")
-    rows = [ln.split(",") for ln in lines[1:]]
-    angles = np.array([float(r[0]) for r in rows])
-    power = np.array([float(r[1]) for r in rows])
-    return angles, power
+    angles, power = _read_table(path, PATTERN_TABLE)
+    return np.array(angles, dtype=float), np.array(power, dtype=float)
 
 
 def write_config_file(path, config: RisConfig, theta_t: float | None = None, seed: int | None = None) -> Path:
-    """One `re,im` line per element, with a header carrying the element
+    """One (real, imaginary) row per element, under a comment carrying the element
     count, the fixed `slots=1`, and (when known) the trained angle and seed."""
-    header = f"# elements={config.num_elements} slots=1"
+    header = f"elements={config.num_elements} slots=1"
     if theta_t is not None:
-        header += f" theta_t={_fmt(theta_t)}"
+        header += f" theta_t={float(theta_t)!r}"
     if seed is not None:
         header += f" seed={int(seed)}"
-    lines = [header, "re,im"]
-    lines += [f"{_fmt(c.real)},{_fmt(c.imag)}" for c in config.coefficients]
-    return _write_lines(path, lines)
+    coeffs = config.coefficients
+    return _write_table(path, CONFIG_TABLE, (coeffs.real, coeffs.imag), comments=(header,))
 
 
 def read_config_file(path) -> tuple[RisConfig, dict]:
@@ -83,70 +127,43 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
     elements = meta["elements"]
     if meta.get("slots") != "1":
         raise ValueError(f"{path}: expected slots=1, found slots={meta.get('slots')}")
-    rows = [ln for ln in text_lines[1:] if ln and not ln.startswith("#")][1:]  # skip column header
-    if len(rows) != elements:
-        raise ValueError(f"{path}: expected {elements} element rows, found {len(rows)}")
-    coeffs = np.empty(elements, dtype=complex)
-    for l, row in enumerate(rows):
-        vals = [float(v) for v in row.split(",")]
-        if len(vals) != 2:
-            raise ValueError(f"{path}: row {l} has {len(vals)} values, expected 2")
-        coeffs[l] = complex(vals[0], vals[1])
-    return RisConfig(coeffs), meta
-
-
-PEAK_RECORD_HEADER = "seed,power_ratio_db,angle_rad,range_err_m"
+    real, imag = _read_table(path, CONFIG_TABLE)
+    if len(real) != elements:
+        raise ValueError(f"{path}: expected {elements} element rows, found {len(real)}")
+    return RisConfig([complex(re, im) for re, im in zip(real, imag)]), meta
 
 
 def write_peak_records(path, records) -> Path:
-    """Per-trial records: `seed,power_ratio_db,angle_rad,range_err_m`."""
-    lines = [PEAK_RECORD_HEADER]
-    for seed, ratio_db, angle_rad, err_m in records:
-        lines.append(f"{int(seed)},{_fmt(ratio_db)},{_fmt(angle_rad)},{_fmt(err_m)}")
-    return _write_lines(path, lines)
+    """Per-trial records: (radar seed, power ratio, interferer angle, range error) tuples."""
+    return _write_table(path, PEAK_RECORD_TABLE, _columns(records, 4))
 
 
 def read_peak_records(path) -> list[tuple[int, float, float, float]]:
-    lines = _data_lines(path)
-    if not lines or lines[0] != PEAK_RECORD_HEADER:
-        raise ValueError(f"{path}: not a peak record file")
-    out = []
-    for ln in lines[1:]:
-        seed, ratio, angle, err = ln.split(",")
-        out.append((int(seed), float(ratio), float(angle), float(err)))
-    return out
-
-
-SWEEP_HEADER = "power_ratio_db,angle_offset_rad,mean_range_error_m,std_range_error_m,trials"
+    return list(zip(*_read_table(path, PEAK_RECORD_TABLE)))
 
 
 def write_sweep_table(path, points, comments=()) -> Path:
     """Sweep statistics table; comment lines document the estimator choices."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(SWEEP_HEADER)
-    for p in points:
-        lines.append(
-            f"{_fmt(p.power_ratio_db)},{_fmt(p.angle_offset_rad)},"
-            f"{_fmt(p.mean_range_error_m)},{_fmt(p.std_range_error_m)},{int(p.trials)}"
-        )
-    return _write_lines(path, lines)
+    rows = [(p.power_ratio_db, p.angle_offset_rad, p.mean_range_error_m, p.std_range_error_m, p.trials) for p in points]
+    return _write_table(path, SWEEP_TABLE, _columns(rows, 5), comments)
 
 
 def read_sweep_table(path) -> list[tuple[float, float, float, float, int]]:
-    lines = _data_lines(path)
-    if not lines or lines[0] != SWEEP_HEADER:
-        raise ValueError(f"{path}: not a sweep table")
-    out = []
-    for ln in lines[1:]:
-        ratio, offset, mean, std, trials = ln.split(",")
-        out.append((float(ratio), float(offset), float(mean), float(std), int(trials)))
-    return out
+    return list(zip(*_read_table(path, SWEEP_TABLE)))
 
 
 def write_loss_history(path, losses) -> Path:
-    lines = ["iteration,loss"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(np.asarray(losses, dtype=float))]
-    return _write_lines(path, lines)
+    return _write_table(path, LOSS_TABLE, (range(len(losses)), losses))
+
+
+def write_multinotch_summary(path, rows, comments=()) -> Path:
+    """One (spacing, bandwidth, band low, band high, minimum in-band
+    suppression) row per notch spacing."""
+    return _write_table(path, MULTINOTCH_SUMMARY_TABLE, _columns(rows, 5), comments)
+
+
+def read_multinotch_summary(path) -> list[tuple[float, float, float, float, float]]:
+    return list(zip(*_read_table(path, MULTINOTCH_SUMMARY_TABLE)))
 
 
 def write_keyvals(path, pairs: dict, comments=()) -> Path:
@@ -156,8 +173,8 @@ def write_keyvals(path, pairs: dict, comments=()) -> Path:
         if isinstance(value, (bool, int, str)):
             lines.append(f"{key} = {value}")
         else:
-            lines.append(f"{key} = {_fmt(value)}")
-    return _write_lines(path, lines)
+            lines.append(f"{key} = {float(value)!r}")
+    return write_lines(path, lines)
 
 
 def read_keyvals(path) -> dict:

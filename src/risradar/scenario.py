@@ -226,7 +226,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_scenario(text)

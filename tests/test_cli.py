@@ -107,6 +107,31 @@ def test_report_on_missing_directory_exits_two_and_creates_nothing(tmp_path, cap
     assert not (tmp_path / "does").exists()
 
 
+@pytest.mark.parametrize("command, blocked", [("sweep", "sweep.csv"), ("report", "summary.txt")])
+def test_unwritable_output_file_exits_two(command, blocked, scenario_file, tmp_path, capsys):
+    # the name of a file is known only when it is written, so the error comes after the work
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    scenario = ["--scenario", str(scenario_file)] if command == "sweep" else []
+    assert main([command, *scenario, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"file error: {out / blocked}: Is a directory\n"
+    assert "Traceback" not in err
+
+
+def test_full_study_script_unwritable_output_file_exits_two(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    out = tmp_path / "o"
+    (out / "pattern_peak.csv").mkdir(parents=True)
+    run = subprocess.run(
+        [sys.executable, str(script), "--quick", "--out", str(out)], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"file error: {out / 'pattern_peak.csv'}: Is a directory\n"
+    assert "Traceback" not in run.stderr
+    assert not (out / "summary.txt").exists()
+
+
 def test_multinotch_command(scenario_file, tmp_path):
     out = tmp_path / "out"
     code = main(

@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risradar.arrays import RisConfig
 from risradar.experiments import SweepPoint
 from risradar.fileio import (
+    LOSS_TABLE,
+    MULTINOTCH_SUMMARY_HEADER,
+    _read_table,
     read_config_file,
     read_keyvals,
+    read_multinotch_summary,
     read_pattern_table,
     read_peak_records,
     read_sweep_table,
+    read_table_comments,
     write_config_file,
     write_keyvals,
     write_loss_history,
+    write_multinotch_summary,
     write_pattern_table,
     write_peak_records,
     write_sweep_table,
@@ -130,3 +138,114 @@ def test_writes_are_byte_stable(tmp_path):
     a = write_pattern_table(tmp_path / "a.csv", angles, power)
     b = write_pattern_table(tmp_path / "b.csv", angles, power)
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the one table path: every writer and reader shares _write_table/_read_table
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+INTS = st.integers(0, 2**32 - 1)
+
+
+def _pattern(path, rows):
+    write_pattern_table(path, [a for a, _ in rows], [p for _, p in rows])
+    return rows, list(zip(*(column.tolist() for column in read_pattern_table(path))))
+
+
+def _records(path, rows):
+    write_peak_records(path, rows)
+    return rows, read_peak_records(path)
+
+
+def _sweep(path, rows):
+    write_sweep_table(path, [SweepPoint(*row) for row in rows], comments=("range_bin_m=0.75",))
+    return rows, read_sweep_table(path)
+
+
+def _loss(path, rows):
+    losses = [loss for (loss,) in rows]
+    write_loss_history(path, losses)
+    return list(enumerate(losses)), list(zip(*_read_table(path, LOSS_TABLE)))
+
+
+def _config(path, rows):
+    write_config_file(path, RisConfig([complex(re, im) for re, im in rows]), theta_t=0.5, seed=1)
+    back, _ = read_config_file(path)
+    return rows, [(c.real, c.imag) for c in back.coefficients.tolist()]
+
+
+def _summary(path, rows):
+    write_multinotch_summary(path, rows, comments=("num_notches=4",))
+    return rows, read_multinotch_summary(path)
+
+
+ROUND_TRIPS = {
+    "pattern": (_pattern, (float, float), 0),
+    "records": (_records, (int, float, float, float), 0),
+    "sweep": (_sweep, (float, float, float, float, int), 0),
+    "loss": (_loss, (float,), 0),
+    "config": (_config, (float, float), 1),
+    "multinotch-summary": (_summary, (float,) * 5, 0),
+}
+
+
+def _exact(rows):
+    """Rows as reprs, so -0.0 and 0.0 differ and an int never equals a float."""
+    return [[repr(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_writer_round_trips_exactly(name, data, tmp_path_factory):
+    round_trip, kinds, min_rows = ROUND_TRIPS[name]
+    row = st.tuples(*(INTS if kind is int else FLOATS for kind in kinds))
+    rows = data.draw(st.lists(row, min_size=min_rows, max_size=12))
+    written, read = round_trip(tmp_path_factory.mktemp(name) / "table.csv", rows)
+    assert _exact(read) == _exact(written)
+
+
+def _valid_tables(tmp_path):
+    """A valid file for every table reader, with its reader."""
+    return {
+        "pattern": (write_pattern_table(tmp_path / "p.csv", [0.0, 1.0], [-3.0, 0.0]), read_pattern_table),
+        "config": (write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j])), read_config_file),
+        "records": (write_peak_records(tmp_path / "r.csv", [(1, 0.0, 0.5, 0.75), (2, 5.0, 0.5, 0.0)]), read_peak_records),
+        "sweep": (write_sweep_table(tmp_path / "s.csv", [SweepPoint(0.0, 0.0, 0.1, 0.0, 2)] * 2), read_sweep_table),
+        "multinotch-summary": (
+            write_multinotch_summary(tmp_path / "m.csv", [(0.0, 0.1, 0.7, 0.8, 300.0), (0.01, 0.2, 0.6, 0.8, 40.0)]),
+            read_multinotch_summary,
+        ),
+    }
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+@pytest.mark.parametrize("name", ["pattern", "config", "records", "sweep", "multinotch-summary"])
+def test_row_with_wrong_value_count_names_the_path(name, extra, tmp_path):
+    path, read = _valid_tables(tmp_path)[name]
+    lines = path.read_text().splitlines()
+    values = lines[-1].split(",")
+    lines[-1] = ",".join(values + ["1.0"] if extra > 0 else values[:-1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value).startswith(f"{path}: row 2 has {len(values) + extra} values, expected {len(values)}")
+
+
+def test_multinotch_summary_bytes_are_pinned(tmp_path):
+    rows = [(0.0, 0.0027925268031909274, 0.784, 0.7867925268031909, 300.0), (1e-3, -0.0, 5e-324, 1.0, 61.25)]
+    path = write_multinotch_summary(tmp_path / "m.csv", rows, comments=("num_notches=4", "center_rad=0.75"))
+    assert MULTINOTCH_SUMMARY_HEADER == (
+        "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
+    )
+    assert path.read_bytes() == (
+        b"# num_notches=4\n"
+        b"# center_rad=0.75\n"
+        b"epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db\n"
+        b"0.0,0.0027925268031909274,0.784,0.7867925268031909,300.0\n"
+        b"0.001,-0.0,5e-324,1.0,61.25\n"
+    )
+    assert read_table_comments(path) == {"num_notches": "4", "center_rad": "0.75"}

@@ -173,6 +173,14 @@ class TestParsing:
         assert sc.master_seed == 7
         assert sc.output_dir == "results"
 
+    def test_load_ignores_a_byte_order_mark(self, tmp_path):
+        text = b"sweep.trials = 2\nmaster_seed = 7\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_scenario(marked) == load_scenario(plain)
+        assert load_scenario(marked).trials == 2
+
 
 class TestValidation:
     """Each rejected field carries its own diagnostic."""
