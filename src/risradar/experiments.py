@@ -39,8 +39,7 @@ from .arrays import (
 from .fileio import (
     read_keyvals,
     read_multinotch_summary,
-    read_sweep_table,
-    read_table_comments,
+    read_sweep_file,
     write_keyvals,
     write_lines,
     write_multinotch_summary,
@@ -60,7 +59,6 @@ from .simulation import (
     frame_difference,
     frame_pair,
     frame_terms,
-    rv_map,
 )
 from .synthesis import (
     TrainingResult,
@@ -230,11 +228,7 @@ def run_trial(
         draws = draw_trial(terms, seeds[:2], seeds[2:])
     frames = frame_pair(terms, draws, consume=not keep_draws)
     grid = frame_difference(*frames, out=frames[0])
-    # Dropping frame b before the transform keeps a trial's heap peak below
-    # glibc's trim threshold, so the map-sized arrays reuse freed memory
-    # instead of faulting in fresh pages on every trial.
-    del frames
-    estimate = estimate_target(rv_map(grid, terms.params, scenario.pad_range, scenario.pad_velocity))
+    estimate = estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity)
     return abs(scenario.target_range_m - estimate.range_m)
 
 
@@ -576,10 +570,10 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
         return False
     artifacts.append(path)
     with _parsing(path):
-        rows = read_sweep_table(path)
+        rows, comments = read_sweep_file(path)
         if not rows:
             raise ValueError("no data rows")
-        bin_m = float(read_table_comments(path)["range_bin_m"])
+        bin_m = float(comments["range_bin_m"])
     by_offset: dict = {}
     for ratio, offset, mean, _std, _trials in rows:
         by_offset.setdefault(offset, []).append((ratio, mean))

@@ -41,9 +41,24 @@ def write_lines(path, lines) -> Path:
     return path
 
 
-def _data_lines(path) -> list[str]:
-    lines = Path(path).read_text().splitlines()
+def _lines(path) -> list[str]:
+    """The lines of a file, read once; every reader parses from them."""
+    return Path(path).read_text().splitlines()
+
+
+def _data_lines(lines) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
+def _comment_meta(lines) -> dict:
+    """The `# key=value` comment lines, as strings."""
+    meta = {}
+    for line in lines:
+        if line.startswith("#"):
+            key, sep, value = line.lstrip("# ").partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+    return meta
 
 
 def _columns(rows, width: int) -> list:
@@ -59,10 +74,11 @@ def _write_table(path, table: Table, columns, comments=()) -> Path:
     return write_lines(path, [*(f"# {c}" for c in comments), table.header, *rows])
 
 
-def _read_table(path, table: Table) -> list[list]:
-    """The typed columns of a `table` file; a wrong header, a row with the wrong
-    number of values or a value of the wrong kind is a ValueError naming the path."""
-    lines = _data_lines(path)
+def _parse_table(path, lines, table: Table) -> list[list]:
+    """The typed columns of the `table` file `path` whose lines are `lines`; a wrong
+    header, a row with the wrong number of values or a value of the wrong kind is a
+    ValueError naming the path."""
+    lines = _data_lines(lines)
     if not lines or lines[0] != table.header:
         raise ValueError(f"{path}: expected the header {table.header}")
     rows = [line.split(",") for line in lines[1:]]
@@ -75,15 +91,13 @@ def _read_table(path, table: Table) -> list[list]:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_table(path, table: Table) -> list[list]:
+    return _parse_table(path, _lines(path), table)
+
+
 def read_table_comments(path) -> dict:
     """The `# key=value` comment lines of a table, as strings."""
-    meta = {}
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            key, sep, value = line.lstrip("# ").partition("=")
-            if sep:
-                meta[key.strip()] = value.strip()
-    return meta
+    return _comment_meta(_lines(path))
 
 
 def write_pattern_table(path, angles_deg, power_db) -> Path:
@@ -109,11 +123,11 @@ def write_config_file(path, config: RisConfig, theta_t: float | None = None, see
 
 
 def read_config_file(path) -> tuple[RisConfig, dict]:
-    text_lines = Path(path).read_text().splitlines()
-    if not text_lines or not text_lines[0].startswith("#"):
+    lines = _lines(path)
+    if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing configuration header")
     meta: dict = {}
-    for token in text_lines[0].lstrip("#").split():
+    for token in lines[0].lstrip("#").split():
         key, _, value = token.partition("=")
         meta[key] = value
     if "elements" not in meta:
@@ -127,7 +141,7 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
     elements = meta["elements"]
     if meta.get("slots") != "1":
         raise ValueError(f"{path}: expected slots=1, found slots={meta.get('slots')}")
-    real, imag = _read_table(path, CONFIG_TABLE)
+    real, imag = _parse_table(path, lines, CONFIG_TABLE)
     if len(real) != elements:
         raise ValueError(f"{path}: expected {elements} element rows, found {len(real)}")
     return RisConfig([complex(re, im) for re, im in zip(real, imag)]), meta
@@ -148,8 +162,14 @@ def write_sweep_table(path, points, comments=()) -> Path:
     return _write_table(path, SWEEP_TABLE, _columns(rows, 5), comments)
 
 
+def read_sweep_file(path) -> tuple[list[tuple[float, float, float, float, int]], dict]:
+    """A sweep table's rows and its `# key=value` comments, from one read."""
+    lines = _lines(path)
+    return list(zip(*_parse_table(path, lines, SWEEP_TABLE))), _comment_meta(lines)
+
+
 def read_sweep_table(path) -> list[tuple[float, float, float, float, int]]:
-    return list(zip(*_read_table(path, SWEEP_TABLE)))
+    return read_sweep_file(path)[0]
 
 
 def write_loss_history(path, losses) -> Path:
@@ -179,7 +199,7 @@ def write_keyvals(path, pairs: dict, comments=()) -> Path:
 
 def read_keyvals(path) -> dict:
     out: dict = {}
-    for ln in _data_lines(path):
+    for ln in _data_lines(_lines(path)):
         key, _, value = ln.partition("=")
         out[key.strip()] = value.strip()
     return out

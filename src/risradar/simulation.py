@@ -19,11 +19,18 @@ frames of c and -c) draw and build in one call and take every seed
 explicitly. A frame pair builds the path once and negates it for the -c
 frame: negation is exact in IEEE arithmetic, so -path equals the path
 simulated with the configuration -c bit for bit.
-Range/velocity are read off a zero-padded 2-D transform of the grid.
+Range and velocity are read off the peak of the zero-padded 2-D transform
+of the grid, `rv_map`. A sweep trial calls `estimate_target`, which finds
+that peak without building the map: after the range transform it bounds
+each range row's largest map magnitude by the triangle inequality and runs
+the velocity transform only on the rows whose bound can reach the best
+magnitude found. Each transformed row equals that row of `rv_map` bit for
+bit, so the peak is the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -247,6 +254,38 @@ class RvMap:
     velocity_bin_mps: float
 
 
+def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
+    """The range transform of `rv_map`, after the checks on the grid and both
+    padding factors: the inverse DFT along subcarriers of the grid zero-padded
+    to pad_range*N, as an (n_range, M) array whose row r feeds range bin r."""
+    y = np.asarray(y)
+    if y.ndim != 2:
+        raise ValueError("received grid must be 2-D")
+    if int(pad_range) < 1 or int(pad_velocity) < 1:
+        raise ValueError("padding factors must be >= 1")
+    if y.size == 0:
+        raise ValueError("range-velocity map is empty")
+    rows = np.zeros((int(pad_range) * y.shape[0], y.shape[1]), dtype=complex)
+    rows[: y.shape[0]] = y
+    np.fft.ifft(rows, axis=0, out=rows)
+    return rows
+
+
+def _map_rows(rows: np.ndarray, n_range: int, n_vel: int) -> np.ndarray:
+    """The map rows of the given range rows: each zero-padded to n_vel,
+    transformed along the symbols in place and scaled by n_range. A row's
+    bits do not depend on which other rows share the call."""
+    values = np.zeros((rows.shape[0], n_vel), dtype=complex)
+    values[:, : rows.shape[1]] = rows
+    np.fft.fft(values, axis=1, out=values)
+    values *= n_range
+    return values
+
+
+def _bin_sizes(params: OfdmParams, pad_range: int, pad_velocity: int) -> tuple[float, float]:
+    return params.range_bin_size / int(pad_range), params.velocity_bin_size / int(pad_velocity)
+
+
 def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> RvMap:
     """Map a received grid to range-velocity space.
 
@@ -254,29 +293,14 @@ def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: 
     delay kernel exp(+2j*pi*n*df*tau_hat); forward DFT along symbols
     (length pad_velocity*M) matches the Doppler kernel
     exp(-2j*pi*m*T*fc*nu_hat). No windowing, no 1/N normalization: a
-    constant grid transforms to a single peak of magnitude N*M.
+    constant grid transforms to a single peak of magnitude N*M. The
+    sweep does not build this map (see `estimate_target`); it is the
+    reference the peak search is held to.
     """
-    y = np.asarray(y)
-    if y.ndim != 2:
-        raise ValueError("received grid must be 2-D")
-    if int(pad_range) < 1 or int(pad_velocity) < 1:
-        raise ValueError("padding factors must be >= 1")
-    n_sub, n_sym = y.shape
-    n_range = int(pad_range) * n_sub
-    n_vel = int(pad_velocity) * n_sym
-    # One zero-padded map-sized buffer, transformed and scaled in place: a
-    # trial allocates no second map-sized array, which keeps its heap peak
-    # clear of glibc's trim threshold and the page faults that come with it.
-    values = np.zeros((n_range, n_vel), dtype=complex)
-    values[:n_sub, :n_sym] = y
-    np.fft.ifft(values[:, :n_sym], axis=0, out=values[:, :n_sym])
-    np.fft.fft(values, axis=1, out=values)
-    values *= n_range
-    return RvMap(
-        values=values,
-        range_bin_m=params.range_bin_size / int(pad_range),
-        velocity_bin_mps=params.velocity_bin_size / int(pad_velocity),
-    )
+    rows = _range_rows(y, pad_range, pad_velocity)
+    n_range, n_sym = rows.shape
+    range_bin_m, velocity_bin_mps = _bin_sizes(params, pad_range, pad_velocity)
+    return RvMap(_map_rows(rows, n_range, int(pad_velocity) * n_sym), range_bin_m, velocity_bin_mps)
 
 
 @dataclass(frozen=True)
@@ -286,23 +310,70 @@ class PeakEstimate:
     exact_bins: tuple[int, int]
 
 
-def estimate_target(rv: RvMap) -> PeakEstimate:
-    """Maximum-magnitude peak search over the map.
+# A map row's transform errs by about log2(n) * 2**-53 of its bound, so a
+# row whose bound times this stays below the best magnitude cannot tie it.
+_BOUND_MARGIN = 1.0 + 1e-9
+# The transform of a row whose magnitudes sum to a large part of the float
+# maximum can overflow although its cells would not (seen at 0.84 of it), so
+# a row whose bound reaches this is always in the first batch: a skipped row
+# never hides a non-finite cell of the full map.
+_OVERFLOW_RISK = np.finfo(float).max / 4
+# Map cells whose magnitudes are taken at a time. A noise-only search
+# transforms every row, as the full map does; taking all their magnitudes at
+# once put its heap peak (range rows, map rows and magnitudes) at glibc's trim
+# threshold, so every call faulted in fresh pages.
+_BLOCK_CELLS = 16384
 
-    Ties break toward the lowest range bin, then the lowest velocity
-    bin. Velocity bins above the midpoint wrap to negative velocities.
+
+def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int, int]:
+    """(magnitude, range bin, velocity bin) of the first largest |map| cell
+    in row-major order over the chosen (sorted) range rows, which are
+    transformed in one call; a non-finite cell raises ValueError."""
+    values = _map_rows(rows[chosen], n_range, n_vel)
+    peak = (-1.0, 0, 0)
+    step = max(1, _BLOCK_CELLS // n_vel)
+    for start in range(0, chosen.size, step):
+        magnitude = np.abs(values[start : start + step])
+        row, velocity_bin = divmod(int(np.argmax(magnitude)), n_vel)
+        value = float(magnitude[row, velocity_bin])
+        if not math.isfinite(value):  # argmax picks a NaN's index
+            raise ValueError("range-velocity map is not finite")
+        if value > peak[0]:
+            peak = (value, int(chosen[start + row]), velocity_bin)
+    return peak
+
+
+def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> PeakEstimate:
+    """The maximum-magnitude cell of rv_map(y, params, pad_range, pad_velocity),
+    found without building the map.
+
+    Map row r is n_range times the DFT of range row X[r], so none of its
+    cells exceeds n_range * sum_m |X[r, m]| (the triangle inequality). The
+    rows whose bound is at least half the largest are transformed first,
+    then any other row whose bound (times a margin far above FFT rounding)
+    reaches the best magnitude found. Each transformed row is bit for bit
+    that row of the map, so the peak is the map's: ties break toward the
+    lowest range bin, then the lowest velocity bin, and a map holding a
+    non-finite value raises ValueError. Velocity bins above the midpoint
+    wrap to negative velocities.
     """
-    magnitude = np.abs(rv.values)
-    if magnitude.size == 0:
-        raise ValueError("range-velocity map is empty")
-    range_bin, velocity_bin = np.unravel_index(int(np.argmax(magnitude)), magnitude.shape)
-    if not np.isfinite(magnitude[range_bin, velocity_bin]):  # argmax picks a NaN's index
-        raise ValueError("range-velocity map is not finite")
-    n_vel = rv.values.shape[1]
+    rows = _range_rows(y, pad_range, pad_velocity)
+    n_range, n_sym = rows.shape
+    n_vel = int(pad_velocity) * n_sym
+    bounds = n_range * np.abs(rows).sum(axis=1)
+    cut = min(0.5 * bounds.max(), _OVERFLOW_RISK)  # NaN once a bound is NaN: then every row goes first
+    first = ~(bounds < cut)
+    peaks = [_peak_rows(rows, np.flatnonzero(first), n_range, n_vel)]
+    best = peaks[0][0]
+    if best < cut * _BOUND_MARGIN:  # else no row below the cut can reach the best
+        rest = np.flatnonzero(~first & (bounds * _BOUND_MARGIN >= best))
+        if rest.size:
+            peaks.append(_peak_rows(rows, rest, n_range, n_vel))
+    _, range_bin, velocity_bin = min(peaks, key=lambda peak: (-peak[0], peak[1]))
+    range_bin_m, velocity_bin_mps = _bin_sizes(params, pad_range, pad_velocity)
     signed_vel_bin = velocity_bin if velocity_bin < (n_vel + 1) // 2 else velocity_bin - n_vel
     return PeakEstimate(
-        range_m=float(range_bin * rv.range_bin_m),
-        velocity_mps=float(signed_vel_bin * rv.velocity_bin_mps),
-        exact_bins=(int(range_bin), int(velocity_bin)),
+        range_m=float(range_bin * range_bin_m),
+        velocity_mps=float(signed_vel_bin * velocity_bin_mps),
+        exact_bins=(range_bin, velocity_bin),
     )
-

@@ -152,7 +152,7 @@ def test_criterion_5_range_pipeline_exactness(params):
     target = TargetParams(range_m=30.0, angle_rad=1.0)
     grid = simulate_received(frame_terms(params, RisConfig([1.0]), target), (1, 0), 0)
     rv = rv_map(grid, params)
-    estimate = estimate_target(rv)
+    estimate = estimate_target(grid, params)
     error = abs(30.0 - estimate.range_m)
     energy_map = np.sum(np.abs(rv.values) ** 2) / rv.values.size
     parseval_rel = abs(energy_map - np.sum(np.abs(grid) ** 2)) / np.sum(np.abs(grid) ** 2)

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,8 +295,8 @@ class TestInterferenceSweep:
     @pytest.mark.parametrize("velocity_mps, doppler_scale", [(0.0, 0.0), (3.0, 2e-8)])
     @pytest.mark.parametrize("mode", ["carrier", "all"])
     def test_trial_grid_equals_the_scenario_frame_pair(self, monkeypatch, mode, velocity_mps, doppler_scale, noise_variance):
-        """The grid each sweep trial hands to rv_map is the frame difference
-        of a frame pair built here from the same seeds, bit for bit."""
+        """The grid each sweep trial hands to the peak search is the frame
+        difference of a frame pair built here from the same seeds, bit for bit."""
         scenario = NONZERO.replace(
             power_ratios_db=(0.0, 120.0),
             angle_offsets_rad=(-0.2, 0.1),
@@ -308,10 +309,10 @@ class TestInterferenceSweep:
 
         def capture(y, *args):
             grids.append(y.tobytes())
-            return real_rv_map(y, *args)
+            return real_estimate_target(y, *args)
 
-        real_rv_map = experiments.rv_map
-        monkeypatch.setattr(experiments, "rv_map", capture)
+        real_estimate_target = experiments.estimate_target
+        monkeypatch.setattr(experiments, "estimate_target", capture)
         run_interference_sweep(scenario, config=config, subcarrier_mode=mode)
 
         params = scenario.ofdm_params()
@@ -332,6 +333,18 @@ class TestInterferenceSweep:
                     expected.append(frame_difference(*pair).tobytes())
         assert len(grids) == 12
         assert grids == expected
+
+    def test_sweep_never_builds_the_full_map(self, monkeypatch):
+        """A trial finds its peak without `rv_map`; a sweep that fell back
+        to the full map would now fail instead of only running slower."""
+
+        def full_map(*args, **kwargs):
+            raise AssertionError("a sweep trial built the full range-velocity map")
+
+        monkeypatch.setattr(simulation, "rv_map", full_map)
+        result = run_interference_sweep(NONZERO, small_combined(NONZERO))
+        assert len(result.records) == NONZERO.trials * len(NONZERO.power_ratios_db) * len(NONZERO.angle_offsets_rad)
+        assert not hasattr(experiments, "rv_map")
 
     @pytest.mark.parametrize("mode", ["carrier", "all"])
     def test_trial_from_seeds_alone_returns_the_recorded_error(self, mode):
@@ -656,6 +669,21 @@ class TestReport:
         for name in ("pattern_peak.csv", "pattern_notch.csv", "pattern_combined.csv"):
             assert name in text
         assert any("argmax" in name for name, _ok, _d in result.checks)
+
+    def test_each_study_file_is_read_once(self, tmp_path, monkeypatch):
+        result = run_interference_sweep(SMALL, small_combined())
+        write_sweep_files(result, tmp_path)
+        write_sweep_files(result, tmp_path, stem="multinotch_sweep_eps0.0")
+        reads = []
+        real_read_text = Path.read_text
+
+        def record(path, *args, **kwargs):
+            reads.append(path.name)
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", record)
+        assert report(tmp_path).all_passed
+        assert sorted(reads) == ["multinotch_sweep_eps0.0.csv", "sweep.csv"]
 
     def test_full_small_run_passes(self, tmp_path):
         run_pattern_study(SMALL, tmp_path)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,21 @@ def test_pattern_table_header_enforced(tmp_path):
 def test_pattern_table_rejects_mismatched_columns(tmp_path):
     with pytest.raises(ValueError):
         write_pattern_table(tmp_path / "p.csv", [1.0, 2.0], [0.0])
+
+
+def test_config_file_is_read_once(tmp_path, monkeypatch):
+    path = write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j]), theta_t=0.5, seed=2)
+    reads = []
+    real_read_text = Path.read_text
+
+    def record(self, *args, **kwargs):
+        reads.append(self)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", record)
+    config, meta = read_config_file(path)
+    assert reads == [path]
+    assert config.num_elements == 2 and meta["seed"] == 2
 
 
 def test_config_file_round_trip_static(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from risradar import simulation
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT, OfdmParams, RisConfig, steering
 from risradar.simulation import (
     InterferenceParams,
@@ -251,8 +252,9 @@ class TestRvMap:
     def test_target_peak_magnitude_and_location(self, params):
         gain = 0.7
         target = TargetParams(range_m=30.0, angle_rad=1.0, amplitude=gain)
-        rv = rv_map(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
-        estimate = estimate_target(rv)
+        y = simulate_received(single_element_terms(params, target), (1, 0), 0)
+        rv = rv_map(y, params)
+        estimate = estimate_target(y, params)
         assert estimate.exact_bins == (40, 0)
         assert np.abs(rv.values[estimate.exact_bins]) == pytest.approx(5000.0 * gain, rel=1e-9)
 
@@ -314,45 +316,40 @@ class TestRvMap:
         shifted = TargetParams(
             range_m=30.0 + params.range_bin_size, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size
         )
-        bins_base = estimate_target(rv_map(simulate_received(single_element_terms(params, base), (1, 0), 0), params)).exact_bins
-        bins_shift = estimate_target(
-            rv_map(simulate_received(single_element_terms(params, shifted), (1, 0), 0), params)
-        ).exact_bins
-        assert bins_base == (40, 2)
-        assert bins_shift == (41, 2)
+        base_estimate = estimate_target(simulate_received(single_element_terms(params, base), (1, 0), 0), params)
+        shift_estimate = estimate_target(simulate_received(single_element_terms(params, shifted), (1, 0), 0), params)
+        assert base_estimate.exact_bins == (40, 2)
+        assert shift_estimate.exact_bins == (41, 2)
 
 
 class TestEstimateTarget:
     def test_on_grid_target_zero_error(self, params):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        rv = rv_map(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
-        estimate = estimate_target(rv)
+        estimate = estimate_target(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
         assert estimate.range_m == 30.0
         assert abs(30.0 - estimate.range_m) == 0.0
 
-    def test_tie_breaks_to_lowest_bins(self, params):
-        from risradar.simulation import RvMap
-
-        values = np.zeros((6, 6), dtype=complex)
-        values[4, 1] = 2.0
-        values[2, 5] = 2.0
-        rv = RvMap(values=values, range_bin_m=1.0, velocity_bin_mps=1.0)
-        assert estimate_target(rv).exact_bins == (2, 5)
+    def test_tie_breaks_to_lowest_bins(self):
+        # two on-grid tones at map cells (3, 1) and (1, 3): every value is a
+        # power of 1j, so the 4-point transforms are exact and the tie is too
+        small = OfdmParams(77e9, 200e6, num_subcarriers=4, num_symbols=4)
+        n, m = np.ogrid[:4, :4]
+        y = np.array([1, 1j, -1, -1j])[(m * 1 - n * 3) % 4] + np.array([1, 1j, -1, -1j])[(m * 3 - n * 1) % 4]
+        magnitude = np.abs(rv_map(y, small).values)
+        assert magnitude[3, 1] == magnitude[1, 3] == magnitude.max() == 16.0
+        assert estimate_target(y, small).exact_bins == (1, 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
     def test_rejects_non_finite_peak(self, bad):
-        from risradar.simulation import RvMap
-
-        values = np.ones((6, 6), dtype=complex)
-        values[3, 2] = bad
-        rv = RvMap(values=values, range_bin_m=1.0, velocity_bin_mps=1.0)
+        small = OfdmParams(77e9, 200e6, num_subcarriers=6, num_symbols=6)
+        y = np.ones((6, 6), dtype=complex)
+        y[3, 2] = bad
         with pytest.raises(ValueError, match="not finite"):
-            estimate_target(rv)
+            estimate_target(y, small)
 
     def test_negative_velocity_wraps(self, params):
         target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
-        rv = rv_map(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
-        estimate = estimate_target(rv)
+        estimate = estimate_target(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
         assert estimate.velocity_mps == pytest.approx(-params.velocity_bin_size, rel=1e-12)
 
     def test_interference_at_exact_null_angle(self, params):
@@ -362,9 +359,133 @@ class TestEstimateTarget:
         )
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0))
         terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference)
-        estimate = estimate_target(rv_map(simulate_received(terms, (4, 5), 0), params))
+        estimate = estimate_target(simulate_received(terms, (4, 5), 0), params)
         assert estimate.exact_bins == (40, 0)
         assert estimate.range_m == 30.0
+
+
+GRID_KINDS = ("noise", "tone", "chirp", "rounded", "zero", "constant", "one cell", "huge", "non-finite")
+
+
+def search_grid(kind, shape, seed):
+    """A received grid of the given kind, drawn from `seed`."""
+    rng = np.random.default_rng(seed)
+    n_sub, n_sym = shape
+    noise = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "noise":
+        return noise
+    if kind == "tone":  # a dominant tone, on the bin grid or off it
+        on_grid = rng.integers(0, 2)
+        k_range = rng.integers(0, n_sub) + (0.0 if on_grid else rng.uniform())
+        k_vel = rng.integers(0, n_sym) + (0.0 if on_grid else rng.uniform())
+        n, m = np.ogrid[:n_sub, :n_sym]
+        return 0.1 * noise + 5.0 * np.exp(-2j * np.pi * n * k_range / n_sub) * np.exp(2j * np.pi * m * k_vel / n_sym)
+    if kind == "chirp":  # the largest bound on a flat-spectrum chirp row, the peak on a weaker constant row
+        n, m = np.ogrid[:n_sub, :n_sym]
+        k_chirp, k_tone = rng.integers(0, n_sub, size=2)
+        chirp = np.exp(-1j * np.pi * m * (m + n_sym % 2) / n_sym)
+        return 4.0 * np.exp(-2j * np.pi * n * k_chirp / n_sub) * chirp + 1.9 * np.exp(-2j * np.pi * n * k_tone / n_sub)
+    if kind == "rounded":  # small integers: maps with exact ties
+        return np.round(noise)
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex)
+    if kind == "constant":
+        return np.full(shape, complex(*rng.integers(-3, 4, size=2)))
+    if kind == "one cell":
+        y = np.zeros(shape, dtype=complex)
+        y[rng.integers(0, n_sub), rng.integers(0, n_sym)] = complex(*rng.normal(size=2))
+        return y
+    if kind == "huge":
+        return noise * 1e300
+    y = noise  # non-finite
+    bad = (np.nan, np.inf, -np.inf, complex(np.nan, 1.0))[rng.integers(0, 4)]
+    y[rng.integers(0, n_sub), rng.integers(0, n_sym)] = bad
+    return y
+
+
+def full_map_bins(y, params, pad_range, pad_velocity):
+    """The first largest cell of the full map in row-major order, as the
+    peak search must find it; a map holding a non-finite value raises."""
+    magnitude = np.abs(rv_map(y, params, pad_range, pad_velocity).values)
+    if not np.all(np.isfinite(magnitude)):
+        raise ValueError("range-velocity map is not finite")
+    return tuple(int(b) for b in np.unravel_index(np.argmax(magnitude), magnitude.shape))
+
+
+class TestPeakSearch:
+    """`estimate_target` transforms only the range rows that can hold the
+    map's peak; it must find the peak of the full `rv_map`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(GRID_KINDS),
+        shape=st.tuples(st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=12)),
+        pads=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_finds_the_full_map_peak(self, kind, shape, pads, seed):
+        params = OfdmParams(77e9, 200e6, num_subcarriers=shape[0], num_symbols=shape[1])
+        y = search_grid(kind, shape, seed)
+        with np.errstate(all="ignore"):
+            try:
+                expected = full_map_bins(y, params, *pads)
+            except ValueError:
+                with pytest.raises(ValueError, match="not finite"):
+                    estimate_target(y, params, *pads)
+                return
+            assert estimate_target(y, params, *pads).exact_bins == expected
+
+    @pytest.mark.parametrize(
+        "near_row, far_row",
+        [
+            # the far row's bound is 2 * 7, and its flat spectrum peaks at bin 0
+            # with exactly 2 * 3; the near row is a delta, so its peak and its bound
+            # are both exactly 2 * 3: below half the largest bound, yet a tie it must win
+            ([3, 0, 0, 0, 0, 0], [-1, 1, -1, 1, 2, 1]),
+            # the far row is a chirp with a flat spectrum of about 4 * sqrt(12) and
+            # a bound of 4 * 12; the constant near row beats it with 1.9 * 12 < 48 / 2
+            (np.full(12, 1.9), 4.0 * np.exp(-1j * np.pi * 5 * np.arange(12) ** 2 / 12)),
+        ],
+        ids=["tie", "win"],
+    )
+    def test_a_row_below_half_the_largest_bound_can_hold_the_peak(self, near_row, far_row):
+        near_row, far_row = np.asarray(near_row, dtype=complex), np.asarray(far_row, dtype=complex)
+        y = np.array([near_row + far_row, near_row - far_row])  # range rows 0 and 1: near, far
+        small = OfdmParams(77e9, 200e6, num_subcarriers=2, num_symbols=y.shape[1])
+        assert full_map_bins(y, small, 1, 1) == (0, 0)
+        assert estimate_target(y, small).exact_bins == (0, 0)
+
+    def test_ties_across_blocks_go_to_the_lowest_row(self, monkeypatch):
+        # one nonzero cell in subcarrier 0: every map row holds the same bits
+        small = OfdmParams(77e9, 200e6, num_subcarriers=8, num_symbols=4)
+        y = np.zeros((8, 4), dtype=complex)
+        y[0, 1] = 1.0 + 1.0j
+        monkeypatch.setattr(simulation, "_BLOCK_CELLS", 1)  # one row a block
+        assert full_map_bins(y, small, 1, 1) == (0, 0)
+        assert estimate_target(y, small).exact_bins == (0, 0)
+
+    @pytest.fixture
+    def transformed_rows(self, monkeypatch):
+        """The range rows each search transforms, in the order it does."""
+        rows = []
+        real_peak_rows = simulation._peak_rows
+
+        def record(range_rows, chosen, *args):
+            rows.extend(chosen.tolist())
+            return real_peak_rows(range_rows, chosen, *args)
+
+        monkeypatch.setattr(simulation, "_peak_rows", record)
+        return rows
+
+    def test_each_row_is_transformed_at_most_once(self, params, transformed_rows):
+        estimate_target(search_grid("noise", (100, 50), 0), params, 4, 4)
+        assert len(transformed_rows) == len(set(transformed_rows)) <= 400
+
+    def test_a_dominant_target_needs_few_rows(self, params, transformed_rows):
+        target = TargetParams(range_m=30.0, angle_rad=1.0)
+        y = simulate_received(single_element_terms(params, target, noise=NoiseParams(1.0)), (1, 0), 0)
+        assert estimate_target(y, params, 4, 4).exact_bins == full_map_bins(y, params, 4, 4)
+        assert len(transformed_rows) <= 10  # of 400 rows
 
 
 class TestNullSuppression:
@@ -409,7 +530,7 @@ class TestRangeErrorMetric:
                     InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (ratio_db / 20.0)),
                     NoiseParams(1.0),
                 )
-                estimate = estimate_target(rv_map(simulate_received(terms, (s_sym, s_int), s_noise), small, 4, 4))
+                estimate = estimate_target(simulate_received(terms, (s_sym, s_int), s_noise), small, 4, 4)
                 errors.append(abs(true_range - estimate.range_m))
             means.append(float(np.mean(errors)))
         assert means[0] <= small.range_bin_size
