@@ -65,15 +65,6 @@ class OfdmParams:
         """Symbol duration including the cyclic prefix."""
         return self.symbol_time * (1.0 + self.cp_ratio)
 
-    def subcarrier_freq(self, n: int) -> float:
-        if not 0 <= n < self.num_subcarriers:
-            raise ValueError(f"subcarrier index {n} outside 0..{self.num_subcarriers - 1}")
-        return self.carrier_freq_hz + n * self.subcarrier_spacing
-
-    def wavelength_ratio(self, n: int) -> float:
-        """lambda / lambda_n = f_n / f_c, the per-subcarrier phase stretch."""
-        return self.subcarrier_freq(n) / self.carrier_freq_hz
-
     @property
     def range_bin_size(self) -> float:
         return SPEED_OF_LIGHT / (2.0 * self.bandwidth_hz)
@@ -116,7 +107,7 @@ class RisConfig:
 
 
 def _subcarrier_ratios(params: OfdmParams) -> np.ndarray:
-    """f_n / f_c for every subcarrier n: the IEEE operations of `wavelength_ratio`, over all n at once."""
+    """lambda / lambda_n = (f_c + n * df) / f_c for every subcarrier n, the per-subcarrier phase stretch."""
     fc = params.carrier_freq_hz
     return (fc + np.arange(params.num_subcarriers) * params.subcarrier_spacing) / fc
 
@@ -176,15 +167,10 @@ def power_patterns(configs, params: OfdmParams, angles, subcarrier_mode: str = C
     return totals
 
 
-def power_pattern(config: RisConfig, params: OfdmParams, angles, subcarrier_mode: str = CARRIER_ONLY) -> np.ndarray:
-    """`power_patterns` of one configuration."""
-    return power_patterns((config,), params, angles, subcarrier_mode)[0]
-
-
-def normalize_pattern_db(pattern, floor_db: float = DB_FLOOR) -> np.ndarray:
+def normalize_pattern_db(pattern) -> np.ndarray:
     """Normalize a linear power pattern to peak 0 dB.
 
-    Exact zeros map to floor_db so log-scale plots stay finite; an
+    Exact zeros map to DB_FLOOR so log-scale plots stay finite; an
     all-zero pattern is rejected.
     """
     p = np.atleast_1d(np.asarray(pattern, dtype=float))
@@ -193,7 +179,7 @@ def normalize_pattern_db(pattern, floor_db: float = DB_FLOOR) -> np.ndarray:
     peak = p.max() if p.size else 0.0
     if peak <= 0.0:
         raise ValueError("pattern has no positive entry to normalize against")
-    out = np.full(p.shape, floor_db)
+    out = np.full(p.shape, DB_FLOOR)
     nonzero = p > 0.0
     out[nonzero] = 10.0 * np.log10(p[nonzero] / peak)
     return out

@@ -118,7 +118,8 @@ def _load(args, overrides: dict | None = None) -> tuple:
 
 
 def _exit_status(run, *args) -> int:
-    """run(*args); a bad scenario, output directory, study file or file access exits 2, divergence 3, each with one stderr line."""
+    """run(*args); a bad scenario, output directory, study file, file access or exhausted
+    memory exits 2, divergence 3, each with one stderr line."""
     try:
         return run(*args)
     except ScenarioError as exc:
@@ -131,6 +132,9 @@ def _exit_status(run, *args) -> int:
         if exc.filename is None:
             raise
         print(f"file error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's failed allocations raise a subclass
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:
         print(f"training error: {exc}", file=sys.stderr)

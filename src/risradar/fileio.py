@@ -95,11 +95,6 @@ def _read_table(path, table: Table) -> list[list]:
     return _parse_table(path, _lines(path), table)
 
 
-def read_table_comments(path) -> dict:
-    """The `# key=value` comment lines of a table, as strings."""
-    return _comment_meta(_lines(path))
-
-
 def write_pattern_table(path, angles_deg, power_db) -> Path:
     """The pattern table: one (angle in degrees, power in dB) row per grid point."""
     return _write_table(path, PATTERN_TABLE, (angles_deg, power_db))
@@ -110,14 +105,10 @@ def read_pattern_table(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(angles, dtype=float), np.array(power, dtype=float)
 
 
-def write_config_file(path, config: RisConfig, theta_t: float | None = None, seed: int | None = None) -> Path:
+def write_config_file(path, config: RisConfig, *, theta_t: float, seed: int) -> Path:
     """One (real, imaginary) row per element, under a comment carrying the element
-    count, the fixed `slots=1`, and (when known) the trained angle and seed."""
-    header = f"elements={config.num_elements} slots=1"
-    if theta_t is not None:
-        header += f" theta_t={float(theta_t)!r}"
-    if seed is not None:
-        header += f" seed={int(seed)}"
+    count, the fixed `slots=1`, the trained angle and the seed."""
+    header = f"elements={config.num_elements} slots=1 theta_t={float(theta_t)!r} seed={int(seed)}"
     coeffs = config.coefficients
     return _write_table(path, CONFIG_TABLE, (coeffs.real, coeffs.imag), comments=(header,))
 
@@ -186,9 +177,9 @@ def read_multinotch_summary(path) -> list[tuple[float, float, float, float, floa
     return list(zip(*_read_table(path, MULTINOTCH_SUMMARY_TABLE)))
 
 
-def write_keyvals(path, pairs: dict, comments=()) -> Path:
+def write_keyvals(path, pairs: dict) -> Path:
     """`key = value` metrics file (floats via repr, ints as-is)."""
-    lines = [f"# {c}" for c in comments]
+    lines = []
     for key, value in pairs.items():
         if isinstance(value, (bool, int, str)):
             lines.append(f"{key} = {value}")

@@ -11,7 +11,7 @@ target at 2*pi/5, interferer at pi/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ _SCHEMA = {
     "output_dir": ("output_dir", str),
 }
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Scenario:
     carrier_freq_hz: float = 77e9
     bandwidth_hz: float = 200e6
@@ -173,9 +173,7 @@ class Scenario:
         )
 
     def replace(self, **changes) -> "Scenario":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return Scenario(**values)
+        return dataclasses.replace(self, **changes)
 
     def to_text(self) -> str:
         """Echo every resolved key, parseable by parse_scenario."""

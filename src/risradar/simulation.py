@@ -14,11 +14,10 @@ What no symbol or noise draw changes is built once by `frame_terms`.
 A trial's draws (the symbol ratio d_i/d_r and the noise of both frames)
 come from `draw_trial` and do not depend on the configuration, so
 `frame_pair` can build the frames of several configurations from one
-draw. `simulate_received` (one frame) and `simulate_frame_pair` (the
-frames of c and -c) draw and build in one call and take every seed
-explicitly. A frame pair builds the path once and negates it for the -c
-frame: negation is exact in IEEE arithmetic, so -path equals the path
-simulated with the configuration -c bit for bit.
+draw; that draw-then-build sequence is the one way a frame is simulated.
+A frame pair builds the path once and negates it for the -c frame:
+negation is exact in IEEE arithmetic, so -path equals the path simulated
+with the configuration -c bit for bit.
 Range and velocity are read off the peak of the zero-padded 2-D transform
 of the grid, `rv_map`. A sweep trial calls `estimate_target`, which finds
 that peak without building the map: after the range transform it bounds
@@ -213,21 +212,6 @@ def frame_pair(terms: FrameTerms, draws: TrialDraws, consume: bool = False) -> t
     if consume:
         draws.ratio = draws.noise = None
     return _frame(path, noise_a, into=consume), _frame(path, noise_b, negate=True, into=consume)
-
-
-def simulate_received(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seed: int) -> np.ndarray:
-    """One symbol-divided received grid: the path drawn from the (radar,
-    interferer) `symbol_seeds` plus noise drawn from `noise_seed`."""
-    draws = draw_trial(terms, symbol_seeds, (noise_seed,))
-    return _frame(_path(terms, draws.ratio), draws.noise[0], into=True)
-
-
-def simulate_frame_pair(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, int]) -> tuple:
-    """Frames a and b of the sign-flipped configurations c and -c: both share
-    the symbol streams, each draws its own noise. Frame a is
-    simulate_received(terms, symbol_seeds, noise_seeds[0]), frame b that call
-    on the terms of -c with noise_seeds[1], bit for bit."""
-    return frame_pair(terms, draw_trial(terms, symbol_seeds, noise_seeds), consume=True)
 
 
 def frame_difference(y_a: np.ndarray, y_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -7,9 +7,7 @@ Produces the building-block configurations and their combination:
 * closed-form two-element notches that null a requested angle,
 * widened multi-notch configurations (convolution of shifted notches),
 * convolution combining, whose pattern is the product of the input
-  patterns,
-* the SINR objective used to judge a configuration against an
-  interferer angle.
+  patterns.
 
 Synthesis works in the carrier approximation: the array response
 `steering` at subcarrier index 0.
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ALL_SUBCARRIERS, OfdmParams, RisConfig, power_pattern, steering
+from .arrays import RisConfig, steering
 
 
 class TrainingDivergedError(RuntimeError):
@@ -294,36 +292,3 @@ def normalize_coefficients(config: RisConfig) -> RisConfig:
     if peak == 0.0:
         raise ValueError("cannot normalize an all-zero configuration")
     return RisConfig(coeffs / peak)
-
-
-@dataclass(frozen=True)
-class SinrReport:
-    signal_power: float
-    interference_power: float
-    noise_power: float
-    sinr_linear: float
-
-    @property
-    def sinr_db(self) -> float:
-        return 10.0 * np.log10(self.sinr_linear)
-
-
-def sinr(
-    config: RisConfig,
-    theta: float,
-    theta_i: float,
-    sigma2: float,
-    params: OfdmParams,
-    subcarrier_mode: str = ALL_SUBCARRIERS,
-) -> SinrReport:
-    """Signal power at theta over interference power at theta_i plus noise."""
-    if sigma2 <= 0.0:
-        raise ValueError("noise power sigma2 must be positive")
-    signal = float(power_pattern(config, params, theta, subcarrier_mode)[0])
-    interference = float(power_pattern(config, params, theta_i, subcarrier_mode)[0])
-    return SinrReport(
-        signal_power=signal,
-        interference_power=interference,
-        noise_power=sigma2,
-        sinr_linear=signal / (interference + sigma2),
-    )

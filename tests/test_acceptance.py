@@ -17,7 +17,7 @@ from risradar.arrays import (
     angle_grid,
     angle_grid_deg,
     normalize_pattern_db,
-    power_pattern,
+    power_patterns,
     steering,
 )
 from risradar.cli import main as cli_main
@@ -26,12 +26,12 @@ from risradar.scenario import default_scenario
 from risradar.simulation import (
     InterferenceParams,
     TargetParams,
+    draw_trial,
     estimate_target,
     frame_difference,
+    frame_pair,
     frame_terms,
     rv_map,
-    simulate_frame_pair,
-    simulate_received,
 )
 from risradar.synthesis import (
     PeakNetSpec,
@@ -94,8 +94,8 @@ def test_criterion_2_null_exactness(params):
         )
     )
     grid = angle_grid(721)
-    pattern = power_pattern(combined, params, grid, ALL_SUBCARRIERS)
-    at_interferer = power_pattern(combined, params, scenario.interferer_angle_rad, ALL_SUBCARRIERS)[0]
+    pattern = power_patterns((combined,), params, grid, ALL_SUBCARRIERS)[0]
+    at_interferer = power_patterns((combined,), params, scenario.interferer_angle_rad, ALL_SUBCARRIERS)[0][0]
     null_db = 10.0 * np.log10(at_interferer / pattern.max())
     elapsed = time.monotonic() - start
     announce(
@@ -136,7 +136,7 @@ def test_criterion_3_peak_training_and_gradient(default_training):
 def test_criterion_4_combined_pattern_figure(params, default_training, default_combined):
     start = time.monotonic()
     grid_deg = angle_grid_deg(721)
-    pattern = normalize_pattern_db(power_pattern(default_combined, params, angle_grid(721), CARRIER_ONLY))
+    pattern = normalize_pattern_db(power_patterns((default_combined,), params, angle_grid(721), CARRIER_ONLY)[0])
     argmax_deg = float(grid_deg[int(np.argmax(pattern))])
     at_45 = float(pattern[int(np.argmin(np.abs(grid_deg - 45.0)))])
     elapsed = time.monotonic() - start + default_training.wall_time_s
@@ -150,7 +150,8 @@ def test_criterion_4_combined_pattern_figure(params, default_training, default_c
 def test_criterion_5_range_pipeline_exactness(params):
     start = time.monotonic()
     target = TargetParams(range_m=30.0, angle_rad=1.0)
-    grid = simulate_received(frame_terms(params, RisConfig([1.0]), target), (1, 0), 0)
+    terms = frame_terms(params, RisConfig([1.0]), target)
+    grid, _ = frame_pair(terms, draw_trial(terms, (1, 0), (0, 0)), consume=True)
     rv = rv_map(grid, params)
     estimate = estimate_target(grid, params)
     error = abs(30.0 - estimate.range_m)
@@ -221,8 +222,8 @@ def test_criterion_8_frame_difference_cancellation(params):
     target = TargetParams(range_m=18.0, angle_rad=1.2, velocity_mps=5.0)
     interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, amplitude=2.0)
     terms = frame_terms(params, RisConfig(np.exp(1j * np.linspace(0.0, 2.0, 8))), target, interference)
-    expected = simulate_received(terms, (9, 3), 0)
-    y_a, y_b = simulate_frame_pair(terms, (9, 3), (0, 1))
+    expected, _ = frame_pair(terms, draw_trial(terms, (9, 3), (0, 0)), consume=True)
+    y_a, y_b = frame_pair(terms, draw_trial(terms, (9, 3), (0, 1)), consume=True)
     clean = frame_difference(y_a, y_b)
     with_static = frame_difference(y_a + static, y_b + static)
     exact = np.array_equal(clean, expected)

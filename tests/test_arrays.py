@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from risradar.arrays import (
     ALL_SUBCARRIERS,
     CARRIER_ONLY,
+    DB_FLOOR,
     SPEED_OF_LIGHT,
     OfdmParams,
     RisConfig,
@@ -18,9 +19,14 @@ from risradar.arrays import (
     angle_grid,
     angle_grid_deg,
     normalize_pattern_db,
-    power_pattern,
+    power_patterns,
     steering,
 )
+
+
+def subcarrier_ratio(params, n):
+    """f_n / f_c with f_n = f_c + n * df, one subcarrier at a time."""
+    return (params.carrier_freq_hz + n * params.subcarrier_spacing) / params.carrier_freq_hz
 
 
 def brute_force_steering(num_elements, params, n, theta):
@@ -39,7 +45,7 @@ def brute_force_power(coeffs, params, theta, subcarriers, spacing=0.5):
     """Double loop over (subcarrier, element)."""
     total = 0.0
     for n in subcarriers:
-        ratio = params.wavelength_ratio(n)
+        ratio = subcarrier_ratio(params, n)
         acc = 0.0 + 0.0j
         for l, c in enumerate(coeffs):
             acc += c * np.exp(-2j * np.pi * spacing * ratio * l * np.cos(theta))
@@ -59,16 +65,16 @@ class TestOfdmParams:
         )
 
     def test_subcarrier_wavelengths(self, params):
-        assert params.wavelength_ratio(0) == 1.0
+        ratios = _subcarrier_ratios(params)
+        assert ratios[0] == 1.0
         n = 99
         f_n = 77e9 + n * 2e6
-        assert params.subcarrier_freq(n) == f_n
-        assert params.wavelength_ratio(n) == f_n / 77e9
+        assert ratios[n] == f_n / 77e9
 
     @pytest.mark.parametrize("num_subcarriers", [1, 7, 32, 100, 4096])
     def test_all_ratios_are_the_per_subcarrier_bits(self, num_subcarriers):
         params = OfdmParams(77e9, 200e6, num_subcarriers, 8)
-        loop = np.array([params.wavelength_ratio(n) for n in range(num_subcarriers)])
+        loop = np.array([subcarrier_ratio(params, n) for n in range(num_subcarriers)])
         assert _subcarrier_ratios(params).tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize(
@@ -94,7 +100,7 @@ class TestSteeringVector:
         assert steering(1, 1.234) == pytest.approx([1.0 + 0.0j])
 
     def test_broadside_two_elements(self, params):
-        values = steering(2, np.pi / 2, params.wavelength_ratio(57))
+        values = steering(2, np.pi / 2, subcarrier_ratio(params, 57))
         assert values == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_four_elements_at_pi_third(self):
@@ -104,7 +110,7 @@ class TestSteeringVector:
     def test_matches_brute_force(self, params):
         subcarriers = (0, 13, 99)
         thetas = np.array([0.3, 1.1, 2.7])
-        ratios = np.array([params.wavelength_ratio(n) for n in subcarriers])
+        ratios = np.array([subcarrier_ratio(params, n) for n in subcarriers])
         values = steering(5, thetas, ratios)
         assert values.shape == (3, 3, 5)
         for i, n in enumerate(subcarriers):
@@ -114,7 +120,7 @@ class TestSteeringVector:
     def test_phase_order_is_pinned(self, params):
         # r * ((pi*l) * cos(theta)), bit for bit: training and the simulated
         # gains were recorded with this order
-        ratios = np.array([params.wavelength_ratio(n) for n in range(100)])
+        ratios = np.array([subcarrier_ratio(params, n) for n in range(100)])
         for theta in np.random.default_rng(4).uniform(0.0, np.pi, size=20):
             phase = (np.pi * np.arange(16)) * np.cos(theta)
             np.testing.assert_array_equal(steering(16, theta), np.exp(-1j * phase))
@@ -123,7 +129,7 @@ class TestSteeringVector:
     @settings(max_examples=50, deadline=None)
     @given(theta=st.floats(min_value=0.0, max_value=np.pi), n=st.integers(min_value=0, max_value=99))
     def test_unit_magnitude_without_offsets(self, params, theta, n):
-        values = steering(16, theta, params.wavelength_ratio(n))
+        values = steering(16, theta, subcarrier_ratio(params, n))
         assert np.all(np.abs(np.abs(values) - 1.0) < 1e-12)
 
     def test_rejects_bad_inputs(self):
@@ -155,7 +161,7 @@ class TestPatternValue:
         # the batched (R, A, L) kernel equals one evaluation per (ratio, angle)
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-        ratios = np.array([params.wavelength_ratio(n) for n in (0, 42)])
+        ratios = np.array([subcarrier_ratio(params, n) for n in (0, 42)])
         thetas = np.array([0.8, 2.1])
         batch = steering(6, thetas, ratios)
         for i, ratio in enumerate(ratios):
@@ -174,14 +180,14 @@ class TestPatternValue:
 class TestPowerPattern:
     def test_coherent_broadside_sum(self, params):
         config = RisConfig(np.ones(6))
-        value = power_pattern(config, params, np.pi / 2, CARRIER_ONLY)
+        value = power_patterns((config,), params, np.pi / 2, CARRIER_ONLY)[0]
         assert value[0] == pytest.approx(6**2, rel=1e-12)  # L^2
 
     def test_notch_is_null(self, params):
         from risradar.synthesis import notch_config
 
         theta_n = 0.9
-        value = power_pattern(notch_config(theta_n), params, theta_n, CARRIER_ONLY)
+        value = power_patterns((notch_config(theta_n),), params, theta_n, CARRIER_ONLY)[0]
         assert value[0] <= 1e-24
 
     def test_matches_brute_force_triple_sum(self, params):
@@ -189,7 +195,7 @@ class TestPowerPattern:
         rng = np.random.default_rng(11)
         coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         angles = np.array([0.2, 1.0, 2.2])
-        fast = power_pattern(RisConfig(coeffs), small, angles, ALL_SUBCARRIERS)
+        fast = power_patterns((RisConfig(coeffs),), small, angles, ALL_SUBCARRIERS)[0]
         slow = [brute_force_power(coeffs, small, theta, range(3)) for theta in angles]
         np.testing.assert_allclose(fast, slow, rtol=1e-12)
 
@@ -197,7 +203,7 @@ class TestPowerPattern:
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
         angles = angle_grid(181)
-        combined = power_pattern(RisConfig(coeffs), params, angles, ALL_SUBCARRIERS)
+        combined = power_patterns((RisConfig(coeffs),), params, angles, ALL_SUBCARRIERS)[0]
         for n in (0, 50, 99):
             single = np.array([brute_force_power(coeffs, params, theta, [n]) for theta in angles])
             assert np.all(combined >= single - 1e-9)
@@ -206,9 +212,9 @@ class TestPowerPattern:
         rng = np.random.default_rng(123)
         coeffs = rng.normal(size=10) + 1j * rng.normal(size=10)
         angles = angle_grid(91)
-        reference = power_pattern(RisConfig(coeffs), params, angles, CARRIER_ONLY)
+        reference = power_patterns((RisConfig(coeffs),), params, angles, CARRIER_ONLY)[0]
         for psi in rng.uniform(0, 2 * np.pi, size=100):
-            rotated = power_pattern(RisConfig(coeffs * np.exp(1j * psi)), params, angles, CARRIER_ONLY)
+            rotated = power_patterns((RisConfig(coeffs * np.exp(1j * psi)),), params, angles, CARRIER_ONLY)[0]
             np.testing.assert_allclose(rotated, reference, rtol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -218,39 +224,39 @@ class TestPowerPattern:
     )
     def test_mirror_symmetry_for_real_configs(self, params, values, theta):
         config = RisConfig(np.array(values, dtype=float))
-        p1 = power_pattern(config, params, theta, CARRIER_ONLY)[0]
-        p2 = power_pattern(config, params, np.pi - theta, CARRIER_ONLY)[0]
+        p1 = power_patterns((config,), params, theta, CARRIER_ONLY)[0][0]
+        p2 = power_patterns((config,), params, np.pi - theta, CARRIER_ONLY)[0][0]
         assert p2 == pytest.approx(p1, rel=1e-9, abs=1e-9)
 
     def test_rejects_empty_grid_and_shape_mismatch(self, params):
         config = RisConfig(np.ones(4))
         with pytest.raises(ValueError):
-            power_pattern(config, params, np.array([]), CARRIER_ONLY)
+            power_patterns((config,), params, np.array([]), CARRIER_ONLY)
         with pytest.raises(ValueError):
-            power_pattern(config, params, np.ones((2, 2)), CARRIER_ONLY)
+            power_patterns((config,), params, np.ones((2, 2)), CARRIER_ONLY)
         with pytest.raises(ValueError):
-            power_pattern(config, params, 0.5, "bogus")
+            power_patterns((config,), params, 0.5, "bogus")
 
 
 # Runs in a fresh interpreter so that the BLAS thread count takes effect.
 SLICED_BLOCK_CHECK = """
 import sys
 import numpy as np
-from risradar.arrays import OfdmParams, RisConfig, angle_grid, power_pattern, power_patterns, steering
+from risradar.arrays import OfdmParams, RisConfig, angle_grid, power_patterns, steering
 
 params = OfdmParams(77e9, 200e6, num_subcarriers=100, num_symbols=50)
 rng = np.random.default_rng(7)
 configs = [RisConfig(rng.normal(size=n) + 1j * rng.normal(size=n)) for n in (2, 48, 49)]
 angles = angle_grid(721)
-all_ratios = [params.wavelength_ratio(n) for n in range(params.num_subcarriers)]
+fc, df = params.carrier_freq_hz, params.subcarrier_spacing
+all_ratios = [(fc + n * df) / fc for n in range(params.num_subcarriers)]
 for mode, ratios in (("carrier", [None]), ("all", all_ratios)):
     shared = power_patterns(configs, params, angles, mode)
     for config, pattern in zip(configs, shared):
         own = np.zeros(angles.shape)
         for ratio in ratios:
             own += np.abs(steering(config.num_elements, angles, ratio) @ config.coefficients) ** 2
-        single = power_pattern(config, params, angles, mode)
-        if pattern.tobytes() != own.tobytes() or single.tobytes() != own.tobytes():
+        if pattern.tobytes() != own.tobytes():
             sys.exit(f"{mode} mode, {config.num_elements} elements: bits differ from its own block")
 """
 
@@ -279,8 +285,8 @@ class TestNormalizePatternDb:
         assert out[1] == pytest.approx(-3.010299956639812, abs=1e-12)
         assert out[2] == -300.0
 
-    def test_custom_floor(self):
-        assert normalize_pattern_db([1.0, 0.0], floor_db=-120.0)[1] == -120.0
+    def test_zero_maps_to_the_db_floor(self):
+        assert normalize_pattern_db([1.0, 0.0])[1] == DB_FLOOR
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):

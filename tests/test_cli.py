@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from risradar import cli
 from risradar.cli import main
 from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table
 
@@ -417,6 +418,20 @@ def test_training_divergence_exits_three(tmp_path, capsys):
     assert err.startswith("training error: training loss became non-finite at iteration ")
     assert err.count("\n") == 1
     assert not (out / "peak_config.txt").exists()
+
+
+def test_exhausted_memory_exits_two(monkeypatch, tmp_path, capsys):
+    # numpy's failed allocation raises a MemoryError subclass; the stand-in allocates nothing
+    message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_pattern_study", exhausted)
+    assert main(["pattern", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"memory error: {message}\n"
+    assert "Traceback" not in err
 
 
 def test_outputs_do_not_depend_on_blas_thread_count(scenario_file, tmp_path):

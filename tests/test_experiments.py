@@ -26,9 +26,10 @@ from risradar.simulation import (
     InterferenceParams,
     NoiseParams,
     TargetParams,
+    draw_trial,
     frame_difference,
+    frame_pair,
     frame_terms,
-    simulate_frame_pair,
 )
 from risradar.synthesis import (
     NotchSpec,
@@ -329,7 +330,8 @@ class TestInterferenceSweep:
                         10.0 ** (ratio / 20.0),
                     )
                     terms = frame_terms(params, config, target, interference, NoiseParams(noise_variance), mode)
-                    pair = simulate_frame_pair(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
+                    draws = draw_trial(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
+                    pair = frame_pair(terms, draws, consume=True)
                     expected.append(frame_difference(*pair).tobytes())
         assert len(grids) == 12
         assert grids == expected

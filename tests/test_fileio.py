@@ -17,7 +17,6 @@ from risradar.fileio import (
     read_pattern_table,
     read_peak_records,
     read_sweep_table,
-    read_table_comments,
     write_config_file,
     write_keyvals,
     write_loss_history,
@@ -88,6 +87,15 @@ def test_config_file_bytes_are_pinned(tmp_path):
     )
 
 
+def test_config_file_needs_no_angle_or_seed(tmp_path):
+    # the writer always records both, but a file may come from elsewhere
+    path = tmp_path / "c.txt"
+    path.write_text("# elements=2 slots=1\nre,im\n1.0,0.0\n0.0,1.0\n")
+    config, meta = read_config_file(path)
+    np.testing.assert_array_equal(config.coefficients, [1.0, 1j])
+    assert "theta_t" not in meta and "seed" not in meta
+
+
 def test_config_file_rejects_more_than_one_slot(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# elements=2 slots=2\nre0,im0,re1,im1\n1.0,0.0,1.0,0.0\n0.0,1.0,0.0,1.0\n")
@@ -141,7 +149,7 @@ def test_loss_history_format(tmp_path):
 
 def test_keyvals_round_trip(tmp_path):
     pairs = {"combined_argmax_deg": 72.0, "grid_points": 721, "subcarrier_mode": "carrier"}
-    path = write_keyvals(tmp_path / "k.txt", pairs, comments=("metrics",))
+    path = write_keyvals(tmp_path / "k.txt", pairs)
     back = read_keyvals(path)
     assert float(back["combined_argmax_deg"]) == 72.0
     assert int(back["grid_points"]) == 721
@@ -229,7 +237,7 @@ def _valid_tables(tmp_path):
     """A valid file for every table reader, with its reader."""
     return {
         "pattern": (write_pattern_table(tmp_path / "p.csv", [0.0, 1.0], [-3.0, 0.0]), read_pattern_table),
-        "config": (write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j])), read_config_file),
+        "config": (write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j]), theta_t=0.5, seed=1), read_config_file),
         "records": (write_peak_records(tmp_path / "r.csv", [(1, 0.0, 0.5, 0.75), (2, 5.0, 0.5, 0.0)]), read_peak_records),
         "sweep": (write_sweep_table(tmp_path / "s.csv", [SweepPoint(0.0, 0.0, 0.1, 0.0, 2)] * 2), read_sweep_table),
         "multinotch-summary": (
@@ -265,4 +273,3 @@ def test_multinotch_summary_bytes_are_pinned(tmp_path):
         b"0.0,0.0027925268031909274,0.784,0.7867925268031909,300.0\n"
         b"0.001,-0.0,5e-324,1.0,61.25\n"
     )
-    assert read_table_comments(path) == {"num_notches": "4", "center_rad": "0.75"}

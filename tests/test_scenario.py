@@ -283,3 +283,5 @@ class TestValidation:
     def test_replace_revalidates(self):
         with pytest.raises(ScenarioError):
             default_scenario().replace(trials=0)
+        with pytest.raises(TypeError):
+            default_scenario().replace(no_such_field=1)

@@ -9,13 +9,13 @@ from risradar.simulation import (
     InterferenceParams,
     NoiseParams,
     TargetParams,
+    draw_trial,
     estimate_target,
     frame_difference,
+    frame_pair,
     frame_terms,
     generate_symbols,
     rv_map,
-    simulate_frame_pair,
-    simulate_received,
 )
 from risradar.synthesis import analytic_peak, combine_convolve, normalize_coefficients, notch_config
 
@@ -24,6 +24,16 @@ QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 def single_element_terms(params, target, interference=None, noise=None):
     return frame_terms(params, RisConfig([1.0]), target, interference, noise)
+
+
+def simulated_pair(terms, symbol_seeds, noise_seeds):
+    """Frames a and b of c and -c, drawn and built as a sweep trial does."""
+    return frame_pair(terms, draw_trial(terms, symbol_seeds, noise_seeds), consume=True)
+
+
+def received(terms, symbol_seeds, noise_seed):
+    """One frame: frame a of a pair whose noise grids both come from `noise_seed`."""
+    return simulated_pair(terms, symbol_seeds, (noise_seed, noise_seed))[0]
 
 
 class TestGenerateSymbols:
@@ -60,22 +70,22 @@ class TestGenerateSymbols:
         assert values.tobytes() == direct.tobytes()
 
 
-class TestSimulateReceived:
+class TestReceivedFrame:
     def test_all_phases_unity(self, params):
         target = TargetParams(range_m=0.0, angle_rad=1.0, velocity_mps=0.0, amplitude=1.0)
-        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
+        grid = received(single_element_terms(params, target), (1, 0), 0)
         np.testing.assert_allclose(grid, np.ones((100, 50)), atol=1e-12)
 
     def test_delay_phase_peaks_at_expected_range_bin(self, params):
         # 2*R*B/c = 2*30*200e6/3e8 = 40
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
+        grid = received(single_element_terms(params, target), (1, 0), 0)
         profile = np.abs(np.fft.ifft(grid, axis=0))
         np.testing.assert_array_equal(np.argmax(profile, axis=0), np.full(50, 40))
 
     def test_delay_peak_agrees_with_dense_correlation_oracle(self, params):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
+        grid = received(single_element_terms(params, target), (1, 0), 0)
         taus = np.linspace(0.0, 60.0, 2401) * 2.0 / SPEED_OF_LIGHT
         n = np.arange(params.num_subcarriers)
         correlation = np.abs(
@@ -86,7 +96,7 @@ class TestSimulateReceived:
 
     def test_doppler_phase_peaks_at_velocity_bin_one(self, params):
         target = TargetParams(range_m=0.0, angle_rad=1.0, velocity_mps=params.velocity_bin_size)
-        grid = simulate_received(single_element_terms(params, target), (1, 0), 0)
+        grid = received(single_element_terms(params, target), (1, 0), 0)
         spectrum = np.abs(np.fft.fft(grid, axis=1))
         np.testing.assert_array_equal(np.argmax(spectrum, axis=1), np.full(100, 1))
 
@@ -95,10 +105,10 @@ class TestSimulateReceived:
         target = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.7 + 0.2j)
         interference = InterferenceParams(delay_s=2e-7, angle_rad=0.8, doppler_scale=1e-8, amplitude=2.0 - 1.0j)
         config = RisConfig(np.exp(1j * np.linspace(0, 1, 4)))
-        both = simulate_received(frame_terms(params, config, target, interference), symbol_seeds, 0)
-        target_only = simulate_received(frame_terms(params, config, target), symbol_seeds, 0)
+        both = received(frame_terms(params, config, target, interference), symbol_seeds, 0)
+        target_only = received(frame_terms(params, config, target), symbol_seeds, 0)
         silent = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.0)
-        interferer_only = simulate_received(frame_terms(params, config, silent, interference), symbol_seeds, 0)
+        interferer_only = received(frame_terms(params, config, silent, interference), symbol_seeds, 0)
         np.testing.assert_allclose(both, target_only + interferer_only, atol=1e-12)
 
     @pytest.mark.parametrize("mode", [CARRIER_ONLY, ALL_SUBCARRIERS])
@@ -109,14 +119,14 @@ class TestSimulateReceived:
         coeffs = np.exp(1j * np.linspace(0.0, 2.0, 6)) * np.linspace(1.0, 0.5, 6)
         target = TargetParams(range_m=12.0, angle_rad=1.2, velocity_mps=5.0, amplitude=0.7 + 0.2j)
         interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, doppler_scale=3e-8, amplitude=2.0 - 1.0j)
-        grid = simulate_received(frame_terms(params, RisConfig(coeffs), target, interference, None, mode), (9, 3), 0)
+        grid = received(frame_terms(params, RisConfig(coeffs), target, interference, None, mode), (9, 3), 0)
 
+        fc, df, symbol_time = params.carrier_freq_hz, params.subcarrier_spacing, params.total_symbol_time
         ratios = None
         if mode == ALL_SUBCARRIERS:
-            ratios = np.array([params.wavelength_ratio(n) for n in range(params.num_subcarriers)])
+            ratios = np.array([(fc + k * df) / fc for k in range(params.num_subcarriers)])
         n = np.arange(params.num_subcarriers)[:, None]
         m = np.arange(params.num_symbols)[None, :]
-        df, symbol_time = params.subcarrier_spacing, params.total_symbol_time
 
         def gain(amplitude, theta):
             return amplitude * np.reshape(steering(coeffs.size, theta, ratios) @ coeffs, (-1, 1))
@@ -136,14 +146,14 @@ class TestSimulateReceived:
 
     def test_noise_variance(self, params):
         silent = TargetParams(range_m=0.0, angle_rad=1.0, amplitude=0.0)
-        grid = simulate_received(single_element_terms(params, silent, noise=NoiseParams(variance=3.0)), (1, 0), 11)
+        grid = received(single_element_terms(params, silent, noise=NoiseParams(variance=3.0)), (1, 0), 11)
         measured = np.mean(np.abs(grid) ** 2)
         assert measured == pytest.approx(3.0, rel=0.05)
 
     def test_rejects_bad_shapes_and_ranges(self, params):
         far = TargetParams(range_m=80.0, angle_rad=1.0)  # beyond c/(2 df) = 75 m
         with pytest.raises(ValueError):
-            simulate_received(single_element_terms(params, far), (1, 0), 0)
+            received(single_element_terms(params, far), (1, 0), 0)
         with pytest.raises(ValueError):
             TargetParams(range_m=-1.0, angle_rad=1.0)
         for variance in (-1.0, np.inf, np.nan):
@@ -156,7 +166,7 @@ class TestFrameDifference:
         rng = np.random.default_rng(5)
         static = rng.normal(size=(100, 50)) + 1j * rng.normal(size=(100, 50))
         target = TargetParams(range_m=21.0, angle_rad=0.9, velocity_mps=3.0)
-        y_a, y_b = simulate_frame_pair(single_element_terms(params, target), (1, 0), (0, 1))
+        y_a, y_b = simulated_pair(single_element_terms(params, target), (1, 0), (0, 1))
         with_static = frame_difference(y_a + static, y_b + static)
         without = frame_difference(y_a, y_b)
         # (y+s) and (-y+s) each round once, so cancellation is machine-precision
@@ -168,8 +178,8 @@ class TestFrameDifference:
         target = TargetParams(range_m=21.0, angle_rad=0.9, velocity_mps=3.0)
         interference = InterferenceParams(delay_s=1e-7, angle_rad=0.4, amplitude=3.0)
         terms = single_element_terms(params, target, interference=interference)
-        recovered = frame_difference(*simulate_frame_pair(terms, (1, 2), (0, 1)))
-        np.testing.assert_array_equal(recovered, simulate_received(terms, (1, 2), 0))
+        recovered = frame_difference(*simulated_pair(terms, (1, 2), (0, 1)))
+        np.testing.assert_array_equal(recovered, received(terms, (1, 2), 0))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -212,9 +222,9 @@ class TestFrameDifference:
         def terms(frame_config):
             return frame_terms(params, frame_config, target, interference, noise, mode)
 
-        y_a, y_b = simulate_frame_pair(terms(config), symbol_seeds, seeds)
+        y_a, y_b = simulated_pair(terms(config), symbol_seeds, seeds)
         for frame, frame_config, noise_seed in ((y_a, config, seeds[0]), (y_b, RisConfig(-coeffs), seeds[1])):
-            expected = simulate_received(terms(frame_config), symbol_seeds, noise_seed)
+            expected = received(terms(frame_config), symbol_seeds, noise_seed)
             assert np.array_equal(frame, expected)
 
     def test_noise_variance_halves(self, params):
@@ -224,7 +234,7 @@ class TestFrameDifference:
         for trial in range(2):  # 2 x 5000 = 1e4 noise samples
             terms = single_element_terms(params, silent, noise=NoiseParams(sigma2))
             noise_seeds = tuple(int(s) for s in np.random.SeedSequence(trial).generate_state(2))
-            samples.append(frame_difference(*simulate_frame_pair(terms, (1, 0), noise_seeds)).ravel())
+            samples.append(frame_difference(*simulated_pair(terms, (1, 0), noise_seeds)).ravel())
         measured = np.mean(np.abs(np.concatenate(samples)) ** 2)
         assert measured == pytest.approx(sigma2 / 2.0, rel=0.05)
 
@@ -252,7 +262,7 @@ class TestRvMap:
     def test_target_peak_magnitude_and_location(self, params):
         gain = 0.7
         target = TargetParams(range_m=30.0, angle_rad=1.0, amplitude=gain)
-        y = simulate_received(single_element_terms(params, target), (1, 0), 0)
+        y = received(single_element_terms(params, target), (1, 0), 0)
         rv = rv_map(y, params)
         estimate = estimate_target(y, params)
         assert estimate.exact_bins == (40, 0)
@@ -266,7 +276,7 @@ class TestRvMap:
         for seed in range(200):
             interference = InterferenceParams(delay_s=2e-7, angle_rad=0.5, amplitude=1.0)
             terms = single_element_terms(params, silent, interference=interference)
-            rv = rv_map(simulate_received(terms, (1000 + seed, seed), 0), params)
+            rv = rv_map(received(terms, (1000 + seed, seed), 0), params)
             if np.abs(rv.values).max() > bound:
                 exceeded += 1
         assert exceeded <= 2  # 99% of seeds
@@ -316,8 +326,8 @@ class TestRvMap:
         shifted = TargetParams(
             range_m=30.0 + params.range_bin_size, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size
         )
-        base_estimate = estimate_target(simulate_received(single_element_terms(params, base), (1, 0), 0), params)
-        shift_estimate = estimate_target(simulate_received(single_element_terms(params, shifted), (1, 0), 0), params)
+        base_estimate = estimate_target(received(single_element_terms(params, base), (1, 0), 0), params)
+        shift_estimate = estimate_target(received(single_element_terms(params, shifted), (1, 0), 0), params)
         assert base_estimate.exact_bins == (40, 2)
         assert shift_estimate.exact_bins == (41, 2)
 
@@ -325,7 +335,7 @@ class TestRvMap:
 class TestEstimateTarget:
     def test_on_grid_target_zero_error(self, params):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        estimate = estimate_target(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
+        estimate = estimate_target(received(single_element_terms(params, target), (1, 0), 0), params)
         assert estimate.range_m == 30.0
         assert abs(30.0 - estimate.range_m) == 0.0
 
@@ -349,7 +359,7 @@ class TestEstimateTarget:
 
     def test_negative_velocity_wraps(self, params):
         target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
-        estimate = estimate_target(simulate_received(single_element_terms(params, target), (1, 0), 0), params)
+        estimate = estimate_target(received(single_element_terms(params, target), (1, 0), 0), params)
         assert estimate.velocity_mps == pytest.approx(-params.velocity_bin_size, rel=1e-12)
 
     def test_interference_at_exact_null_angle(self, params):
@@ -359,7 +369,7 @@ class TestEstimateTarget:
         )
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0))
         terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference)
-        estimate = estimate_target(simulate_received(terms, (4, 5), 0), params)
+        estimate = estimate_target(received(terms, (4, 5), 0), params)
         assert estimate.exact_bins == (40, 0)
         assert estimate.range_m == 30.0
 
@@ -483,7 +493,7 @@ class TestPeakSearch:
 
     def test_a_dominant_target_needs_few_rows(self, params, transformed_rows):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        y = simulate_received(single_element_terms(params, target, noise=NoiseParams(1.0)), (1, 0), 0)
+        y = received(single_element_terms(params, target, noise=NoiseParams(1.0)), (1, 0), 0)
         assert estimate_target(y, params, 4, 4).exact_bins == full_map_bins(y, params, 4, 4)
         assert len(transformed_rows) <= 10  # of 400 rows
 
@@ -501,7 +511,7 @@ class TestNullSuppression:
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=1.0)
 
         def interference_grid(config):
-            return simulate_received(frame_terms(params, config, silent, interference), (2, 8), 0)
+            return received(frame_terms(params, config, silent, interference), (2, 8), 0)
 
         suppressed = np.abs(interference_grid(combined))
         reference = np.abs(interference_grid(aligned))
@@ -530,7 +540,7 @@ class TestRangeErrorMetric:
                     InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (ratio_db / 20.0)),
                     NoiseParams(1.0),
                 )
-                estimate = estimate_target(simulate_received(terms, (s_sym, s_int), s_noise), small, 4, 4)
+                estimate = estimate_target(received(terms, (s_sym, s_int), s_noise), small, 4, 4)
                 errors.append(abs(true_range - estimate.range_m))
             means.append(float(np.mean(errors)))
         assert means[0] <= small.range_bin_size

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, RisConfig, angle_grid, normalize_pattern_db, power_pattern
+from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, RisConfig, angle_grid, normalize_pattern_db, power_patterns
 from risradar.synthesis import (
     NotchSpec,
     analytic_peak,
@@ -13,7 +13,6 @@ from risradar.synthesis import (
     multi_notch,
     normalize_coefficients,
     notch_config,
-    sinr,
 )
 
 
@@ -83,8 +82,8 @@ class TestMultiNotch:
         single = notch_config(theta_n)
         assert quad.num_elements == 5
         grid = angle_grid(181)
-        p1 = power_pattern(single, params, grid, CARRIER_ONLY)
-        p4 = power_pattern(quad, params, grid, CARRIER_ONLY)
+        p1 = power_patterns((single,), params, grid, CARRIER_ONLY)[0]
+        p4 = power_patterns((quad,), params, grid, CARRIER_ONLY)[0]
         # dB null is 4x deeper everywhere: |p|^8 = (|p|^2)^4
         np.testing.assert_allclose(p4, p1**4, rtol=1e-9, atol=1e-12)
         assert abs(carrier_pattern(quad.static_column(), theta_n)) <= 1e-12
@@ -167,8 +166,8 @@ class TestNormalizeCoefficients:
         scaled = normalize_coefficients(config)
         assert np.abs(scaled.coefficients).max() == pytest.approx(1.0, rel=1e-15)
         grid = angle_grid(181)
-        before = normalize_pattern_db(power_pattern(config, params, grid, CARRIER_ONLY))
-        after = normalize_pattern_db(power_pattern(scaled, params, grid, CARRIER_ONLY))
+        before = normalize_pattern_db(power_patterns((config,), params, grid, CARRIER_ONLY)[0])
+        after = normalize_pattern_db(power_patterns((scaled,), params, grid, CARRIER_ONLY)[0])
         np.testing.assert_allclose(after, before, atol=1e-9)
 
     def test_rejects_zero_config(self):
@@ -197,38 +196,17 @@ class TestPeakPreservation:
             checked += 1
             peak = analytic_peak(theta_t, num_elements)
             combined = combine_convolve(peak, notch_config(theta_n))
-            peak_idx = np.argmax(power_pattern(peak, params, grid, CARRIER_ONLY))
-            comb_idx = np.argmax(power_pattern(combined, params, grid, CARRIER_ONLY))
+            peak_idx = np.argmax(power_patterns((peak,), params, grid, CARRIER_ONLY)[0])
+            comb_idx = np.argmax(power_patterns((combined,), params, grid, CARRIER_ONLY)[0])
             assert abs(int(peak_idx) - int(comb_idx)) <= 1
 
 
 class TestSinr:
-    def test_exact_null_removes_interference(self, params):
-        theta, theta_i = 1.0, np.pi / 4
-        report = sinr(notch_config(theta_i), theta, theta_i, sigma2=2.0, params=params, subcarrier_mode=CARRIER_ONLY)
-        assert report.interference_power == pytest.approx(0.0, abs=1e-24)
-        assert report.sinr_linear == pytest.approx(report.signal_power / 2.0, rel=1e-12)
-
-    def test_same_angle_bounds_sinr_below_one(self, params):
-        theta = 1.3
-        report = sinr(RisConfig(np.ones(4)), theta, theta, sigma2=1.0, params=params)
-        assert report.sinr_linear == pytest.approx(
-            report.signal_power / (report.signal_power + 1.0), rel=1e-12
-        )
-        assert report.sinr_linear < 1.0
-
     def test_combined_beats_peak_alone(self, params):
+        # SINR: all-subcarrier power at theta_t over that at theta_i plus unit noise
         theta_t, theta_i = 2.0 * np.pi / 5.0, np.pi / 4.0
         peak = analytic_peak(theta_t, 200)
         combined = combine_convolve(peak, notch_config(theta_i))
-        solo = sinr(peak, theta_t, theta_i, sigma2=1.0, params=params, subcarrier_mode=ALL_SUBCARRIERS)
-        both = sinr(combined, theta_t, theta_i, sigma2=1.0, params=params, subcarrier_mode=ALL_SUBCARRIERS)
-        assert both.sinr_linear > solo.sinr_linear
-
-    def test_sinr_db(self, params):
-        report = sinr(RisConfig(np.ones(2)), np.pi / 2, 0.3, sigma2=1.0, params=params, subcarrier_mode=CARRIER_ONLY)
-        assert report.sinr_db == pytest.approx(10 * np.log10(report.sinr_linear), rel=1e-12)
-
-    def test_rejects_non_positive_noise(self, params):
-        with pytest.raises(ValueError):
-            sinr(RisConfig(np.ones(2)), 1.0, 2.0, sigma2=0.0, params=params)
+        patterns = power_patterns((peak, combined), params, [theta_t, theta_i], ALL_SUBCARRIERS)
+        solo, both = (signal / (interference + 1.0) for signal, interference in patterns)
+        assert both > solo
