@@ -434,6 +434,20 @@ def test_exhausted_memory_exits_two(monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_full_study_script_exhausted_memory_exits_two(monkeypatch, tmp_path, capsys):
+    # the script's front end shares the CLI's exit statuses; the stand-in allocates nothing
+    message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
+
+    def exhausted(scenario, out_dir, workers):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", str(tmp_path / "o")])
+    assert cli.study_script(exhausted, {}) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"memory error: {message}\n"
+
+
 def test_outputs_do_not_depend_on_blas_thread_count(scenario_file, tmp_path):
     """Training's matrix-vector products run through BLAS; one and two
     BLAS threads must write the same bytes."""

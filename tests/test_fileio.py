@@ -96,6 +96,14 @@ def test_config_file_needs_no_angle_or_seed(tmp_path):
     assert "theta_t" not in meta and "seed" not in meta
 
 
+@pytest.mark.parametrize("keywords", [{"seed": 1}, {"theta_t": 0.5}])
+def test_config_file_writer_requires_angle_and_seed(keywords, tmp_path):
+    path = tmp_path / "c.txt"
+    with pytest.raises(TypeError):
+        write_config_file(path, RisConfig([1.0, 0.5j]), **keywords)
+    assert not path.exists()
+
+
 def test_config_file_rejects_more_than_one_slot(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# elements=2 slots=2\nre0,im0,re1,im1\n1.0,0.0,1.0,0.0\n0.0,1.0,0.0,1.0\n")
