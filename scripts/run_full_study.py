@@ -6,9 +6,9 @@
 --quick swaps in a scaled-down scenario (small grid, small network) so the
 whole pipeline finishes in seconds; omit it to run the full default setup.
 Exit status: 0 when every check passes, 1 when one fails, 2 on a bad
-argument, scenario or study file, or an output file that cannot be written
-(one `scenario error:`, `report error:` or `file error:` line), 3 when
-training diverges.
+argument, scenario or study file, an output file that cannot be written or
+exhausted memory (one `scenario error:`, `report error:`, `file error:` or
+`memory error:` line), 3 when training diverges.
 """
 
 import sys

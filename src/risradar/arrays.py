@@ -106,8 +106,14 @@ class RisConfig:
         return self.coefficients
 
 
-def _subcarrier_ratios(params: OfdmParams) -> np.ndarray:
-    """lambda / lambda_n = (f_c + n * df) / f_c for every subcarrier n, the per-subcarrier phase stretch."""
+def subcarrier_ratios(params: OfdmParams, subcarrier_mode: str) -> np.ndarray | None:
+    """lambda / lambda_n = (f_c + n * df) / f_c for every subcarrier n, the
+    per-subcarrier phase stretch, in "all" mode; None in "carrier" mode, where
+    the carrier alone counts. An unknown mode is a ValueError."""
+    if subcarrier_mode not in _MODES:
+        raise ValueError(f"subcarrier_mode must be one of {_MODES}")
+    if subcarrier_mode == CARRIER_ONLY:
+        return None
     fc = params.carrier_freq_hz
     return (fc + np.arange(params.num_subcarriers) * params.subcarrier_spacing) / fc
 
@@ -154,12 +160,10 @@ def power_patterns(configs, params: OfdmParams, angles, subcarrier_mode: str = C
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if angles.size == 0:
         raise ValueError("angle grid must be non-empty")
-    if subcarrier_mode not in _MODES:
-        raise ValueError(f"subcarrier_mode must be one of {_MODES}")
-    ratios = (None,) if subcarrier_mode == CARRIER_ONLY else _subcarrier_ratios(params)
+    ratios = subcarrier_ratios(params, subcarrier_mode)
     totals = [np.zeros(angles.shape) for _ in coeffs]
     # one (angles x elements) block per subcarrier, freed before the next, keeps memory flat in N
-    for ratio in ratios:
+    for ratio in (None,) if ratios is None else ratios:
         block = steering(max((c.size for c in coeffs), default=1), angles, ratio)
         for total, c in zip(totals, coeffs):
             total += np.abs(block[:, : c.size] @ c) ** 2

@@ -51,7 +51,6 @@ from .scenario import Scenario, ScenarioError
 from .simulation import (
     FrameTerms,
     InterferenceParams,
-    NoiseParams,
     TargetParams,
     TrialDraws,
     draw_trial,
@@ -203,8 +202,7 @@ def _point_terms(
         doppler_scale=scenario.interferer_doppler_scale,
         amplitude=10.0 ** (power_ratio_db / 20.0),
     )
-    noise = NoiseParams(scenario.noise_variance)
-    return frame_terms(scenario.ofdm_params(), config, target, interference, noise, subcarrier_mode)
+    return frame_terms(scenario.ofdm_params(), config, target, interference, scenario.noise_variance, subcarrier_mode)
 
 
 def run_trial(

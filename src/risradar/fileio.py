@@ -46,18 +46,21 @@ def _lines(path) -> list[str]:
     return Path(path).read_text().splitlines()
 
 
-def _data_lines(lines) -> list[str]:
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+def _put(pairs: dict, path, number: int, key: str, value: str) -> None:
+    """Add one parsed pair; a key already read is a ValueError naming the file and line."""
+    if key in pairs:
+        raise ValueError(f"{path}: line {number}: repeated key {key}")
+    pairs[key] = value
 
 
-def _comment_meta(lines) -> dict:
-    """The `# key=value` comment lines, as strings."""
-    meta = {}
-    for line in lines:
+def _comment_meta(path, lines) -> dict:
+    """The `# key=value` comment lines, as strings; free-text comments are ignored."""
+    meta: dict = {}
+    for number, line in enumerate(lines, 1):
         if line.startswith("#"):
             key, sep, value = line.lstrip("# ").partition("=")
             if sep:
-                meta[key.strip()] = value.strip()
+                _put(meta, path, number, key.strip(), value.strip())
     return meta
 
 
@@ -78,7 +81,7 @@ def _parse_table(path, lines, table: Table) -> list[list]:
     """The typed columns of the `table` file `path` whose lines are `lines`; a wrong
     header, a row with the wrong number of values or a value of the wrong kind is a
     ValueError naming the path."""
-    lines = _data_lines(lines)
+    lines = [line for line in lines if line and not line.startswith("#")]
     if not lines or lines[0] != table.header:
         raise ValueError(f"{path}: expected the header {table.header}")
     rows = [line.split(",") for line in lines[1:]]
@@ -156,7 +159,7 @@ def write_sweep_table(path, points, comments=()) -> Path:
 def read_sweep_file(path) -> tuple[list[tuple[float, float, float, float, int]], dict]:
     """A sweep table's rows and its `# key=value` comments, from one read."""
     lines = _lines(path)
-    return list(zip(*_parse_table(path, lines, SWEEP_TABLE))), _comment_meta(lines)
+    return list(zip(*_parse_table(path, lines, SWEEP_TABLE))), _comment_meta(path, lines)
 
 
 def read_sweep_table(path) -> list[tuple[float, float, float, float, int]]:
@@ -189,8 +192,13 @@ def write_keyvals(path, pairs: dict) -> Path:
 
 
 def read_keyvals(path) -> dict:
+    """A `key = value` metrics file, as strings; a line without `=` or a
+    repeated key is a ValueError naming the file and line."""
     out: dict = {}
-    for ln in _data_lines(_lines(path)):
-        key, _, value = ln.partition("=")
-        out[key.strip()] = value.strip()
+    for number, line in enumerate(_lines(path), 1):
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}: line {number}: expected key = value")
+            _put(out, path, number, key.strip(), value.strip())
     return out

@@ -1,8 +1,7 @@
 """Symbol-domain OFDM radar simulation with a reflecting element array.
 
 Generates the post-FFT, symbol-divided received grid y[n, m] containing
-a target echo, an optional synchronized interferer, and complex Gaussian
-noise:
+a target echo, a synchronized interferer, and complex Gaussian noise:
 
     y[n,m] = g_t[n,m] * exp(-2j*pi*n*df*tau)   * exp(+2j*pi*fc*nu*m*T)
            + g_i[n,m] * (d_i/d_r)[n,m]
@@ -30,11 +29,11 @@ bit, so the peak is the same.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import CARRIER_ONLY, SPEED_OF_LIGHT, _MODES, OfdmParams, RisConfig, _subcarrier_ratios, steering
+from .arrays import CARRIER_ONLY, SPEED_OF_LIGHT, OfdmParams, RisConfig, steering, subcarrier_ratios
 
 
 @dataclass(frozen=True)
@@ -45,10 +44,6 @@ class TargetParams:
     angle_rad: float
     velocity_mps: float = 0.0
     amplitude: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.range_m < 0.0:
-            raise ValueError("target range must be non-negative")
 
     @property
     def delay_s(self) -> float:
@@ -69,15 +64,6 @@ class InterferenceParams:
     amplitude: complex = 1.0 + 0.0j
 
 
-@dataclass(frozen=True)
-class NoiseParams:
-    variance: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.variance < np.inf:
-            raise ValueError("noise variance must be finite and non-negative")
-
-
 _QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 
@@ -87,10 +73,10 @@ def generate_symbols(params: OfdmParams, seed: int) -> np.ndarray:
     return _QPSK[np.random.default_rng(seed).integers(0, 4, size=(params.num_subcarriers, params.num_symbols))]
 
 
-def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, subcarrier_mode: str) -> np.ndarray:
-    """g[n, m] = c^T b_n(theta) for every subcarrier n, repeated over the symbols m."""
+def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, ratios: np.ndarray | None) -> np.ndarray:
+    """g[n, m] = c^T b_n(theta) for every subcarrier n (b at the carrier for
+    all n when `ratios` is None), repeated over the symbols m."""
     coeffs = config.coefficients
-    ratios = None if subcarrier_mode == CARRIER_ONLY else _subcarrier_ratios(params)
     gains = steering(coeffs.size, theta, ratios) @ coeffs  # scalar, or one per subcarrier
     return np.array(np.broadcast_to(np.reshape(gains, (-1, 1)), (params.num_subcarriers, params.num_symbols)))
 
@@ -103,24 +89,26 @@ class FrameTerms:
 
     params: OfdmParams
     target: np.ndarray
-    gain_i: np.ndarray | None = None
-    ramp_i: np.ndarray | None = None
-    noise_variance: float = 0.0
+    gain_i: np.ndarray
+    ramp_i: np.ndarray
+    noise_variance: float
 
 
 def frame_terms(
     params: OfdmParams,
     config: RisConfig,
     target: TargetParams,
-    interference: InterferenceParams | None = None,
-    noise: NoiseParams | None = None,
+    interference: InterferenceParams,
+    noise_variance: float,
     subcarrier_mode: str = CARRIER_ONLY,
 ) -> FrameTerms:
-    """Check the mode and target range, then build the draw-independent terms."""
-    if subcarrier_mode not in _MODES:
-        raise ValueError(f"subcarrier_mode must be one of {_MODES}")
-    if target.range_m >= params.unambiguous_range:
-        raise ValueError("target range beyond the unambiguous range")
+    """Check the mode, the target range (0 <= range < the unambiguous range)
+    and the noise variance, then build the draw-independent terms."""
+    ratios = subcarrier_ratios(params, subcarrier_mode)
+    if not 0.0 <= target.range_m < params.unambiguous_range:
+        raise ValueError("target range must lie in [0, unambiguous range)")
+    if not 0.0 <= noise_variance < np.inf:
+        raise ValueError("noise variance must be finite and non-negative")
     n = np.arange(params.num_subcarriers)
     m = np.arange(params.num_symbols)
     df = params.subcarrier_spacing
@@ -129,21 +117,19 @@ def frame_terms(
     def ramp(delay_s: float, doppler_scale: float) -> np.ndarray:
         return np.outer(np.exp(-2j * np.pi * n * df * delay_s), np.exp(2j * np.pi * fc_t * doppler_scale * m))
 
-    gain_t = target.amplitude * _gain_matrix(config, params, target.angle_rad, subcarrier_mode)
-    variance = 0.0 if noise is None else noise.variance
-    terms = FrameTerms(params, gain_t * ramp(target.delay_s, target.doppler_scale), noise_variance=variance)
-    if interference is None:
-        return terms
-    gain_i = interference.amplitude * _gain_matrix(config, params, interference.angle_rad, subcarrier_mode)
-    return replace(terms, gain_i=gain_i, ramp_i=ramp(interference.delay_s, interference.doppler_scale))
+    gain_t = target.amplitude * _gain_matrix(config, params, target.angle_rad, ratios)
+    target_term = gain_t * ramp(target.delay_s, target.doppler_scale)
+    gain_i = interference.amplitude * _gain_matrix(config, params, interference.angle_rad, ratios)
+    ramp_i = ramp(interference.delay_s, interference.doppler_scale)
+    return FrameTerms(params, target_term, gain_i, ramp_i, noise_variance)
 
 
 @dataclass
 class TrialDraws:
     """One trial's random draws, which every configuration at a sweep point
-    shares: the symbol ratio d_i/d_r (None without an interferer) and one
-    complex noise grid per frame (None at zero variance). A consuming
-    `frame_pair` writes its frames into the noise grids and empties the draws."""
+    shares: the symbol ratio d_i/d_r and one complex noise grid per frame
+    (None at zero variance). A consuming `frame_pair` writes its frames into
+    the noise grids and empties the draws, setting both fields to None."""
 
     ratio: np.ndarray | None
     noise: tuple
@@ -170,21 +156,18 @@ def _noise(shape: tuple[int, int], variance: float, seed: int) -> np.ndarray | N
 
 def draw_trial(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, ...]) -> TrialDraws:
     """The radar and interferer symbols from the (radar, interferer)
-    `symbol_seeds` (not drawn without an interferer), reduced to their ratio,
-    and one noise grid from each of `noise_seeds`. Only the terms' grid size,
-    interferer and noise variance matter, so the draws serve every
-    configuration whose terms share those."""
-    ratio = None if terms.gain_i is None else _symbol_ratio(terms.params, symbol_seeds)
+    `symbol_seeds`, reduced to their ratio, and one noise grid from each of
+    `noise_seeds`. Only the terms' grid size and noise variance matter, so
+    the draws serve every configuration whose terms share those."""
+    ratio = _symbol_ratio(terms.params, symbol_seeds)
     shape = terms.target.shape
     return TrialDraws(ratio, tuple(_noise(shape, terms.noise_variance, seed) for seed in noise_seeds))
 
 
-def _path(terms: FrameTerms, ratio: np.ndarray | None) -> np.ndarray:
+def _path(terms: FrameTerms, ratio: np.ndarray) -> np.ndarray:
     """Noise-free array path target + (g_i * d_i/d_r) * ramp_i, built in one
     buffer: IEEE addition commutes, so adding the target last in place gives
     the same bits, and the drawn noise grids get no second temporary beside them."""
-    if ratio is None:
-        return terms.target
     path = terms.gain_i * ratio
     path *= terms.ramp_i
     path += terms.target
@@ -193,10 +176,11 @@ def _path(terms: FrameTerms, ratio: np.ndarray | None) -> np.ndarray:
 
 def _frame(path: np.ndarray, noise: np.ndarray | None, negate: bool = False, into: bool = False) -> np.ndarray:
     """path (-path if negate) plus the drawn noise, written into the noise
-    grid when `into`. IEEE addition commutes and x - y equals x + (-y), so
-    the bits are those of path + noise (-path + noise)."""
+    grid when `into`; without noise, frame a is the path's own fresh buffer.
+    IEEE addition commutes and x - y equals x + (-y), so the bits are those
+    of path + noise (-path + noise)."""
     if noise is None:
-        return -path if negate else path.copy()
+        return -path if negate else path
     out = noise if into else None
     return np.subtract(noise, path, out=out) if negate else np.add(noise, path, out=out)
 

@@ -150,7 +150,8 @@ def test_criterion_4_combined_pattern_figure(params, default_training, default_c
 def test_criterion_5_range_pipeline_exactness(params):
     start = time.monotonic()
     target = TargetParams(range_m=30.0, angle_rad=1.0)
-    terms = frame_terms(params, RisConfig([1.0]), target)
+    silent = InterferenceParams(delay_s=0.0, angle_rad=0.0, amplitude=0.0)  # adds exact zeros
+    terms = frame_terms(params, RisConfig([1.0]), target, silent, 0.0)
     grid, _ = frame_pair(terms, draw_trial(terms, (1, 0), (0, 0)), consume=True)
     rv = rv_map(grid, params)
     estimate = estimate_target(grid, params)
@@ -221,7 +222,7 @@ def test_criterion_8_frame_difference_cancellation(params):
     static = 10.0 * (rng.normal(size=(100, 50)) + 1j * rng.normal(size=(100, 50)))
     target = TargetParams(range_m=18.0, angle_rad=1.2, velocity_mps=5.0)
     interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, amplitude=2.0)
-    terms = frame_terms(params, RisConfig(np.exp(1j * np.linspace(0.0, 2.0, 8))), target, interference)
+    terms = frame_terms(params, RisConfig(np.exp(1j * np.linspace(0.0, 2.0, 8))), target, interference, 0.0)
     expected, _ = frame_pair(terms, draw_trial(terms, (9, 3), (0, 0)), consume=True)
     y_a, y_b = frame_pair(terms, draw_trial(terms, (9, 3), (0, 1)), consume=True)
     clean = frame_difference(y_a, y_b)

@@ -15,12 +15,12 @@ from risradar.arrays import (
     SPEED_OF_LIGHT,
     OfdmParams,
     RisConfig,
-    _subcarrier_ratios,
     angle_grid,
     angle_grid_deg,
     normalize_pattern_db,
     power_patterns,
     steering,
+    subcarrier_ratios,
 )
 
 
@@ -65,7 +65,8 @@ class TestOfdmParams:
         )
 
     def test_subcarrier_wavelengths(self, params):
-        ratios = _subcarrier_ratios(params)
+        assert subcarrier_ratios(params, CARRIER_ONLY) is None
+        ratios = subcarrier_ratios(params, ALL_SUBCARRIERS)
         assert ratios[0] == 1.0
         n = 99
         f_n = 77e9 + n * 2e6
@@ -75,7 +76,7 @@ class TestOfdmParams:
     def test_all_ratios_are_the_per_subcarrier_bits(self, num_subcarriers):
         params = OfdmParams(77e9, 200e6, num_subcarriers, 8)
         loop = np.array([subcarrier_ratio(params, n) for n in range(num_subcarriers)])
-        assert _subcarrier_ratios(params).tobytes() == loop.tobytes()
+        assert subcarrier_ratios(params, ALL_SUBCARRIERS).tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize(
         "kwargs",

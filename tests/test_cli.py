@@ -80,6 +80,7 @@ def test_report_on_empty_directory_signals_nothing_run(tmp_path):
     assert "studies: 0" in (out / "summary.txt").read_text()
 
 
+PASSING_METRICS = "combined_argmax_deg = 72.0\ntarget_angle_deg = 72.0\ncombined_db_at_interferer = -80.0\n"
 SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
 
 
@@ -90,8 +91,23 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
         ("sweep.csv", f"# interferer_angle_rad=0.8\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n", "missing key 'range_bin_m'"),
         ("multinotch_summary.csv", f"{SUMMARY_HEADER}\n0.0,wide,0.1,1.1,300.0\n", "could not convert string to float"),
         ("pattern_metrics.txt", "target_angle_deg=72.0\ncombined_db_at_interferer=-80.0\n", "missing key 'combined_argmax_deg'"),
+        ("pattern_metrics.txt", f"{PASSING_METRICS}result: pass\n", "line 4: expected key = value"),
+        ("pattern_metrics.txt", f"combined_argmax_deg = 10.0\n{PASSING_METRICS}", "line 2: repeated key combined_argmax_deg"),
+        (
+            "sweep.csv",
+            f"# free text\n# range_bin_m=0.75\n# range_bin_m=100.0\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n",
+            "line 3: repeated key range_bin_m",
+        ),
     ],
-    ids=["sweep-without-rows", "sweep-without-range-bin", "summary-non-numeric", "metrics-missing-key"],
+    ids=[
+        "sweep-without-rows",
+        "sweep-without-range-bin",
+        "summary-non-numeric",
+        "metrics-missing-key",
+        "metrics-line-without-equals",
+        "metrics-repeated-key",
+        "sweep-repeated-comment-key",
+    ],
 )
 def test_report_on_unparsable_study_file_exits_two(name, text, reason, tmp_path, capsys):
     (tmp_path / name).write_text(text)

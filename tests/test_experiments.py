@@ -24,7 +24,6 @@ from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records,
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import (
     InterferenceParams,
-    NoiseParams,
     TargetParams,
     draw_trial,
     frame_difference,
@@ -329,7 +328,7 @@ class TestInterferenceSweep:
                         doppler_scale,
                         10.0 ** (ratio / 20.0),
                     )
-                    terms = frame_terms(params, config, target, interference, NoiseParams(noise_variance), mode)
+                    terms = frame_terms(params, config, target, interference, noise_variance, mode)
                     draws = draw_trial(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
                     pair = frame_pair(terms, draws, consume=True)
                     expected.append(frame_difference(*pair).tobytes())

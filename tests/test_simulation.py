@@ -7,7 +7,6 @@ from risradar import simulation
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT, OfdmParams, RisConfig, steering
 from risradar.simulation import (
     InterferenceParams,
-    NoiseParams,
     TargetParams,
     draw_trial,
     estimate_target,
@@ -22,8 +21,12 @@ from risradar.synthesis import analytic_peak, combine_convolve, normalize_coeffi
 QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
 
-def single_element_terms(params, target, interference=None, noise=None):
-    return frame_terms(params, RisConfig([1.0]), target, interference, noise)
+# adds exact zeros to the array path, so a frame with it holds the target term alone
+SILENT_INTERFERER = InterferenceParams(delay_s=0.0, angle_rad=0.0, amplitude=0.0)
+
+
+def single_element_terms(params, target, interference=SILENT_INTERFERER, noise_variance=0.0):
+    return frame_terms(params, RisConfig([1.0]), target, interference, noise_variance)
 
 
 def simulated_pair(terms, symbol_seeds, noise_seeds):
@@ -105,11 +108,16 @@ class TestReceivedFrame:
         target = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.7 + 0.2j)
         interference = InterferenceParams(delay_s=2e-7, angle_rad=0.8, doppler_scale=1e-8, amplitude=2.0 - 1.0j)
         config = RisConfig(np.exp(1j * np.linspace(0, 1, 4)))
-        both = received(frame_terms(params, config, target, interference), symbol_seeds, 0)
-        target_only = received(frame_terms(params, config, target), symbol_seeds, 0)
+        both = received(frame_terms(params, config, target, interference, 0.0), symbol_seeds, 0)
+        target_only = received(frame_terms(params, config, target, SILENT_INTERFERER, 0.0), symbol_seeds, 0)
         silent = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.0)
-        interferer_only = received(frame_terms(params, config, silent, interference), symbol_seeds, 0)
+        interferer_only = received(frame_terms(params, config, silent, interference, 0.0), symbol_seeds, 0)
         np.testing.assert_allclose(both, target_only + interferer_only, atol=1e-12)
+
+    def test_zero_amplitude_interferer_leaves_the_target_term(self, params):
+        target = TargetParams(range_m=12.0, angle_rad=1.1, velocity_mps=4.0, amplitude=0.7 + 0.2j)
+        terms = frame_terms(params, RisConfig(np.exp(1j * np.linspace(0, 1, 4))), target, SILENT_INTERFERER, 0.0)
+        assert received(terms, (3, 9), 0).tobytes() == terms.target.tobytes()
 
     @pytest.mark.parametrize("mode", [CARRIER_ONLY, ALL_SUBCARRIERS])
     def test_matches_the_formula_built_here(self, mode):
@@ -119,7 +127,7 @@ class TestReceivedFrame:
         coeffs = np.exp(1j * np.linspace(0.0, 2.0, 6)) * np.linspace(1.0, 0.5, 6)
         target = TargetParams(range_m=12.0, angle_rad=1.2, velocity_mps=5.0, amplitude=0.7 + 0.2j)
         interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, doppler_scale=3e-8, amplitude=2.0 - 1.0j)
-        grid = received(frame_terms(params, RisConfig(coeffs), target, interference, None, mode), (9, 3), 0)
+        grid = received(frame_terms(params, RisConfig(coeffs), target, interference, 0.0, mode), (9, 3), 0)
 
         fc, df, symbol_time = params.carrier_freq_hz, params.subcarrier_spacing, params.total_symbol_time
         ratios = None
@@ -146,19 +154,21 @@ class TestReceivedFrame:
 
     def test_noise_variance(self, params):
         silent = TargetParams(range_m=0.0, angle_rad=1.0, amplitude=0.0)
-        grid = received(single_element_terms(params, silent, noise=NoiseParams(variance=3.0)), (1, 0), 11)
+        grid = received(single_element_terms(params, silent, noise_variance=3.0), (1, 0), 11)
         measured = np.mean(np.abs(grid) ** 2)
         assert measured == pytest.approx(3.0, rel=0.05)
 
     def test_rejects_bad_shapes_and_ranges(self, params):
-        far = TargetParams(range_m=80.0, angle_rad=1.0)  # beyond c/(2 df) = 75 m
-        with pytest.raises(ValueError):
-            received(single_element_terms(params, far), (1, 0), 0)
-        with pytest.raises(ValueError):
-            TargetParams(range_m=-1.0, angle_rad=1.0)
-        for variance in (-1.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                NoiseParams(variance)
+        target = TargetParams(range_m=30.0, angle_rad=1.0)
+        bad = [
+            (TargetParams(range_m=80.0, angle_rad=1.0), 0.0, CARRIER_ONLY, "target range"),  # beyond c/(2 df) = 75 m
+            (TargetParams(range_m=-1.0, angle_rad=1.0), 0.0, CARRIER_ONLY, "target range"),
+            *((target, variance, CARRIER_ONLY, "noise variance") for variance in (-1.0, np.inf, np.nan)),
+            (target, 0.0, "bogus", "subcarrier_mode"),
+        ]
+        for bad_target, variance, mode, message in bad:
+            with pytest.raises(ValueError, match=message):
+                frame_terms(params, RisConfig([1.0]), bad_target, SILENT_INTERFERER, variance, mode)
 
 
 class TestFrameDifference:
@@ -187,7 +197,7 @@ class TestFrameDifference:
         num_elements=st.integers(min_value=1, max_value=16),
         mode=st.sampled_from([CARRIER_ONLY, ALL_SUBCARRIERS]),
         with_interference=st.booleans(),
-        variance=st.sampled_from([None, 0.0, 0.5, 2.0]),
+        variance=st.sampled_from([0.0, 0.5, 2.0]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_each_frame_equals_simulating_that_frame(
@@ -206,7 +216,7 @@ class TestFrameDifference:
             velocity_mps=rng.normal(scale=5.0),
             amplitude=complex(rng.normal(), rng.normal()),
         )
-        interference = None
+        interference = SILENT_INTERFERER
         symbol_seeds = (seed, 0)
         if with_interference:
             interference = InterferenceParams(
@@ -217,10 +227,9 @@ class TestFrameDifference:
             )
             symbol_seeds = (seed, int(rng.integers(2**32)))
         seeds = tuple(int(s) for s in rng.integers(2**32, size=2))
-        noise = None if variance is None else NoiseParams(variance)
 
         def terms(frame_config):
-            return frame_terms(params, frame_config, target, interference, noise, mode)
+            return frame_terms(params, frame_config, target, interference, variance, mode)
 
         y_a, y_b = simulated_pair(terms(config), symbol_seeds, seeds)
         for frame, frame_config, noise_seed in ((y_a, config, seeds[0]), (y_b, RisConfig(-coeffs), seeds[1])):
@@ -232,7 +241,7 @@ class TestFrameDifference:
         sigma2 = 2.0
         samples = []
         for trial in range(2):  # 2 x 5000 = 1e4 noise samples
-            terms = single_element_terms(params, silent, noise=NoiseParams(sigma2))
+            terms = single_element_terms(params, silent, noise_variance=sigma2)
             noise_seeds = tuple(int(s) for s in np.random.SeedSequence(trial).generate_state(2))
             samples.append(frame_difference(*simulated_pair(terms, (1, 0), noise_seeds)).ravel())
         measured = np.mean(np.abs(np.concatenate(samples)) ** 2)
@@ -368,7 +377,7 @@ class TestEstimateTarget:
             combine_convolve(analytic_peak(theta_t, 200), notch_config(theta_i))
         )
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0))
-        terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference)
+        terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference, 0.0)
         estimate = estimate_target(received(terms, (4, 5), 0), params)
         assert estimate.exact_bins == (40, 0)
         assert estimate.range_m == 30.0
@@ -493,7 +502,7 @@ class TestPeakSearch:
 
     def test_a_dominant_target_needs_few_rows(self, params, transformed_rows):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
-        y = received(single_element_terms(params, target, noise=NoiseParams(1.0)), (1, 0), 0)
+        y = received(single_element_terms(params, target, noise_variance=1.0), (1, 0), 0)
         assert estimate_target(y, params, 4, 4).exact_bins == full_map_bins(y, params, 4, 4)
         assert len(transformed_rows) <= 10  # of 400 rows
 
@@ -511,7 +520,7 @@ class TestNullSuppression:
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=1.0)
 
         def interference_grid(config):
-            return received(frame_terms(params, config, silent, interference), (2, 8), 0)
+            return received(frame_terms(params, config, silent, interference, 0.0), (2, 8), 0)
 
         suppressed = np.abs(interference_grid(combined))
         reference = np.abs(interference_grid(aligned))
@@ -538,7 +547,7 @@ class TestRangeErrorMetric:
                     config,
                     TargetParams(range_m=true_range, angle_rad=theta_t),
                     InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (ratio_db / 20.0)),
-                    NoiseParams(1.0),
+                    1.0,
                 )
                 estimate = estimate_target(received(terms, (s_sym, s_int), s_noise), small, 4, 4)
                 errors.append(abs(true_range - estimate.range_m))

@@ -1,0 +1,83 @@
+"""Design rules of the package, checked on its source with `ast`.
+
+* No module imports an underscore name from another module: what a module
+  shares, it shares under a public name.
+* Every public top-level function, class and method has a caller in the
+  program (`src/` or `scripts/`) outside its own definition, except the
+  names in UNCALLED, each with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "risradar"
+PROGRAM = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+UNCALLED = {
+    "simulation.rv_map": "the full map the peak search is tested against",
+    "synthesis.analytic_peak": "the closed-form peak training is tested against",
+    "arrays.RisConfig.static_column": "called by the benchmark",
+    "fileio.read_config_file": "called by the benchmark",
+    "fileio.read_peak_records": "called by the benchmark",
+    "fileio.read_sweep_table": "called by the benchmark",
+}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def definitions(tree):
+    """(dotted name, node) of each public top-level function and class, and of
+    each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def references(tree):
+    """(identifier, line) of every name, attribute and imported name the tree uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_a_private_name(path):
+    private = [
+        f"line {node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and node.module != "__future__"
+    ]
+    assert private == []
+
+
+def test_every_public_name_has_a_caller_in_the_program():
+    uses = {path: list(references(parse(path))) for path in PROGRAM}
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in definitions(parse(path)):
+            identifier = name.rpartition(".")[2]
+            inside = range(node.lineno, node.end_lineno + 1)
+            called = any(
+                used == identifier and not (other == path and line in inside)
+                for other, found in uses.items()
+                for used, line in found
+            )
+            if not called:
+                uncalled.append(f"{path.stem}.{name}")
+    assert sorted(uncalled) == sorted(UNCALLED)
