@@ -123,7 +123,7 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
     meta: dict = {}
     for token in lines[0].lstrip("#").split():
         key, _, value = token.partition("=")
-        meta[key] = value
+        _put(meta, path, 1, key, value)
     if "elements" not in meta:
         raise ValueError(f"{path}: header key elements is missing")
     for key, kind in (("elements", int), ("theta_t", float), ("seed", int)):

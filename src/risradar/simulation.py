@@ -23,7 +23,11 @@ that peak without building the map: after the range transform it bounds
 each range row's largest map magnitude by the triangle inequality and runs
 the velocity transform only on the rows whose bound can reach the best
 magnitude found. Each transformed row equals that row of `rv_map` bit for
-bit, so the peak is the same.
+bit, so the peak is the same. The range rows and their magnitudes, and the
+map rows and their magnitudes, are written into buffers kept for the last
+grid shape (`_kept`), so the trials of a sweep reuse that memory instead of
+allocating it afresh. The module is single-threaded and the sweep's pool
+uses processes, so no two calls use the buffers at once.
 """
 
 from __future__ import annotations
@@ -222,10 +226,28 @@ class RvMap:
     velocity_bin_mps: float
 
 
+# The transforms' working buffers, one per role, kept for the last shape
+# asked. Allocated fresh, grid-sized buffers went back to the system when
+# freed (glibc returns large blocks), so each default sweep trial faulted in
+# about 130 fresh pages. The module is single-threaded and the sweep's pool
+# uses processes, so one set serves every call.
+_KEPT: dict[str, np.ndarray] = {}
+
+
+def _kept(role: str, shape: tuple[int, int], dtype: type) -> np.ndarray:
+    """The buffer kept for `role`, replaced when `shape` differs from its own.
+    It holds whatever the last call left, and no caller holds it past its return."""
+    buffer = _KEPT.get(role)
+    if buffer is None or buffer.shape != shape:
+        buffer = _KEPT[role] = np.empty(shape, dtype=dtype)
+    return buffer
+
+
 def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
     """The range transform of `rv_map`, after the checks on the grid and both
     padding factors: the inverse DFT along subcarriers of the grid zero-padded
-    to pad_range*N, as an (n_range, M) array whose row r feeds range bin r."""
+    to pad_range*N, as an (n_range, M) array whose row r feeds range bin r.
+    The array is the kept range-rows buffer, which the next call overwrites."""
     y = np.asarray(y)
     if y.ndim != 2:
         raise ValueError("received grid must be 2-D")
@@ -233,19 +255,18 @@ def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
         raise ValueError("padding factors must be >= 1")
     if y.size == 0:
         raise ValueError("range-velocity map is empty")
-    rows = np.zeros((int(pad_range) * y.shape[0], y.shape[1]), dtype=complex)
+    rows = _kept("range rows", (int(pad_range) * y.shape[0], y.shape[1]), complex)
     rows[: y.shape[0]] = y
+    rows[y.shape[0] :] = 0
     np.fft.ifft(rows, axis=0, out=rows)
     return rows
 
 
-def _map_rows(rows: np.ndarray, n_range: int, n_vel: int) -> np.ndarray:
+def _map_rows(rows: np.ndarray, n_range: int, n_vel: int, values: np.ndarray | None = None) -> np.ndarray:
     """The map rows of the given range rows: each zero-padded to n_vel,
-    transformed along the symbols in place and scaled by n_range. A row's
-    bits do not depend on which other rows share the call."""
-    values = np.zeros((rows.shape[0], n_vel), dtype=complex)
-    values[:, : rows.shape[1]] = rows
-    np.fft.fft(values, axis=1, out=values)
+    transformed along the symbols and scaled by n_range, into `values` when
+    given. A row's bits do not depend on which other rows share the call."""
+    values = np.fft.fft(rows, n=n_vel, axis=1, out=values)
     values *= n_range
     return values
 
@@ -286,22 +307,27 @@ _BOUND_MARGIN = 1.0 + 1e-9
 # a row whose bound reaches this is always in the first batch: a skipped row
 # never hides a non-finite cell of the full map.
 _OVERFLOW_RISK = np.finfo(float).max / 4
-# Map cells whose magnitudes are taken at a time. A noise-only search
-# transforms every row, as the full map does; taking all their magnitudes at
-# once put its heap peak (range rows, map rows and magnitudes) at glibc's trim
-# threshold, so every call faulted in fresh pages.
+# Map cells whose magnitudes are taken at a time. The map rows and these
+# magnitudes go into kept buffers, like the range rows and their magnitudes
+# (see `_kept`). A noise-only search transforms every row, as the full map
+# does; blocks keep 128 KiB of map magnitudes where the whole default map's
+# would keep 640 KiB.
 _BLOCK_CELLS = 16384
 
 
 def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int, int]:
     """(magnitude, range bin, velocity bin) of the first largest |map| cell
     in row-major order over the chosen (sorted) range rows, which are
-    transformed in one call; a non-finite cell raises ValueError."""
-    values = _map_rows(rows[chosen], n_range, n_vel)
+    transformed in one call; a non-finite cell raises ValueError. When every
+    row is chosen, the range rows are transformed without a copy."""
+    picked = rows if chosen.size == n_range else rows[chosen]
+    values = _map_rows(picked, n_range, n_vel, _kept("map rows", (n_range, n_vel), complex)[: chosen.size])
     peak = (-1.0, 0, 0)
     step = max(1, _BLOCK_CELLS // n_vel)
+    block = _kept("map magnitudes", (min(step, n_range), n_vel), float)
     for start in range(0, chosen.size, step):
-        magnitude = np.abs(values[start : start + step])
+        cells = values[start : start + step]
+        magnitude = np.abs(cells, out=block[: cells.shape[0]])
         row, velocity_bin = divmod(int(np.argmax(magnitude)), n_vel)
         value = float(magnitude[row, velocity_bin])
         if not math.isfinite(value):  # argmax picks a NaN's index
@@ -328,7 +354,7 @@ def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_v
     rows = _range_rows(y, pad_range, pad_velocity)
     n_range, n_sym = rows.shape
     n_vel = int(pad_velocity) * n_sym
-    bounds = n_range * np.abs(rows).sum(axis=1)
+    bounds = n_range * np.abs(rows, out=_kept("range magnitudes", rows.shape, float)).sum(axis=1)
     cut = min(0.5 * bounds.max(), _OVERFLOW_RISK)  # NaN once a bound is NaN: then every row goes first
     first = ~(bounds < cut)
     peaks = [_peak_rows(rows, np.flatnonzero(first), n_range, n_vel)]

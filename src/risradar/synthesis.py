@@ -144,12 +144,10 @@ class PeakNetwork:
 
         np.multiply.outer(delta, activations[-1], out=self._weight_grads[-1])
         self._bias_grads[-1][...] = delta
-        upstream = self.weights[-1].T @ delta
         for k in range(len(self.weights) - 2, -1, -1):
-            delta = upstream * (1.0 - activations[k + 1] ** 2)
+            delta = (self.weights[k + 1].T @ delta) * (1.0 - activations[k + 1] ** 2)
             np.multiply.outer(delta, activations[k], out=self._weight_grads[k])
             self._bias_grads[k][...] = delta
-            upstream = self.weights[k].T @ delta
         return loss, self._weight_grads, self._bias_grads
 
 

@@ -132,6 +132,15 @@ def test_config_file_bad_header_names_path_and_key(tmp_path, header, key):
     assert f"header key {key} " in str(excinfo.value)
 
 
+def test_config_file_rejects_a_repeated_header_key(tmp_path):
+    # keeping the last value read this file as a 2-element configuration
+    path = tmp_path / "c.txt"
+    path.write_text("# elements=3 slots=1 elements=2 theta_t=1.0 seed=0\nre,im\n1.0,0.0\n0.0,1.0\n")
+    with pytest.raises(ValueError, match="repeated key elements") as excinfo:
+        read_config_file(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_peak_records_round_trip(tmp_path):
     records = [(12, 30.0, 0.7853981633974483, 0.75), (13, 35.0, 0.79, 0.0)]
     path = write_peak_records(tmp_path / "r.csv", records)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,8 +320,9 @@ class TestRvMap:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_in_place_transform_is_bitwise_the_padded_fft_pair(self, shape, pads, seed):
-        # the map is transformed inside one zero-padded buffer; it must equal
-        # the two padded transforms computed out of place, byte for byte
+        # the range rows are transformed inside one zero-padded buffer kept
+        # between calls; the map must equal the two padded transforms computed
+        # out of place, byte for byte
         n_sub, n_sym = shape
         pad_range, pad_velocity = pads
         params = OfdmParams(77e9, 200e6, num_subcarriers=n_sub, num_symbols=n_sym)
@@ -505,6 +511,96 @@ class TestPeakSearch:
         y = received(single_element_terms(params, target, noise_variance=1.0), (1, 0), 0)
         assert estimate_target(y, params, 4, 4).exact_bins == full_map_bins(y, params, 4, 4)
         assert len(transformed_rows) <= 10  # of 400 rows
+
+
+def padded_map(y, pad_range, pad_velocity):
+    """The map from the two padded transforms computed out of place, with no
+    buffer of the simulation module."""
+    n_sub, n_sym = y.shape
+    return np.fft.fft(np.fft.ifft(y, n=pad_range * n_sub, axis=0), n=pad_velocity * n_sym, axis=1) * (pad_range * n_sub)
+
+
+# One warm-up trial, then 20 sweep trials at the default grid size; prints the
+# minor page faults of the 20.
+FAULT_CHECK = """
+import resource
+import sys
+import numpy as np
+from risradar.arrays import RisConfig
+from risradar.experiments import run_interference_sweep, run_trial, trial_seeds
+from risradar.scenario import default_scenario
+
+ratio_db = float(sys.argv[1])
+scenario = default_scenario()
+config = RisConfig(np.ones(scenario.num_peak_elements))
+run_trial(scenario, config, ratio_db, 0.0, trial_seeds(scenario.master_seed, 0, 0, 0))
+point = scenario.replace(power_ratios_db=(ratio_db,), angle_offsets_rad=(0.0,), trials=20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_interference_sweep(point, config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestKeptBuffers:
+    """The transforms write into buffers kept for the last grid shape; no call
+    may see what an earlier one left in them."""
+
+    @pytest.mark.parametrize("first_kind", ["huge", "non-finite"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_shape_reached_from_another_grid_keeps_nothing_stale(self, first_kind, seed):
+        # 24 subcarriers at range padding 1 and 6 at padding 4 both give 24
+        # range rows of 12 symbols; the second grid's padded tail must be zeros
+        for kind, n_sub, pad_range in ((first_kind, 24, 1), ("noise", 6, 4), (first_kind, 24, 1), ("noise", 6, 4)):
+            params = OfdmParams(77e9, 200e6, num_subcarriers=n_sub, num_symbols=12)
+            y = search_grid(kind, (n_sub, 12), seed)
+            with np.errstate(all="ignore"):
+                if kind == "noise":  # finite: a stale non-finite tail would raise
+                    expected = full_map_bins(y, params, pad_range, 2)
+                    assert estimate_target(y, params, pad_range, 2).exact_bins == expected
+                    assert rv_map(y, params, pad_range, 2).values.tobytes() == padded_map(y, pad_range, 2).tobytes()
+                    continue
+                try:
+                    expected = full_map_bins(y, params, pad_range, 2)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not finite"):
+                        estimate_target(y, params, pad_range, 2)
+                    continue
+                assert estimate_target(y, params, pad_range, 2).exact_bins == expected
+
+    def test_a_map_between_two_searches_leaves_both_right(self, params):
+        tone = search_grid("tone", (100, 50), 3)
+        noise = search_grid("noise", (100, 50), 4)
+        magnitude = np.abs(padded_map(tone, 4, 4))
+        expected = tuple(int(b) for b in np.unravel_index(np.argmax(magnitude), magnitude.shape))
+        assert estimate_target(tone, params, 4, 4).exact_bins == expected
+        values = rv_map(noise, params, 4, 4).values
+        assert estimate_target(tone, params, 4, 4).exact_bins == expected
+        assert values.tobytes() == padded_map(noise, 4, 4).tobytes()
+
+    def test_same_shape_calls_reuse_one_buffer_per_role(self, params):
+        first = simulation._range_rows(search_grid("noise", (100, 50), 0), 4, 4)
+        second = simulation._range_rows(search_grid("noise", (100, 50), 1), 4, 4)
+        assert np.shares_memory(first, second)
+        estimate_target(search_grid("noise", (100, 50), 2), params, 4, 4)
+        kept = dict(simulation._KEPT)
+        estimate_target(search_grid("noise", (100, 50), 3), params, 4, 4)
+        assert set(kept) == {"range rows", "range magnitudes", "map rows", "map magnitudes"}
+        assert all(np.shares_memory(simulation._KEPT[role], buffer) for role, buffer in kept.items())
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt counts minor page faults on Linux")
+    @pytest.mark.parametrize("ratio_db", [0.0, 40.0], ids=["few rows", "every row"])
+    def test_sweep_trials_fault_in_no_fresh_pages(self, ratio_db):
+        # at 0 dB a trial searches 5 of the 400 range rows, at 40 dB the
+        # interferer fills the map and it searches all of them; with fresh
+        # buffers this script faulted in about 5 and 20 pages a trial (bench
+        # sweep passes about 130), with kept ones about 2
+        pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        run = subprocess.run(
+            [sys.executable, "-c", FAULT_CHECK, str(ratio_db)], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) <= 4 * 20
 
 
 class TestNullSuppression:
