@@ -23,11 +23,11 @@ that peak without building the map: after the range transform it bounds
 each range row's largest map magnitude by the triangle inequality and runs
 the velocity transform only on the rows whose bound can reach the best
 magnitude found. Each transformed row equals that row of `rv_map` bit for
-bit, so the peak is the same. The range rows and their magnitudes, and the
-map rows and their magnitudes, are written into buffers kept for the last
-grid shape (`_kept`), so the trials of a sweep reuse that memory instead of
-allocating it afresh. The module is single-threaded and the sweep's pool
-uses processes, so no two calls use the buffers at once.
+bit, so the peak is the same. The range rows and their magnitudes are
+written into buffers kept for the last grid shape (`_kept`), so the trials
+of a sweep reuse that memory instead of allocating it afresh. The module is
+single-threaded and the sweep's pool uses processes, so no two calls use
+the buffers at once.
 """
 
 from __future__ import annotations
@@ -226,11 +226,11 @@ class RvMap:
     velocity_bin_mps: float
 
 
-# The transforms' working buffers, one per role, kept for the last shape
-# asked. Allocated fresh, grid-sized buffers went back to the system when
-# freed (glibc returns large blocks), so each default sweep trial faulted in
-# about 130 fresh pages. The module is single-threaded and the sweep's pool
-# uses processes, so one set serves every call.
+# The range rows and their magnitudes, one buffer per role, kept for the
+# last shape asked. Allocated fresh, these grid-sized buffers went back to
+# the system when freed, so each bench sweep trial faulted in about 130
+# fresh pages. The module is single-threaded and the sweep's pool uses
+# processes, so one set serves every call.
 _KEPT: dict[str, np.ndarray] = {}
 
 
@@ -262,11 +262,13 @@ def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
     return rows
 
 
-def _map_rows(rows: np.ndarray, n_range: int, n_vel: int, values: np.ndarray | None = None) -> np.ndarray:
+def _map_rows(rows: np.ndarray, n_range: int, n_vel: int) -> np.ndarray:
     """The map rows of the given range rows: each zero-padded to n_vel,
-    transformed along the symbols and scaled by n_range, into `values` when
-    given. A row's bits do not depend on which other rows share the call."""
-    values = np.fft.fft(rows, n=n_vel, axis=1, out=values)
+    transformed along the symbols in place and scaled by n_range. A row's
+    bits do not depend on which other rows share the call."""
+    values = np.zeros((rows.shape[0], n_vel), dtype=complex)
+    values[:, : rows.shape[1]] = rows
+    np.fft.fft(values, axis=1, out=values)
     values *= n_range
     return values
 
@@ -307,27 +309,23 @@ _BOUND_MARGIN = 1.0 + 1e-9
 # a row whose bound reaches this is always in the first batch: a skipped row
 # never hides a non-finite cell of the full map.
 _OVERFLOW_RISK = np.finfo(float).max / 4
-# Map cells whose magnitudes are taken at a time. The map rows and these
-# magnitudes go into kept buffers, like the range rows and their magnitudes
-# (see `_kept`). A noise-only search transforms every row, as the full map
-# does; blocks keep 128 KiB of map magnitudes where the whole default map's
-# would keep 640 KiB.
+# Map cells whose magnitudes are taken at a time. A noise-only search
+# transforms every row, as the full map does; taking all their magnitudes at
+# once put its heap peak (range rows, map rows and magnitudes) at glibc's trim
+# threshold, so every call faulted in fresh pages. The range rows and their
+# magnitudes are now kept between calls (see `_kept`); the map rows are not.
 _BLOCK_CELLS = 16384
 
 
 def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int, int]:
     """(magnitude, range bin, velocity bin) of the first largest |map| cell
     in row-major order over the chosen (sorted) range rows, which are
-    transformed in one call; a non-finite cell raises ValueError. When every
-    row is chosen, the range rows are transformed without a copy."""
-    picked = rows if chosen.size == n_range else rows[chosen]
-    values = _map_rows(picked, n_range, n_vel, _kept("map rows", (n_range, n_vel), complex)[: chosen.size])
+    transformed in one call; a non-finite cell raises ValueError."""
+    values = _map_rows(rows[chosen], n_range, n_vel)
     peak = (-1.0, 0, 0)
     step = max(1, _BLOCK_CELLS // n_vel)
-    block = _kept("map magnitudes", (min(step, n_range), n_vel), float)
     for start in range(0, chosen.size, step):
-        cells = values[start : start + step]
-        magnitude = np.abs(cells, out=block[: cells.shape[0]])
+        magnitude = np.abs(values[start : start + step])
         row, velocity_bin = divmod(int(np.argmax(magnitude)), n_vel)
         value = float(magnitude[row, velocity_bin])
         if not math.isfinite(value):  # argmax picks a NaN's index
