@@ -214,17 +214,16 @@ def run_trial(
     subcarrier_mode: str = CARRIER_ONLY,
     terms: FrameTerms | None = None,
     draws: TrialDraws | None = None,
-    keep_draws: bool = False,
 ) -> float:
     """One simulated measurement; returns the absolute range error in meters.
-    A sweep passes the point's prebuilt `terms` and the trial's `draws`, and
-    keeps the draws for the point's next configuration with `keep_draws`;
-    without them the trial builds and draws its own from `seeds`."""
+    A sweep passes the point's prebuilt `terms` and the trial's `draws`, which
+    the trial only reads; without them the trial builds and draws its own
+    from `seeds`."""
     if terms is None:
         terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
     if draws is None:
         draws = draw_trial(terms, seeds[:2], seeds[2:])
-    frames = frame_pair(terms, draws, consume=not keep_draws)
+    frames = frame_pair(terms, draws)
     grid = frame_difference(*frames, out=frames[0])
     estimate = estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity)
     return abs(scenario.target_range_m - estimate.range_m)
@@ -232,8 +231,7 @@ def run_trial(
 
 def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, float]]]]:
     """Every configuration's statistics and records at one grid point. Each
-    trial draws once for all configurations; the last one takes the draws
-    over, so a one-configuration sweep allocates no copy of them."""
+    trial draws once, and every configuration reads those draws."""
     scenario, configs, ratio_db, ratio_idx, offset_rad, offset_idx, mode = args
     point_terms = [_point_terms(scenario, config, ratio_db, offset_rad, mode) for config in configs]
     errors = np.empty((len(configs), scenario.trials))
@@ -242,8 +240,7 @@ def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, f
         seeds = trial_seeds(scenario.master_seed, ratio_idx, offset_idx, trial)
         draws = draw_trial(point_terms[0], seeds[:2], seeds[2:])
         for k, (config, terms) in enumerate(zip(configs, point_terms)):
-            keep = k < len(configs) - 1
-            errors[k, trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode, terms, draws, keep)
+            errors[k, trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode, terms, draws)
         radar_seeds.append(seeds[0])
     angle = float(scenario.interferer_angle_rad + offset_rad)
     outcomes = []

@@ -11,9 +11,10 @@ a target echo, a synchronized interferer, and complex Gaussian noise:
 where g = amplitude * (c^T b_n(angle)) makes the array gain explicit.
 What no symbol or noise draw changes is built once by `frame_terms`.
 A trial's draws (the symbol ratio d_i/d_r and the noise of both frames)
-come from `draw_trial` and do not depend on the configuration, so
-`frame_pair` can build the frames of several configurations from one
-draw; that draw-then-build sequence is the one way a frame is simulated.
+come from `draw_trial` and do not depend on the configuration. Both are
+read-only inputs of `frame_pair`, which builds the frames of every
+configuration from one draw; that draw-then-build sequence is the one way
+a frame is simulated.
 A frame pair builds the path once and negates it for the -c frame:
 negation is exact in IEEE arithmetic, so -path equals the path simulated
 with the configuration -c bit for bit.
@@ -77,25 +78,29 @@ def generate_symbols(params: OfdmParams, seed: int) -> np.ndarray:
     return _QPSK[np.random.default_rng(seed).integers(0, 4, size=(params.num_subcarriers, params.num_symbols))]
 
 
-def _gain_matrix(config: RisConfig, params: OfdmParams, theta: float, ratios: np.ndarray | None) -> np.ndarray:
-    """g[n, m] = c^T b_n(theta) for every subcarrier n (b at the carrier for
-    all n when `ratios` is None), repeated over the symbols m."""
+def _gain_column(config: RisConfig, theta: float, ratios: np.ndarray | None) -> np.ndarray:
+    """g[n] = c^T b_n(theta) as an (N, 1) column, or (1, 1) with b at the
+    carrier when `ratios` is None, for broadcasting over the symbols."""
     coeffs = config.coefficients
-    gains = steering(coeffs.size, theta, ratios) @ coeffs  # scalar, or one per subcarrier
-    return np.array(np.broadcast_to(np.reshape(gains, (-1, 1)), (params.num_subcarriers, params.num_symbols)))
+    return np.reshape(steering(coeffs.size, theta, ratios) @ coeffs, (-1, 1))
 
 
 @dataclass(frozen=True)
 class FrameTerms:
-    """What no symbol or noise draw changes: the target term g_t * ramp_t,
-    the interferer's gain and ramp (a draw scales their product by d_i/d_r
-    cell by cell), and the noise variance."""
+    """What no symbol or noise draw changes: the (N, M) target term
+    g_t * ramp_t, the interferer's gain column and ramp (a draw scales their
+    product by d_i/d_r cell by cell), and the noise variance. The arrays are
+    read-only, so the terms serve every trial at a sweep point."""
 
     params: OfdmParams
     target: np.ndarray
     gain_i: np.ndarray
     ramp_i: np.ndarray
     noise_variance: float
+
+    def __post_init__(self):
+        for array in (self.target, self.gain_i, self.ramp_i):
+            array.flags.writeable = False
 
 
 def frame_terms(
@@ -121,22 +126,26 @@ def frame_terms(
     def ramp(delay_s: float, doppler_scale: float) -> np.ndarray:
         return np.outer(np.exp(-2j * np.pi * n * df * delay_s), np.exp(2j * np.pi * fc_t * doppler_scale * m))
 
-    gain_t = target.amplitude * _gain_matrix(config, params, target.angle_rad, ratios)
+    gain_t = target.amplitude * _gain_column(config, target.angle_rad, ratios)
     target_term = gain_t * ramp(target.delay_s, target.doppler_scale)
-    gain_i = interference.amplitude * _gain_matrix(config, params, interference.angle_rad, ratios)
+    gain_i = interference.amplitude * _gain_column(config, interference.angle_rad, ratios)
     ramp_i = ramp(interference.delay_s, interference.doppler_scale)
     return FrameTerms(params, target_term, gain_i, ramp_i, noise_variance)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialDraws:
     """One trial's random draws, which every configuration at a sweep point
-    shares: the symbol ratio d_i/d_r and one complex noise grid per frame
-    (None at zero variance). A consuming `frame_pair` writes its frames into
-    the noise grids and empties the draws, setting both fields to None."""
+    reads: the symbol ratio d_i/d_r and one complex noise grid per frame
+    (None at zero variance). The arrays are read-only."""
 
-    ratio: np.ndarray | None
+    ratio: np.ndarray
     noise: tuple
+
+    def __post_init__(self):
+        for array in (self.ratio, *self.noise):
+            if array is not None:
+                array.flags.writeable = False
 
 
 def _symbol_ratio(params: OfdmParams, symbol_seeds: tuple[int, int]) -> np.ndarray:
@@ -178,28 +187,17 @@ def _path(terms: FrameTerms, ratio: np.ndarray) -> np.ndarray:
     return path
 
 
-def _frame(path: np.ndarray, noise: np.ndarray | None, negate: bool = False, into: bool = False) -> np.ndarray:
-    """path (-path if negate) plus the drawn noise, written into the noise
-    grid when `into`; without noise, frame a is the path's own fresh buffer.
-    IEEE addition commutes and x - y equals x + (-y), so the bits are those
-    of path + noise (-path + noise)."""
-    if noise is None:
-        return -path if negate else path
-    out = noise if into else None
-    return np.subtract(noise, path, out=out) if negate else np.add(noise, path, out=out)
-
-
-def frame_pair(terms: FrameTerms, draws: TrialDraws, consume: bool = False) -> tuple:
+def frame_pair(terms: FrameTerms, draws: TrialDraws) -> tuple:
     """Frames a and b of the sign-flipped configurations c and -c from one
     trial's draws, frame a with the first noise grid, frame b with the second.
-    The path is computed once. Without `consume` the frames are fresh arrays
-    and the draws serve the next configuration; with it the frames take over
-    the noise grids and the draws are emptied, so nothing else holds them."""
+    The path is computed once; frame a is fresh and frame b takes the path's
+    buffer. IEEE addition commutes and x - y equals x + (-y), so the bits are
+    those of path + noise and -path + noise."""
     path = _path(terms, draws.ratio)
     noise_a, noise_b = draws.noise
-    if consume:
-        draws.ratio = draws.noise = None
-    return _frame(path, noise_a, into=consume), _frame(path, noise_b, negate=True, into=consume)
+    if noise_a is None:
+        return path, -path
+    return np.add(noise_a, path), np.subtract(noise_b, path, out=path)
 
 
 def frame_difference(y_a: np.ndarray, y_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

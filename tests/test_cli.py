@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risradar import cli
+from risradar import cli, experiments
 from risradar.cli import main
 from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table
 
@@ -410,6 +410,31 @@ def test_notch_spacing_leaving_domain_exits_two(scenario_file, tmp_path, capsys)
     assert main(argv) == 2
     assert capsys.readouterr().err == "scenario error: notch spacing 5.0 pushes the shifted notches outside [0, pi]\n"
     assert not (out / "multinotch_summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, extra, problem",
+    [
+        (["multinotch", "--epsilon", "0,5"], "", "notch spacing 5.0 pushes the shifted notches outside [0, pi]"),
+        (["sweep"], "sweep.target_range_m = 1000\n", "line 14: "),
+        (["pattern"], "sweep.target_range_m = 1000\n", "line 14: "),
+    ],
+    ids=["multinotch-epsilon", "sweep-scenario", "pattern-scenario"],
+)
+def test_input_error_exits_two_before_any_training(argv, extra, problem, monkeypatch, tmp_path, capsys):
+    def training(*args, **kwargs):
+        raise AssertionError("training ran before the input was checked")
+
+    monkeypatch.setattr(experiments, "train_peak_network", training)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(SMALL_SCENARIO + extra)
+    out = tmp_path / "o"
+    assert main([argv[0], "--scenario", str(scenario), "--out", str(out), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {problem}")
+    assert err.count("\n") == 1
+    # only the scenario echo, written when the scenario loads, may precede the check
+    assert {path.name for path in out.glob("*")} <= {"scenario_used.txt"}
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-5", "many"])

@@ -330,7 +330,7 @@ class TestInterferenceSweep:
                     )
                     terms = frame_terms(params, config, target, interference, noise_variance, mode)
                     draws = draw_trial(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
-                    pair = frame_pair(terms, draws, consume=True)
+                    pair = frame_pair(terms, draws)
                     expected.append(frame_difference(*pair).tobytes())
         assert len(grids) == 12
         assert grids == expected

@@ -5,6 +5,9 @@
 * Every public top-level function, class and method has a caller in the
   program (`src/` or `scripts/`) outside its own definition, except the
   names in UNCALLED, each with the reason it stays.
+* No public function or method takes a `bool` parameter, by annotation or
+  by a True/False default: a flag forks one function into two code paths.
+  The names in FLAGS, each with the reason it stays, are the exceptions.
 """
 
 import ast
@@ -23,6 +26,10 @@ UNCALLED = {
     "fileio.read_config_file": "called by the benchmark",
     "fileio.read_peak_records": "called by the benchmark",
     "fileio.read_sweep_table": "called by the benchmark",
+}
+
+FLAGS = {
+    "experiments.run_multinotch_study.include_sweeps": "the CLI's --no-sweeps uses both values",
 }
 
 
@@ -81,3 +88,27 @@ def test_every_public_name_has_a_caller_in_the_program():
             if not called:
                 uncalled.append(f"{path.stem}.{name}")
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+def bool_parameters(node):
+    """Names of the parameters of a function node annotated `bool` or defaulting to True or False."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    defaults = dict(zip(reversed(positional), reversed(args.defaults)))
+    defaults.update(zip(args.kwonlyargs, args.kw_defaults))
+    for arg in [*positional, *args.kwonlyargs]:
+        default = defaults.get(arg)
+        annotated = arg.annotation is not None and "bool" in ast.unparse(arg.annotation).split(" | ")
+        if annotated or (isinstance(default, ast.Constant) and isinstance(default.value, bool)):
+            yield arg.arg
+
+
+def test_no_public_function_takes_a_bool_flag():
+    flags = [
+        f"{path.stem}.{name}.{parameter}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, node in definitions(parse(path))
+        if not isinstance(node, ast.ClassDef)
+        for parameter in bool_parameters(node)
+    ]
+    assert sorted(flags) == sorted(FLAGS)
