@@ -6,9 +6,10 @@
 --quick swaps in a scaled-down scenario (small grid, small network) so the
 whole pipeline finishes in seconds; omit it to run the full default setup.
 Exit status: 0 when every check passes, 1 when one fails, 2 on a bad
-argument, scenario or study file, an output file that cannot be written or
-exhausted memory (one `scenario error:`, `report error:`, `file error:` or
-`memory error:` line), 3 when training diverges.
+argument, scenario, notch spacing (checked before training or any output)
+or study file, an output file that cannot be written or exhausted memory
+(one `scenario error:`, `report error:`, `file error:` or `memory error:`
+line), 3 when training diverges.
 """
 
 import sys
@@ -41,15 +42,15 @@ QUICK_OVERRIDES = dict(
 )
 
 
-def run_study(scenario, out_dir: Path, workers: int) -> int:
-    """Every study in turn on one trained network; 0 when the report's
-    checks all pass, else 1."""
+def run_study(scenario, out_dir: Path, specs, workers: int) -> int:
+    """Every study in turn on one trained network, the multi-notch study on
+    the checked `specs`; 0 when the report's checks all pass, else 1."""
     print("training peak network ...")
     training = train_peak(scenario)
     print(f"  gain ratio vs analytic optimum: {training.gain_ratio:.4f}")
 
     print("pattern study ...")
-    patterns = run_pattern_study(scenario, out_dir, training=training)
+    patterns = run_pattern_study(scenario, out_dir, training)
     print(f"  combined argmax {patterns.argmax_deg} deg, "
           f"level at interferer {patterns.combined_db_at_interferer:.1f} dB")
 
@@ -61,7 +62,7 @@ def run_study(scenario, out_dir: Path, workers: int) -> int:
     print(f"  {len(sweep.points)} grid points, worst mean error {worst:.3f} m")
 
     print("multi-notch study ...")
-    multi = run_multinotch_study(scenario, out_dir, workers=workers, training=training)
+    multi = run_multinotch_study(scenario, out_dir, specs, training, workers=workers)
     for entry in multi.entries:
         print(f"  eps={entry.epsilon_rad}: bandwidth {entry.bandwidth_rad:.6f} rad, "
               f"min in-band suppression {entry.min_inband_suppression_db:.1f} dB")

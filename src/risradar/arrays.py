@@ -23,6 +23,7 @@ ALL_SUBCARRIERS = "all"
 _MODES = (CARRIER_ONLY, ALL_SUBCARRIERS)
 
 DB_FLOOR = -300.0
+GRID_POINTS = 721  # the default angle grid over [0, 180] deg: 0.25 deg steps
 
 
 @dataclass(frozen=True)
@@ -189,13 +190,13 @@ def normalize_pattern_db(pattern) -> np.ndarray:
     return out
 
 
-def angle_grid_deg(num_points: int = 721) -> np.ndarray:
-    """Inclusive [0, 180] degree grid; 721 points gives 0.25 deg steps."""
+def angle_grid_deg(num_points: int = GRID_POINTS) -> np.ndarray:
+    """Inclusive [0, 180] degree grid."""
     if num_points < 2:
         raise ValueError("angle grid needs at least two points")
     return np.linspace(0.0, 180.0, num_points)
 
 
-def angle_grid(num_points: int = 721) -> np.ndarray:
+def angle_grid(num_points: int = GRID_POINTS) -> np.ndarray:
     """Inclusive [0, pi] radian grid matching angle_grid_deg."""
     return np.deg2rad(angle_grid_deg(num_points))

@@ -7,9 +7,11 @@ import math
 import sys
 from pathlib import Path
 
-from .arrays import ALL_SUBCARRIERS, CARRIER_ONLY
+from .arrays import ALL_SUBCARRIERS, CARRIER_ONLY, GRID_POINTS
 from .experiments import (
+    SPACINGS,
     ReportError,
+    notch_specs,
     report,
     run_interference_sweep,
     run_multinotch_study,
@@ -64,7 +66,7 @@ def _common_flags(parser: argparse.ArgumentParser, seed: bool = True, grid: bool
         parser.add_argument("--seed", type=int, default=None, help="override the scenario master seed")
     parser.add_argument("--out", type=Path, default=None, help="output directory (overrides scenario output_dir)")
     if grid:
-        parser.add_argument("--grid", type=_integer_at_least(2), default=721, help="angle grid points over [0, 180] deg")
+        parser.add_argument("--grid", type=_integer_at_least(2), default=GRID_POINTS, help="angle grid points over [0, 180] deg")
     if mode:
         group = parser.add_mutually_exclusive_group()
         group.add_argument(
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi = sub.add_parser("multinotch", help="widened-notch study over a list of spacings")
     _common_flags(p_multi)
     p_multi.add_argument("--workers", type=_integer_at_least(1), default=1)
-    p_multi.add_argument("--epsilon", type=_spacings, default="0,1e-3,1e-2", help="comma-separated notch spacings (rad)")
+    p_multi.add_argument("--epsilon", type=_spacings, default=SPACINGS, help="comma-separated notch spacings (rad)")
     p_multi.add_argument("--no-sweeps", action="store_true", help="skip the per-spacing error sweeps")
 
     p_report = sub.add_parser("report", help="summarize the studies found in the output directory")
@@ -103,18 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args, overrides: dict | None = None) -> tuple:
-    """The overridden scenario and the output directory, created with the echo `scenario_used.txt`."""
+    """The overridden scenario, the output directory and the notch specs of `args.epsilon`,
+    all checked before the directory is created with the echo `scenario_used.txt`."""
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
     if getattr(args, "seed", None) is not None:
         scenario = scenario.replace(master_seed=args.seed)
     if overrides:
         scenario = scenario.replace(**overrides)
+    specs = notch_specs(scenario, getattr(args, "epsilon", ()))
     out_dir = Path(args.out) if args.out is not None else Path(scenario.output_dir)
     try:
         write_lines(out_dir / "scenario_used.txt", scenario.to_text().splitlines())
     except OSError as exc:
         raise ScenarioError(f"output directory {out_dir}: {exc.strerror or exc}") from None
-    return scenario, out_dir
+    return scenario, out_dir, specs
 
 
 def _exit_status(run, *args) -> int:
@@ -151,16 +155,16 @@ def _command(args) -> int:
         print(result.path.read_text(), end="")
         return 1 if result.num_studies == 0 else 0
 
-    scenario, out_dir = _load(args)
+    scenario, out_dir, specs = _load(args)
+    training = None if getattr(args, "no_sweeps", False) else train_peak(scenario)
     if args.command == "pattern":
-        result = run_pattern_study(scenario, out_dir, subcarrier_mode=args.mode, grid_points=args.grid)
+        result = run_pattern_study(scenario, out_dir, training, args.mode, args.grid)
         print(f"combined argmax: {result.argmax_deg} deg")
         print(f"combined level at interferer: {result.combined_db_at_interferer} dB")
         print(f"peak gain ratio: {result.gain_ratio}")
         for path in (result.peak_path, result.notch_path, result.combined_path, result.metrics_path):
             print(f"wrote {path}")
     elif args.command == "train-peak":
-        training = train_peak(scenario)
         config_path = write_config_file(
             out_dir / "peak_config.txt", training.config, theta_t=scenario.target_angle_rad, seed=scenario.net_init_seed
         )
@@ -169,21 +173,13 @@ def _command(args) -> int:
         print(f"wrote {config_path}")
         print(f"wrote {loss_path}")
     elif args.command == "sweep":
-        config = synthesize_configs(scenario).combined
+        config = synthesize_configs(scenario, training).combined
         result = run_interference_sweep(scenario, config, subcarrier_mode=args.mode, workers=args.workers)
         table, records = write_sweep_files(result, out_dir)
         print(f"wrote {table}")
         print(f"wrote {records}")
     elif args.command == "multinotch":
-        result = run_multinotch_study(
-            scenario,
-            out_dir,
-            epsilon_list=args.epsilon,
-            subcarrier_mode=args.mode,
-            workers=args.workers,
-            grid_points=args.grid,
-            include_sweeps=not args.no_sweeps,
-        )
+        result = run_multinotch_study(scenario, out_dir, specs, training, args.mode, args.workers, args.grid)
         for entry in result.entries:
             print(
                 f"epsilon={entry.epsilon_rad}: bandwidth={entry.bandwidth_rad} rad, "
@@ -194,13 +190,14 @@ def _command(args) -> int:
 
 
 def study_script(study, quick_overrides: dict) -> int:
-    """`scripts/run_full_study.py`'s flags, scenario load and echo (`--quick` applies
-    `quick_overrides`), then study(scenario, out_dir, workers) under the CLI's exit statuses."""
+    """`scripts/run_full_study.py`'s flags, the CLI's scenario load, check of the default notch spacings and
+    echo (`--quick` applies `quick_overrides`), then study(scenario, out_dir, specs, workers), all under the CLI's exit statuses."""
     parser = _Parser(description="Run every study end to end and write the summary report.")
     parser.add_argument("--scenario", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--workers", type=_integer_at_least(1), default=1)
     parser.add_argument("--quick", action="store_true", help="scaled-down scenario")
+    parser.set_defaults(epsilon=SPACINGS)
     args = parser.parse_args()
 
     def run() -> int:

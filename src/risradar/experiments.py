@@ -5,8 +5,8 @@
 * interference sweep: range-error statistics over a grid of
   interference-to-target power ratios and interferer-angle offsets,
 * multi-notch study: widened notches for a list of spacings, with
-  suppression-bandwidth and in-band-suppression metrics (and optional
-  error sweeps),
+  suppression-bandwidth and in-band-suppression metrics (and error sweeps
+  when it is handed a trained peak),
 * report: aggregate whatever studies an output directory holds into one
   pass/fail summary.
 
@@ -29,6 +29,7 @@ import numpy as np
 
 from .arrays import (
     CARRIER_ONLY,
+    GRID_POINTS,
     RisConfig,
     angle_grid,
     angle_grid_deg,
@@ -60,6 +61,7 @@ from .simulation import (
     frame_terms,
 )
 from .synthesis import (
+    NotchSpec,
     TrainingResult,
     combine_convolve,
     multi_notch,
@@ -82,19 +84,16 @@ def train_peak(scenario: Scenario) -> TrainingResult:
 
 @dataclass
 class SynthesisBundle:
-    training: TrainingResult
     notch: RisConfig
     combined: RisConfig
 
 
-def synthesize_configs(scenario: Scenario, training: TrainingResult | None = None) -> SynthesisBundle:
-    """Train the peak (unless supplied), build the notch, convolve, and
-    rescale the combination into the unit disk."""
-    if training is None:
-        training = train_peak(scenario)
+def synthesize_configs(scenario: Scenario, training: TrainingResult) -> SynthesisBundle:
+    """Build the notch, convolve the trained peak with it, and rescale the
+    combination into the unit disk."""
     notch = multi_notch(scenario.notch_spec())
     combined = normalize_coefficients(combine_convolve(training.config, notch))
-    return SynthesisBundle(training=training, notch=notch, combined=combined)
+    return SynthesisBundle(notch=notch, combined=combined)
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +114,19 @@ class PatternStudyResult:
 def run_pattern_study(
     scenario: Scenario,
     out_dir,
+    training: TrainingResult,
     subcarrier_mode: str = CARRIER_ONLY,
-    grid_points: int = 721,
-    training: TrainingResult | None = None,
+    grid_points: int = GRID_POINTS,
 ) -> PatternStudyResult:
-    """Emit normalized dB patterns for the peak, notch, and combined
-    configurations over the angle grid, plus a metrics file."""
+    """Emit normalized dB patterns for the trained peak, the notch, and
+    their combination over the angle grid, plus a metrics file."""
     out_dir = Path(out_dir)
     params = scenario.ofdm_params()
-    bundle = synthesize_configs(scenario, training=training)
+    bundle = synthesize_configs(scenario, training)
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
 
-    configs = (bundle.training.config, bundle.notch, bundle.combined)
+    configs = (training.config, bundle.notch, bundle.combined)
     linear = power_patterns(configs, params, grid_rad, subcarrier_mode)
     patterns = dict(zip(("peak", "notch", "combined"), map(normalize_pattern_db, linear)))
 
@@ -143,7 +142,7 @@ def run_pattern_study(
         "interferer_angle_deg": float(np.degrees(scenario.interferer_angle_rad)),
         "combined_argmax_deg": argmax_deg,
         "combined_db_at_interferer": db_at_interferer,
-        "peak_gain_ratio": bundle.training.gain_ratio,
+        "peak_gain_ratio": training.gain_ratio,
         "grid_points": grid_points,
         "subcarrier_mode": subcarrier_mode,
     }
@@ -155,7 +154,7 @@ def run_pattern_study(
         metrics_path=metrics_path,
         argmax_deg=argmax_deg,
         combined_db_at_interferer=db_at_interferer,
-        gain_ratio=bundle.training.gain_ratio,
+        gain_ratio=training.gain_ratio,
     )
 
 
@@ -328,6 +327,7 @@ def write_sweep_files(result: SweepResult, out_dir: Path, stem: str = "sweep") -
 SCAN_POINTS = 200001  # evenly spaced over [0, pi]
 SCAN_BLOCK = 16384  # angles a steering block covers: 1.3 MB for five elements, where 200001 would take 16 MB
 SCAN_STEP = np.pi / (SCAN_POINTS - 1)
+SPACINGS = (0.0, 1e-3, 1e-2)  # the study's default notch spacings (rad)
 
 
 def _carrier_power(column: np.ndarray, thetas) -> np.ndarray:
@@ -438,35 +438,41 @@ class MultinotchStudyResult:
     summary_path: Path
 
 
+def _study_notches(scenario: Scenario) -> int:
+    return scenario.num_notches if scenario.num_notches >= 2 else 4  # a single notch cannot widen; 4 is the default
+
+
+def notch_specs(scenario: Scenario, spacings) -> list[NotchSpec]:
+    """The multi-notch study's widened notch for each spacing; a spacing that
+    pushes a shifted notch outside [0, pi] is a ScenarioError."""
+    specs = [scenario.notch_spec(_study_notches(scenario), epsilon) for epsilon in spacings]
+    for spec in specs:
+        angles = spec.notch_angles()
+        if np.any(angles < 0.0) or np.any(angles > np.pi):
+            raise ScenarioError(f"notch spacing {spec.spacing_rad} pushes the shifted notches outside [0, pi]")
+    return specs
+
+
 def run_multinotch_study(
     scenario: Scenario,
     out_dir,
-    epsilon_list=(0.0, 1e-3, 1e-2),
+    specs: list[NotchSpec],
+    training: TrainingResult | None,
     subcarrier_mode: str = CARRIER_ONLY,
     workers: int = 1,
-    grid_points: int = 721,
-    include_sweeps: bool = True,
-    training: TrainingResult | None = None,
+    grid_points: int = GRID_POINTS,
 ) -> MultinotchStudyResult:
-    """Widened notches for each spacing epsilon: pattern file, suppression
-    metrics, and (optionally) the error sweep with the combined config,
-    all written under out_dir with the summary table."""
-    # a single notch cannot widen; 4 notches (5 elements) is the study default
-    num_notches = scenario.num_notches if scenario.num_notches >= 2 else 4
-    for epsilon in epsilon_list:
-        angles = scenario.notch_spec(num_notches, epsilon).notch_angles()
-        if np.any(angles < 0.0) or np.any(angles > np.pi):
-            raise ScenarioError(f"notch spacing {epsilon} pushes the shifted notches outside [0, pi]")
+    """Widened notches for each of `notch_specs`: pattern file, suppression
+    metrics, and, when handed a trained peak, the error sweep with each
+    combined config, all written under out_dir with the summary table."""
     params = scenario.ofdm_params()
-    if include_sweeps and training is None:
-        training = train_peak(scenario)
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
     out_dir = Path(out_dir)
 
-    notches = [multi_notch(scenario.notch_spec(num_notches, epsilon)) for epsilon in epsilon_list]
+    notches = [multi_notch(spec) for spec in specs]
     sweeps = [None] * len(notches)
-    if include_sweeps:
+    if training is not None:
         # every spacing is swept at each point on the same draws, in one pool
         # forked before the scans leave freed heap behind
         combined = [normalize_coefficients(combine_convolve(training.config, notch)) for notch in notches]
@@ -474,27 +480,28 @@ def run_multinotch_study(
     scans = _carrier_scans([notch.coefficients for notch in notches], scenario.interferer_angle_rad)
     patterns = power_patterns(notches, params, grid_rad, subcarrier_mode)
     entries = []
-    for epsilon, notch, sweep, scan, pattern in zip(epsilon_list, notches, sweeps, scans, patterns):
+    for spec, notch, sweep, scan, pattern in zip(specs, notches, sweeps, scans, patterns):
+        epsilon = float(spec.spacing_rad)
         band = suppression_band(notch.coefficients, scan)
         entry = MultinotchEntry(
-            epsilon_rad=float(epsilon),
+            epsilon_rad=epsilon,
             notch=notch,
             pattern_path=write_pattern_table(
-                out_dir / f"multinotch_pattern_eps{float(epsilon)!r}.csv", grid_deg, normalize_pattern_db(pattern)
+                out_dir / f"multinotch_pattern_eps{epsilon!r}.csv", grid_deg, normalize_pattern_db(pattern)
             ),
             sweep=sweep,
             band=band,
             bandwidth_rad=float(band[1] - band[0]),
-            min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, scan, float(epsilon), num_notches),
+            min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, scan, epsilon, spec.num_notches),
         )
         if sweep is not None:
-            write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{entry.epsilon_rad!r}")
+            write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{epsilon!r}")
         entries.append(entry)
 
     comments = (
         f"suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
         f"center_rad={float(scenario.interferer_angle_rad)!r}",
-        f"num_notches={num_notches}",
+        f"num_notches={_study_notches(scenario)}",
         "edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
     )
     rows = [(e.epsilon_rad, e.bandwidth_rad, *e.band, e.min_inband_suppression_db) for e in entries]

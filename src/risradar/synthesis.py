@@ -159,7 +159,7 @@ class TrainingResult:
 
 
 @np.errstate(all="ignore")
-def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | None = None) -> TrainingResult:
+def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec) -> TrainingResult:
     """Train the peak network for one target angle.
 
     Full-batch Adam updates on the single encoded input (plain gradient
@@ -171,7 +171,6 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec | No
     Raises TrainingDivergedError if the loss leaves the finite range;
     the overflow that leads there raises no floating-point warnings.
     """
-    spec = spec or PeakNetSpec()
     net = PeakNetwork(num_elements, spec)
     history = np.empty(spec.num_iterations)
 

@@ -21,7 +21,7 @@ from risradar.arrays import (
     steering,
 )
 from risradar.cli import main as cli_main
-from risradar.experiments import run_interference_sweep, run_multinotch_study
+from risradar.experiments import notch_specs, run_interference_sweep, run_multinotch_study
 from risradar.scenario import default_scenario
 from risradar.simulation import (
     InterferenceParams,
@@ -203,7 +203,7 @@ def test_criterion_7_multinotch_tradeoff(tmp_path):
     start = time.monotonic()
     scenario = default_scenario()
     result = run_multinotch_study(
-        scenario, tmp_path, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False
+        scenario, tmp_path, notch_specs(scenario, (0.0, 1e-3, 1e-2)), None
     )
     widths = [entry.bandwidth_rad for entry in result.entries]
     depths = [entry.min_inband_suppression_db for entry in result.entries]

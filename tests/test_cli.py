@@ -330,6 +330,23 @@ def test_full_study_script_scenario_error_exits_two(tmp_path):
     assert not out.exists()
 
 
+def test_full_study_script_spacing_error_exits_two_before_training(tmp_path):
+    # an interferer at 0 rad leaves no room for the default spacings' shifted notches
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    edge = tmp_path / "edge.txt"
+    edge.write_text("angles.interferer_rad = 0.0\nsweep.angle_offsets_rad = 0.0,0.01\n")
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, str(script), "--quick", "--scenario", str(edge), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "scenario error: notch spacing 0.001 pushes the shifted notches outside [0, pi]\n"
+    assert not out.exists()
+
+
 def test_full_study_script_unreadable_scenario_exits_two(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
     missing = tmp_path / "missing.txt"
@@ -433,8 +450,7 @@ def test_input_error_exits_two_before_any_training(argv, extra, problem, monkeyp
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {problem}")
     assert err.count("\n") == 1
-    # only the scenario echo, written when the scenario loads, may precede the check
-    assert {path.name for path in out.glob("*")} <= {"scenario_used.txt"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-5", "many"])
@@ -468,6 +484,7 @@ def test_exhausted_memory_exits_two(monkeypatch, tmp_path, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
+    monkeypatch.setattr(cli, "train_peak", lambda scenario: None)
     monkeypatch.setattr(cli, "run_pattern_study", exhausted)
     assert main(["pattern", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -479,7 +496,7 @@ def test_full_study_script_exhausted_memory_exits_two(monkeypatch, tmp_path, cap
     # the script's front end shares the CLI's exit statuses; the stand-in allocates nothing
     message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
 
-    def exhausted(scenario, out_dir, workers):
+    def exhausted(scenario, out_dir, specs, workers):
         raise MemoryError(message)
 
     monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", str(tmp_path / "o")])

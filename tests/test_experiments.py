@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from risradar.arrays import RisConfig, steering
 from risradar.experiments import (
     SUPPRESSION_THRESHOLD_DB,
     min_inband_suppression_db,
+    notch_specs,
     report,
     run_interference_sweep,
     run_multinotch_study,
@@ -80,6 +82,12 @@ def small_combined(scenario=SMALL):
     return normalize_coefficients(combine_convolve(peak, notch_config(scenario.interferer_angle_rad)))
 
 
+@functools.cache
+def small_training():
+    """SMALL's trained peak, trained once for every study on SMALL's network."""
+    return experiments.train_peak(SMALL)
+
+
 def file_digests(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
 
@@ -87,7 +95,7 @@ def file_digests(directory):
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):
     out = tmp_path_factory.mktemp("pattern")
-    return run_pattern_study(SMALL, out), out
+    return run_pattern_study(SMALL, out, small_training()), out
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +109,7 @@ def sweep(tmp_path_factory):
 @pytest.fixture(scope="module")
 def multi(tmp_path_factory):
     out = tmp_path_factory.mktemp("multinotch")
-    result = run_multinotch_study(SMALL, out, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
+    result = run_multinotch_study(SMALL, out, notch_specs(SMALL, (0.0, 1e-3, 1e-2)), None)
     return result, out
 
 
@@ -144,7 +152,7 @@ class TestPatternStudy:
 
     def test_round_trips_bytes(self, study, tmp_path):
         result, _ = study
-        again = run_pattern_study(SMALL, tmp_path)
+        again = run_pattern_study(SMALL, tmp_path, small_training())
         assert again.peak_path.read_bytes() == result.peak_path.read_bytes()
         assert again.combined_path.read_bytes() == result.combined_path.read_bytes()
 
@@ -156,7 +164,7 @@ class TestPatternStudy:
             return steering(num_elements, thetas, ratios)
 
         monkeypatch.setattr(arrays, "steering", counted)
-        run_pattern_study(SMALL, tmp_path, subcarrier_mode="all")
+        run_pattern_study(SMALL, tmp_path, small_training(), subcarrier_mode="all")
         assert sizes == [33] * SMALL.num_subcarriers  # sized to the combined configuration
 
 
@@ -187,7 +195,7 @@ class TestPinnedBytes:
 
     @pytest.mark.parametrize("mode", sorted(PATTERN))
     def test_pattern_study(self, mode, tmp_path):
-        run_pattern_study(SMALL, tmp_path, subcarrier_mode=mode)
+        run_pattern_study(SMALL, tmp_path, small_training(), subcarrier_mode=mode)
         assert file_digests(tmp_path) == self.PATTERN[mode]
 
     def test_multinotch_study(self, multi):
@@ -258,7 +266,7 @@ class TestInterferenceSweep:
         single = SMALL.replace(power_ratios_db=(30.0,), angle_offsets_rad=(0.01,))
         run_interference_sweep(single, config=small_combined(), workers=8)
         assert sizes == [4]  # one point runs serially
-        run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-2), workers=5000)
+        run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-2)), small_training(), workers=5000)
         assert sizes == [4, 4]  # one task per point carries both spacings
 
     # sha256 of sweep.csv and sweep_records.csv, recorded before the trial
@@ -397,7 +405,7 @@ class TestMultinotchStudy:
     def test_sweeps_attached_when_requested(self, tmp_path):
         scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
         result = run_multinotch_study(
-            scenario, tmp_path, epsilon_list=(0.0, 1e-2), include_sweeps=True
+            scenario, tmp_path, notch_specs(scenario, (0.0, 1e-2)), small_training()
         )
         for entry in result.entries:
             assert entry.sweep is not None
@@ -405,14 +413,16 @@ class TestMultinotchStudy:
         assert (tmp_path / "multinotch_sweep_eps0.0.csv").exists()
 
     def test_no_spacings_writes_an_empty_summary(self, tmp_path):
-        result = run_multinotch_study(SMALL, tmp_path, epsilon_list=(), include_sweeps=False)
+        result = run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, ()), None)
         assert result.entries == []
         assert result.summary_path.read_text().splitlines()[-1].startswith("epsilon_rad,")
 
     def test_shared_pool_writes_the_one_worker_bytes(self, tmp_path):
         scenario = SMALL.replace(angle_offsets_rad=(-0.01, 0.0, 0.01))
         for workers in (1, 2):
-            run_multinotch_study(scenario, tmp_path / f"w{workers}", epsilon_list=(0.0, 1e-2), workers=workers)
+            run_multinotch_study(
+                scenario, tmp_path / f"w{workers}", notch_specs(scenario, (0.0, 1e-2)), small_training(), workers=workers
+            )
         assert len(file_digests(tmp_path / "w1")) == 7  # summary, 2 patterns, 2 sweep tables, 2 record files
         assert file_digests(tmp_path / "w2") == file_digests(tmp_path / "w1")
 
@@ -452,7 +462,7 @@ class TestSharedSweepPoint:
     def test_multinotch_sweeps_with_range_errors_are_pinned(self, mode, tmp_path):
         scenario = NONZERO.replace(noise_variance=5.0)
         result = run_multinotch_study(
-            scenario, tmp_path, self.SPACINGS, subcarrier_mode=mode, training=analytic_training(scenario)
+            scenario, tmp_path, notch_specs(scenario, self.SPACINGS), analytic_training(scenario), subcarrier_mode=mode
         )
         assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == 81
         tables = [(tmp_path / f"multinotch_sweep_eps{eps!r}.csv").read_bytes() for eps in self.SPACINGS]
@@ -499,7 +509,7 @@ class TestSharedSweepPoint:
         real_generate_symbols = simulation.generate_symbols
         monkeypatch.setattr(simulation, "generate_symbols", counting)
         spacings, points, trials = (0.0, 1e-3, 1e-2), 4, SMALL.trials
-        result = run_multinotch_study(SMALL, tmp_path, spacings, training=analytic_training(SMALL))
+        result = run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, spacings), analytic_training(SMALL))
         assert [len(e.sweep.records) for e in result.entries] == [points * trials] * len(spacings)
         assert len(draws) == 2 * points * trials  # not 2 * spacings * points * trials
 
@@ -623,15 +633,15 @@ class TestSuppressionBand:
             return steering(num_elements, thetas, ratios)
 
         monkeypatch.setattr(experiments, "steering", counted)
-        run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
+        run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-3, 1e-2)), None)
         blocks = [size for size in sizes if size in (16384, 200001 - 12 * 16384)]
         assert 13 <= len(blocks) <= 13 + 6
 
 
 class TestSynthesizeConfigs:
     def test_combined_has_convolved_length(self):
-        bundle = synthesize_configs(SMALL)
-        assert bundle.training.config.num_elements == 32
+        bundle = synthesize_configs(SMALL, small_training())
+        assert small_training().config.num_elements == 32
         assert bundle.notch.num_elements == 2
         assert bundle.combined.num_elements == 33
         assert np.abs(bundle.combined.coefficients).max() == pytest.approx(1.0, rel=1e-15)
@@ -645,12 +655,10 @@ class TestHandedInputs:
             raise AssertionError("trained")
 
         monkeypatch.setattr(experiments, "train_peak_network", refuse)
-        with pytest.raises(AssertionError, match="trained"):
-            synthesize_configs(SMALL)
         scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
-        run_pattern_study(scenario, tmp_path / "pattern", training=training)
+        run_pattern_study(scenario, tmp_path / "pattern", training)
         run_interference_sweep(scenario, synthesize_configs(scenario, training).combined)
-        result = run_multinotch_study(scenario, tmp_path / "multinotch", epsilon_list=(0.0, 1e-2), training=training)
+        result = run_multinotch_study(scenario, tmp_path / "multinotch", notch_specs(scenario, (0.0, 1e-2)), training)
         assert all(entry.sweep is not None for entry in result.entries)
 
 
@@ -663,7 +671,7 @@ class TestReport:
         assert "nothing-run" in result.path.read_text()
 
     def test_pattern_only_summary_lists_files_and_metrics(self, tmp_path):
-        run_pattern_study(SMALL, tmp_path)
+        run_pattern_study(SMALL, tmp_path, small_training())
         result = report(tmp_path)
         assert result.num_studies == 1
         text = result.path.read_text()
@@ -687,9 +695,9 @@ class TestReport:
         assert sorted(reads) == ["multinotch_sweep_eps0.0.csv", "sweep.csv"]
 
     def test_full_small_run_passes(self, tmp_path):
-        run_pattern_study(SMALL, tmp_path)
+        run_pattern_study(SMALL, tmp_path, small_training())
         write_sweep_files(run_interference_sweep(SMALL, small_combined()), tmp_path)
-        run_multinotch_study(SMALL, tmp_path, epsilon_list=(0.0, 1e-3, 1e-2), include_sweeps=False)
+        run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-3, 1e-2)), None)
         result = report(tmp_path)
         assert result.num_studies == 3
         assert result.all_passed, result.checks

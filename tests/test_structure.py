@@ -7,7 +7,10 @@
   names in UNCALLED, each with the reason it stays.
 * No public function or method takes a `bool` parameter, by annotation or
   by a True/False default: a flag forks one function into two code paths.
-  The names in FLAGS, each with the reason it stays, are the exceptions.
+  FLAGS would name an exception with the reason it stays; it is empty.
+* Training has one owner: only the CLI calls `train_peak`, and only
+  `experiments.train_peak` calls `train_peak_network`, so a study takes the
+  trained peak it is handed and never trains.
 """
 
 import ast
@@ -28,8 +31,12 @@ UNCALLED = {
     "fileio.read_sweep_table": "called by the benchmark",
 }
 
-FLAGS = {
-    "experiments.run_multinotch_study.include_sweeps": "the CLI's --no-sweeps uses both values",
+FLAGS = {}
+
+# name: (the module that may use it, the definition there it is confined to, or None)
+TRAINING_OWNERS = {
+    "train_peak": ("cli", None),
+    "train_peak_network": ("experiments", "train_peak"),
 }
 
 
@@ -112,3 +119,18 @@ def test_no_public_function_takes_a_bool_flag():
         for parameter in bool_parameters(node)
     ]
     assert sorted(flags) == sorted(FLAGS)
+
+
+def test_training_has_one_owner():
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        spans = {name: range(node.lineno, node.end_lineno + 1) for name, node in definitions(tree)}
+        imports = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        for used, line in references(tree):
+            if used not in TRAINING_OWNERS:
+                continue
+            module, scope = TRAINING_OWNERS[used]
+            if path.stem != module or not (scope is None or line in imports or line in spans[scope]):
+                strays.append(f"{path.stem} line {line}: {used}")
+    assert strays == []
