@@ -324,9 +324,6 @@ def write_sweep_files(result: SweepResult, out_dir: Path, stem: str = "sweep") -
 # multi-notch study
 
 
-SCAN_POINTS = 200001  # evenly spaced over [0, pi]
-SCAN_BLOCK = 16384  # angles a steering block covers: 1.3 MB for five elements, where 200001 would take 16 MB
-SCAN_STEP = np.pi / (SCAN_POINTS - 1)
 SPACINGS = (0.0, 1e-3, 1e-2)  # the study's default notch spacings (rad)
 
 
@@ -334,65 +331,36 @@ def _carrier_power(column: np.ndarray, thetas) -> np.ndarray:
     return np.abs(steering(column.size, np.atleast_1d(thetas)) @ column) ** 2
 
 
-@dataclass(frozen=True)
-class CarrierScan:
-    """A column's scan peak and threshold, and its nearest scan index at or above it each side of the center."""
-
-    center_rad: float
-    peak: float
-    threshold: float
-    left: int | None
-    right: int | None
+def _unit_circle_angles(coefficients: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi] of the unit-circle roots of sum_k coefficients[k] z^k, z = exp(-1j*pi*cos(theta))."""
+    roots = np.roots(coefficients[::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
+    return np.arccos(np.clip(-np.angle(roots) / np.pi, -1.0, 1.0))
 
 
-def _carrier_scans(columns, center_rad: float) -> list[CarrierScan]:
-    """Every column's carrier scan in one pass: each block of SCAN_BLOCK angles builds one steering
-    block that all columns read for their block maxima. Walking outward from the center, a column
-    then rebuilds, over the same angles, the blocks holding its nearest points at or above threshold."""
-    grid = np.linspace(0.0, np.pi, SCAN_POINTS)
-    starts = range(0, SCAN_POINTS, SCAN_BLOCK)
-
-    def block_maxima(block):  # an argument, so each block is freed before the next is built
-        return [(np.abs(block[:, : c.size] @ c) ** 2).max() for c in columns]
-
-    size = max((c.size for c in columns), default=1)
-    maxima = np.array([block_maxima(steering(size, grid[start : start + SCAN_BLOCK])) for start in starts]).T
-    split = int(center_rad / SCAN_STEP) + 1  # scan points [0, split) lie at or left of the center
-    center_block = split // SCAN_BLOCK
-    scans = []
-    for column, column_maxima in zip(columns, maxima):
-        threshold = column_maxima.max() * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
-        left = right = None
-        for b, start in sorted(enumerate(starts), key=lambda block: abs(block[0] - center_block)):
-            found = (b < center_block and left is not None) or (b > center_block and right is not None)
-            if found or column_maxima[b] < threshold:
-                continue
-            hits = start + np.flatnonzero(_carrier_power(column, grid[start : start + SCAN_BLOCK]) >= threshold)
-            before, after = hits[hits < split], hits[hits >= split]
-            left = int(before[-1]) if before.size else left
-            right = int(after[0]) if after.size else right
-        scans.append(CarrierScan(center_rad, column_maxima.max(), threshold, left, right))
-    return scans
+def carrier_peak(column: np.ndarray) -> float:
+    """Maximum of the carrier pattern sum_k r_k z^k (r the column's autocorrelation): its largest value
+    at the unit-circle roots of the derivative's coefficients k * r_k, a circle that [0, pi] covers."""
+    lags = np.arange(1 - column.size, column.size)
+    return float(_carrier_power(column, _unit_circle_angles(lags * np.correlate(column, column, "full"))).max())
 
 
-def suppression_band(column: np.ndarray, scan: CarrierScan) -> tuple[float, float]:
-    """Contiguous angle span around the scan's center where the carrier
-    pattern stays below SUPPRESSION_THRESHOLD_DB relative to the scan's peak.
-
-    Each edge is bracketed by the nearest scan point at or above the
-    threshold on its side, then bisected from the center, so spacings far
-    below the scan step still order correctly; a side with no such point
-    extends to 0 or pi.
-    """
+def suppression_band(column: np.ndarray, center_rad: float, peak: float) -> tuple[float, float]:
+    """Contiguous angle span around `center_rad` where the carrier pattern
+    stays below SUPPRESSION_THRESHOLD_DB relative to `peak`. On each side, the
+    nearest unit-circle root of the pattern's polynomial less the threshold,
+    pushed 1e-7 rad outward, brackets the edge, which is then bisected from
+    the center; a side with no such root extends to 0 or pi."""
+    threshold = peak * 10.0 ** (SUPPRESSION_THRESHOLD_DB / 10.0)
 
     def above(theta: float) -> bool:
-        return _carrier_power(column, theta)[0] >= scan.threshold
+        return _carrier_power(column, theta)[0] >= threshold
 
-    if above(scan.center_rad):
-        return (scan.center_rad, scan.center_rad)
+    if above(center_rad):
+        return (center_rad, center_rad)
 
     def find_edge(outside: float) -> float:
-        inside = scan.center_rad
+        inside = center_rad
         for _ in range(80):
             mid = 0.5 * (inside + outside)
             if above(mid):
@@ -401,24 +369,28 @@ def suppression_band(column: np.ndarray, scan: CarrierScan) -> tuple[float, floa
                 inside = mid
         return 0.5 * (inside + outside)
 
-    low = find_edge(scan.left * SCAN_STEP) if scan.left is not None else 0.0
-    high = find_edge(scan.right * SCAN_STEP) if scan.right is not None else float(np.pi)
+    shifted = np.correlate(column, column, "full")
+    shifted[column.size - 1] -= threshold  # lag 0
+    crossings = _unit_circle_angles(shifted)
+    left, right = crossings[crossings < center_rad], crossings[crossings > center_rad]
+    low = find_edge(max(left.max() - 1e-7, 0.0)) if left.size else 0.0
+    high = find_edge(min(right.min() + 1e-7, np.pi)) if right.size else float(np.pi)
     return (low, high)
 
 
-def min_inband_suppression_db(column: np.ndarray, scan: CarrierScan, spacing_rad: float, num_notches: int) -> float:
-    """Worst-case suppression (positive dB, capped at 300) relative to the
-    peak of `scan` over the span between the outermost notch angles around
-    its center; at zero spacing, the depth at the center itself."""
+def min_inband_suppression_db(column: np.ndarray, center_rad: float, peak: float, spacing_rad: float, num_notches: int) -> float:
+    """Worst-case suppression (positive dB, capped at 300) relative to
+    `peak` over the span between the outermost notch angles around
+    `center_rad`; at zero spacing, the depth at the center itself."""
     half_span = (num_notches - 1) / 2.0 * spacing_rad
     if half_span == 0.0:
-        worst = _carrier_power(column, scan.center_rad)[0]
+        worst = _carrier_power(column, center_rad)[0]
     else:
-        span = np.linspace(scan.center_rad - half_span, scan.center_rad + half_span, 4001)
+        span = np.linspace(center_rad - half_span, center_rad + half_span, 4001)
         worst = _carrier_power(column, span).max()
     if worst == 0.0:
         return MAX_SUPPRESSION_DB
-    return float(min(-10.0 * np.log10(worst / scan.peak), MAX_SUPPRESSION_DB))
+    return float(min(-10.0 * np.log10(worst / peak), MAX_SUPPRESSION_DB))
 
 
 @dataclass
@@ -474,15 +446,16 @@ def run_multinotch_study(
     sweeps = [None] * len(notches)
     if training is not None:
         # every spacing is swept at each point on the same draws, in one pool
-        # forked before the scans leave freed heap behind
+        # forked before the pattern blocks leave freed heap behind
         combined = [normalize_coefficients(combine_convolve(training.config, notch)) for notch in notches]
         sweeps = _sweep_results(scenario, combined, subcarrier_mode, workers)
-    scans = _carrier_scans([notch.coefficients for notch in notches], scenario.interferer_angle_rad)
+    center = scenario.interferer_angle_rad
     patterns = power_patterns(notches, params, grid_rad, subcarrier_mode)
     entries = []
-    for spec, notch, sweep, scan, pattern in zip(specs, notches, sweeps, scans, patterns):
+    for spec, notch, sweep, pattern in zip(specs, notches, sweeps, patterns):
         epsilon = float(spec.spacing_rad)
-        band = suppression_band(notch.coefficients, scan)
+        peak = carrier_peak(notch.coefficients)
+        band = suppression_band(notch.coefficients, center, peak)
         entry = MultinotchEntry(
             epsilon_rad=epsilon,
             notch=notch,
@@ -492,7 +465,7 @@ def run_multinotch_study(
             sweep=sweep,
             band=band,
             bandwidth_rad=float(band[1] - band[0]),
-            min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, scan, epsilon, spec.num_notches),
+            min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, center, peak, epsilon, spec.num_notches),
         )
         if sweep is not None:
             write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{epsilon!r}")
@@ -500,9 +473,9 @@ def run_multinotch_study(
 
     comments = (
         f"suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
-        f"center_rad={float(scenario.interferer_angle_rad)!r}",
+        f"center_rad={float(center)!r}",
         f"num_notches={_study_notches(scenario)}",
-        "edges bracketed on a 200001-point scan of [0, pi] and bisected on the carrier pattern",
+        "peak and edge brackets from the roots of the carrier pattern's polynomial; edges bisected on the pattern",
     )
     rows = [(e.epsilon_rad, e.bandwidth_rad, *e.band, e.min_inband_suppression_db) for e in entries]
     summary_path = write_multinotch_summary(out_dir / "multinotch_summary.csv", rows, comments)

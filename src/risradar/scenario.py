@@ -2,11 +2,11 @@
 
 Flat `key = value` text files with dotted sections (ofdm.*, geometry.*,
 angles.*, network.*, notch.*, sweep.*) plus the top-level master_seed
-and output_dir. Unknown keys, duplicates, and out-of-domain values are
-rejected with distinct diagnostics; a check on a key the file sets
-names its line. Omitted keys fall back to the defaults below (77 GHz
-carrier, 200 MHz bandwidth, 100 x 50 grid, 200-element peak array,
-target at 2*pi/5, interferer at pi/4).
+and output_dir. Unknown keys, duplicate keys, out-of-domain values and a
+value repeated on a sweep axis are rejected with distinct diagnostics; a
+check on a key the file sets names its line. Omitted keys fall back to the
+defaults below (77 GHz carrier, 200 MHz bandwidth, 100 x 50 grid,
+200-element peak array, target at 2*pi/5, interferer at pi/4).
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ class Scenario:
             "sweep.angle_offsets_rad",
             "pushes the interferer outside [0, pi]",
         )
+        for key, axis in (("sweep.power_ratios_db", self.power_ratios_db), ("sweep.angle_offsets_rad", self.angle_offsets_rad)):
+            _require(len(set(map(float, axis))) == len(axis), key, "must not repeat a value")  # -0.0 repeats 0.0
         _require(self.trials >= 1, "sweep.trials", "must be a positive integer")
         max_range = self.ofdm_params().unambiguous_range
         _require(

@@ -265,6 +265,18 @@ def test_sweep_grid_out_of_domain_exits_two_for_every_command(command, key, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("sweep.power_ratios_db", "0,30,-0.0"), ("sweep.angle_offsets_rad", "0,0.01,0.0")])
+def test_repeated_sweep_axis_value_exits_two(key, value, tmp_path, capsys):
+    lines = [f"{key} = {value}" if line.startswith(key) else line for line in SMALL_SCENARIO.splitlines()]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(bad), "--out", str(out)]) == 2
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key))
+    assert capsys.readouterr().err == f"scenario error: line {lineno}: {key} must not repeat a value\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "scenario_name, out_name, problem",
     [

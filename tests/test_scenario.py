@@ -31,8 +31,8 @@ def valid_scenarios(draw):
         net_init_seed=draw(st.integers(0, 2**32)),
         num_notches=draw(st.integers(1, 6)),
         notch_spacing_rad=draw(st.floats(0.0, 0.05)),
-        power_ratios_db=tuple(draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=5))),
-        angle_offsets_rad=tuple(draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=5))),
+        power_ratios_db=tuple(draw(st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=5, unique=True))),
+        angle_offsets_rad=tuple(draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=5, unique=True))),
         trials=draw(st.integers(1, 100)),
         target_range_m=draw(st.floats(0.0, 0.999)) * max_range,
         target_velocity_mps=draw(st.floats(-100.0, 100.0)),
@@ -216,6 +216,8 @@ class TestValidation:
             (dict(power_ratios_db=(-6160.0,)), r"^sweep.power_ratios_db must lie in \[-300, 300\] dB$"),
             (dict(angle_offsets_rad=(0.0, 3.0)), r"^sweep.angle_offsets_rad pushes the interferer outside \[0, pi\]$"),
             (dict(angle_offsets_rad=(-0.8,)), r"^sweep.angle_offsets_rad pushes the interferer outside \[0, pi\]$"),
+            (dict(power_ratios_db=(0.0, 30.0, -0.0)), "^sweep.power_ratios_db must not repeat a value$"),
+            (dict(angle_offsets_rad=(0.01, 0.0, 0.01)), "^sweep.angle_offsets_rad must not repeat a value$"),
         ],
     )
     def test_distinct_diagnostics(self, kwargs, match):
