@@ -153,7 +153,7 @@ def _command(args) -> int:
     if args.command == "report":
         result = report(args.out)
         print(result.path.read_text(), end="")
-        return 1 if result.num_studies == 0 else 0
+        return 0 if result.num_studies and result.all_passed else 1
 
     scenario, out_dir, specs = _load(args)
     training = None if getattr(args, "no_sweeps", False) else train_peak(scenario)

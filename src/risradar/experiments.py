@@ -10,10 +10,10 @@
 * report: aggregate whatever studies an output directory holds into one
   pass/fail summary.
 
-Sweep grid points are independent: per-trial seeds derive from
+Sweep grid points are independent: each trial's one seed derives from
 (master_seed, ratio index, offset index, trial index) through one
 SeedSequence rule, so results do not depend on execution order or the
-number of workers. The seeds do not depend on the configuration, so a
+number of workers. The seed does not depend on the configuration, so a
 point sweeps every configuration of a study on one draw per trial.
 """
 
@@ -56,9 +56,8 @@ from .simulation import (
     TrialDraws,
     draw_trial,
     estimate_target,
-    frame_difference,
-    frame_pair,
     frame_terms,
+    trial_grid,
 )
 from .synthesis import (
     NotchSpec,
@@ -179,11 +178,13 @@ class SweepResult:
     range_bin_m: float
 
 
-def trial_seeds(master_seed: int, ratio_idx: int, offset_idx: int, trial: int) -> tuple[int, int, int, int]:
-    """Fixed splitting rule: independent seeds for the radar symbols, the
-    interferer symbols, and the two frame noise draws."""
+def trial_seeds(master_seed: int, ratio_idx: int, offset_idx: int, trial: int) -> int:
+    """Fixed splitting rule: the one seed of a trial's generator, which the
+    records keep. It is the first word of the SeedSequence's state, the word
+    that seeded the radar symbols when a trial drew from four generators, so
+    the records' seed column kept its values."""
     seq = np.random.SeedSequence([int(master_seed), int(ratio_idx), int(offset_idx), int(trial)])
-    return tuple(int(s) for s in seq.generate_state(4))
+    return int(seq.generate_state(1)[0])
 
 
 def _point_terms(
@@ -209,21 +210,20 @@ def run_trial(
     config: RisConfig,
     power_ratio_db: float,
     angle_offset_rad: float,
-    seeds: tuple[int, int, int, int],
+    seed: int,
     subcarrier_mode: str = CARRIER_ONLY,
     terms: FrameTerms | None = None,
     draws: TrialDraws | None = None,
 ) -> float:
     """One simulated measurement; returns the absolute range error in meters.
     A sweep passes the point's prebuilt `terms` and the trial's `draws`, which
-    the trial only reads; without them the trial builds and draws its own
-    from `seeds`."""
+    the trial only reads; without them the trial builds its own and draws
+    from `seed`."""
     if terms is None:
         terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
     if draws is None:
-        draws = draw_trial(terms, seeds[:2], seeds[2:])
-    frames = frame_pair(terms, draws)
-    grid = frame_difference(*frames, out=frames[0])
+        draws = draw_trial(terms, seed)
+    grid = trial_grid(terms, draws)
     estimate = estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity)
     return abs(scenario.target_range_m - estimate.range_m)
 
@@ -234,13 +234,11 @@ def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, f
     scenario, configs, ratio_db, ratio_idx, offset_rad, offset_idx, mode = args
     point_terms = [_point_terms(scenario, config, ratio_db, offset_rad, mode) for config in configs]
     errors = np.empty((len(configs), scenario.trials))
-    radar_seeds = []
-    for trial in range(scenario.trials):
-        seeds = trial_seeds(scenario.master_seed, ratio_idx, offset_idx, trial)
-        draws = draw_trial(point_terms[0], seeds[:2], seeds[2:])
+    seeds = [trial_seeds(scenario.master_seed, ratio_idx, offset_idx, trial) for trial in range(scenario.trials)]
+    for trial, seed in enumerate(seeds):
+        draws = draw_trial(point_terms[0], seed)
         for k, (config, terms) in enumerate(zip(configs, point_terms)):
-            errors[k, trial] = run_trial(scenario, config, ratio_db, offset_rad, seeds, mode, terms, draws)
-        radar_seeds.append(seeds[0])
+            errors[k, trial] = run_trial(scenario, config, ratio_db, offset_rad, seed, mode, terms, draws)
     angle = float(scenario.interferer_angle_rad + offset_rad)
     outcomes = []
     for config_errors in errors:
@@ -251,7 +249,7 @@ def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, f
             std_range_error_m=float(np.std(config_errors, ddof=1)) if scenario.trials > 1 else 0.0,
             trials=scenario.trials,
         )
-        records = [(seed, float(ratio_db), angle, float(error)) for seed, error in zip(radar_seeds, config_errors)]
+        records = [(seed, float(ratio_db), angle, float(error)) for seed, error in zip(seeds, config_errors)]
         outcomes.append((point, records))
     return outcomes
 
@@ -301,9 +299,9 @@ def run_interference_sweep(
     """Range-error statistics of `config` over (power ratio, interferer-angle offset).
 
     Every grid point runs `scenario.trials` fresh-symbol, fresh-noise
-    measurements with the frame-difference pipeline. Results are sorted
-    by (ratio, offset) and identical for any worker count;
-    `write_sweep_files` writes them.
+    measurements of the frame difference, each drawn from its own seed.
+    Results are sorted by (ratio, offset) and identical for any worker
+    count; `write_sweep_files` writes them.
     """
     return _sweep_results(scenario, (config,), subcarrier_mode, workers)[0]
 

@@ -142,7 +142,7 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
 
 
 def write_peak_records(path, records) -> Path:
-    """Per-trial records: (radar seed, power ratio, interferer angle, range error) tuples."""
+    """Per-trial records: (trial seed, power ratio, interferer angle, range error) tuples."""
     return _write_table(path, PEAK_RECORD_TABLE, _columns(records, 4))
 
 

@@ -10,14 +10,23 @@ a target echo, a synchronized interferer, and complex Gaussian noise:
 
 where g = amplitude * (c^T b_n(angle)) makes the array gain explicit.
 What no symbol or noise draw changes is built once by `frame_terms`.
-A trial's draws (the symbol ratio d_i/d_r and the noise of both frames)
-come from `draw_trial` and do not depend on the configuration. Both are
-read-only inputs of `frame_pair`, which builds the frames of every
-configuration from one draw; that draw-then-build sequence is the one way
-a frame is simulated.
-A frame pair builds the path once and negates it for the -c frame:
-negation is exact in IEEE arithmetic, so -path equals the path simulated
-with the configuration -c bit for bit.
+
+The radar measures the frames of the sign-flipped configurations c and -c
+and keeps their difference (y_a - y_b)/2 = path + (z_a - z_b)/2: every term
+goes through the array, so the difference keeps the whole path, and the
+noise difference is circular Gaussian of variance sigma^2/2. With
+independent, uniform QPSK symbols the ratio d_i/d_r is uniform on
+{1, j, -1, -j}. So a sweep trial draws, from one generator, exactly what
+the difference reads (`draw_trial`): one index grid into those four exact
+values and one noise grid of variance sigma^2/2. `trial_grid` builds
+path + noise in the path's buffer, and every configuration at a sweep point
+reads the same read-only draws.
+The two-frame model stays as the reference this is checked against:
+`draw_pair` draws both QPSK grids and one noise grid a frame, `frame_pair`
+builds frames a and b (the path once, negated for -c: negation is exact in
+IEEE arithmetic, so -path equals the path simulated with -c bit for bit),
+and `frame_difference` cancels what the frames share.
+
 Range and velocity are read off the peak of the zero-padded 2-D transform
 of the grid, `rv_map`. A sweep trial calls `estimate_target`, which finds
 that peak without building the map: after the range transform it bounds
@@ -85,6 +94,12 @@ def _gain_column(config: RisConfig, theta: float, ratios: np.ndarray | None) -> 
     return np.reshape(steering(coeffs.size, theta, ratios) @ coeffs, (-1, 1))
 
 
+def _freeze(*arrays) -> None:
+    for array in arrays:
+        if array is not None:
+            array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FrameTerms:
     """What no symbol or noise draw changes: the (N, M) target term
@@ -99,8 +114,7 @@ class FrameTerms:
     noise_variance: float
 
     def __post_init__(self):
-        for array in (self.target, self.gain_i, self.ramp_i):
-            array.flags.writeable = False
+        _freeze(self.target, self.gain_i, self.ramp_i)
 
 
 def frame_terms(
@@ -133,63 +147,98 @@ def frame_terms(
     return FrameTerms(params, target_term, gain_i, ramp_i, noise_variance)
 
 
-@dataclass(frozen=True)
-class TrialDraws:
-    """One trial's random draws, which every configuration at a sweep point
-    reads: the symbol ratio d_i/d_r and one complex noise grid per frame
-    (None at zero variance). The arrays are read-only."""
-
-    ratio: np.ndarray
-    noise: tuple
-
-    def __post_init__(self):
-        for array in (self.ratio, *self.noise):
-            if array is not None:
-                array.flags.writeable = False
-
-
-def _symbol_ratio(params: OfdmParams, symbol_seeds: tuple[int, int]) -> np.ndarray:
-    """d_i/d_r; both symbol grids are freed on return, before any noise is drawn."""
-    radar, interferer = (generate_symbols(params, seed) for seed in symbol_seeds)
-    return interferer / radar
-
-
-def _noise(shape: tuple[int, int], variance: float, seed: int) -> np.ndarray | None:
-    """Circular complex Gaussian noise with no complex temporary: the normal
-    draws are scaled straight into the real and imaginary parts."""
-    if variance == 0.0:
-        return None
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(variance / 2.0)
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, int], part_variance: float) -> np.ndarray:
+    """Circular complex Gaussian grid with no complex temporary: the real
+    parts are drawn first, then the imaginary parts, each N(0, part_variance)
+    and scaled straight into its half of the grid."""
+    scale = np.sqrt(part_variance)
     out = np.empty(shape, dtype=complex)
     np.multiply(rng.standard_normal(shape), scale, out=out.real)
     np.multiply(rng.standard_normal(shape), scale, out=out.imag)
     return out
 
 
-def draw_trial(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, ...]) -> TrialDraws:
-    """The radar and interferer symbols from the (radar, interferer)
-    `symbol_seeds`, reduced to their ratio, and one noise grid from each of
-    `noise_seeds`. Only the terms' grid size and noise variance matter, so
+# d_i/d_r of two QPSK symbols, exactly: exp(1j*k*pi/2) for k = 0..3
+_RATIOS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+@dataclass(frozen=True)
+class TrialDraws:
+    """One sweep trial's draws, which every configuration at its point reads:
+    the symbol ratio d_i/d_r, each cell exactly one of {1, j, -1, -j}, and the
+    noise of the frame difference (None at zero variance). The arrays are
+    read-only."""
+
+    ratio: np.ndarray
+    noise: np.ndarray | None
+
+    def __post_init__(self):
+        _freeze(self.ratio, self.noise)
+
+
+def draw_trial(terms: FrameTerms, seed: int) -> TrialDraws:
+    """Everything a trial's frame difference reads, from one generator seeded
+    with `seed`: the ratio as uniform indices into {1, j, -1, -j}, then one
+    complex noise grid of variance sigma^2/2 (sigma^2/4 a part), the variance
+    of (z_a - z_b)/2. Only the terms' grid size and noise variance matter, so
     the draws serve every configuration whose terms share those."""
-    ratio = _symbol_ratio(terms.params, symbol_seeds)
+    rng = np.random.default_rng(seed)
     shape = terms.target.shape
-    return TrialDraws(ratio, tuple(_noise(shape, terms.noise_variance, seed) for seed in noise_seeds))
+    ratio = _RATIOS[rng.integers(0, 4, shape)]
+    noise = None if terms.noise_variance == 0.0 else _complex_normal(rng, shape, terms.noise_variance / 4.0)
+    return TrialDraws(ratio, noise)
 
 
 def _path(terms: FrameTerms, ratio: np.ndarray) -> np.ndarray:
     """Noise-free array path target + (g_i * d_i/d_r) * ramp_i, built in one
     buffer: IEEE addition commutes, so adding the target last in place gives
-    the same bits, and the drawn noise grids get no second temporary beside them."""
+    the same bits, and the noise can be added into the same buffer."""
     path = terms.gain_i * ratio
     path *= terms.ramp_i
     path += terms.target
     return path
 
 
-def frame_pair(terms: FrameTerms, draws: TrialDraws) -> tuple:
+def trial_grid(terms: FrameTerms, draws: TrialDraws) -> np.ndarray:
+    """The grid a sweep trial searches, path + noise, written into the path's
+    buffer: the frame difference (y_a - y_b)/2 of the sign-flipped pair, with
+    the pair's two noise draws replaced by the one noise grid of their
+    difference."""
+    grid = _path(terms, draws.ratio)
+    if draws.noise is not None:
+        grid += draws.noise
+    return grid
+
+
+@dataclass(frozen=True)
+class PairDraws:
+    """The draws of the two-frame reference model: the ratio of two drawn
+    QPSK grids and one complex noise grid a frame (None at zero variance).
+    The arrays are read-only."""
+
+    ratio: np.ndarray
+    noise: tuple
+
+    def __post_init__(self):
+        _freeze(self.ratio, *self.noise)
+
+
+def draw_pair(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, int]) -> PairDraws:
+    """The radar and interferer symbols from the (radar, interferer)
+    `symbol_seeds`, reduced to their ratio, and one noise grid of variance
+    sigma^2 from each of `noise_seeds`, each from its own generator."""
+    radar, interferer = (generate_symbols(terms.params, seed) for seed in symbol_seeds)
+    shape, variance = terms.target.shape, terms.noise_variance
+    noise = tuple(
+        None if variance == 0.0 else _complex_normal(np.random.default_rng(seed), shape, variance / 2.0)
+        for seed in noise_seeds
+    )
+    return PairDraws(interferer / radar, noise)
+
+
+def frame_pair(terms: FrameTerms, draws: PairDraws) -> tuple:
     """Frames a and b of the sign-flipped configurations c and -c from one
-    trial's draws, frame a with the first noise grid, frame b with the second.
+    pair draw, frame a with the first noise grid, frame b with the second.
     The path is computed once; frame a is fresh and frame b takes the path's
     buffer. IEEE addition commutes and x - y equals x + (-y), so the bits are
     those of path + noise and -path + noise."""

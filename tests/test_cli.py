@@ -8,7 +8,7 @@ import pytest
 
 from risradar import cli, experiments
 from risradar.cli import main
-from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table
+from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table, write_sweep_table
 
 SMALL_SCENARIO = """
 ofdm.num_subcarriers = 32
@@ -71,6 +71,16 @@ def test_sweep_then_report(scenario_file, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "studies: 1" in summary
     assert (out / "summary.txt").exists()
+
+
+def test_report_with_a_failed_check_exits_one(tmp_path, capsys):
+    # zero-offset mean error of 5 m at 0 dB, above the 0.75 m bin
+    points = [experiments.SweepPoint(0.0, 0.0, 5.0, 1.0, 2), experiments.SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
+    write_sweep_table(tmp_path / "sweep.csv", points, ("range_bin_m=0.75",))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    summary = capsys.readouterr().out
+    assert "[FAIL] sweep: mean error at zero offset <= one range bin" in summary
+    assert summary.splitlines()[-1] == "result: fail"
 
 
 def test_report_on_empty_directory_signals_nothing_run(tmp_path):
@@ -550,3 +560,29 @@ def test_repeat_runs_are_byte_identical(scenario_file, tmp_path):
         assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 0
     for name in ("sweep.csv", "sweep_records.csv", "scenario_used.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_sweeps.py"
+    comments = ("range_bin_m=0.75",)
+    old = [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 4), experiments.SweepPoint(30.0, 0.0, 2.0, 2.0, 4)]
+    new = [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 4), experiments.SweepPoint(30.0, 0.0, 8.0, 2.0, 4)]
+    write_sweep_table(tmp_path / "old.csv", old, comments)
+    write_sweep_table(tmp_path / "new.csv", new, comments)
+    run = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "new.csv")], capture_output=True, text=True
+    )
+    assert run.returncode == 0
+    # se = 2 / sqrt(4) = 1 for both, so z = 6 / sqrt(2)
+    assert run.stdout.splitlines() == [
+        "power_ratio_db,angle_offset_rad,old_mean_m,new_mean_m,z",
+        "0.0,0.0,0.0,0.0,0.000",
+        f"30.0,0.0,2.0,8.0,{6 / np.sqrt(2):.3f}",
+        "within 3 standard errors: 1 of 2",
+    ]
+    write_sweep_table(tmp_path / "other.csv", old[:1], comments)
+    run = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "other.csv")], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr == "error: the tables do not cover the same (ratio, offset) grid\n"

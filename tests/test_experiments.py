@@ -27,6 +27,7 @@ from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records,
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import (
     InterferenceParams,
+    PairDraws,
     TargetParams,
     draw_trial,
     frame_difference,
@@ -125,6 +126,13 @@ class TestTrialSeeds:
                 for t in range(3):
                     seen.add(trial_seeds(7, i, j, t))
         assert len(seen) == 27
+
+    def test_is_the_first_word_of_the_four_seed_rule(self):
+        # the records' seed column kept its values when a trial went from four generators to one
+        for key in ((0, 0, 0, 0), (3, 4, 2, 199), (2**40, 8, 8, 49)):
+            first = int(np.random.SeedSequence(list(key)).generate_state(4)[0])
+            assert trial_seeds(*key) == first
+            assert isinstance(trial_seeds(*key), int)
 
 
 class TestPatternStudy:
@@ -272,24 +280,24 @@ class TestInterferenceSweep:
         run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-2)), small_training(), workers=5000)
         assert sizes == [4, 4]  # one task per point carries both spacings
 
-    # sha256 of sweep.csv and sweep_records.csv, recorded before the trial
-    # was split into per-point and per-trial work
+    # sha256 of sweep.csv and sweep_records.csv, recorded when a trial went
+    # from two frames' draws to the one draw its frame difference reads
     @pytest.mark.parametrize(
         "mode, noise_variance, nonzero, table_sha, records_sha",
         [
             (
                 "carrier",
                 5.0,
-                38,
-                "ea8f5f3f6282cdf92227de9642d51318af1932e57eff24067a6fa62515a30181",
-                "a388a31baa23d3a9fcf0a4782384b4a710e3b554e145120a3c2aa15b6c29d1df",
+                36,
+                "660357b39dab8037b6b8ad173c7e1db0876442573e0edf94bda623fec8233854",
+                "911d23ad5966c5926d535544b3877bab41539bfe62d49e675549f600b1432bf8",
             ),
             (
                 "all",
                 30.0,
-                43,
-                "b47634d60689ee19083ab9a7b143738459fe0f6719878edd3cc5187e62ff8f5e",
-                "f32084dbc3e82c3dc8857acfe399f1aae5b4d4a612d268f5af506a118f02e04e",
+                42,
+                "87833a3c1ca499cfa4aed2f02a8ca646a3c5a758b431dbf5608bc191777dded4",
+                "a2ca0e3ac7c23045558aaa69fd1eb528b28497f3dc091dba3eeb32202e76d994",
             ),
         ],
         ids=["carrier", "all"],
@@ -307,7 +315,8 @@ class TestInterferenceSweep:
     @pytest.mark.parametrize("mode", ["carrier", "all"])
     def test_trial_grid_equals_the_scenario_frame_pair(self, monkeypatch, mode, velocity_mps, doppler_scale, noise_variance):
         """The grid each sweep trial hands to the peak search is the frame
-        difference of a frame pair built here from the same seeds, bit for bit."""
+        difference of a frame pair built here from the trial's seed, bit for
+        bit: the pair of the trial's ratio with noise grids n and -n."""
         scenario = NONZERO.replace(
             power_ratios_db=(0.0, 120.0),
             angle_offsets_rad=(-0.2, 0.1),
@@ -332,7 +341,7 @@ class TestInterferenceSweep:
         for i, ratio in enumerate(scenario.power_ratios_db):
             for j, offset in enumerate(scenario.angle_offsets_rad):
                 for trial in range(scenario.trials):
-                    seeds = trial_seeds(scenario.master_seed, i, j, trial)
+                    seed = trial_seeds(scenario.master_seed, i, j, trial)
                     interference = InterferenceParams(
                         scenario.interferer_delay_s,
                         scenario.interferer_angle_rad + offset,
@@ -340,8 +349,9 @@ class TestInterferenceSweep:
                         10.0 ** (ratio / 20.0),
                     )
                     terms = frame_terms(params, config, target, interference, noise_variance, mode)
-                    draws = draw_trial(terms, (seeds[0], seeds[1]), (seeds[2], seeds[3]))
-                    pair = frame_pair(terms, draws)
+                    draws = draw_trial(terms, seed)
+                    noise = (None, None) if draws.noise is None else (draws.noise, -draws.noise)
+                    pair = frame_pair(terms, PairDraws(draws.ratio, noise))
                     expected.append(frame_difference(*pair).tobytes())
         assert len(grids) == 12
         assert grids == expected
@@ -360,19 +370,23 @@ class TestInterferenceSweep:
 
     @pytest.mark.parametrize("mode", ["carrier", "all"])
     def test_trial_from_seeds_alone_returns_the_recorded_error(self, mode):
-        """run_trial handed only a trial's seeds builds its own terms and
+        """run_trial handed only a record's seed builds its own terms and
         draws; it returns the error the sweep records for that trial, bit for bit."""
         scenario = NONZERO.replace(power_ratios_db=(0.0, 120.0), angle_offsets_rad=(-0.2, 0.1))
         config = small_combined(NONZERO)
-        recorded = [record[3] for record in run_interference_sweep(scenario, config, subcarrier_mode=mode).records]
+        records = run_interference_sweep(scenario, config, subcarrier_mode=mode).records
+        points = [
+            (ratio, offset)
+            for ratio in scenario.power_ratios_db
+            for offset in scenario.angle_offsets_rad
+            for _ in range(scenario.trials)
+        ]
         errors = [
-            experiments.run_trial(scenario, config, ratio, offset, trial_seeds(scenario.master_seed, i, j, trial), mode)
-            for i, ratio in enumerate(scenario.power_ratios_db)
-            for j, offset in enumerate(scenario.angle_offsets_rad)
-            for trial in range(scenario.trials)
+            experiments.run_trial(scenario, config, ratio, offset, seed, mode)
+            for (ratio, offset), (seed, *_) in zip(points, records, strict=True)
         ]
         assert any(error != 0.0 for error in errors)
-        assert np.array(errors).tobytes() == np.array(recorded).tobytes()
+        assert np.array(errors).tobytes() == np.array([record[3] for record in records]).tobytes()
 
     def test_rejects_offsets_leaving_domain(self):
         # the scenario itself refuses offsets the sweep could not run
@@ -452,24 +466,25 @@ class TestSharedSweepPoint:
     """Every configuration swept at a grid point shares each trial's draws."""
 
     # sha256 of the multi-notch sweep files on NONZERO (noise 5.0), recorded
-    # before the spacings shared their draws
+    # when a trial went to one draw; at spacing 0.1 no trial's error depends
+    # on the mode, so both modes pin the same two files there
     SPACINGS = (0.0, 0.05, 0.1)
     SWEEPS = {
         "carrier": {
-            "multinotch_sweep_eps0.0.csv": "ba820e5ba85778ef4169cdc5a4f049eb08856c60a5d4bd7513fb5d48f7096291",
-            "multinotch_sweep_eps0.0_records.csv": "69098a34d3973f41080dff591aad45eb7ffb5b18fccd1278c09e13685fd6ce69",
-            "multinotch_sweep_eps0.05.csv": "335e6eef0f5fc84c2312ddf01271bb5f23f7ef95b41151e362cb0d2322d35f1f",
-            "multinotch_sweep_eps0.05_records.csv": "1632841e4bc0c89ab95d025ed2d599da5b47fef3f0288ec3476a3be252fef8dd",
-            "multinotch_sweep_eps0.1.csv": "37e9cd3f4d60f893b3d8a5960b85ec301cae5c63e2d18f02cf699046f2e07d13",
-            "multinotch_sweep_eps0.1_records.csv": "5b1f24a5571ca2c819e25113dda448cfe9c7ac17f60aaf44d42d0d4359402b25",
+            "multinotch_sweep_eps0.0.csv": "395f1b4ed47a59a1eada2b077f945cb753efe4959dd4348085cd1eb725f9f366",
+            "multinotch_sweep_eps0.0_records.csv": "a8a1278763edb3cb81bd125a789ef3e95a2a2e5cc0b067b7dfc6fa2e36ac5516",
+            "multinotch_sweep_eps0.05.csv": "bda742caed309c025aae7e94e7f9c0aa7ca720504b5a77394164002369cb9d05",
+            "multinotch_sweep_eps0.05_records.csv": "50a0389ecabec71e90f7ca54db4328cfecf7c4f7e1e6027a9917ff0bd354c059",
+            "multinotch_sweep_eps0.1.csv": "ea8e1db99cb0e1ecb249aab2874680b8a008aebb330df256565e9c2e459a8ea3",
+            "multinotch_sweep_eps0.1_records.csv": "84cd1c00ab4312f25136dccb5178392279be50aae9d88b9c3a431b1edeb6b312",
         },
         "all": {
-            "multinotch_sweep_eps0.0.csv": "2bf51eba7c0769685e56a039990ba6def3c404f60a9f2da96247d55a59151f57",
-            "multinotch_sweep_eps0.0_records.csv": "c31ccbdbf807829b7c24a68ffecff760031734ef624f238c1a5fdc2578632281",
-            "multinotch_sweep_eps0.05.csv": "6e92beb6ab40e9cefbd0aff4dce53d87258832db46408be9185b6f0895bb7440",
-            "multinotch_sweep_eps0.05_records.csv": "2495fd7e351845da550e785df9a157c93a1200fde68d79e07897efb082ec3cfd",
-            "multinotch_sweep_eps0.1.csv": "3e2d29caa9e4215e8e4b11ad1ec9c18222dad28b73331f10a3c6815951fb13a6",
-            "multinotch_sweep_eps0.1_records.csv": "5223bb6a3c4617f4da5bead4a60c505142c177803b6f0eeedf8b00a9e44b0554",
+            "multinotch_sweep_eps0.0.csv": "70af01b7cc74df22ae42b7853f34b1ac641d6a424cf921659aca6717fb0736ba",
+            "multinotch_sweep_eps0.0_records.csv": "7ac5d0194489af976173bf209956a0fb4bda12d513af3de1f5a26ffffae8cbb9",
+            "multinotch_sweep_eps0.05.csv": "c6ffa4639e35d4f34e313e9e7ac05edb2c1fb13bb8df63893ecac977f5f8d70c",
+            "multinotch_sweep_eps0.05_records.csv": "8cbef48c72fb87770bc5146c4b1bfdec1a5500ff0fbfde4f48ca66aed82b8ea9",
+            "multinotch_sweep_eps0.1.csv": "ea8e1db99cb0e1ecb249aab2874680b8a008aebb330df256565e9c2e459a8ea3",
+            "multinotch_sweep_eps0.1_records.csv": "84cd1c00ab4312f25136dccb5178392279be50aae9d88b9c3a431b1edeb6b312",
         },
     }
 
@@ -479,7 +494,7 @@ class TestSharedSweepPoint:
         result = run_multinotch_study(
             scenario, tmp_path, notch_specs(scenario, self.SPACINGS), analytic_training(scenario), subcarrier_mode=mode
         )
-        assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == 81
+        assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == 75
         tables = [(tmp_path / f"multinotch_sweep_eps{eps!r}.csv").read_bytes() for eps in self.SPACINGS]
         assert len(set(tables)) == len(self.SPACINGS)
         digests = file_digests(tmp_path)
@@ -515,18 +530,19 @@ class TestSharedSweepPoint:
             assert result.points == alone.points
 
     def test_each_trial_draws_once_for_every_spacing(self, monkeypatch, tmp_path):
-        draws = []
+        generators = []
 
-        def counting(params, seed):
-            draws.append(seed)
-            return real_generate_symbols(params, seed)
+        def counting(seed):
+            generators.append(seed)
+            return real_default_rng(seed)
 
-        real_generate_symbols = simulation.generate_symbols
-        monkeypatch.setattr(simulation, "generate_symbols", counting)
+        real_default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", counting)
         spacings, points, trials = (0.0, 1e-3, 1e-2), 4, SMALL.trials
         result = run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, spacings), analytic_training(SMALL))
         assert [len(e.sweep.records) for e in result.entries] == [points * trials] * len(spacings)
-        assert len(draws) == 2 * points * trials  # not 2 * spacings * points * trials
+        assert len(generators) == points * trials  # one generator a trial, not one a spacing or a draw
+        assert generators == [record[0] for record in result.entries[0].sweep.records]
 
 
 def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):

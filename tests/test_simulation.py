@@ -10,7 +10,10 @@ from risradar import simulation
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT, OfdmParams, RisConfig, steering
 from risradar.simulation import (
     InterferenceParams,
+    PairDraws,
     TargetParams,
+    TrialDraws,
+    draw_pair,
     draw_trial,
     estimate_target,
     frame_difference,
@@ -18,6 +21,7 @@ from risradar.simulation import (
     frame_terms,
     generate_symbols,
     rv_map,
+    trial_grid,
 )
 from risradar.synthesis import analytic_peak, combine_convolve, normalize_coefficients, notch_config
 
@@ -33,8 +37,8 @@ def single_element_terms(params, target, interference=SILENT_INTERFERER, noise_v
 
 
 def simulated_pair(terms, symbol_seeds, noise_seeds):
-    """Frames a and b of c and -c, drawn and built as a sweep trial does."""
-    return frame_pair(terms, draw_trial(terms, symbol_seeds, noise_seeds))
+    """Frames a and b of c and -c, drawn and built by the two-frame model."""
+    return frame_pair(terms, draw_pair(terms, symbol_seeds, noise_seeds))
 
 
 def received(terms, symbol_seeds, noise_seed):
@@ -235,7 +239,7 @@ class TestFrameDifference:
             return frame_terms(params, frame_config, target, interference, variance, mode)
 
         pair_terms = terms(config)
-        draws = draw_trial(pair_terms, symbol_seeds, seeds)
+        draws = draw_pair(pair_terms, symbol_seeds, seeds)
         inputs = [
             array
             for array in (draws.ratio, *draws.noise, pair_terms.target, pair_terms.gain_i, pair_terms.ramp_i)
@@ -278,6 +282,83 @@ class TestFrameDifference:
         assert frame_difference(y_a, y_b, out=y_a) is y_a
         assert y_a.tobytes() == fresh.tobytes()
         np.testing.assert_array_equal(frame_difference(np.array([3, 1]), np.array([0, 0])), [1.5, 0.5])
+
+
+class TestTrialDraw:
+    """The one draw of a sweep trial against the two-frame model it replaces."""
+
+    # 200 x 100 = 20000 cells in one draw
+    BIG = OfdmParams(77e9, 200e6, num_subcarriers=200, num_symbols=100)
+    EXACT_RATIOS = np.array([1, 1j, -1, -1j])
+
+    def terms(self, params, noise_variance, mode=CARRIER_ONLY, interference=SILENT_INTERFERER):
+        target = TargetParams(range_m=0.3 * params.unambiguous_range, angle_rad=0.9, velocity_mps=3.0)
+        config = RisConfig(np.exp(1j * np.linspace(0.0, 2.0, 5)))
+        return frame_terms(params, config, target, interference, noise_variance, mode)
+
+    def test_ratio_cells_are_the_four_exact_values_drawn_uniformly(self):
+        ratio = draw_trial(self.terms(self.BIG, 0.0), 7).ratio
+        cells = ratio.view(np.int64).reshape(-1, 2)
+        exact = self.EXACT_RATIOS.view(np.int64).reshape(-1, 2)
+        matches = np.all(cells[:, None, :] == exact[None, :, :], axis=2)
+        assert np.all(matches.sum(axis=1) == 1)  # every cell bytewise one exact value
+        n = cells.shape[0]
+        # each count is Binomial(n, 1/4): within 4.5 of its standard deviations
+        assert np.all(np.abs(matches.sum(axis=0) - n / 4) <= 4.5 * np.sqrt(n * 0.25 * 0.75))
+
+    def test_noise_parts_have_a_quarter_of_the_variance_like_the_pair_difference(self):
+        sigma2 = 2.0
+        terms = self.terms(self.BIG, sigma2)
+        noise = draw_trial(terms, 11).noise
+        n = noise.size
+        # sum of n squared N(0, v) draws over n*v is chi-square(n)/n: mean 1, std sqrt(2/n)
+        for part in (noise.real, noise.imag):
+            assert abs(np.mean(part**2) / (sigma2 / 4) - 1.0) <= 4.5 * np.sqrt(2.0 / n)
+        # |z|^2 over sigma^2/2, for z = n or the noise-only pair difference,
+        # is chi-square(2n)/(2n): mean 1, std sqrt(1/n)
+        silent_target = TargetParams(range_m=0.0, angle_rad=1.0, amplitude=0.0)
+        silent = frame_terms(self.BIG, RisConfig([1.0]), silent_target, SILENT_INTERFERER, sigma2)
+        difference = frame_difference(*frame_pair(silent, draw_pair(silent, (1, 0), (3, 4))))
+        measured = [np.mean(np.abs(z) ** 2) / (sigma2 / 2) for z in (noise, difference)]
+        assert all(abs(m - 1.0) <= 4.5 * np.sqrt(1.0 / n) for m in measured)
+        assert abs(measured[0] - measured[1]) <= 4.5 * np.sqrt(2.0 / n)
+
+    def test_zero_variance_draws_no_noise_and_the_grid_is_the_path(self, params):
+        terms = self.terms(params, 0.0, interference=InterferenceParams(delay_s=1e-7, angle_rad=0.4, amplitude=3.0))
+        draws = draw_trial(terms, 5)
+        assert draws.noise is None
+        a, b = frame_pair(terms, PairDraws(draws.ratio, (None, None)))
+        assert trial_grid(terms, draws).tobytes() == a.tobytes() == (-b).tobytes()
+
+    def test_one_seed_reproduces_the_draw_and_the_draw_is_read_only(self, params):
+        terms = self.terms(params, 1.5)
+        draws = draw_trial(terms, 42)
+        again = draw_trial(terms, 42)
+        assert (draws.ratio.tobytes(), draws.noise.tobytes()) == (again.ratio.tobytes(), again.noise.tobytes())
+        assert draw_trial(terms, 43).noise.tobytes() != draws.noise.tobytes()
+        for array in (draws.ratio, draws.noise):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            draws.noise = None
+        assert isinstance(draws, TrialDraws)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(min_value=2, max_value=24), st.integers(min_value=1, max_value=12)),
+        mode=st.sampled_from([CARRIER_ONLY, ALL_SUBCARRIERS]),
+        variance=st.sampled_from([0.0, 0.5, 2.0]),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+    )
+    def test_grid_is_the_frame_difference_of_a_pair_with_opposite_noise(self, shape, mode, variance, seed):
+        # path + n is bit for bit the difference of frames path + n and -path - n
+        params = OfdmParams(77e9, 200e6, num_subcarriers=shape[0], num_symbols=shape[1])
+        interference = InterferenceParams(delay_s=2e-7, angle_rad=0.6, doppler_scale=1e-8, amplitude=40.0)
+        terms = self.terms(params, variance, mode, interference)
+        draws = draw_trial(terms, seed)
+        noise = (None, None) if draws.noise is None else (draws.noise, -draws.noise)
+        pair = frame_pair(terms, PairDraws(draws.ratio, noise))
+        assert trial_grid(terms, draws).tobytes() == frame_difference(*pair).tobytes()
 
 
 class TestRvMap:

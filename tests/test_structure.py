@@ -24,6 +24,9 @@ PROGRAM = sorted([*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 UNCALLED = {
     "simulation.rv_map": "the full map the peak search is tested against",
+    "simulation.draw_pair": "the two-frame draw the sweep trial's one draw is tested against",
+    "simulation.frame_pair": "the sign-flipped frames criteria 5 and 8 and the trial grid are tested against",
+    "simulation.frame_difference": "the frame difference criterion 8 and the trial grid are tested against",
     "synthesis.analytic_peak": "the closed-form peak training is tested against",
     "arrays.RisConfig.static_column": "called by the benchmark",
     "fileio.read_config_file": "called by the benchmark",
