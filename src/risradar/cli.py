@@ -151,20 +151,23 @@ def main(argv=None) -> int:
 
 def _command(args) -> int:
     if args.command == "report":
-        result = report(args.out)
-        print(result.path.read_text(), end="")
-        return 0 if result.num_studies and result.all_passed else 1
-
+        return _report(args.out)
     scenario, out_dir, specs = _load(args)
     training = None if getattr(args, "no_sweeps", False) else train_peak(scenario)
-    if args.command == "pattern":
+    _run(args.command, scenario, out_dir, specs, training, args)
+    return 0
+
+
+def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
+    """The body of `command` on the loaded scenario and the trained peak it is handed."""
+    if command == "pattern":
         result = run_pattern_study(scenario, out_dir, training, args.mode, args.grid)
         print(f"combined argmax: {result.argmax_deg} deg")
         print(f"combined level at interferer: {result.combined_db_at_interferer} dB")
         print(f"peak gain ratio: {result.gain_ratio}")
         for path in (result.peak_path, result.notch_path, result.combined_path, result.metrics_path):
             print(f"wrote {path}")
-    elif args.command == "train-peak":
+    elif command == "train-peak":
         config_path = write_config_file(
             out_dir / "peak_config.txt", training.config, theta_t=scenario.target_angle_rad, seed=scenario.net_init_seed
         )
@@ -172,13 +175,13 @@ def _command(args) -> int:
         print(f"gain ratio vs analytic optimum: {training.gain_ratio}")
         print(f"wrote {config_path}")
         print(f"wrote {loss_path}")
-    elif args.command == "sweep":
+    elif command == "sweep":
         config = synthesize_configs(scenario, training).combined
         result = run_interference_sweep(scenario, config, subcarrier_mode=args.mode, workers=args.workers)
         table, records = write_sweep_files(result, out_dir)
         print(f"wrote {table}")
         print(f"wrote {records}")
-    elif args.command == "multinotch":
+    elif command == "multinotch":
         result = run_multinotch_study(scenario, out_dir, specs, training, args.mode, args.workers, args.grid)
         for entry in result.entries:
             print(
@@ -186,22 +189,32 @@ def _command(args) -> int:
                 f"min in-band suppression={entry.min_inband_suppression_db} dB"
             )
         print(f"wrote {result.summary_path}")
-    return 0
 
 
-def study_script(study, quick_overrides: dict) -> int:
-    """`scripts/run_full_study.py`'s flags, the CLI's scenario load, check of the default notch spacings and
-    echo (`--quick` applies `quick_overrides`), then study(scenario, out_dir, specs, workers), all under the CLI's exit statuses."""
+def _report(out_dir) -> int:
+    """Write and print the summary of the studies in `out_dir`; 0 when it passes, else 1."""
+    result = report(out_dir)
+    print(result.path.read_text(), end="")
+    return 0 if result.passed else 1
+
+
+def study_script(quick_overrides: dict) -> int:
+    """`scripts/run_full_study.py`: the CLI's scenario load, check of the default notch spacings and echo
+    (`--quick` applies `quick_overrides`), one training, the `pattern`, `sweep` and `multinotch` bodies on it,
+    then `report`, all under the CLI's exit statuses."""
     parser = _Parser(description="Run every study end to end and write the summary report.")
-    parser.add_argument("--scenario", type=Path, default=None)
-    parser.add_argument("--out", type=Path, default=Path("out"))
+    _common_flags(parser, seed=False, grid=False, mode=False)
     parser.add_argument("--workers", type=_integer_at_least(1), default=1)
     parser.add_argument("--quick", action="store_true", help="scaled-down scenario")
-    parser.set_defaults(epsilon=SPACINGS)
+    parser.set_defaults(mode=CARRIER_ONLY, grid=GRID_POINTS, epsilon=SPACINGS)
     args = parser.parse_args()
 
     def run() -> int:
-        return study(*_load(args, quick_overrides if args.quick else None), args.workers)
+        scenario, out_dir, specs = _load(args, quick_overrides if args.quick else None)
+        training = train_peak(scenario)
+        for command in ("pattern", "sweep", "multinotch"):
+            _run(command, scenario, out_dir, specs, training, args)
+        return _report(out_dir)
 
     return _exit_status(run)
 

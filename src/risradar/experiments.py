@@ -491,8 +491,9 @@ class ReportResult:
     checks: list[tuple[str, bool, str]]
 
     @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+    def passed(self) -> bool:
+        """The one pass rule: a study was found and every check passed."""
+        return bool(self.num_studies) and all(ok for _, ok, _ in self.checks)
 
 
 class ReportError(ValueError):
@@ -616,9 +617,10 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
 def report(out_dir) -> ReportResult:
     """Aggregate study outputs under out_dir into summary.txt.
 
-    Zero discovered studies still writes the summary; the CLI maps that
-    to a nonzero exit status. A path that is not a directory is a
-    ReportError, raised before anything is written.
+    Zero discovered studies still writes the summary, which then ends
+    `result: nothing-run`; `ReportResult.passed` is false, and the front
+    ends exit 1. A path that is not a directory is a ReportError, raised
+    before anything is written.
     """
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -648,7 +650,8 @@ def report(out_dir) -> ReportResult:
         lines.append("checks:")
         for name, ok, detail in checks:
             lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name} ({detail})")
+    result = ReportResult(path=out_dir / "summary.txt", num_studies=num_studies, checks=checks)
     lines.append("")
-    lines.append(f"result: {'pass' if checks and all(c[1] for c in checks) else ('nothing-run' if not checks else 'fail')}")
-    path = write_lines(out_dir / "summary.txt", lines)
-    return ReportResult(path=path, num_studies=num_studies, checks=checks)
+    lines.append(f"result: {'pass' if result.passed else 'fail' if num_studies else 'nothing-run'}")
+    write_lines(result.path, lines)
+    return result

@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from risradar import cli, experiments
 from risradar.cli import main
 from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table, write_sweep_table
+from risradar.scenario import default_scenario
 
 SMALL_SCENARIO = """
 ofdm.num_subcarriers = 32
@@ -88,6 +90,17 @@ def test_report_on_empty_directory_signals_nothing_run(tmp_path):
     out.mkdir()
     assert main(["report", "--out", str(out)]) == 1
     assert "studies: 0" in (out / "summary.txt").read_text()
+
+
+def test_report_counts_no_study_from_multinotch_sweeps_alone(tmp_path, capsys):
+    # a multi-notch sweep is checked but is not a study: its checks pass, yet nothing was run
+    points = [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 2), experiments.SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
+    write_sweep_table(tmp_path / "multinotch_sweep_eps0.0.csv", points, ("range_bin_m=0.75",))
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    summary = capsys.readouterr().out
+    assert summary.startswith("studies: 0\n")
+    assert "[PASS]" in summary and "[FAIL]" not in summary
+    assert summary.splitlines()[-1] == "result: nothing-run"
 
 
 PASSING_METRICS = "combined_argmax_deg = 72.0\ntarget_angle_deg = 72.0\ncombined_db_at_interferer = -80.0\n"
@@ -397,8 +410,55 @@ def test_full_study_script_training_divergence_exits_three(tmp_path):
     assert run.returncode == 3
     assert run.stderr.startswith("training error: training loss became non-finite at iteration ")
     assert run.stderr.count("\n") == 1
-    assert not (out / "peak_config.txt").exists()
-    assert not (out / "summary.txt").exists()
+    assert [path.name for path in out.iterdir()] == ["scenario_used.txt"]
+
+
+def test_full_study_script_writes_to_the_scenario_output_dir(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    (tmp_path / "s.txt").write_text("output_dir = results\n")
+    run = subprocess.run(
+        [sys.executable, str(script), "--quick", "--scenario", "s.txt"], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert not (tmp_path / "out").exists()
+    assert "output_dir = results" in (tmp_path / "results" / "scenario_used.txt").read_text().splitlines()
+    assert (tmp_path / "results" / "summary.txt").read_text().splitlines()[-1] == "result: pass"
+
+
+def test_full_study_script_writes_what_the_cli_writes(monkeypatch, tmp_path, capsys):
+    """The script runs the CLI's command bodies on one training: the same files, byte for byte,
+    and the same lines on stdout. Both runs write to the relative path `out`, so even
+    summary.txt, which names each file by its path, must match."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+    overrides = runpy.run_path(str(script))["QUICK_OVERRIDES"]
+    quick = tmp_path / "quick.txt"
+    quick.write_text(default_scenario().replace(**overrides).to_text())
+    written, printed = {}, {}
+    for front_end in ("script", "cli"):
+        (tmp_path / front_end).mkdir()
+        monkeypatch.chdir(tmp_path / front_end)
+        if front_end == "script":
+            monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--quick", "--out", "out"])
+            assert cli.study_script(overrides) == 0
+        else:
+            for command in ("pattern", "sweep", "multinotch"):
+                assert main([command, "--scenario", str(quick), "--out", "out"]) == 0
+            assert main(["report", "--out", "out"]) == 0
+        printed[front_end] = capsys.readouterr().out
+        written[front_end] = {path.name: path.read_bytes() for path in Path("out").iterdir()}
+    assert {
+        "scenario_used.txt",
+        "pattern_peak.csv",
+        "pattern_metrics.txt",
+        "sweep.csv",
+        "sweep_records.csv",
+        "multinotch_summary.csv",
+        "multinotch_sweep_eps0.0.csv",
+        "multinotch_sweep_eps0.0_records.csv",
+        "summary.txt",
+    } <= set(written["script"])
+    assert written["script"] == written["cli"]
+    assert printed["script"] == printed["cli"]
 
 
 def test_full_study_script_report_error_exits_two(tmp_path):
@@ -518,11 +578,13 @@ def test_full_study_script_exhausted_memory_exits_two(monkeypatch, tmp_path, cap
     # the script's front end shares the CLI's exit statuses; the stand-in allocates nothing
     message = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
 
-    def exhausted(scenario, out_dir, specs, workers):
+    def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
+    monkeypatch.setattr(cli, "train_peak", lambda scenario: None)
+    monkeypatch.setattr(cli, "run_pattern_study", exhausted)
     monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", str(tmp_path / "o")])
-    assert cli.study_script(exhausted, {}) == 2
+    assert cli.study_script({}) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"memory error: {message}\n"

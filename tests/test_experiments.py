@@ -687,7 +687,7 @@ class TestReport:
             return real_read_text(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", record)
-        assert report(tmp_path).all_passed
+        assert report(tmp_path).passed
         assert sorted(reads) == ["multinotch_sweep_eps0.0.csv", "sweep.csv"]
 
     def test_full_small_run_passes(self, tmp_path):
@@ -696,5 +696,5 @@ class TestReport:
         run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-3, 1e-2)), None)
         result = report(tmp_path)
         assert result.num_studies == 3
-        assert result.all_passed, result.checks
+        assert result.passed, result.checks
         assert "result: pass" in result.path.read_text()

@@ -11,6 +11,10 @@
 * Training has one owner: only the CLI calls `train_peak`, and only
   `experiments.train_peak` calls `train_peak_network`, so a study takes the
   trained peak it is handed and never trains.
+* One front end: only the CLI runs a study or the report, so the study
+  script runs the CLI's own command bodies and holds no study flow.
+
+The rules hold for the package and for `scripts/`.
 """
 
 import ast
@@ -40,6 +44,9 @@ FLAGS = {}
 TRAINING_OWNERS = {
     "train_peak": ("cli", None),
     "train_peak_network": ("experiments", "train_peak"),
+}
+STUDY_OWNERS = {
+    name: ("cli", None) for name in ("run_pattern_study", "run_interference_sweep", "run_multinotch_study", "report")
 }
 
 
@@ -71,7 +78,7 @@ def references(tree):
                 yield alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", PROGRAM, ids=lambda path: path.name)
 def test_no_module_imports_a_private_name(path):
     private = [
         f"line {node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
@@ -124,16 +131,25 @@ def test_no_public_function_takes_a_bool_flag():
     assert sorted(flags) == sorted(FLAGS)
 
 
-def test_training_has_one_owner():
-    strays = []
-    for path in sorted(PACKAGE.glob("*.py")):
+def strays(owners):
+    """Each use in the program of a name in `owners` outside the module and definition it is confined to."""
+    found = []
+    for path in PROGRAM:
         tree = parse(path)
         spans = {name: range(node.lineno, node.end_lineno + 1) for name, node in definitions(tree)}
         imports = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         for used, line in references(tree):
-            if used not in TRAINING_OWNERS:
+            if used not in owners:
                 continue
-            module, scope = TRAINING_OWNERS[used]
+            module, scope = owners[used]
             if path.stem != module or not (scope is None or line in imports or line in spans[scope]):
-                strays.append(f"{path.stem} line {line}: {used}")
-    assert strays == []
+                found.append(f"{path.stem} line {line}: {used}")
+    return found
+
+
+def test_training_has_one_owner():
+    assert strays(TRAINING_OWNERS) == []
+
+
+def test_only_the_cli_runs_a_study_or_the_report():
+    assert strays(STUDY_OWNERS) == []
