@@ -29,6 +29,7 @@ import numpy as np
 
 from .arrays import (
     CARRIER_ONLY,
+    DB_FLOOR,
     GRID_POINTS,
     RisConfig,
     angle_grid,
@@ -69,7 +70,6 @@ from .synthesis import (
 )
 
 SUPPRESSION_THRESHOLD_DB = -30.0
-MAX_SUPPRESSION_DB = 300.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,7 @@ def run_trial(
     if draws is None:
         draws = draw_trial(terms, seed)
     grid = trial_grid(terms, draws)
-    estimate = estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity)
-    return abs(scenario.target_range_m - estimate.range_m)
+    return abs(scenario.target_range_m - estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity))
 
 
 def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, float]]]]:
@@ -387,8 +386,8 @@ def min_inband_suppression_db(column: np.ndarray, center_rad: float, peak: float
         span = np.linspace(center_rad - half_span, center_rad + half_span, 4001)
         worst = _carrier_power(column, span).max()
     if worst == 0.0:
-        return MAX_SUPPRESSION_DB
-    return float(min(-10.0 * np.log10(worst / peak), MAX_SUPPRESSION_DB))
+        return -DB_FLOOR
+    return float(min(-10.0 * np.log10(worst / peak), -DB_FLOOR))
 
 
 @dataclass
@@ -552,13 +551,13 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
     for ratio, offset, mean, _std, _trials in rows:
         by_offset.setdefault(offset, []).append((ratio, mean))
 
-    if 0.0 in by_offset:
-        at_null = [mean for ratio, mean in by_offset[0.0] if ratio <= 30.0]
+    at_null = [mean for ratio, mean in by_offset.get(0.0, []) if ratio <= 30.0]
+    if at_null:
         checks.append(
             (
                 f"{stem}: mean error at zero offset <= one range bin (ratios <= 30 dB)",
                 all(m <= bin_m for m in at_null),
-                f"max={max(at_null) if at_null else 0.0} bin={bin_m}",
+                f"max={max(at_null)} bin={bin_m}",
             )
         )
     monotone = True

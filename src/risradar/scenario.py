@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import OfdmParams
+from .arrays import DB_FLOOR, OfdmParams
 from .synthesis import NotchSpec, PeakNetSpec
 
 
@@ -127,8 +127,8 @@ class Scenario:
             "notch.spacing_rad",
             "pushes the shifted notches outside [0, pi]",
         )
-        # the program's 300 dB floor and cap; far beyond it the amplitude 10**(r/20) overflows
-        _require(bool(np.all(np.abs(self.power_ratios_db) <= 300.0)), "sweep.power_ratios_db", "must lie in [-300, 300] dB")
+        # the program's dB floor and cap; far beyond it the amplitude 10**(r/20) overflows
+        _require(bool(np.all(np.abs(self.power_ratios_db) <= -DB_FLOOR)), "sweep.power_ratios_db", "must lie in [-300, 300] dB")
         shifted = self.interferer_angle_rad + np.asarray(self.angle_offsets_rad)
         _require(
             bool(np.all((0.0 <= shifted) & (shifted <= np.pi))),

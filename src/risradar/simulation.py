@@ -27,17 +27,17 @@ builds frames a and b (the path once, negated for -c: negation is exact in
 IEEE arithmetic, so -path equals the path simulated with -c bit for bit),
 and `frame_difference` cancels what the frames share.
 
-Range and velocity are read off the peak of the zero-padded 2-D transform
+The target's range is read off the peak of the zero-padded 2-D transform
 of the grid, `rv_map`. A sweep trial calls `estimate_target`, which finds
-that peak without building the map: after the range transform it bounds
-each range row's largest map magnitude by the triangle inequality and runs
-the velocity transform only on the rows whose bound can reach the best
-magnitude found. Each transformed row equals that row of `rv_map` bit for
-bit, so the peak is the same. The range rows and their magnitudes are
+that peak's range without building the map: after the range transform it
+bounds each range row's largest map magnitude by the triangle inequality
+and runs the velocity transform only on the rows whose bound can reach the
+best magnitude found. Each transformed row equals that row of `rv_map` bit
+for bit, so the peak is the same. The range rows and their magnitudes are
 written into buffers kept for the last grid shape (`_kept`), so the trials
-of a sweep reuse that memory instead of allocating it afresh. The module is
-single-threaded and the sweep's pool uses processes, so no two calls use
-the buffers at once.
+of a sweep reuse that memory instead of allocating it afresh. The module
+is single-threaded and the sweep's pool uses processes, so no two calls
+use the buffers at once.
 """
 
 from __future__ import annotations
@@ -320,10 +320,6 @@ def _map_rows(rows: np.ndarray, n_range: int, n_vel: int) -> np.ndarray:
     return values
 
 
-def _bin_sizes(params: OfdmParams, pad_range: int, pad_velocity: int) -> tuple[float, float]:
-    return params.range_bin_size / int(pad_range), params.velocity_bin_size / int(pad_velocity)
-
-
 def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> RvMap:
     """Map a received grid to range-velocity space.
 
@@ -337,15 +333,11 @@ def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: 
     """
     rows = _range_rows(y, pad_range, pad_velocity)
     n_range, n_sym = rows.shape
-    range_bin_m, velocity_bin_mps = _bin_sizes(params, pad_range, pad_velocity)
-    return RvMap(_map_rows(rows, n_range, int(pad_velocity) * n_sym), range_bin_m, velocity_bin_mps)
-
-
-@dataclass(frozen=True)
-class PeakEstimate:
-    range_m: float
-    velocity_mps: float
-    exact_bins: tuple[int, int]
+    return RvMap(
+        _map_rows(rows, n_range, int(pad_velocity) * n_sym),
+        params.range_bin_size / int(pad_range),
+        params.velocity_bin_size / int(pad_velocity),
+    )
 
 
 # A map row's transform errs by about log2(n) * 2**-53 of its bound, so a
@@ -364,27 +356,27 @@ _OVERFLOW_RISK = np.finfo(float).max / 4
 _BLOCK_CELLS = 16384
 
 
-def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int, int]:
-    """(magnitude, range bin, velocity bin) of the first largest |map| cell
-    in row-major order over the chosen (sorted) range rows, which are
-    transformed in one call; a non-finite cell raises ValueError."""
+def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int]:
+    """(magnitude, range bin) of the first largest |map| cell in row-major
+    order over the chosen (sorted) range rows, which are transformed in one
+    call; a non-finite cell raises ValueError."""
     values = _map_rows(rows[chosen], n_range, n_vel)
-    peak = (-1.0, 0, 0)
+    peak = (-1.0, 0)
     step = max(1, _BLOCK_CELLS // n_vel)
     for start in range(0, chosen.size, step):
         magnitude = np.abs(values[start : start + step])
-        row, velocity_bin = divmod(int(np.argmax(magnitude)), n_vel)
-        value = float(magnitude[row, velocity_bin])
+        cell = int(np.argmax(magnitude))
+        value = float(magnitude.flat[cell])
         if not math.isfinite(value):  # argmax picks a NaN's index
             raise ValueError("range-velocity map is not finite")
         if value > peak[0]:
-            peak = (value, int(chosen[start + row]), velocity_bin)
+            peak = (value, int(chosen[start + cell // n_vel]))
     return peak
 
 
-def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> PeakEstimate:
-    """The maximum-magnitude cell of rv_map(y, params, pad_range, pad_velocity),
-    found without building the map.
+def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> float:
+    """The range in metres of the maximum-magnitude cell of
+    rv_map(y, params, pad_range, pad_velocity), found without building the map.
 
     Map row r is n_range times the DFT of range row X[r], so none of its
     cells exceeds n_range * sum_m |X[r, m]| (the triangle inequality). The
@@ -392,9 +384,7 @@ def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_v
     then any other row whose bound (times a margin far above FFT rounding)
     reaches the best magnitude found. Each transformed row is bit for bit
     that row of the map, so the peak is the map's: ties break toward the
-    lowest range bin, then the lowest velocity bin, and a map holding a
-    non-finite value raises ValueError. Velocity bins above the midpoint
-    wrap to negative velocities.
+    lowest range bin, and a map holding a non-finite value raises ValueError.
     """
     rows = _range_rows(y, pad_range, pad_velocity)
     n_range, n_sym = rows.shape
@@ -408,11 +398,5 @@ def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_v
         rest = np.flatnonzero(~first & (bounds * _BOUND_MARGIN >= best))
         if rest.size:
             peaks.append(_peak_rows(rows, rest, n_range, n_vel))
-    _, range_bin, velocity_bin = min(peaks, key=lambda peak: (-peak[0], peak[1]))
-    range_bin_m, velocity_bin_mps = _bin_sizes(params, pad_range, pad_velocity)
-    signed_vel_bin = velocity_bin if velocity_bin < (n_vel + 1) // 2 else velocity_bin - n_vel
-    return PeakEstimate(
-        range_m=float(range_bin * range_bin_m),
-        velocity_mps=float(signed_vel_bin * velocity_bin_mps),
-        exact_bins=(range_bin, velocity_bin),
-    )
+    _, range_bin = min(peaks, key=lambda peak: (-peak[0], peak[1]))
+    return float(range_bin * (params.range_bin_size / int(pad_range)))

@@ -3,6 +3,10 @@ program, each in the harness's own argument form, on a small scenario. A
 change of signature or return shape that would break the harness fails
 here first; the harness itself is not imported."""
 
+import ast
+import runpy
+from pathlib import Path
+
 import numpy as np
 
 from risradar import experiments, fileio, synthesis
@@ -59,3 +63,18 @@ def test_train_workload_calls(tmp_path):
     assert rows.shape == (5, 2)
     notch = synthesis.multi_notch(SMALL.notch_spec(4, 1e-3))
     assert notch.static_column().size == 5
+
+
+def test_quick_workload_times_the_study_scripts_quick_scenario():
+    # the harness keeps its own copy of the script's QUICK_OVERRIDES; read from
+    # its source, the copy must equal the script's
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "bench" / "workloads.py").read_text())
+    (call,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(target) for target in node.targets] == ["QUICK_OVERRIDES"]
+    ]
+    assert ast.unparse(call.func) == "dict" and not call.args
+    harness = {keyword.arg: ast.literal_eval(keyword.value) for keyword in call.keywords}
+    assert harness == runpy.run_path(str(root / "scripts" / "run_full_study.py"))["QUICK_OVERRIDES"]

@@ -9,7 +9,7 @@ import pytest
 
 from risradar import cli, experiments
 from risradar.cli import main
-from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_table, write_sweep_table
+from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_file, write_sweep_table
 from risradar.scenario import default_scenario
 
 SMALL_SCENARIO = """
@@ -67,7 +67,7 @@ def test_train_peak_command(scenario_file, tmp_path):
 def test_sweep_then_report(scenario_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    rows = read_sweep_table(out / "sweep.csv")
+    rows = read_sweep_file(out / "sweep.csv")[0]
     assert len(rows) == 4
     assert main(["report", "--out", str(out)]) == 0
     summary = capsys.readouterr().out
@@ -83,6 +83,18 @@ def test_report_with_a_failed_check_exits_one(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert "[FAIL] sweep: mean error at zero offset <= one range bin" in summary
     assert summary.splitlines()[-1] == "result: fail"
+
+
+def test_report_skips_the_zero_offset_check_without_a_point_at_or_below_30_db(tmp_path, capsys):
+    # zero offset is swept only at 50 and 60 dB: the check has no data, so it is not made
+    (tmp_path / "sweep.csv").write_text(f"# range_bin_m=0.75\n{SWEEP_HEADER}\n50.0,0.0,12.0,1.0,5\n60.0,0.0,20.0,1.0,5\n")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "checks:\n"
+        "  [PASS] sweep: mean error non-decreasing in power ratio (one-bin tolerance) (offsets=1)\n"
+        "  [PASS] sweep: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance) (ratio=60.0)\n"
+        "\nresult: pass\n"
+    )
 
 
 def test_report_on_empty_directory_signals_nothing_run(tmp_path):

@@ -23,7 +23,7 @@ from risradar.experiments import (
     trial_seeds,
     write_sweep_files,
 )
-from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_table
+from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_file
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import (
     InterferenceParams,
@@ -230,7 +230,7 @@ class TestInterferenceSweep:
 
     def test_files_round_trip(self, sweep):
         result, out = sweep
-        rows = read_sweep_table(out / "sweep.csv")
+        rows = read_sweep_file(out / "sweep.csv")[0]
         assert [(r[0], r[1]) for r in rows] == [(p.power_ratio_db, p.angle_offset_rad) for p in result.points]
         records = read_peak_records(out / "sweep_records.csv")
         assert len(records) == 4 * 3
@@ -546,7 +546,7 @@ class TestSharedSweepPoint:
 
 
 def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):
-    column = multi_notch(NotchSpec(center_rad, num_notches, spacing_rad)).static_column()
+    column = multi_notch(NotchSpec(center_rad, num_notches, spacing_rad)).coefficients
     peak = carrier_peak(column)
     return column, peak, suppression_band(column, center_rad, peak)
 
@@ -615,12 +615,12 @@ class TestSuppressionBand:
         center=st.floats(0.1, np.pi - 0.1),
     )
     def test_peak_is_the_pattern_maximum(self, num_notches, spacing, center):
-        column = multi_notch(NotchSpec(center, num_notches, spacing)).static_column()
+        column = multi_notch(NotchSpec(center, num_notches, spacing)).coefficients
         sampled = reference_scan(column).max()
         assert sampled <= carrier_peak(column) <= sampled * (1.0 + 1e-8)
 
     def test_bisects_with_few_kernel_calls(self, monkeypatch):
-        column = multi_notch(NotchSpec(np.pi / 4, 4, 1e-3)).static_column()
+        column = multi_notch(NotchSpec(np.pi / 4, 4, 1e-3)).coefficients
         peak = carrier_peak(column)
         calls = []
 

@@ -16,7 +16,7 @@ from risradar.fileio import (
     read_multinotch_summary,
     read_pattern_table,
     read_peak_records,
-    read_sweep_table,
+    read_sweep_file,
     write_config_file,
     write_keyvals,
     write_loss_history,
@@ -154,7 +154,7 @@ def test_sweep_table_round_trip(tmp_path):
         SweepPoint(5.0, 0.0, 0.0, 0.0, 50),
     ]
     path = write_sweep_table(tmp_path / "s.csv", points, comments=("range_bin_m=0.75",))
-    rows = read_sweep_table(path)
+    rows = read_sweep_file(path)[0]
     assert rows == [(p.power_ratio_db, p.angle_offset_rad, p.mean_range_error_m, p.std_range_error_m, p.trials) for p in points]
     assert path.read_text().startswith("# range_bin_m=0.75\n")
 
@@ -204,7 +204,7 @@ def _records(path, rows):
 
 def _sweep(path, rows):
     write_sweep_table(path, [SweepPoint(*row) for row in rows], comments=("range_bin_m=0.75",))
-    return rows, read_sweep_table(path)
+    return rows, read_sweep_file(path)[0]
 
 
 def _loss(path, rows):
@@ -256,7 +256,7 @@ def _valid_tables(tmp_path):
         "pattern": (write_pattern_table(tmp_path / "p.csv", [0.0, 1.0], [-3.0, 0.0]), read_pattern_table),
         "config": (write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j]), theta_t=0.5, seed=1), read_config_file),
         "records": (write_peak_records(tmp_path / "r.csv", [(1, 0.0, 0.5, 0.75), (2, 5.0, 0.5, 0.0)]), read_peak_records),
-        "sweep": (write_sweep_table(tmp_path / "s.csv", [SweepPoint(0.0, 0.0, 0.1, 0.0, 2)] * 2), read_sweep_table),
+        "sweep": (write_sweep_table(tmp_path / "s.csv", [SweepPoint(0.0, 0.0, 0.1, 0.0, 2)] * 2), read_sweep_file),
         "multinotch-summary": (
             write_multinotch_summary(tmp_path / "m.csv", [(0.0, 0.1, 0.7, 0.8, 300.0), (0.01, 0.2, 0.6, 0.8, 40.0)]),
             read_multinotch_summary,

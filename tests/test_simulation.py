@@ -374,9 +374,9 @@ class TestRvMap:
         target = TargetParams(range_m=30.0, angle_rad=1.0, amplitude=gain)
         y = received(single_element_terms(params, target), (1, 0), 0)
         rv = rv_map(y, params)
-        estimate = estimate_target(y, params)
-        assert estimate.exact_bins == (40, 0)
-        assert np.abs(rv.values[estimate.exact_bins]) == pytest.approx(5000.0 * gain, rel=1e-9)
+        bins = full_map_bins(y, params, 1, 1)
+        assert bins == (40, 0)
+        assert np.abs(rv.values[bins]) == pytest.approx(5000.0 * gain, rel=1e-9)
 
     def test_interference_spreads_like_noise(self, params):
         # no bin should exceed 10/sqrt(N*M) of the concentrated level
@@ -436,18 +436,18 @@ class TestRvMap:
         shifted = TargetParams(
             range_m=30.0 + params.range_bin_size, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size
         )
-        base_estimate = estimate_target(received(single_element_terms(params, base), (1, 0), 0), params)
-        shift_estimate = estimate_target(received(single_element_terms(params, shifted), (1, 0), 0), params)
-        assert base_estimate.exact_bins == (40, 2)
-        assert shift_estimate.exact_bins == (41, 2)
+        base_grid = received(single_element_terms(params, base), (1, 0), 0)
+        shift_grid = received(single_element_terms(params, shifted), (1, 0), 0)
+        assert full_map_bins(base_grid, params, 1, 1) == (40, 2)
+        assert full_map_bins(shift_grid, params, 1, 1) == (41, 2)
 
 
 class TestEstimateTarget:
     def test_on_grid_target_zero_error(self, params):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
         estimate = estimate_target(received(single_element_terms(params, target), (1, 0), 0), params)
-        assert estimate.range_m == 30.0
-        assert abs(30.0 - estimate.range_m) == 0.0
+        assert estimate == 30.0
+        assert abs(30.0 - estimate) == 0.0
 
     def test_tie_breaks_to_lowest_bins(self):
         # two on-grid tones at map cells (3, 1) and (1, 3): every value is a
@@ -457,7 +457,8 @@ class TestEstimateTarget:
         y = np.array([1, 1j, -1, -1j])[(m * 1 - n * 3) % 4] + np.array([1, 1j, -1, -1j])[(m * 3 - n * 1) % 4]
         magnitude = np.abs(rv_map(y, small).values)
         assert magnitude[3, 1] == magnitude[1, 3] == magnitude.max() == 16.0
-        assert estimate_target(y, small).exact_bins == (1, 3)
+        assert full_map_bins(y, small, 1, 1) == (1, 3)
+        assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == small.range_bin_size
 
     @pytest.mark.parametrize(
         "bad",
@@ -476,9 +477,15 @@ class TestEstimateTarget:
             estimate_target(y, small)
 
     def test_negative_velocity_wraps(self, params):
+        # a velocity of minus one bin lands in the last velocity bin
         target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
-        estimate = estimate_target(received(single_element_terms(params, target), (1, 0), 0), params)
-        assert estimate.velocity_mps == pytest.approx(-params.velocity_bin_size, rel=1e-12)
+        y = received(single_element_terms(params, target), (1, 0), 0)
+        rv = rv_map(y, params)
+        range_bin, velocity_bin = full_map_bins(y, params, 1, 1)
+        assert (range_bin, velocity_bin) == (20, rv.values.shape[1] - 1)
+        wrapped = (velocity_bin - rv.values.shape[1]) * rv.velocity_bin_mps
+        assert wrapped == pytest.approx(-params.velocity_bin_size, rel=1e-12)
+        assert estimate_target(y, params) == 15.0
 
     def test_interference_at_exact_null_angle(self, params):
         theta_t, theta_i = 2 * np.pi / 5, np.pi / 4
@@ -487,9 +494,9 @@ class TestEstimateTarget:
         )
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0))
         terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference, 0.0)
-        estimate = estimate_target(received(terms, (4, 5), 0), params)
-        assert estimate.exact_bins == (40, 0)
-        assert estimate.range_m == 30.0
+        y = received(terms, (4, 5), 0)
+        assert full_map_bins(y, params, 1, 1) == (40, 0)
+        assert estimate_target(y, params) == full_map_range(y, params, 1, 1) == 30.0
 
 
 GRID_KINDS = ("noise", "tone", "chirp", "rounded", "zero", "constant", "one cell", "huge", "non-finite")
@@ -540,6 +547,12 @@ def full_map_bins(y, params, pad_range, pad_velocity):
     return tuple(int(b) for b in np.unravel_index(np.argmax(magnitude), magnitude.shape))
 
 
+def full_map_range(y, params, pad_range, pad_velocity):
+    """The range of the full map's first largest cell, as the peak search
+    must return it."""
+    return full_map_bins(y, params, pad_range, pad_velocity)[0] * (params.range_bin_size / pad_range)
+
+
 class TestPeakSearch:
     """`estimate_target` transforms only the range rows that can hold the
     map's peak; it must find the peak of the full `rv_map`."""
@@ -556,12 +569,12 @@ class TestPeakSearch:
         y = search_grid(kind, shape, seed)
         with np.errstate(all="ignore"):
             try:
-                expected = full_map_bins(y, params, *pads)
+                expected = full_map_range(y, params, *pads)
             except ValueError:
                 with pytest.raises(ValueError, match="not finite"):
                     estimate_target(y, params, *pads)
                 return
-            assert estimate_target(y, params, *pads).exact_bins == expected
+            assert estimate_target(y, params, *pads) == expected
 
     @pytest.mark.parametrize(
         "near_row, far_row",
@@ -581,7 +594,7 @@ class TestPeakSearch:
         y = np.array([near_row + far_row, near_row - far_row])  # range rows 0 and 1: near, far
         small = OfdmParams(77e9, 200e6, num_subcarriers=2, num_symbols=y.shape[1])
         assert full_map_bins(y, small, 1, 1) == (0, 0)
-        assert estimate_target(y, small).exact_bins == (0, 0)
+        assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == 0.0
 
     def test_ties_across_blocks_go_to_the_lowest_row(self, monkeypatch):
         # one nonzero cell in subcarrier 0: every map row holds the same bits
@@ -590,7 +603,7 @@ class TestPeakSearch:
         y[0, 1] = 1.0 + 1.0j
         monkeypatch.setattr(simulation, "_BLOCK_CELLS", 1)  # one row a block
         assert full_map_bins(y, small, 1, 1) == (0, 0)
-        assert estimate_target(y, small).exact_bins == (0, 0)
+        assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == 0.0
 
     @pytest.fixture
     def transformed_rows(self, monkeypatch):
@@ -612,7 +625,7 @@ class TestPeakSearch:
     def test_a_dominant_target_needs_few_rows(self, params, transformed_rows):
         target = TargetParams(range_m=30.0, angle_rad=1.0)
         y = received(single_element_terms(params, target, noise_variance=1.0), (1, 0), 0)
-        assert estimate_target(y, params, 4, 4).exact_bins == full_map_bins(y, params, 4, 4)
+        assert estimate_target(y, params, 4, 4) == full_map_range(y, params, 4, 4)
         assert len(transformed_rows) <= 10  # of 400 rows
 
 
@@ -637,26 +650,27 @@ class TestKeptBuffers:
             y = search_grid(kind, (n_sub, 12), seed)
             with np.errstate(all="ignore"):
                 if kind == "noise":  # finite: a stale non-finite tail would raise
-                    expected = full_map_bins(y, params, pad_range, 2)
-                    assert estimate_target(y, params, pad_range, 2).exact_bins == expected
+                    expected = full_map_range(y, params, pad_range, 2)
+                    assert estimate_target(y, params, pad_range, 2) == expected
                     assert rv_map(y, params, pad_range, 2).values.tobytes() == padded_map(y, pad_range, 2).tobytes()
                     continue
                 try:
-                    expected = full_map_bins(y, params, pad_range, 2)
+                    expected = full_map_range(y, params, pad_range, 2)
                 except ValueError:
                     with pytest.raises(ValueError, match="not finite"):
                         estimate_target(y, params, pad_range, 2)
                     continue
-                assert estimate_target(y, params, pad_range, 2).exact_bins == expected
+                assert estimate_target(y, params, pad_range, 2) == expected
 
     def test_a_map_between_two_searches_leaves_both_right(self, params):
         tone = search_grid("tone", (100, 50), 3)
         noise = search_grid("noise", (100, 50), 4)
         magnitude = np.abs(padded_map(tone, 4, 4))
-        expected = tuple(int(b) for b in np.unravel_index(np.argmax(magnitude), magnitude.shape))
-        assert estimate_target(tone, params, 4, 4).exact_bins == expected
+        range_bin = int(np.unravel_index(np.argmax(magnitude), magnitude.shape)[0])
+        expected = range_bin * (params.range_bin_size / 4)
+        assert estimate_target(tone, params, 4, 4) == expected
         values = rv_map(noise, params, 4, 4).values
-        assert estimate_target(tone, params, 4, 4).exact_bins == expected
+        assert estimate_target(tone, params, 4, 4) == expected
         assert values.tobytes() == padded_map(noise, 4, 4).tobytes()
 
     def test_same_shape_calls_reuse_one_buffer_per_role(self, params):
@@ -727,7 +741,7 @@ class TestRangeErrorMetric:
                     1.0,
                 )
                 estimate = estimate_target(received(terms, (s_sym, s_int), s_noise), small, 4, 4)
-                errors.append(abs(true_range - estimate.range_m))
+                errors.append(abs(true_range - estimate))
             means.append(float(np.mean(errors)))
         assert means[0] <= small.range_bin_size
         assert means[-1] > 2.0

@@ -27,16 +27,16 @@ def carrier_pattern(coeffs, theta):
 
 class TestAnalyticPeak:
     def test_broadside_is_all_ones(self):
-        np.testing.assert_allclose(analytic_peak(np.pi / 2, 3).static_column(), [1, 1, 1], atol=1e-15)
+        np.testing.assert_allclose(analytic_peak(np.pi / 2, 3).coefficients, [1, 1, 1], atol=1e-15)
 
     def test_pi_third_two_elements(self):
         # conjugate of the steering phase exp(-1j*pi*0.5): [1, exp(1j*pi/2)] = [1, j]
-        np.testing.assert_allclose(analytic_peak(np.pi / 3, 2).static_column(), [1.0, 1.0j], atol=1e-12)
+        np.testing.assert_allclose(analytic_peak(np.pi / 3, 2).coefficients, [1.0, 1.0j], atol=1e-12)
 
     @pytest.mark.parametrize("theta", [0.31, 1.0, 2.0 * np.pi / 5.0, 2.9])
     def test_coherent_sum_reaches_element_count(self, theta):
         config = analytic_peak(theta, 200)
-        assert abs(carrier_pattern(config.static_column(), theta)) == pytest.approx(200.0, abs=1e-9)
+        assert abs(carrier_pattern(config.coefficients, theta)) == pytest.approx(200.0, abs=1e-9)
 
     def test_rejects_empty_array(self):
         with pytest.raises(ValueError):
@@ -45,14 +45,14 @@ class TestAnalyticPeak:
 
 class TestNotchConfig:
     def test_broadside(self):
-        np.testing.assert_allclose(notch_config(np.pi / 2).static_column(), [1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(notch_config(np.pi / 2).coefficients, [1.0, -1.0], atol=1e-12)
 
     def test_pi_third(self):
         # -exp(1j*pi/2) = -j
-        np.testing.assert_allclose(notch_config(np.pi / 3).static_column(), [1.0, -1.0j], atol=1e-12)
+        np.testing.assert_allclose(notch_config(np.pi / 3).coefficients, [1.0, -1.0j], atol=1e-12)
 
     def test_pi_quarter_satisfies_null_condition(self):
-        config = notch_config(np.pi / 4).static_column()
+        config = notch_config(np.pi / 4).coefficients
         expected_c1 = -cmath.exp(1j * np.pi * np.cos(np.pi / 4))
         assert config[1] == pytest.approx(expected_c1, abs=1e-15)
         assert abs(carrier_pattern(config, np.pi / 4)) <= 1e-12
@@ -60,7 +60,7 @@ class TestNotchConfig:
     def test_nulls_fifty_random_angles(self):
         rng = np.random.default_rng(2024)
         for theta_n in rng.uniform(0.0, np.pi, size=50):
-            assert abs(carrier_pattern(notch_config(theta_n).static_column(), theta_n)) <= 1e-12
+            assert abs(carrier_pattern(notch_config(theta_n).coefficients, theta_n)) <= 1e-12
 
     def test_rejects_out_of_range_angle(self):
         with pytest.raises(ValueError):
@@ -86,12 +86,12 @@ class TestMultiNotch:
         p4 = power_patterns((quad,), params, grid, CARRIER_ONLY)[0]
         # dB null is 4x deeper everywhere: |p|^8 = (|p|^2)^4
         np.testing.assert_allclose(p4, p1**4, rtol=1e-9, atol=1e-12)
-        assert abs(carrier_pattern(quad.static_column(), theta_n)) <= 1e-12
+        assert abs(carrier_pattern(quad.coefficients, theta_n)) <= 1e-12
 
     def test_spread_notches_have_distinct_zeros(self):
         theta_n, eps = np.pi / 4, 1e-2
         spec = NotchSpec(theta_n, num_notches=4, spacing_rad=eps)
-        config = multi_notch(spec).static_column()
+        config = multi_notch(spec).coefficients
         zeros = spec.notch_angles()
         np.testing.assert_allclose(zeros, theta_n + np.array([-1.5, -0.5, 0.5, 1.5]) * eps)
         for theta in zeros:
@@ -116,17 +116,17 @@ class TestMultiNotch:
 class TestCombineConvolve:
     def test_identity_element(self):
         out = combine_convolve(RisConfig([1, 1]), RisConfig([1]))
-        np.testing.assert_array_equal(out.static_column(), [1, 1])
+        np.testing.assert_array_equal(out.coefficients, [1, 1])
 
     def test_direct_convolution(self):
         out = combine_convolve(RisConfig([1, 1]), RisConfig([1, -1]))
-        np.testing.assert_array_equal(out.static_column(), [1, 0, -1])
+        np.testing.assert_array_equal(out.coefficients, [1, 0, -1])
 
     def test_pattern_is_product_on_dense_grid(self, params):
         rng = np.random.default_rng(99)
         a = rng.normal(size=5) + 1j * rng.normal(size=5)
         b = rng.normal(size=7) + 1j * rng.normal(size=7)
-        combined = combine_convolve(RisConfig(a), RisConfig(b)).static_column()
+        combined = combine_convolve(RisConfig(a), RisConfig(b)).coefficients
         worst = 0.0
         for theta in angle_grid(721):
             product = carrier_pattern(a, theta) * carrier_pattern(b, theta)
@@ -139,11 +139,11 @@ class TestCombineConvolve:
         b = RisConfig(rng.normal(size=4) + 1j * rng.normal(size=4))
         c = RisConfig(rng.normal(size=5) + 1j * rng.normal(size=5))
         grid = angle_grid(721)
-        ab_c = combine_convolve(combine_convolve(a, b), c).static_column()
-        ba = combine_convolve(b, a).static_column()
-        ab = combine_convolve(a, b).static_column()
+        ab_c = combine_convolve(combine_convolve(a, b), c).coefficients
+        ba = combine_convolve(b, a).coefficients
+        ab = combine_convolve(a, b).coefficients
         for theta in grid[::10]:
-            pa, pb, pc = (carrier_pattern(x.static_column(), theta) for x in (a, b, c))
+            pa, pb, pc = (carrier_pattern(x.coefficients, theta) for x in (a, b, c))
             assert abs(carrier_pattern(ab, theta) - carrier_pattern(ba, theta)) < 1e-9
             assert abs(carrier_pattern(ab_c, theta) - pa * pb * pc) < 1e-9
 
@@ -154,7 +154,7 @@ class TestCombineConvolve:
         st.floats(min_value=0.0, max_value=np.pi),
     )
     def test_pattern_product_property(self, a, b, theta):
-        combined = combine_convolve(RisConfig(a), RisConfig(b)).static_column()
+        combined = combine_convolve(RisConfig(a), RisConfig(b)).coefficients
         product = carrier_pattern(a, theta) * carrier_pattern(b, theta)
         assert abs(carrier_pattern(combined, theta) - product) < 1e-9
 

@@ -162,7 +162,7 @@ class TestTraining:
     def test_reported_gain_matches_config(self):
         spec = PeakNetSpec(num_layers=3, hidden_width=8, num_iterations=100, init_seed=2)
         result = train_peak_network(0.9, 16, spec)
-        gain = np.abs(steering(16, 0.9) @ result.config.static_column()) / 16
+        gain = np.abs(steering(16, 0.9) @ result.config.coefficients) / 16
         assert result.gain_ratio == pytest.approx(gain, rel=1e-12)
 
     def test_loss_history_is_pinned_bit_for_bit(self):
