@@ -26,6 +26,15 @@ DB_FLOOR = -300.0
 GRID_POINTS = 721  # the default angle grid over [0, 180] deg: 0.25 deg steps
 
 
+class FieldError(ValueError):
+    """A domain object's field breaks its rule; the message is `<field> <requirement>`."""
+
+    def __init__(self, field: str, requirement: str):
+        super().__init__(f"{field} {requirement}")
+        self.field = field
+        self.requirement = requirement
+
+
 @dataclass(frozen=True)
 class OfdmParams:
     """OFDM waveform parameters and the quantities derived from them.
@@ -42,16 +51,16 @@ class OfdmParams:
     cp_ratio: float = 0.125
 
     def __post_init__(self):
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier_freq_hz must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if int(self.num_subcarriers) < 1:
-            raise ValueError("num_subcarriers must be a positive integer")
-        if int(self.num_symbols) < 1:
-            raise ValueError("num_symbols must be a positive integer")
+        if not self.carrier_freq_hz > 0:
+            raise FieldError("carrier_freq_hz", "must be positive")
+        if not self.bandwidth_hz > 0:
+            raise FieldError("bandwidth_hz", "must be positive")
+        if not self.num_subcarriers >= 1:
+            raise FieldError("num_subcarriers", "must be a positive integer")
+        if not self.num_symbols >= 1:
+            raise FieldError("num_symbols", "must be a positive integer")
         if not 0.0 <= self.cp_ratio < 1.0:
-            raise ValueError("cp_ratio must lie in [0, 1)")
+            raise FieldError("cp_ratio", "must lie in [0, 1)")
 
     @property
     def subcarrier_spacing(self) -> float:

@@ -31,6 +31,7 @@ from .arrays import (
     CARRIER_ONLY,
     DB_FLOOR,
     GRID_POINTS,
+    FieldError,
     RisConfig,
     angle_grid,
     angle_grid_deg,
@@ -413,12 +414,13 @@ def _study_notches(scenario: Scenario) -> int:
 
 def notch_specs(scenario: Scenario, spacings) -> list[NotchSpec]:
     """The multi-notch study's widened notch for each spacing; a spacing that
-    pushes a shifted notch outside [0, pi] is a ScenarioError."""
-    specs = [scenario.notch_spec(_study_notches(scenario), epsilon) for epsilon in spacings]
-    for spec in specs:
-        angles = spec.notch_angles()
-        if np.any(angles < 0.0) or np.any(angles > np.pi):
-            raise ScenarioError(f"notch spacing {spec.spacing_rad} pushes the shifted notches outside [0, pi]")
+    NotchSpec rejects, as one outside [0, pi] once shifted, is a ScenarioError."""
+    specs = []
+    for epsilon in spacings:
+        try:
+            specs.append(scenario.notch_spec(_study_notches(scenario), epsilon))
+        except FieldError as exc:
+            raise ScenarioError(f"notch spacing {epsilon} {exc.requirement}") from None
     return specs
 
 

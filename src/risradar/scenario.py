@@ -4,9 +4,12 @@ Flat `key = value` text files with dotted sections (ofdm.*, geometry.*,
 angles.*, network.*, notch.*, sweep.*) plus the top-level master_seed
 and output_dir. Unknown keys, duplicate keys, out-of-domain values and a
 value repeated on a sweep axis are rejected with distinct diagnostics; a
-check on a key the file sets names its line. Omitted keys fall back to the
-defaults below (77 GHz carrier, 200 MHz bandwidth, 100 x 50 grid,
-200-element peak array, target at 2*pi/5, interferer at pi/4).
+check on a key the file sets names its line. The ofdm.*, network.* and
+notch.* rules are those of OfdmParams, PeakNetSpec and NotchSpec, whose
+FieldError names the key section + field; the scenario states the rest.
+Omitted keys fall back to the defaults below (77 GHz carrier, 200 MHz
+bandwidth, 100 x 50 grid, 200-element peak array, target at 2*pi/5,
+interferer at pi/4).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import DB_FLOOR, OfdmParams
+from .arrays import DB_FLOOR, FieldError, OfdmParams
 from .synthesis import NotchSpec, PeakNetSpec
 
 
@@ -106,27 +109,14 @@ class Scenario:
         for key, (attr, conv) in _SCHEMA.items():
             if conv in (float, _float_list):
                 _require(np.all(np.isfinite(getattr(self, attr))), key, "must be finite")
-        _require(self.carrier_freq_hz > 0.0, "ofdm.carrier_freq_hz", "must be positive")
-        _require(self.bandwidth_hz > 0.0, "ofdm.bandwidth_hz", "must be positive")
-        _require(self.num_subcarriers >= 1, "ofdm.num_subcarriers", "must be a positive integer")
-        _require(self.num_symbols >= 1, "ofdm.num_symbols", "must be a positive integer")
-        _require(0.0 <= self.cp_ratio < 1.0, "ofdm.cp_ratio", "must lie in [0, 1)")
         _require(self.num_peak_elements >= 1, "geometry.num_peak_elements", "must be a positive integer")
         _require(0.0 <= self.target_angle_rad <= np.pi, "angles.target_rad", "must lie in [0, pi]")
         _require(0.0 <= self.interferer_angle_rad <= np.pi, "angles.interferer_rad", "must lie in [0, pi]")
-        _require(self.net_num_layers >= 2, "network.num_layers", "must be at least 2")
-        _require(self.net_hidden_width >= 1, "network.hidden_width", "must be a positive integer")
-        _require(self.net_learning_rate > 0.0, "network.learning_rate", "must be positive")
-        _require(self.net_num_iterations >= 0, "network.num_iterations", "must be non-negative")
-        _require(self.net_init_seed >= 0, "network.init_seed", "must be non-negative")
-        _require(self.num_notches >= 1, "notch.num_notches", "must be at least 1")
-        _require(self.notch_spacing_rad >= 0.0, "notch.spacing_rad", "must be non-negative")
-        notch_angles = self.notch_spec().notch_angles()
-        _require(
-            bool(np.all((0.0 <= notch_angles) & (notch_angles <= np.pi))),
-            "notch.spacing_rad",
-            "pushes the shifted notches outside [0, pi]",
-        )
+        for section, build in (("ofdm.", self.ofdm_params), ("network.", self.network_spec), ("notch.", self.notch_spec)):
+            try:
+                build()
+            except FieldError as exc:
+                raise ScenarioError(f"{section}{exc}", section + exc.field) from None
         # the program's dB floor and cap; far beyond it the amplitude 10**(r/20) overflows
         _require(bool(np.all(np.abs(self.power_ratios_db) <= -DB_FLOOR)), "sweep.power_ratios_db", "must lie in [-300, 300] dB")
         shifted = self.interferer_angle_rad + np.asarray(self.angle_offsets_rad)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import RisConfig, steering
+from .arrays import FieldError, RisConfig, steering
 
 
 class TrainingDivergedError(RuntimeError):
@@ -46,16 +46,16 @@ class PeakNetSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.num_layers < 2:
-            raise ValueError("num_layers must be at least 2")
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be positive")
+        if not self.num_layers >= 2:
+            raise FieldError("num_layers", "must be at least 2")
+        if not self.hidden_width >= 1:
+            raise FieldError("hidden_width", "must be a positive integer")
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.num_iterations < 0:
-            raise ValueError("num_iterations must be non-negative")
-        if self.init_seed < 0:
-            raise ValueError("init_seed must be non-negative")
+            raise FieldError("learning_rate", "must be finite" if self.learning_rate > 0 else "must be positive")
+        if not self.num_iterations >= 0:
+            raise FieldError("num_iterations", "must be non-negative")
+        if not self.init_seed >= 0:
+            raise FieldError("init_seed", "must be non-negative")
 
 
 def _layer_views(flat: np.ndarray, dims: list[int]):
@@ -216,8 +216,6 @@ def analytic_peak(theta_t: float, num_elements: int) -> RisConfig:
     Pattern magnitude at theta_t equals num_elements exactly; the
     closed-form optimum the trained network is measured against.
     """
-    if num_elements < 1:
-        raise ValueError("num_elements must be positive")
     return RisConfig(np.conj(steering(num_elements, theta_t)))
 
 
@@ -241,12 +239,15 @@ class NotchSpec:
     spacing_rad: float = 0.0
 
     def __post_init__(self):
-        if self.num_notches < 1:
-            raise ValueError("num_notches must be at least 1")
-        if self.spacing_rad < 0.0:
-            raise ValueError("spacing_rad must be non-negative")
+        if not self.num_notches >= 1:
+            raise FieldError("num_notches", "must be at least 1")
+        if not self.spacing_rad >= 0.0:
+            raise FieldError("spacing_rad", "must be non-negative")
         if not 0.0 <= self.notch_angle_rad <= np.pi:
-            raise ValueError("notch angle must lie in [0, pi]")
+            raise FieldError("notch_angle_rad", "must lie in [0, pi]")
+        angles = self.notch_angles()
+        if not np.all((0.0 <= angles) & (angles <= np.pi)):
+            raise FieldError("spacing_rad", "pushes the shifted notches outside [0, pi]")
 
     def notch_angles(self) -> np.ndarray:
         k = np.arange(self.num_notches)
@@ -260,11 +261,8 @@ def multi_notch(spec: NotchSpec) -> RisConfig:
     product of the individual notch patterns: K zeros at the shifted
     angles (all coincident when spacing is zero).
     """
-    angles = spec.notch_angles()
-    if np.any(angles < 0.0) or np.any(angles > np.pi):
-        raise ValueError("shifted notch angles must stay inside [0, pi]")
     coeffs = np.array([1.0 + 0.0j])
-    for theta in angles:
+    for theta in spec.notch_angles():
         coeffs = np.convolve(coeffs, notch_config(theta).coefficients)
     return RisConfig(coeffs)
 

@@ -13,6 +13,7 @@ from risradar.arrays import (
     CARRIER_ONLY,
     DB_FLOOR,
     SPEED_OF_LIGHT,
+    FieldError,
     OfdmParams,
     RisConfig,
     angle_grid,
@@ -87,13 +88,17 @@ class TestOfdmParams:
             dict(num_symbols=0),
             dict(cp_ratio=1.0),
             dict(cp_ratio=-0.1),
+            dict(carrier_freq_hz=float("nan")),
+            dict(bandwidth_hz=float("nan")),
+            dict(cp_ratio=float("nan")),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         base = dict(carrier_freq_hz=77e9, bandwidth_hz=200e6, num_subcarriers=100, num_symbols=50)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        with pytest.raises(FieldError) as excinfo:
             OfdmParams(**base)
+        assert [excinfo.value.field] == list(kwargs)
 
 
 class TestSteeringVector:

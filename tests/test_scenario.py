@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risradar.scenario import _SCHEMA, Scenario, ScenarioError, default_scenario, load_scenario, parse_scenario
+from risradar.synthesis import multi_notch
 
 
 @st.composite
@@ -281,6 +282,25 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=f"^line 1: {key} ") as parsed:
             parse_scenario(f"{key} = {_render(value)}\n")
         assert parsed.value.key == key
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_a_mixed_scenario_names_a_key_or_builds_every_domain_object(self, data):
+        # a valid scenario with 2-4 of its keys set at once, each out of its domain or kept
+        valid = data.draw(valid_scenarios())
+        values = {
+            _SCHEMA[key][0]: data.draw(OUT_OF_DOMAIN[key] | st.just(getattr(valid, _SCHEMA[key][0])))
+            for key in data.draw(st.lists(st.sampled_from(sorted(OUT_OF_DOMAIN)), min_size=2, max_size=4, unique=True))
+        }
+        try:
+            scenario = valid.replace(**values)
+        except ScenarioError as exc:
+            assert exc.key in _SCHEMA
+            assert str(exc).startswith(f"{exc.key} ")
+            return
+        scenario.ofdm_params()
+        scenario.network_spec()
+        multi_notch(scenario.notch_spec())
 
     def test_replace_revalidates(self):
         with pytest.raises(ScenarioError):

@@ -374,7 +374,7 @@ class TestRvMap:
         target = TargetParams(range_m=30.0, angle_rad=1.0, amplitude=gain)
         y = received(single_element_terms(params, target), (1, 0), 0)
         rv = rv_map(y, params)
-        bins = full_map_bins(y, params, 1, 1)
+        bins = full_map_bins(y, 1, 1)
         assert bins == (40, 0)
         assert np.abs(rv.values[bins]) == pytest.approx(5000.0 * gain, rel=1e-9)
 
@@ -431,6 +431,20 @@ class TestRvMap:
         assert values.shape == expected.shape
         assert values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("ratio_db", [20.0, 80.0, 100.0])
+    def test_equals_an_independent_numpy_composition(self, params, ratio_db):
+        # default sweep trials, the analytic peak standing in for the trained one:
+        # the interferer 0.02 rad off the notch leaks more as its power grows
+        theta_t, theta_i = 2 * np.pi / 5, np.pi / 4
+        config = normalize_coefficients(combine_convolve(analytic_peak(theta_t, 200), notch_config(theta_i)))
+        target = TargetParams(range_m=30.0, angle_rad=theta_t)
+        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i + 0.02, amplitude=10.0 ** (ratio_db / 20.0))
+        terms = frame_terms(params, config, target, interference, 1.0)
+        for seed in range(5):
+            y = trial_grid(terms, draw_trial(terms, seed))
+            assert rv_map(y, params, 4, 4).values.tobytes() == padded_map(y, 4, 4).tobytes()
+            assert estimate_target(y, params, 4, 4) == full_map_range(y, params, 4, 4)
+
     def test_delay_doppler_separability(self, params):
         base = TargetParams(range_m=30.0, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size)
         shifted = TargetParams(
@@ -438,8 +452,8 @@ class TestRvMap:
         )
         base_grid = received(single_element_terms(params, base), (1, 0), 0)
         shift_grid = received(single_element_terms(params, shifted), (1, 0), 0)
-        assert full_map_bins(base_grid, params, 1, 1) == (40, 2)
-        assert full_map_bins(shift_grid, params, 1, 1) == (41, 2)
+        assert full_map_bins(base_grid, 1, 1) == (40, 2)
+        assert full_map_bins(shift_grid, 1, 1) == (41, 2)
 
 
 class TestEstimateTarget:
@@ -457,7 +471,7 @@ class TestEstimateTarget:
         y = np.array([1, 1j, -1, -1j])[(m * 1 - n * 3) % 4] + np.array([1, 1j, -1, -1j])[(m * 3 - n * 1) % 4]
         magnitude = np.abs(rv_map(y, small).values)
         assert magnitude[3, 1] == magnitude[1, 3] == magnitude.max() == 16.0
-        assert full_map_bins(y, small, 1, 1) == (1, 3)
+        assert full_map_bins(y, 1, 1) == (1, 3)
         assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == small.range_bin_size
 
     @pytest.mark.parametrize(
@@ -481,7 +495,7 @@ class TestEstimateTarget:
         target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
         y = received(single_element_terms(params, target), (1, 0), 0)
         rv = rv_map(y, params)
-        range_bin, velocity_bin = full_map_bins(y, params, 1, 1)
+        range_bin, velocity_bin = full_map_bins(y, 1, 1)
         assert (range_bin, velocity_bin) == (20, rv.values.shape[1] - 1)
         wrapped = (velocity_bin - rv.values.shape[1]) * rv.velocity_bin_mps
         assert wrapped == pytest.approx(-params.velocity_bin_size, rel=1e-12)
@@ -495,7 +509,7 @@ class TestEstimateTarget:
         interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i, amplitude=10 ** (30.0 / 20.0))
         terms = frame_terms(params, combined, TargetParams(range_m=30.0, angle_rad=theta_t), interference, 0.0)
         y = received(terms, (4, 5), 0)
-        assert full_map_bins(y, params, 1, 1) == (40, 0)
+        assert full_map_bins(y, 1, 1) == (40, 0)
         assert estimate_target(y, params) == full_map_range(y, params, 1, 1) == 30.0
 
 
@@ -538,10 +552,17 @@ def search_grid(kind, shape, seed):
     return y
 
 
-def full_map_bins(y, params, pad_range, pad_velocity):
+def padded_map(y, pad_range, pad_velocity):
+    """The map from the two padded transforms computed out of place, with no
+    buffer or helper of the simulation module: the search's oracle."""
+    n_sub, n_sym = y.shape
+    return np.fft.fft(np.fft.ifft(y, n=pad_range * n_sub, axis=0), n=pad_velocity * n_sym, axis=1) * (pad_range * n_sub)
+
+
+def full_map_bins(y, pad_range, pad_velocity):
     """The first largest cell of the full map in row-major order, as the
     peak search must find it; a map holding a non-finite value raises."""
-    magnitude = np.abs(rv_map(y, params, pad_range, pad_velocity).values)
+    magnitude = np.abs(padded_map(y, pad_range, pad_velocity))
     if not np.all(np.isfinite(magnitude)):
         raise ValueError("range-velocity map is not finite")
     return tuple(int(b) for b in np.unravel_index(np.argmax(magnitude), magnitude.shape))
@@ -550,12 +571,12 @@ def full_map_bins(y, params, pad_range, pad_velocity):
 def full_map_range(y, params, pad_range, pad_velocity):
     """The range of the full map's first largest cell, as the peak search
     must return it."""
-    return full_map_bins(y, params, pad_range, pad_velocity)[0] * (params.range_bin_size / pad_range)
+    return full_map_bins(y, pad_range, pad_velocity)[0] * (params.range_bin_size / pad_range)
 
 
 class TestPeakSearch:
     """`estimate_target` transforms only the range rows that can hold the
-    map's peak; it must find the peak of the full `rv_map`."""
+    map's peak; it must find the peak of the full map, `padded_map`."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -593,7 +614,7 @@ class TestPeakSearch:
         near_row, far_row = np.asarray(near_row, dtype=complex), np.asarray(far_row, dtype=complex)
         y = np.array([near_row + far_row, near_row - far_row])  # range rows 0 and 1: near, far
         small = OfdmParams(77e9, 200e6, num_subcarriers=2, num_symbols=y.shape[1])
-        assert full_map_bins(y, small, 1, 1) == (0, 0)
+        assert full_map_bins(y, 1, 1) == (0, 0)
         assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == 0.0
 
     def test_ties_across_blocks_go_to_the_lowest_row(self, monkeypatch):
@@ -602,7 +623,7 @@ class TestPeakSearch:
         y = np.zeros((8, 4), dtype=complex)
         y[0, 1] = 1.0 + 1.0j
         monkeypatch.setattr(simulation, "_BLOCK_CELLS", 1)  # one row a block
-        assert full_map_bins(y, small, 1, 1) == (0, 0)
+        assert full_map_bins(y, 1, 1) == (0, 0)
         assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == 0.0
 
     @pytest.fixture
@@ -627,13 +648,6 @@ class TestPeakSearch:
         y = received(single_element_terms(params, target, noise_variance=1.0), (1, 0), 0)
         assert estimate_target(y, params, 4, 4) == full_map_range(y, params, 4, 4)
         assert len(transformed_rows) <= 10  # of 400 rows
-
-
-def padded_map(y, pad_range, pad_velocity):
-    """The map from the two padded transforms computed out of place, with no
-    buffer of the simulation module."""
-    n_sub, n_sym = y.shape
-    return np.fft.fft(np.fft.ifft(y, n=pad_range * n_sub, axis=0), n=pad_velocity * n_sym, axis=1) * (pad_range * n_sub)
 
 
 class TestKeptBuffers:

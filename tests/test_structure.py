@@ -13,14 +13,26 @@
   trained peak it is handed and never trains.
 * One front end: only the CLI runs a study or the report, so the study
   script runs the CLI's own command bodies and holds no study flow.
+* One rule per input: `OfdmParams`, `PeakNetSpec` and `NotchSpec` raise only
+  `FieldError` from `__post_init__`, and each of their fields is the scenario
+  key `section + field` (DOMAIN_SECTIONS), so the scenario maps every failure
+  to a key with no table. The notch angle alone has no key: it is the
+  interferer's, whose rule the scenario checks first.
 
 The rules hold for the package and for `scripts/`.
 """
 
 import ast
+import dataclasses
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from risradar.arrays import OfdmParams
+from risradar.scenario import _SCHEMA
+from risradar.synthesis import NotchSpec, PeakNetSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "risradar"
@@ -153,3 +165,20 @@ def test_training_has_one_owner():
 
 def test_only_the_cli_runs_a_study_or_the_report():
     assert strays(STUDY_OWNERS) == []
+
+
+DOMAIN_SECTIONS = {OfdmParams: "ofdm.", PeakNetSpec: "network.", NotchSpec: "notch."}
+UNKEYED_FIELDS = {"notch.notch_angle_rad"}
+
+
+def test_every_domain_field_is_a_scenario_key():
+    keys = {section + field.name for cls, section in DOMAIN_SECTIONS.items() for field in dataclasses.fields(cls)}
+    assert sorted(keys - set(_SCHEMA)) == sorted(UNKEYED_FIELDS)
+
+
+@pytest.mark.parametrize("cls", list(DOMAIN_SECTIONS), ids=lambda cls: cls.__name__)
+def test_domain_rules_raise_only_field_errors(cls):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__post_init__)))
+    raised = [ast.unparse(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert raised
+    assert [text for text in raised if not text.startswith("FieldError(")] == []

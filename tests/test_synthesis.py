@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, RisConfig, angle_grid, normalize_pattern_db, power_patterns
+from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, FieldError, RisConfig, angle_grid, normalize_pattern_db, power_patterns
 from risradar.synthesis import (
     NotchSpec,
     analytic_peak,
@@ -105,12 +105,18 @@ class TestMultiNotch:
             multi_notch(NotchSpec(notch_angle_rad=0.01, num_notches=4, spacing_rad=0.1))
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NotchSpec(1.0, num_notches=0)
-        with pytest.raises(ValueError):
-            NotchSpec(1.0, spacing_rad=-1e-3)
-        with pytest.raises(ValueError):
-            NotchSpec(4.0)
+        cases = [
+            ((1.0, 0), "num_notches"),
+            ((1.0, 1, -1e-3), "spacing_rad"),
+            ((1.0, 2, float("nan")), "spacing_rad"),
+            ((4.0,), "notch_angle_rad"),
+            ((float("nan"),), "notch_angle_rad"),
+            ((0.01, 4, 0.1), "spacing_rad"),  # the shifted notches leave [0, pi]
+        ]
+        for args, field in cases:
+            with pytest.raises(FieldError) as excinfo:
+                NotchSpec(*args)
+            assert excinfo.value.field == field
 
 
 class TestCombineConvolve:
