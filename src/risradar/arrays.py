@@ -30,9 +30,12 @@ class FieldError(ValueError):
     """A domain object's field breaks its rule; the message is `<field> <requirement>`."""
 
     def __init__(self, field: str, requirement: str):
-        super().__init__(f"{field} {requirement}")
+        super().__init__(field, requirement)  # every argument, so a pickled error rebuilds
         self.field = field
         self.requirement = requirement
+
+    def __str__(self) -> str:
+        return f"{self.field} {self.requirement}"
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,6 @@ class OfdmParams:
     @property
     def unambiguous_range(self) -> float:
         return SPEED_OF_LIGHT / (2.0 * self.subcarrier_spacing)
-
-    @property
-    def velocity_bin_size(self) -> float:
-        return SPEED_OF_LIGHT / (2.0 * self.carrier_freq_hz * self.num_symbols * self.total_symbol_time)
 
 
 @dataclass(frozen=True)

@@ -19,21 +19,21 @@ independent, uniform QPSK symbols the ratio d_i/d_r is uniform on
 {1, j, -1, -j}. So a sweep trial draws, from one generator, exactly what
 the difference reads (`draw_trial`): one index grid into those four exact
 values and one noise grid of variance sigma^2/2. `trial_grid` builds
-path + noise in the path's buffer, and every configuration at a sweep point
+path + noise in one buffer, and every configuration at a sweep point
 reads the same read-only draws.
-The two-frame model stays as the reference this is checked against:
-`draw_pair` draws both QPSK grids and one noise grid a frame, `frame_pair`
-builds frames a and b (the path once, negated for -c: negation is exact in
-IEEE arithmetic, so -path equals the path simulated with -c bit for bit),
-and `frame_difference` cancels what the frames share.
 
-The target's range is read off the peak of the zero-padded 2-D transform
-of the grid, `rv_map`. A sweep trial calls `estimate_target`, which finds
+The target's range is read off the peak of the range-velocity map of the
+grid. The grid, zero-padded to pad_range*N subcarriers and pad_velocity*M
+symbols, goes through the inverse DFT along subcarriers, whose kernel
+exp(+2j*pi*n*df*tau_hat) matches the delay term, and the forward DFT along
+symbols, whose kernel exp(-2j*pi*m*T*fc*nu_hat) matches the Doppler term,
+and is scaled by pad_range*N. With no window and no other normalization, a
+constant grid maps to one peak of magnitude N*M. `estimate_target` finds
 that peak's range without building the map: after the range transform it
 bounds each range row's largest map magnitude by the triangle inequality
 and runs the velocity transform only on the rows whose bound can reach the
-best magnitude found. Each transformed row equals that row of `rv_map` bit
-for bit, so the peak is the same. The range rows and their magnitudes are
+best magnitude found. A transformed row has the bits of that row of the
+full map, so the peak is the same. The range rows and their magnitudes are
 written into buffers kept for the last grid shape (`_kept`), so the trials
 of a sweep reuse that memory instead of allocating it afresh. The module
 is single-threaded and the sweep's pool uses processes, so no two calls
@@ -76,15 +76,6 @@ class InterferenceParams:
     angle_rad: float
     doppler_scale: float = 0.0
     amplitude: complex = 1.0 + 0.0j
-
-
-_QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
-
-
-def generate_symbols(params: OfdmParams, seed: int) -> np.ndarray:
-    """Draw an N x M QPSK grid, reproducible per seed: constellation points
-    exp(1j*(pi/4 + k*pi/2)), k in 0..3, equiprobable."""
-    return _QPSK[np.random.default_rng(seed).integers(0, 4, size=(params.num_subcarriers, params.num_symbols))]
 
 
 def _gain_column(config: RisConfig, theta: float, ratios: np.ndarray | None) -> np.ndarray:
@@ -189,88 +180,18 @@ def draw_trial(terms: FrameTerms, seed: int) -> TrialDraws:
     return TrialDraws(ratio, noise)
 
 
-def _path(terms: FrameTerms, ratio: np.ndarray) -> np.ndarray:
-    """Noise-free array path target + (g_i * d_i/d_r) * ramp_i, built in one
-    buffer: IEEE addition commutes, so adding the target last in place gives
-    the same bits, and the noise can be added into the same buffer."""
-    path = terms.gain_i * ratio
-    path *= terms.ramp_i
-    path += terms.target
-    return path
-
-
 def trial_grid(terms: FrameTerms, draws: TrialDraws) -> np.ndarray:
-    """The grid a sweep trial searches, path + noise, written into the path's
-    buffer: the frame difference (y_a - y_b)/2 of the sign-flipped pair, with
-    the pair's two noise draws replaced by the one noise grid of their
-    difference."""
-    grid = _path(terms, draws.ratio)
+    """The grid a sweep trial searches, path + noise, built in one buffer:
+    the frame difference (y_a - y_b)/2 of the sign-flipped pair, with the
+    pair's two noise draws replaced by the one noise grid of their
+    difference. The path is target + (g_i * d_i/d_r) * ramp_i; IEEE addition
+    commutes, so adding the target last in place gives the same bits."""
+    grid = terms.gain_i * draws.ratio
+    grid *= terms.ramp_i
+    grid += terms.target
     if draws.noise is not None:
         grid += draws.noise
     return grid
-
-
-@dataclass(frozen=True)
-class PairDraws:
-    """The draws of the two-frame reference model: the ratio of two drawn
-    QPSK grids and one complex noise grid a frame (None at zero variance).
-    The arrays are read-only."""
-
-    ratio: np.ndarray
-    noise: tuple
-
-    def __post_init__(self):
-        _freeze(self.ratio, *self.noise)
-
-
-def draw_pair(terms: FrameTerms, symbol_seeds: tuple[int, int], noise_seeds: tuple[int, int]) -> PairDraws:
-    """The radar and interferer symbols from the (radar, interferer)
-    `symbol_seeds`, reduced to their ratio, and one noise grid of variance
-    sigma^2 from each of `noise_seeds`, each from its own generator."""
-    radar, interferer = (generate_symbols(terms.params, seed) for seed in symbol_seeds)
-    shape, variance = terms.target.shape, terms.noise_variance
-    noise = tuple(
-        None if variance == 0.0 else _complex_normal(np.random.default_rng(seed), shape, variance / 2.0)
-        for seed in noise_seeds
-    )
-    return PairDraws(interferer / radar, noise)
-
-
-def frame_pair(terms: FrameTerms, draws: PairDraws) -> tuple:
-    """Frames a and b of the sign-flipped configurations c and -c from one
-    pair draw, frame a with the first noise grid, frame b with the second.
-    The path is computed once; frame a is fresh and frame b takes the path's
-    buffer. IEEE addition commutes and x - y equals x + (-y), so the bits are
-    those of path + noise and -path + noise."""
-    path = _path(terms, draws.ratio)
-    noise_a, noise_b = draws.noise
-    if noise_a is None:
-        return path, -path
-    return np.add(noise_a, path), np.subtract(noise_b, path, out=path)
-
-
-def frame_difference(y_a: np.ndarray, y_b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(y_a - y_b) / 2 for frames simulated with configs c and -c, written
-    into `out` when given (which may be y_a itself).
-
-    Array-path terms are preserved exactly; additive terms common to
-    both frames cancel exactly; independent noise averages to variance
-    sigma^2 / 2.
-    """
-    y_a = np.asarray(y_a)
-    y_b = np.asarray(y_b)
-    if y_a.shape != y_b.shape:
-        raise ValueError(f"frame shapes differ: {y_a.shape} vs {y_b.shape}")
-    return np.divide(np.subtract(y_a, y_b, out=out), 2.0, out=out)
-
-
-@dataclass(frozen=True)
-class RvMap:
-    """Range-velocity map with bin-to-physical-unit scale factors."""
-
-    values: np.ndarray
-    range_bin_m: float
-    velocity_bin_mps: float
 
 
 # The range rows and their magnitudes, one buffer per role, kept for the
@@ -291,7 +212,7 @@ def _kept(role: str, shape: tuple[int, int], dtype: type) -> np.ndarray:
 
 
 def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
-    """The range transform of `rv_map`, after the checks on the grid and both
+    """The range transform of the map, after the checks on the grid and both
     padding factors: the inverse DFT along subcarriers of the grid zero-padded
     to pad_range*N, as an (n_range, M) array whose row r feeds range bin r.
     The array is the kept range-rows buffer, which the next call overwrites."""
@@ -307,37 +228,6 @@ def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
     rows[y.shape[0] :] = 0
     np.fft.ifft(rows, axis=0, out=rows)
     return rows
-
-
-def _map_rows(rows: np.ndarray, n_range: int, n_vel: int) -> np.ndarray:
-    """The map rows of the given range rows: each zero-padded to n_vel,
-    transformed along the symbols in place and scaled by n_range. A row's
-    bits do not depend on which other rows share the call."""
-    values = np.zeros((rows.shape[0], n_vel), dtype=complex)
-    values[:, : rows.shape[1]] = rows
-    np.fft.fft(values, axis=1, out=values)
-    values *= n_range
-    return values
-
-
-def rv_map(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> RvMap:
-    """Map a received grid to range-velocity space.
-
-    Inverse DFT along subcarriers (length pad_range*N) matches the
-    delay kernel exp(+2j*pi*n*df*tau_hat); forward DFT along symbols
-    (length pad_velocity*M) matches the Doppler kernel
-    exp(-2j*pi*m*T*fc*nu_hat). No windowing, no 1/N normalization: a
-    constant grid transforms to a single peak of magnitude N*M. The
-    sweep does not build this map (see `estimate_target`); it is the
-    reference the peak search is held to.
-    """
-    rows = _range_rows(y, pad_range, pad_velocity)
-    n_range, n_sym = rows.shape
-    return RvMap(
-        _map_rows(rows, n_range, int(pad_velocity) * n_sym),
-        params.range_bin_size / int(pad_range),
-        params.velocity_bin_size / int(pad_velocity),
-    )
 
 
 # A map row's transform errs by about log2(n) * 2**-53 of its bound, so a
@@ -358,9 +248,15 @@ _BLOCK_CELLS = 16384
 
 def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int]:
     """(magnitude, range bin) of the first largest |map| cell in row-major
-    order over the chosen (sorted) range rows, which are transformed in one
-    call; a non-finite cell raises ValueError."""
-    values = _map_rows(rows[chosen], n_range, n_vel)
+    order over the chosen (sorted) range rows; a non-finite cell raises
+    ValueError. The rows are zero-padded to n_vel, transformed along the
+    symbols in one call, in place, and scaled by n_range, which gives map row
+    r for range row r: a row's bits do not depend on which other rows share
+    the call."""
+    values = np.zeros((chosen.size, n_vel), dtype=complex)
+    values[:, : rows.shape[1]] = rows[chosen]
+    np.fft.fft(values, axis=1, out=values)
+    values *= n_range
     peak = (-1.0, 0)
     step = max(1, _BLOCK_CELLS // n_vel)
     for start in range(0, chosen.size, step):
@@ -375,8 +271,10 @@ def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -
 
 
 def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> float:
-    """The range in metres of the maximum-magnitude cell of
-    rv_map(y, params, pad_range, pad_velocity), found without building the map.
+    """The range in metres of the maximum-magnitude cell of the range-velocity
+    map of y padded by pad_range and pad_velocity (module docstring), found
+    without building the map: the cell's range bin times the padded bin size
+    range_bin_size / pad_range.
 
     Map row r is n_range times the DFT of range row X[r], so none of its
     cells exceeds n_range * sum_m |X[r, m]| (the triangle inequality). The

@@ -26,8 +26,11 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"training loss became non-finite at iteration {iteration}")
+        super().__init__(iteration)  # every argument, so a pickled error rebuilds
         self.iteration = iteration
+
+    def __str__(self) -> str:
+        return f"training loss became non-finite at iteration {self.iteration}"
 
 
 @dataclass(frozen=True)

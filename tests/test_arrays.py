@@ -61,9 +61,6 @@ class TestOfdmParams:
         assert params.total_symbol_time == pytest.approx(0.5625e-6, rel=1e-15)
         assert params.range_bin_size == 0.75
         assert params.unambiguous_range == 75.0
-        assert params.velocity_bin_size == pytest.approx(
-            SPEED_OF_LIGHT / (2 * 77e9 * 50 * 0.5625e-6), rel=1e-15
-        )
 
     def test_subcarrier_wavelengths(self, params):
         assert subcarrier_ratios(params, CARRIER_ONLY) is None

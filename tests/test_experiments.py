@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,10 @@ from risradar.experiments import (
 )
 from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_file
 from risradar.scenario import Scenario, ScenarioError, default_scenario
-from risradar.simulation import (
-    InterferenceParams,
-    PairDraws,
-    TargetParams,
-    draw_trial,
-    frame_difference,
-    frame_pair,
-    frame_terms,
-)
+from risradar.simulation import InterferenceParams, TargetParams, draw_trial, frame_terms
 from risradar.synthesis import (
     NotchSpec,
+    TrainingDivergedError,
     TrainingResult,
     analytic_peak,
     combine_convolve,
@@ -43,6 +37,8 @@ from risradar.synthesis import (
     normalize_coefficients,
     notch_config,
 )
+
+from oracles import PairDraws, frame_difference, frame_pair
 
 SMALL = Scenario(
     num_subcarriers=32,
@@ -280,6 +276,23 @@ class TestInterferenceSweep:
         run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-2)), small_training(), workers=5000)
         assert sizes == [4, 4]  # one task per point carries both spacings
 
+    @pytest.mark.parametrize(
+        "error, attributes",
+        [
+            (arrays.FieldError("num_symbols", "must be a positive integer"), ("field", "requirement")),
+            (ScenarioError("sweep.trials must be a positive integer", "sweep.trials"), ("key",)),
+            (experiments.ReportError("out/sweep.csv: missing key 'x'"), ()),
+            (TrainingDivergedError(12), ("iteration",)),
+        ],
+        ids=["FieldError", "ScenarioError", "ReportError", "TrainingDivergedError"],
+    )
+    def test_an_error_from_a_pool_worker_keeps_its_type_text_and_attributes(self, error, attributes):
+        # a worker's exception reaches the parent by pickle
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert [getattr(copy, name) for name in attributes] == [getattr(error, name) for name in attributes]
+
     # sha256 of sweep.csv and sweep_records.csv, recorded when a trial went
     # from two frames' draws to the one draw its frame difference reads
     @pytest.mark.parametrize(
@@ -357,16 +370,28 @@ class TestInterferenceSweep:
         assert grids == expected
 
     def test_sweep_never_builds_the_full_map(self, monkeypatch):
-        """A trial finds its peak without `rv_map`; a sweep that fell back
-        to the full map would now fail instead of only running slower."""
+        """A trial's search transforms only the range rows that can hold the
+        peak (`simulation._peak_rows`), each at most once; a sweep that fell
+        back to the full map would now fail instead of only running slower."""
+        searches = []
+        real_estimate_target, real_peak_rows = experiments.estimate_target, simulation._peak_rows
 
-        def full_map(*args, **kwargs):
-            raise AssertionError("a sweep trial built the full range-velocity map")
+        def estimate_target(*args):
+            searches.append([])
+            return real_estimate_target(*args)
 
-        monkeypatch.setattr(simulation, "rv_map", full_map)
+        def peak_rows(rows, chosen, *args):
+            searches[-1].extend(chosen.tolist())
+            return real_peak_rows(rows, chosen, *args)
+
+        monkeypatch.setattr(experiments, "estimate_target", estimate_target)
+        monkeypatch.setattr(simulation, "_peak_rows", peak_rows)
         result = run_interference_sweep(NONZERO, small_combined(NONZERO))
-        assert len(result.records) == NONZERO.trials * len(NONZERO.power_ratios_db) * len(NONZERO.angle_offsets_rad)
-        assert not hasattr(experiments, "rv_map")
+        trials = NONZERO.trials * len(NONZERO.power_ratios_db) * len(NONZERO.angle_offsets_rad)
+        n_range = NONZERO.pad_range * NONZERO.num_subcarriers
+        assert len(result.records) == len(searches) == trials
+        assert all(0 < len(rows) == len(set(rows)) <= n_range for rows in searches)
+        assert sum(len(rows) for rows in searches) < trials * n_range
 
     @pytest.mark.parametrize("mode", ["carrier", "all"])
     def test_trial_from_seeds_alone_returns_the_recorded_error(self, mode):

@@ -10,20 +10,26 @@ from risradar import simulation
 from risradar.arrays import ALL_SUBCARRIERS, CARRIER_ONLY, SPEED_OF_LIGHT, OfdmParams, RisConfig, steering
 from risradar.simulation import (
     InterferenceParams,
-    PairDraws,
     TargetParams,
     TrialDraws,
-    draw_pair,
     draw_trial,
     estimate_target,
-    frame_difference,
-    frame_pair,
     frame_terms,
-    generate_symbols,
-    rv_map,
     trial_grid,
 )
 from risradar.synthesis import analytic_peak, combine_convolve, normalize_coefficients, notch_config
+
+from oracles import (
+    PairDraws,
+    draw_pair,
+    frame_difference,
+    frame_pair,
+    full_map_bins,
+    full_map_range,
+    generate_symbols,
+    padded_map,
+    velocity_bin_mps,
+)
 
 QPSK = np.exp(1j * (np.pi / 4 + np.arange(4) * np.pi / 2))
 
@@ -105,7 +111,8 @@ class TestReceivedFrame:
         assert best_tau * SPEED_OF_LIGHT / 2.0 == pytest.approx(30.0, abs=0.05)
 
     def test_doppler_phase_peaks_at_velocity_bin_one(self, params):
-        target = TargetParams(range_m=0.0, angle_rad=1.0, velocity_mps=params.velocity_bin_size)
+        assert velocity_bin_mps(params) == pytest.approx(SPEED_OF_LIGHT / (2 * 77e9 * 50 * 0.5625e-6), rel=1e-15)
+        target = TargetParams(range_m=0.0, angle_rad=1.0, velocity_mps=velocity_bin_mps(params))
         grid = received(single_element_terms(params, target), (1, 0), 0)
         spectrum = np.abs(np.fft.fft(grid, axis=1))
         np.testing.assert_array_equal(np.argmax(spectrum, axis=1), np.full(100, 1))
@@ -361,10 +368,11 @@ class TestTrialDraw:
         assert trial_grid(terms, draws).tobytes() == frame_difference(*pair).tobytes()
 
 
-class TestRvMap:
-    def test_constant_grid_single_peak(self, params):
-        rv = rv_map(np.ones((100, 50)), params)
-        magnitude = np.abs(rv.values)
+class TestMap:
+    """The map the peak search reads, through the oracle `padded_map`."""
+
+    def test_constant_grid_single_peak(self):
+        magnitude = np.abs(padded_map(np.ones((100, 50)), 1, 1))
         assert magnitude[0, 0] == pytest.approx(5000.0, rel=1e-12)
         magnitude[0, 0] = 0.0
         assert magnitude.max() < 1e-8
@@ -373,10 +381,9 @@ class TestRvMap:
         gain = 0.7
         target = TargetParams(range_m=30.0, angle_rad=1.0, amplitude=gain)
         y = received(single_element_terms(params, target), (1, 0), 0)
-        rv = rv_map(y, params)
         bins = full_map_bins(y, 1, 1)
         assert bins == (40, 0)
-        assert np.abs(rv.values[bins]) == pytest.approx(5000.0 * gain, rel=1e-9)
+        assert np.abs(padded_map(y, 1, 1)[bins]) == pytest.approx(5000.0 * gain, rel=1e-9)
 
     def test_interference_spreads_like_noise(self, params):
         # no bin should exceed 10/sqrt(N*M) of the concentrated level
@@ -386,69 +393,33 @@ class TestRvMap:
         for seed in range(200):
             interference = InterferenceParams(delay_s=2e-7, angle_rad=0.5, amplitude=1.0)
             terms = single_element_terms(params, silent, interference=interference)
-            rv = rv_map(received(terms, (1000 + seed, seed), 0), params)
-            if np.abs(rv.values).max() > bound:
+            if np.abs(padded_map(received(terms, (1000 + seed, seed), 0), 1, 1)).max() > bound:
                 exceeded += 1
         assert exceeded <= 2  # 99% of seeds
 
-    def test_parseval_consistency(self, params):
+    def test_parseval_consistency(self):
         rng = np.random.default_rng(21)
         y = rng.normal(size=(100, 50)) + 1j * rng.normal(size=(100, 50))
         for pads in ((1, 1), (4, 2)):
-            rv = rv_map(y, params, *pads)
-            energy_map = np.sum(np.abs(rv.values) ** 2) / rv.values.size
+            values = padded_map(y, *pads)
+            energy_map = np.sum(np.abs(values) ** 2) / values.size
             assert energy_map == pytest.approx(np.sum(np.abs(y) ** 2), rel=1e-9)
 
     def test_zero_padding_scales_bins(self, params):
-        rv = rv_map(np.ones((100, 50)), params, pad_range=4, pad_velocity=2)
-        assert rv.values.shape == (400, 100)
-        assert rv.range_bin_m == params.range_bin_size / 4
-        assert rv.velocity_bin_mps == params.velocity_bin_size / 2
+        assert padded_map(np.ones((100, 50)), 4, 2).shape == (400, 100)
+        # 30 m is range bin 40 at 0.75 m and bin 160 at 0.75 / 4 m
+        y = received(single_element_terms(params, TargetParams(range_m=30.0, angle_rad=1.0)), (1, 0), 0)
+        assert full_map_bins(y, 4, 2) == (160, 0)
+        assert estimate_target(y, params, pad_range=4, pad_velocity=2) == 30.0
 
     def test_rejects_bad_padding(self, params):
-        with pytest.raises(ValueError):
-            rv_map(np.ones((4, 4)), params, pad_range=0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=24)),
-        pads=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_in_place_transform_is_bitwise_the_padded_fft_pair(self, shape, pads, seed):
-        # the map is transformed inside one zero-padded buffer; it must equal
-        # the two padded transforms computed out of place, byte for byte
-        n_sub, n_sym = shape
-        pad_range, pad_velocity = pads
-        params = OfdmParams(77e9, 200e6, num_subcarriers=n_sub, num_symbols=n_sym)
-        rng = np.random.default_rng(seed)
-        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        expected = np.fft.fft(
-            np.fft.ifft(y, n=pad_range * n_sub, axis=0), n=pad_velocity * n_sym, axis=1
-        ) * (pad_range * n_sub)
-        values = rv_map(y, params, pad_range, pad_velocity).values
-        assert values.dtype == expected.dtype
-        assert values.shape == expected.shape
-        assert values.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("ratio_db", [20.0, 80.0, 100.0])
-    def test_equals_an_independent_numpy_composition(self, params, ratio_db):
-        # default sweep trials, the analytic peak standing in for the trained one:
-        # the interferer 0.02 rad off the notch leaks more as its power grows
-        theta_t, theta_i = 2 * np.pi / 5, np.pi / 4
-        config = normalize_coefficients(combine_convolve(analytic_peak(theta_t, 200), notch_config(theta_i)))
-        target = TargetParams(range_m=30.0, angle_rad=theta_t)
-        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i + 0.02, amplitude=10.0 ** (ratio_db / 20.0))
-        terms = frame_terms(params, config, target, interference, 1.0)
-        for seed in range(5):
-            y = trial_grid(terms, draw_trial(terms, seed))
-            assert rv_map(y, params, 4, 4).values.tobytes() == padded_map(y, 4, 4).tobytes()
-            assert estimate_target(y, params, 4, 4) == full_map_range(y, params, 4, 4)
+        with pytest.raises(ValueError, match="padding factors"):
+            estimate_target(np.ones((4, 4)), params, pad_range=0)
 
     def test_delay_doppler_separability(self, params):
-        base = TargetParams(range_m=30.0, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size)
+        base = TargetParams(range_m=30.0, angle_rad=1.0, velocity_mps=2 * velocity_bin_mps(params))
         shifted = TargetParams(
-            range_m=30.0 + params.range_bin_size, angle_rad=1.0, velocity_mps=2 * params.velocity_bin_size
+            range_m=30.0 + params.range_bin_size, angle_rad=1.0, velocity_mps=2 * velocity_bin_mps(params)
         )
         base_grid = received(single_element_terms(params, base), (1, 0), 0)
         shift_grid = received(single_element_terms(params, shifted), (1, 0), 0)
@@ -469,7 +440,7 @@ class TestEstimateTarget:
         small = OfdmParams(77e9, 200e6, num_subcarriers=4, num_symbols=4)
         n, m = np.ogrid[:4, :4]
         y = np.array([1, 1j, -1, -1j])[(m * 1 - n * 3) % 4] + np.array([1, 1j, -1, -1j])[(m * 3 - n * 1) % 4]
-        magnitude = np.abs(rv_map(y, small).values)
+        magnitude = np.abs(padded_map(y, 1, 1))
         assert magnitude[3, 1] == magnitude[1, 3] == magnitude.max() == 16.0
         assert full_map_bins(y, 1, 1) == (1, 3)
         assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == small.range_bin_size
@@ -492,13 +463,13 @@ class TestEstimateTarget:
 
     def test_negative_velocity_wraps(self, params):
         # a velocity of minus one bin lands in the last velocity bin
-        target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-params.velocity_bin_size)
+        target = TargetParams(range_m=15.0, angle_rad=1.0, velocity_mps=-velocity_bin_mps(params))
         y = received(single_element_terms(params, target), (1, 0), 0)
-        rv = rv_map(y, params)
+        n_vel = padded_map(y, 1, 1).shape[1]
         range_bin, velocity_bin = full_map_bins(y, 1, 1)
-        assert (range_bin, velocity_bin) == (20, rv.values.shape[1] - 1)
-        wrapped = (velocity_bin - rv.values.shape[1]) * rv.velocity_bin_mps
-        assert wrapped == pytest.approx(-params.velocity_bin_size, rel=1e-12)
+        assert (range_bin, velocity_bin) == (20, n_vel - 1)
+        wrapped = (velocity_bin - n_vel) * velocity_bin_mps(params)
+        assert wrapped == pytest.approx(-velocity_bin_mps(params), rel=1e-12)
         assert estimate_target(y, params) == 15.0
 
     def test_interference_at_exact_null_angle(self, params):
@@ -552,26 +523,68 @@ def search_grid(kind, shape, seed):
     return y
 
 
-def padded_map(y, pad_range, pad_velocity):
-    """The map from the two padded transforms computed out of place, with no
-    buffer or helper of the simulation module: the search's oracle."""
-    n_sub, n_sym = y.shape
-    return np.fft.fft(np.fft.ifft(y, n=pad_range * n_sub, axis=0), n=pad_velocity * n_sym, axis=1) * (pad_range * n_sub)
+def assert_search_reads_the_map(y, params, pad_range, pad_velocity):
+    """Each map row the search transforms is, byte for byte, that row of
+    `padded_map`, and the search returns the range of the map's peak. The
+    map rows are the search's own buffer, read after it has been scaled."""
+    searches = []  # [chosen range rows, their map rows] per velocity transform
+    real_peak_rows, real_fft = simulation._peak_rows, np.fft.fft
+
+    def peak_rows(rows, chosen, *args):
+        searches.append([chosen.copy(), None])
+        return real_peak_rows(rows, chosen, *args)
+
+    def fft(a, *args, out=None, **kwargs):
+        if out is not None:
+            searches[-1][1] = out
+        return real_fft(a, *args, out=out, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_peak_rows", peak_rows)
+        patch.setattr(np.fft, "fft", fft)
+        estimate = estimate_target(y, params, pad_range, pad_velocity)
+    expected = padded_map(y, pad_range, pad_velocity)
+    assert searches
+    for chosen, values in searches:
+        assert values.dtype == expected.dtype
+        assert values.tobytes() == expected[chosen].tobytes()
+    assert estimate == full_map_range(y, params, pad_range, pad_velocity)
 
 
-def full_map_bins(y, pad_range, pad_velocity):
-    """The first largest cell of the full map in row-major order, as the
-    peak search must find it; a map holding a non-finite value raises."""
-    magnitude = np.abs(padded_map(y, pad_range, pad_velocity))
-    if not np.all(np.isfinite(magnitude)):
-        raise ValueError("range-velocity map is not finite")
-    return tuple(int(b) for b in np.unravel_index(np.argmax(magnitude), magnitude.shape))
+class TestSearchTransforms:
+    """The search's in-place transforms against the two padded transforms
+    computed out of place, byte for byte."""
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=24)),
+        pads=st.tuples(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_in_place_transform_is_bitwise_the_padded_fft_pair(self, shape, pads, seed):
+        n_sub, n_sym = shape
+        pad_range, pad_velocity = pads
+        params = OfdmParams(77e9, 200e6, num_subcarriers=n_sub, num_symbols=n_sym)
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = np.fft.ifft(y, n=pad_range * n_sub, axis=0)
+        rows = simulation._range_rows(y, pad_range, pad_velocity)
+        assert rows.dtype == expected.dtype
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+        assert_search_reads_the_map(y, params, pad_range, pad_velocity)
 
-def full_map_range(y, params, pad_range, pad_velocity):
-    """The range of the full map's first largest cell, as the peak search
-    must return it."""
-    return full_map_bins(y, pad_range, pad_velocity)[0] * (params.range_bin_size / pad_range)
+    @pytest.mark.parametrize("ratio_db", [20.0, 80.0, 100.0])
+    def test_equals_an_independent_numpy_composition(self, params, ratio_db):
+        # default sweep trials, the analytic peak standing in for the trained one:
+        # the interferer 0.02 rad off the notch leaks more as its power grows
+        theta_t, theta_i = 2 * np.pi / 5, np.pi / 4
+        config = normalize_coefficients(combine_convolve(analytic_peak(theta_t, 200), notch_config(theta_i)))
+        target = TargetParams(range_m=30.0, angle_rad=theta_t)
+        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i + 0.02, amplitude=10.0 ** (ratio_db / 20.0))
+        terms = frame_terms(params, config, target, interference, 1.0)
+        for seed in range(5):
+            assert_search_reads_the_map(trial_grid(terms, draw_trial(terms, seed)), params, 4, 4)
 
 
 class TestPeakSearch:
@@ -664,9 +677,7 @@ class TestKeptBuffers:
             y = search_grid(kind, (n_sub, 12), seed)
             with np.errstate(all="ignore"):
                 if kind == "noise":  # finite: a stale non-finite tail would raise
-                    expected = full_map_range(y, params, pad_range, 2)
-                    assert estimate_target(y, params, pad_range, 2) == expected
-                    assert rv_map(y, params, pad_range, 2).values.tobytes() == padded_map(y, pad_range, 2).tobytes()
+                    assert_search_reads_the_map(y, params, pad_range, 2)
                     continue
                 try:
                     expected = full_map_range(y, params, pad_range, 2)
@@ -675,17 +686,6 @@ class TestKeptBuffers:
                         estimate_target(y, params, pad_range, 2)
                     continue
                 assert estimate_target(y, params, pad_range, 2) == expected
-
-    def test_a_map_between_two_searches_leaves_both_right(self, params):
-        tone = search_grid("tone", (100, 50), 3)
-        noise = search_grid("noise", (100, 50), 4)
-        magnitude = np.abs(padded_map(tone, 4, 4))
-        range_bin = int(np.unravel_index(np.argmax(magnitude), magnitude.shape)[0])
-        expected = range_bin * (params.range_bin_size / 4)
-        assert estimate_target(tone, params, 4, 4) == expected
-        values = rv_map(noise, params, 4, 4).values
-        assert estimate_target(tone, params, 4, 4) == expected
-        assert values.tobytes() == padded_map(noise, 4, 4).tobytes()
 
     def test_same_shape_calls_reuse_one_buffer_per_role(self, params):
         first = simulation._range_rows(search_grid("noise", (100, 50), 0), 4, 4)
