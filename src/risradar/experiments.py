@@ -19,6 +19,8 @@ point sweeps every configuration of a study on one draw per trial.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -206,6 +208,13 @@ def _point_terms(
     return frame_terms(scenario.ofdm_params(), config, target, interference, scenario.noise_variance, subcarrier_mode)
 
 
+def _range_error(scenario: Scenario, terms: FrameTerms, draws: TrialDraws) -> float:
+    """A trial's absolute range error in metres: the peak search on the grid
+    that the trial's draws give the point's terms."""
+    grid = trial_grid(terms, draws)
+    return abs(scenario.target_range_m - estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity))
+
+
 def run_trial(
     scenario: Scenario,
     config: RisConfig,
@@ -213,84 +222,69 @@ def run_trial(
     angle_offset_rad: float,
     seed: int,
     subcarrier_mode: str = CARRIER_ONLY,
-    terms: FrameTerms | None = None,
-    draws: TrialDraws | None = None,
 ) -> float:
-    """One simulated measurement; returns the absolute range error in meters.
-    A sweep passes the point's prebuilt `terms` and the trial's `draws`, which
-    the trial only reads; without them the trial builds its own and draws
-    from `seed`."""
-    if terms is None:
-        terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
-    if draws is None:
-        draws = draw_trial(terms, seed)
-    grid = trial_grid(terms, draws)
-    return abs(scenario.target_range_m - estimate_target(grid, terms.params, scenario.pad_range, scenario.pad_velocity))
+    """One simulated measurement replayed from its seed; returns the absolute
+    range error in meters, the one a sweep records for that trial."""
+    terms = _point_terms(scenario, config, power_ratio_db, angle_offset_rad, subcarrier_mode)
+    return _range_error(scenario, terms, draw_trial(terms, seed))
 
 
-def _sweep_point(args) -> list[tuple[SweepPoint, list[tuple[int, float, float, float]]]]:
-    """Every configuration's statistics and records at one grid point. Each
-    trial draws once, and every configuration reads those draws."""
-    scenario, configs, ratio_db, ratio_idx, offset_rad, offset_idx, mode = args
-    point_terms = [_point_terms(scenario, config, ratio_db, offset_rad, mode) for config in configs]
-    errors = np.empty((len(configs), scenario.trials))
+def _point_errors(
+    scenario: Scenario, configs: tuple[RisConfig, ...], subcarrier_mode: str, point
+) -> tuple[list[int], np.ndarray]:
+    """The trial seeds and the (configurations, trials) range errors of one
+    grid point ((ratio index, ratio), (offset index, offset)). Each trial
+    draws once, and every configuration reads those draws."""
+    (ratio_idx, ratio_db), (offset_idx, offset_rad) = point
+    point_terms = [_point_terms(scenario, config, ratio_db, offset_rad, subcarrier_mode) for config in configs]
     seeds = [trial_seeds(scenario.master_seed, ratio_idx, offset_idx, trial) for trial in range(scenario.trials)]
+    errors = np.empty((len(configs), scenario.trials))
     for trial, seed in enumerate(seeds):
         draws = draw_trial(point_terms[0], seed)
-        for k, (config, terms) in enumerate(zip(configs, point_terms)):
-            errors[k, trial] = run_trial(scenario, config, ratio_db, offset_rad, seed, mode, terms, draws)
-    angle = float(scenario.interferer_angle_rad + offset_rad)
-    outcomes = []
-    for config_errors in errors:
-        point = SweepPoint(
-            power_ratio_db=float(ratio_db),
-            angle_offset_rad=float(offset_rad),
-            mean_range_error_m=float(np.mean(config_errors)),
-            std_range_error_m=float(np.std(config_errors, ddof=1)) if scenario.trials > 1 else 0.0,
-            trials=scenario.trials,
-        )
-        records = [(seed, float(ratio_db), angle, float(error)) for seed, error in zip(seeds, config_errors)]
-        outcomes.append((point, records))
-    return outcomes
+        for k, terms in enumerate(point_terms):
+            errors[k, trial] = _range_error(scenario, terms, draws)
+    return seeds, errors
 
 
-def _sweep_tasks(scenario: Scenario, configs: tuple[RisConfig, ...], subcarrier_mode: str) -> list[tuple]:
-    """One task per (ratio, offset) point, carrying every configuration swept there."""
-    if not configs:
-        return []
-    ratios = sorted(scenario.power_ratios_db)
-    offsets = sorted(scenario.angle_offsets_rad)
-    return [
-        (scenario, configs, ratio, i, offset, j, subcarrier_mode)
-        for i, ratio in enumerate(ratios)
-        for j, offset in enumerate(offsets)
-    ]
-
-
-def _map_points(tasks: list[tuple], workers: int) -> list:
-    """`_sweep_point` over the tasks, in order; a pool's workers take them in
+def _map_points(work, points: list, workers: int) -> list:
+    """`work` over the points, in order; a pool's workers take them in
     chunks, about four a worker, so few messages go out yet none idles long.
-    A pool forks all its workers at once, so it gets no more than the tasks."""
-    workers = min(workers, len(tasks))
+    A pool forks all its workers at once, so it gets no more than the points."""
+    workers = min(workers, len(points))
     if workers <= 1:
-        return [_sweep_point(t) for t in tasks]
-    chunksize = max(1, math.ceil(len(tasks) / (4 * workers)))
+        return [work(point) for point in points]
+    chunksize = max(1, math.ceil(len(points) / (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, tasks, chunksize=chunksize))
+        return list(pool.map(work, points, chunksize=chunksize))
 
 
 def _sweep_results(scenario: Scenario, configs, subcarrier_mode: str, workers: int) -> list[SweepResult]:
-    """One `SweepResult` per configuration, all swept on one pass over the grid points."""
-    outcomes = _map_points(_sweep_tasks(scenario, tuple(configs), subcarrier_mode), workers)
-    return [
-        SweepResult(
-            points=[point_outcomes[k][0] for point_outcomes in outcomes],
-            records=[record for point_outcomes in outcomes for record in point_outcomes[k][1]],
-            interferer_angle_rad=scenario.interferer_angle_rad,
-            range_bin_m=scenario.ofdm_params().range_bin_size,
-        )
-        for k in range(len(configs))
-    ]
+    """One `SweepResult` per configuration, all swept on one pass over the
+    grid points, in (ratio, offset) order. A pool gets the scenario and the
+    configurations once a chunk, bound into the work, not once a point."""
+    configs = tuple(configs)
+    if not configs:
+        return []
+    points = list(
+        itertools.product(enumerate(sorted(scenario.power_ratios_db)), enumerate(sorted(scenario.angle_offsets_rad)))
+    )
+    outcomes = _map_points(functools.partial(_point_errors, scenario, configs, subcarrier_mode), points, workers)
+    range_bin_m = scenario.ofdm_params().range_bin_size
+    results = [SweepResult([], [], scenario.interferer_angle_rad, range_bin_m) for _ in configs]
+    for ((_, ratio_db), (_, offset_rad)), (seeds, errors) in zip(points, outcomes):
+        angle = float(scenario.interferer_angle_rad + offset_rad)
+        for result, config_errors in zip(results, errors):
+            result.points.append(
+                SweepPoint(
+                    power_ratio_db=float(ratio_db),
+                    angle_offset_rad=float(offset_rad),
+                    mean_range_error_m=float(np.mean(config_errors)),
+                    std_range_error_m=float(np.std(config_errors, ddof=1)) if scenario.trials > 1 else 0.0,
+                    trials=scenario.trials,
+                )
+            )
+            result.records.extend((seed, float(ratio_db), angle, float(error)) for seed, error in zip(seeds, config_errors))
+    return results
 
 
 def run_interference_sweep(
@@ -562,29 +556,26 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
                 f"max={max(at_null)} bin={bin_m}",
             )
         )
-    monotone = True
-    for offset, series in by_offset.items():
-        series.sort()
-        means = [m for _, m in series]
-        if any(b < a - bin_m for a, b in zip(means, means[1:])):
-            monotone = False
-    checks.append(
-        (
-            f"{stem}: mean error non-decreasing in power ratio (one-bin tolerance)",
-            monotone,
-            f"offsets={len(by_offset)}",
+    # each trend check is made only when it has a pair of points to compare
+    ratio_pairs = [pair for series in by_offset.values() for pair in itertools.pairwise(sorted(series))]
+    if ratio_pairs:
+        checks.append(
+            (
+                f"{stem}: mean error non-decreasing in power ratio (one-bin tolerance)",
+                not any(b < a - bin_m for (_, a), (_, b) in ratio_pairs),
+                f"offsets={len(by_offset)}",
+            )
         )
-    )
     top_ratio = max(r for r, *_ in rows)
     top = sorted((abs(offset), mean) for ratio, offset, mean, _s, _t in rows if ratio == top_ratio)
-    offset_monotone = all(b >= a - bin_m for (_, a), (_, b) in zip(top, top[1:]))
-    checks.append(
-        (
-            f"{stem}: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)",
-            offset_monotone,
-            f"ratio={top_ratio}",
+    if len(top) > 1:
+        checks.append(
+            (
+                f"{stem}: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)",
+                all(b >= a - bin_m for (_, a), (_, b) in itertools.pairwise(top)),
+                f"ratio={top_ratio}",
+            )
         )
-    )
     return True
 
 
@@ -596,19 +587,19 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
     artifacts.extend(sorted(out_dir.glob("multinotch_pattern_eps*.csv")))
     with _parsing(path):
         rows = sorted((eps, bw, sup) for eps, bw, _lo, _hi, sup in read_multinotch_summary(path))
-    bw_ordered = all(b[1] > a[1] for a, b in zip(rows, rows[1:]))
-    sup_ordered = all(b[2] < a[2] for a, b in zip(rows, rows[1:]))
+    if len(rows) < 2:  # one spacing: neither trend has a pair to compare
+        return True
     checks.append(
         (
             "multinotch: suppression bandwidth strictly increasing with spacing",
-            bw_ordered,
+            all(b[1] > a[1] for a, b in itertools.pairwise(rows)),
             ",".join(repr(r[1]) for r in rows),
         )
     )
     checks.append(
         (
             "multinotch: minimum in-band suppression strictly decreasing with spacing",
-            sup_ordered,
+            all(b[2] < a[2] for a, b in itertools.pairwise(rows)),
             ",".join(repr(r[2]) for r in rows),
         )
     )

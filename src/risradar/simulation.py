@@ -34,14 +34,15 @@ bounds each range row's largest map magnitude by the triangle inequality
 and runs the velocity transform only on the rows whose bound can reach the
 best magnitude found. A transformed row has the bits of that row of the
 full map, so the peak is the same. The range rows and their magnitudes are
-written into buffers kept for the last grid shape (`_kept`), so the trials
-of a sweep reuse that memory instead of allocating it afresh. The module
-is single-threaded and the sweep's pool uses processes, so no two calls
-use the buffers at once.
+written into the pair of buffers kept for the last grid shape
+(`_search_buffers`), so the trials of a sweep reuse that memory instead of
+allocating it afresh. The module is single-threaded and the sweep's pool
+uses processes, so no two calls use the buffers at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,21 +195,14 @@ def trial_grid(terms: FrameTerms, draws: TrialDraws) -> np.ndarray:
     return grid
 
 
-# The range rows and their magnitudes, one buffer per role, kept for the
-# last shape asked. Allocated fresh, these grid-sized buffers went back to
-# the system when freed, so each bench sweep trial faulted in about 130
-# fresh pages. The module is single-threaded and the sweep's pool uses
-# processes, so one set serves every call.
-_KEPT: dict[str, np.ndarray] = {}
-
-
-def _kept(role: str, shape: tuple[int, int], dtype: type) -> np.ndarray:
-    """The buffer kept for `role`, replaced when `shape` differs from its own.
-    It holds whatever the last call left, and no caller holds it past its return."""
-    buffer = _KEPT.get(role)
-    if buffer is None or buffer.shape != shape:
-        buffer = _KEPT[role] = np.empty(shape, dtype=dtype)
-    return buffer
+# Allocated fresh, the search's grid-sized buffers went back to the system
+# when freed, so each bench sweep trial faulted in about 130 fresh pages.
+@functools.lru_cache(maxsize=1)
+def _search_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The range rows (complex) and their magnitudes (float) for range rows of
+    `shape`, kept for the last shape asked; a new shape replaces the pair.
+    They hold whatever the last call left, and no caller holds them past its return."""
+    return np.empty(shape, dtype=complex), np.empty(shape, dtype=float)
 
 
 def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
@@ -223,7 +217,7 @@ def _range_rows(y: np.ndarray, pad_range: int, pad_velocity: int) -> np.ndarray:
         raise ValueError("padding factors must be >= 1")
     if y.size == 0:
         raise ValueError("range-velocity map is empty")
-    rows = _kept("range rows", (int(pad_range) * y.shape[0], y.shape[1]), complex)
+    rows = _search_buffers((int(pad_range) * y.shape[0], y.shape[1]))[0]
     rows[: y.shape[0]] = y
     rows[y.shape[0] :] = 0
     np.fft.ifft(rows, axis=0, out=rows)
@@ -242,7 +236,7 @@ _OVERFLOW_RISK = np.finfo(float).max / 4
 # transforms every row, as the full map does; taking all their magnitudes at
 # once put its heap peak (range rows, map rows and magnitudes) at glibc's trim
 # threshold, so every call faulted in fresh pages. The range rows and their
-# magnitudes are now kept between calls (see `_kept`); the map rows are not.
+# magnitudes are now kept between calls (`_search_buffers`); the map rows are not.
 _BLOCK_CELLS = 16384
 
 
@@ -287,7 +281,7 @@ def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_v
     rows = _range_rows(y, pad_range, pad_velocity)
     n_range, n_sym = rows.shape
     n_vel = int(pad_velocity) * n_sym
-    bounds = n_range * np.abs(rows, out=_kept("range magnitudes", rows.shape, float)).sum(axis=1)
+    bounds = n_range * np.abs(rows, out=_search_buffers(rows.shape)[1]).sum(axis=1)
     cut = min(0.5 * bounds.max(), _OVERFLOW_RISK)  # NaN once a bound is NaN: then every row goes first
     first = ~(bounds < cut)
     peaks = [_peak_rows(rows, np.flatnonzero(first), n_range, n_vel)]

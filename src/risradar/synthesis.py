@@ -123,12 +123,6 @@ class PeakNetwork:
         """Emit the length-L complex configuration for an input angle."""
         return self._forward(theta)[2]
 
-    def loss(self, theta: float) -> float:
-        """1 / |c^T b(theta)|^2 under the carrier approximation."""
-        coeffs = self.config_for(theta)
-        s = np.sum(coeffs * self._steering(theta))
-        return float(1.0 / np.abs(s) ** 2)
-
     def loss_and_gradients(self, theta: float):
         """Loss plus exact backpropagated gradients for every parameter.
 

@@ -11,6 +11,10 @@ helper with the code under test:
   frames a and b of the sign-flipped configurations c and -c
   (`frame_pair`), and their difference (`frame_difference`). The trial grid
   is held to it bit for bit.
+* The peak network's loss 1 / |c^T b(theta)|^2 on the carrier
+  (`network_loss`), from the configuration the network emits and a
+  steering vector written out here: backpropagation's gradients are held to
+  its central differences.
 """
 
 from __future__ import annotations
@@ -120,3 +124,12 @@ def frame_difference(y_a, y_b, out=None):
     if y_a.shape != y_b.shape:
         raise ValueError(f"frame shapes differ: {y_a.shape} vs {y_b.shape}")
     return np.divide(np.subtract(y_a, y_b, out=out), 2.0, out=out)
+
+
+def network_loss(net, theta):
+    """The loss that `PeakNetwork.loss_and_gradients` differentiates,
+    1 / |c^T b(theta)|^2 with b_l = exp(-1j*pi*l*cos(theta)), for the
+    configuration c that `net` emits at theta."""
+    coeffs = net.config_for(theta)
+    steer = np.exp(-1j * np.pi * np.arange(coeffs.size) * np.cos(theta))
+    return float(1.0 / np.abs(np.sum(coeffs * steer)) ** 2)

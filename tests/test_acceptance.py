@@ -33,7 +33,7 @@ from risradar.synthesis import (
     notch_config,
 )
 
-from oracles import draw_pair, frame_difference, frame_pair, padded_map
+from oracles import draw_pair, frame_difference, frame_pair, network_loss, padded_map
 
 
 def announce(criterion: str, passed: bool, detail: str) -> None:
@@ -111,9 +111,9 @@ def test_criterion_3_peak_training_and_gradient(default_training):
             for _ in it:
                 idx = it.multi_index
                 params_array[idx] += step
-                up = net.loss(theta)
+                up = network_loss(net, theta)
                 params_array[idx] -= 2 * step
-                down = net.loss(theta)
+                down = network_loss(net, theta)
                 params_array[idx] += step
                 fd = (up - down) / (2 * step)
                 denom = max(abs(fd), abs(grads[idx]), 1e-10)

@@ -248,6 +248,16 @@ class TestInterferenceSweep:
         assert len(pooled.points) == 1 and pooled.records == serial.records
         assert file_digests(tmp_path / "pooled") == file_digests(tmp_path / "serial")
 
+    def test_several_configurations_under_two_workers_match_one(self):
+        # each point's error matrix comes back through the pool for all three configurations
+        peak = analytic_peak(SMALL.target_angle_rad, SMALL.num_peak_elements)
+        configs = (small_combined(), peak, notch_config(SMALL.interferer_angle_rad))
+        serial = experiments._sweep_results(SMALL, configs, "carrier", workers=1)
+        pooled = experiments._sweep_results(SMALL, configs, "carrier", workers=2)
+        assert len(pooled) == 3 and len(pooled[0].points) == 4
+        assert [result.points for result in pooled] == [result.points for result in serial]
+        assert [result.records for result in pooled] == [result.records for result in serial]
+
     def test_pool_gets_no_more_workers_than_points(self, monkeypatch, tmp_path):
         # a stand-in pool records its size and maps in this process: nothing is forked
         sizes = []
@@ -714,6 +724,33 @@ class TestReport:
         monkeypatch.setattr(Path, "read_text", record)
         assert report(tmp_path).passed
         assert sorted(reads) == ["multinotch_sweep_eps0.0.csv", "sweep.csv"]
+
+    @pytest.mark.parametrize(
+        "axes, made",
+        [
+            (
+                dict(power_ratios_db=(30.0,)),
+                [
+                    "sweep: mean error at zero offset <= one range bin (ratios <= 30 dB)",
+                    "sweep: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)",
+                ],
+            ),
+            (dict(angle_offsets_rad=(0.01,)), ["sweep: mean error non-decreasing in power ratio (one-bin tolerance)"]),
+        ],
+        ids=["one-ratio", "one-offset"],
+    )
+    def test_a_sweep_trend_check_with_no_pair_to_compare_is_not_made(self, tmp_path, axes, made):
+        write_sweep_files(run_interference_sweep(SMALL.replace(**axes), small_combined()), tmp_path)
+        result = report(tmp_path)
+        assert [name for name, _ok, _detail in result.checks] == made
+        assert result.passed
+
+    @pytest.mark.parametrize("spacings, made", [((1e-2,), 0), ((0.0, 1e-2), 2)], ids=["one-spacing", "two-spacings"])
+    def test_a_multinotch_trend_check_needs_two_spacings(self, tmp_path, spacings, made):
+        run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, spacings), None)
+        result = report(tmp_path)
+        assert result.num_studies == 1
+        assert [name.startswith("multinotch: ") for name, _ok, _detail in result.checks] == [True] * made
 
     def test_full_small_run_passes(self, tmp_path):
         run_pattern_study(SMALL, tmp_path, small_training())

@@ -692,10 +692,25 @@ class TestKeptBuffers:
         second = simulation._range_rows(search_grid("noise", (100, 50), 1), 4, 4)
         assert np.shares_memory(first, second)
         estimate_target(search_grid("noise", (100, 50), 2), params, 4, 4)
-        kept = dict(simulation._KEPT)
+        kept = simulation._search_buffers((400, 50))
+        misses = simulation._search_buffers.cache_info().misses
         estimate_target(search_grid("noise", (100, 50), 3), params, 4, 4)
-        assert set(kept) == {"range rows", "range magnitudes"}
-        assert all(np.shares_memory(simulation._KEPT[role], buffer) for role, buffer in kept.items())
+        assert simulation._search_buffers.cache_info().misses == misses
+        assert [np.shares_memory(a, b) for a, b in zip(simulation._search_buffers((400, 50)), kept)] == [True, True]
+        assert [buffer.dtype for buffer in kept] == [complex, float]
+
+    def test_a_new_shape_replaces_both_buffers(self, params):
+        estimate_target(search_grid("noise", (100, 50), 0), params, 4, 4)
+        small = OfdmParams(77e9, 200e6, num_subcarriers=24, num_symbols=12)
+        rows = simulation._range_rows(search_grid("noise", (24, 12), 0), 1, 2)
+        estimate_target(search_grid("noise", (24, 12), 1), small, 1, 2)
+        info = simulation._search_buffers.cache_info()
+        assert info.currsize == 1
+        kept = simulation._search_buffers((24, 12))
+        assert simulation._search_buffers.cache_info().misses == info.misses  # the new shape's pair is the one kept
+        assert np.shares_memory(kept[0], rows) and kept[1].shape == (24, 12)
+        simulation._search_buffers((400, 50))
+        assert simulation._search_buffers.cache_info().misses == info.misses + 1  # the old shape's pair is gone
 
     def test_a_search_after_the_first_allocates_nothing_grid_sized(self, params):
         # a default grid's range rows (400 x 50) and their magnitudes took

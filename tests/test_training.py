@@ -10,6 +10,8 @@ from risradar.synthesis import (
     train_peak_network,
 )
 
+from oracles import network_loss
+
 SMALL = PeakNetSpec(num_layers=3, hidden_width=8, num_iterations=0)
 
 # Loss history of train_peak_network(1.0, 16, PeakNetSpec(num_layers=3,
@@ -57,18 +59,18 @@ def finite_difference_grads(net, theta, step=1e-5):
         g = np.empty_like(net.weights[k])
         for idx in np.ndindex(net.weights[k].shape):
             net.weights[k][idx] += step
-            up = net.loss(theta)
+            up = network_loss(net, theta)
             net.weights[k][idx] -= 2 * step
-            down = net.loss(theta)
+            down = network_loss(net, theta)
             net.weights[k][idx] += step
             g[idx] = (up - down) / (2 * step)
         grads_w.append(g)
         g = np.empty_like(net.biases[k])
         for i in range(net.biases[k].size):
             net.biases[k][i] += step
-            up = net.loss(theta)
+            up = network_loss(net, theta)
             net.biases[k][i] -= 2 * step
-            down = net.loss(theta)
+            down = network_loss(net, theta)
             net.biases[k][i] += step
             g[i] = (up - down) / (2 * step)
         grads_b.append(g)
