@@ -487,8 +487,8 @@ class ReportResult:
 
     @property
     def passed(self) -> bool:
-        """The one pass rule: a study was found and every check passed."""
-        return bool(self.num_studies) and all(ok for _, ok, _ in self.checks)
+        """The one pass rule: a study was found, a check was made and every check passed."""
+        return bool(self.num_studies and self.checks) and all(ok for _, ok, _ in self.checks)
 
 
 class ReportError(ValueError):
@@ -610,8 +610,9 @@ def report(out_dir) -> ReportResult:
     """Aggregate study outputs under out_dir into summary.txt.
 
     Zero discovered studies still writes the summary, which then ends
-    `result: nothing-run`; `ReportResult.passed` is false, and the front
-    ends exit 1. A path that is not a directory is a ReportError, raised
+    `result: nothing-run`, and studies with no check to make end it
+    `result: nothing-checked`; `ReportResult.passed` is then false, and the
+    front ends exit 1. A path that is not a directory is a ReportError, raised
     before anything is written.
     """
     out_dir = Path(out_dir)
@@ -644,6 +645,7 @@ def report(out_dir) -> ReportResult:
             lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name} ({detail})")
     result = ReportResult(path=out_dir / "summary.txt", num_studies=num_studies, checks=checks)
     lines.append("")
-    lines.append(f"result: {'pass' if result.passed else 'fail' if num_studies else 'nothing-run'}")
+    verdict = "pass" if result.passed else "nothing-run" if not num_studies else "nothing-checked" if not checks else "fail"
+    lines.append(f"result: {verdict}")
     write_lines(result.path, lines)
     return result

@@ -9,7 +9,7 @@ notch.* rules are those of OfdmParams, PeakNetSpec and NotchSpec, whose
 FieldError names the key section + field; the scenario states the rest.
 Omitted keys fall back to the defaults below (77 GHz carrier, 200 MHz
 bandwidth, 100 x 50 grid, 200-element peak array, target at 2*pi/5,
-interferer at pi/4).
+interferer at pi/4); a key whose domain field has a default takes it.
 """
 
 from __future__ import annotations
@@ -81,17 +81,17 @@ class Scenario:
     bandwidth_hz: float = 200e6
     num_subcarriers: int = 100
     num_symbols: int = 50
-    cp_ratio: float = 0.125
+    cp_ratio: float = OfdmParams.cp_ratio
     num_peak_elements: int = 200
     target_angle_rad: float = 2.0 * np.pi / 5.0
     interferer_angle_rad: float = np.pi / 4.0
-    net_num_layers: int = 6
-    net_hidden_width: int = 128
-    net_learning_rate: float = 1e-2
-    net_num_iterations: int = 5000
-    net_init_seed: int = 0
-    num_notches: int = 1
-    notch_spacing_rad: float = 0.0
+    net_num_layers: int = PeakNetSpec.num_layers
+    net_hidden_width: int = PeakNetSpec.hidden_width
+    net_learning_rate: float = PeakNetSpec.learning_rate
+    net_num_iterations: int = PeakNetSpec.num_iterations
+    net_init_seed: int = PeakNetSpec.init_seed
+    num_notches: int = NotchSpec.num_notches
+    notch_spacing_rad: float = NotchSpec.spacing_rad
     power_ratios_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     angle_offsets_rad: tuple[float, ...] = (-0.02, -0.015, -0.01, -0.005, 0.0, 0.005, 0.01, 0.015, 0.02)
     trials: int = 50

@@ -232,12 +232,6 @@ _BOUND_MARGIN = 1.0 + 1e-9
 # a row whose bound reaches this is always in the first batch: a skipped row
 # never hides a non-finite cell of the full map.
 _OVERFLOW_RISK = np.finfo(float).max / 4
-# Map cells whose magnitudes are taken at a time. A noise-only search
-# transforms every row, as the full map does; taking all their magnitudes at
-# once put its heap peak (range rows, map rows and magnitudes) at glibc's trim
-# threshold, so every call faulted in fresh pages. The range rows and their
-# magnitudes are now kept between calls (`_search_buffers`); the map rows are not.
-_BLOCK_CELLS = 16384
 
 
 def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -> tuple[float, int]:
@@ -251,17 +245,12 @@ def _peak_rows(rows: np.ndarray, chosen: np.ndarray, n_range: int, n_vel: int) -
     values[:, : rows.shape[1]] = rows[chosen]
     np.fft.fft(values, axis=1, out=values)
     values *= n_range
-    peak = (-1.0, 0)
-    step = max(1, _BLOCK_CELLS // n_vel)
-    for start in range(0, chosen.size, step):
-        magnitude = np.abs(values[start : start + step])
-        cell = int(np.argmax(magnitude))
-        value = float(magnitude.flat[cell])
-        if not math.isfinite(value):  # argmax picks a NaN's index
-            raise ValueError("range-velocity map is not finite")
-        if value > peak[0]:
-            peak = (value, int(chosen[start + cell // n_vel]))
-    return peak
+    magnitude = np.abs(values)
+    cell = int(np.argmax(magnitude))
+    value = float(magnitude.flat[cell])
+    if not math.isfinite(value):  # argmax picks a NaN's index
+        raise ValueError("range-velocity map is not finite")
+    return value, int(chosen[cell // n_vel])
 
 
 def estimate_target(y: np.ndarray, params: OfdmParams, pad_range: int = 1, pad_velocity: int = 1) -> float:

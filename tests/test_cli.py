@@ -115,6 +115,19 @@ def test_report_counts_no_study_from_multinotch_sweeps_alone(tmp_path, capsys):
     assert summary.splitlines()[-1] == "result: nothing-run"
 
 
+def test_report_on_a_study_with_no_check_signals_nothing_checked(scenario_file, tmp_path, capsys):
+    # one spacing and no sweeps: the multi-notch summary gives neither trend a pair to compare
+    out = tmp_path / "out"
+    argv = ["--scenario", str(scenario_file), "--out", str(out), "--epsilon", "0.01", "--no-sweeps"]
+    assert main(["multinotch", *argv]) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 1
+    summary = capsys.readouterr().out
+    assert summary.startswith("studies: 1\n")
+    assert "checks:" not in summary
+    assert summary.splitlines()[-1] == "result: nothing-checked"
+
+
 PASSING_METRICS = "combined_argmax_deg = 72.0\ntarget_angle_deg = 72.0\ncombined_db_at_interferer = -80.0\n"
 SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
 

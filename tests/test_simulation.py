@@ -526,7 +526,8 @@ def search_grid(kind, shape, seed):
 def assert_search_reads_the_map(y, params, pad_range, pad_velocity):
     """Each map row the search transforms is, byte for byte, that row of
     `padded_map`, and the search returns the range of the map's peak. The
-    map rows are the search's own buffer, read after it has been scaled."""
+    map rows are the search's own buffer, read after it has been scaled.
+    Returns the number of rows the search transformed."""
     searches = []  # [chosen range rows, their map rows] per velocity transform
     real_peak_rows, real_fft = simulation._peak_rows, np.fft.fft
 
@@ -549,6 +550,7 @@ def assert_search_reads_the_map(y, params, pad_range, pad_velocity):
         assert values.dtype == expected.dtype
         assert values.tobytes() == expected[chosen].tobytes()
     assert estimate == full_map_range(y, params, pad_range, pad_velocity)
+    return sum(chosen.size for chosen, _ in searches)
 
 
 class TestSearchTransforms:
@@ -585,6 +587,16 @@ class TestSearchTransforms:
         terms = frame_terms(params, config, target, interference, 1.0)
         for seed in range(5):
             assert_search_reads_the_map(trial_grid(terms, draw_trial(terms, seed)), params, 4, 4)
+
+    def test_an_all_row_search_reads_the_map(self, params):
+        # the magnitudes of all 400 map rows are taken in one pass: a noise-only
+        # grid, and the analytic peak alone at 100 dB, the interferer 0.02 rad off it
+        assert assert_search_reads_the_map(search_grid("noise", (100, 50), 0), params, 4, 4) == 400
+        theta_t, theta_i = 2 * np.pi / 5, np.pi / 4
+        target = TargetParams(range_m=30.0, angle_rad=theta_t)
+        interference = InterferenceParams(delay_s=3e-7, angle_rad=theta_i + 0.02, amplitude=10.0**5)
+        terms = frame_terms(params, analytic_peak(theta_t, 200), target, interference, 1.0)
+        assert assert_search_reads_the_map(trial_grid(terms, draw_trial(terms, 0)), params, 4, 4) == 400
 
 
 class TestPeakSearch:
@@ -630,12 +642,12 @@ class TestPeakSearch:
         assert full_map_bins(y, 1, 1) == (0, 0)
         assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == 0.0
 
-    def test_ties_across_blocks_go_to_the_lowest_row(self, monkeypatch):
-        # one nonzero cell in subcarrier 0: every map row holds the same bits
+    def test_ties_in_one_transform_go_to_the_lowest_row(self):
+        # one nonzero cell in subcarrier 0: every map row holds the same bits,
+        # so every row has the same bound and all are transformed in one call
         small = OfdmParams(77e9, 200e6, num_subcarriers=8, num_symbols=4)
         y = np.zeros((8, 4), dtype=complex)
         y[0, 1] = 1.0 + 1.0j
-        monkeypatch.setattr(simulation, "_BLOCK_CELLS", 1)  # one row a block
         assert full_map_bins(y, 1, 1) == (0, 0)
         assert estimate_target(y, small) == full_map_range(y, small, 1, 1) == 0.0
 

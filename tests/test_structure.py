@@ -20,7 +20,8 @@
   `FieldError` from `__post_init__`, and each of their fields is the scenario
   key `section + field` (DOMAIN_SECTIONS), so the scenario maps every failure
   to a key with no table. The notch angle alone has no key: it is the
-  interferer's, whose rule the scenario checks first.
+  interferer's, whose rule the scenario checks first. The default scenario
+  builds each domain type's defaults, so a default is stated once.
 
 The rules hold for the package and for `scripts/`. The first holds for the
 test references in `tests/oracles.py` too, so they stay independent of the
@@ -36,7 +37,7 @@ from pathlib import Path
 import pytest
 
 from risradar.arrays import OfdmParams
-from risradar.scenario import _SCHEMA
+from risradar.scenario import _SCHEMA, default_scenario
 from risradar.synthesis import NotchSpec, PeakNetSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +188,14 @@ UNKEYED_FIELDS = {"notch.notch_angle_rad"}
 def test_every_domain_field_is_a_scenario_key():
     keys = {section + field.name for cls, section in DOMAIN_SECTIONS.items() for field in dataclasses.fields(cls)}
     assert sorted(keys - set(_SCHEMA)) == sorted(UNKEYED_FIELDS)
+
+
+def test_the_default_scenario_builds_the_domain_defaults():
+    scenario = default_scenario()
+    assert scenario.network_spec() == PeakNetSpec()
+    assert scenario.notch_spec() == NotchSpec(scenario.interferer_angle_rad)
+    params = scenario.ofdm_params()
+    assert params == OfdmParams(params.carrier_freq_hz, params.bandwidth_hz, params.num_subcarriers, params.num_symbols)
 
 
 @pytest.mark.parametrize("cls", list(DOMAIN_SECTIONS), ids=lambda cls: cls.__name__)
