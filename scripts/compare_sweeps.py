@@ -7,8 +7,9 @@ For each grid point it prints the two mean range errors and
 z = |m1 - m2| / sqrt(se1^2 + se2^2), with se = std / sqrt(trials), then how
 many points lie within 3 standard errors. Points whose means are equal
 count as z = 0, and points whose means differ with both spreads zero as
-z = inf. Exit status: 0, or 2 with one line when a table cannot be read or
-the two tables do not cover the same grid.
+z = inf. Exit status: 0, or 2 with one line when a table cannot be read
+(a table holding a non-finite number or a row with fewer than one trial
+counts as unreadable) or the two tables do not cover the same grid.
 """
 
 import math

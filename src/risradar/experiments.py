@@ -486,9 +486,18 @@ class ReportResult:
     checks: list[tuple[str, bool, str]]
 
     @property
+    def verdict(self) -> str:
+        """The one pass rule: `pass` when a study was found, a check was made
+        and every check passed; otherwise what is missing, or `fail`."""
+        if not self.num_studies:
+            return "nothing-run"
+        if not self.checks:
+            return "nothing-checked"
+        return "pass" if all(ok for _, ok, _ in self.checks) else "fail"
+
+    @property
     def passed(self) -> bool:
-        """The one pass rule: a study was found, a check was made and every check passed."""
-        return bool(self.num_studies and self.checks) and all(ok for _, ok, _ in self.checks)
+        return self.verdict == "pass"
 
 
 class ReportError(ValueError):
@@ -504,6 +513,19 @@ def _parsing(path: Path):
         raise ReportError(f"{path}: {reason}") from None
 
 
+def _check(checks: list, name: str, detail: str, cases, holds) -> None:
+    """The one check rule: `name` passes when `holds(*case)` is true of every
+    case, and is made only when it has a case to judge."""
+    cases = list(cases)
+    if cases:
+        checks.append((name, all(holds(*case) for case in cases), detail))
+
+
+def _steps(series):
+    """The consecutive (before, after) values of a series of (key, value) pairs, in sorted order."""
+    return itertools.pairwise(value for _, value in sorted(series))
+
+
 def _check_pattern_study(out_dir: Path, checks: list, artifacts: list) -> bool:
     path = out_dir / "pattern_metrics.txt"
     if not path.exists():
@@ -513,23 +535,15 @@ def _check_pattern_study(out_dir: Path, checks: list, artifacts: list) -> bool:
             artifacts.append(out_dir / name)
     with _parsing(path):
         metrics = read_keyvals(path)
-        argmax = float(metrics["combined_argmax_deg"])
-        target = float(metrics["target_angle_deg"])
-        null_db = float(metrics["combined_db_at_interferer"])
-    checks.append(
-        (
-            "pattern: combined argmax within 0.25 deg of target",
-            abs(argmax - target) <= 0.25,
-            f"argmax={argmax} target={target}",
-        )
-    )
-    checks.append(
-        (
-            "pattern: combined level at interferer <= -60 dB",
-            null_db <= -60.0,
-            f"level={null_db} dB",
-        )
-    )
+        keys = ("combined_argmax_deg", "target_angle_deg", "combined_db_at_interferer")
+        argmax, target, null_db = values = [float(metrics[key]) for key in keys]
+        for key, value in zip(keys, values):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+    name = "pattern: combined argmax within 0.25 deg of target"
+    _check(checks, name, f"argmax={argmax} target={target}", [(argmax, target)], lambda a, t: abs(a - t) <= 0.25)
+    name = "pattern: combined level at interferer <= -60 dB"
+    _check(checks, name, f"level={null_db} dB", [(null_db,)], lambda level: level <= -60.0)
     return True
 
 
@@ -543,39 +557,25 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
         if not rows:
             raise ValueError("no data rows")
         bin_m = float(comments["range_bin_m"])
+        if not 0.0 < bin_m < math.inf:
+            raise ValueError(f"range_bin_m must be finite and positive, got {bin_m}")
     by_offset: dict = {}
     for ratio, offset, mean, _std, _trials in rows:
         by_offset.setdefault(offset, []).append((ratio, mean))
 
+    def within_one_bin(a, b):
+        return b >= a - bin_m
+
     at_null = [mean for ratio, mean in by_offset.get(0.0, []) if ratio <= 30.0]
-    if at_null:
-        checks.append(
-            (
-                f"{stem}: mean error at zero offset <= one range bin (ratios <= 30 dB)",
-                all(m <= bin_m for m in at_null),
-                f"max={max(at_null)} bin={bin_m}",
-            )
-        )
-    # each trend check is made only when it has a pair of points to compare
-    ratio_pairs = [pair for series in by_offset.values() for pair in itertools.pairwise(sorted(series))]
-    if ratio_pairs:
-        checks.append(
-            (
-                f"{stem}: mean error non-decreasing in power ratio (one-bin tolerance)",
-                not any(b < a - bin_m for (_, a), (_, b) in ratio_pairs),
-                f"offsets={len(by_offset)}",
-            )
-        )
+    name = f"{stem}: mean error at zero offset <= one range bin (ratios <= 30 dB)"
+    _check(checks, name, f"max={max(at_null, default=None)} bin={bin_m}", [(m,) for m in at_null], lambda m: m <= bin_m)
+    ratio_steps = [step for series in by_offset.values() for step in _steps(series)]
+    name = f"{stem}: mean error non-decreasing in power ratio (one-bin tolerance)"
+    _check(checks, name, f"offsets={len(by_offset)}", ratio_steps, within_one_bin)
     top_ratio = max(r for r, *_ in rows)
-    top = sorted((abs(offset), mean) for ratio, offset, mean, _s, _t in rows if ratio == top_ratio)
-    if len(top) > 1:
-        checks.append(
-            (
-                f"{stem}: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)",
-                all(b >= a - bin_m for (_, a), (_, b) in itertools.pairwise(top)),
-                f"ratio={top_ratio}",
-            )
-        )
+    top_steps = _steps((abs(offset), mean) for ratio, offset, mean, _s, _t in rows if ratio == top_ratio)
+    name = f"{stem}: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)"
+    _check(checks, name, f"ratio={top_ratio}", top_steps, within_one_bin)
     return True
 
 
@@ -587,33 +587,22 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
     artifacts.extend(sorted(out_dir.glob("multinotch_pattern_eps*.csv")))
     with _parsing(path):
         rows = sorted((eps, bw, sup) for eps, bw, _lo, _hi, sup in read_multinotch_summary(path))
-    if len(rows) < 2:  # one spacing: neither trend has a pair to compare
-        return True
-    checks.append(
-        (
-            "multinotch: suppression bandwidth strictly increasing with spacing",
-            all(b[1] > a[1] for a, b in itertools.pairwise(rows)),
-            ",".join(repr(r[1]) for r in rows),
-        )
-    )
-    checks.append(
-        (
-            "multinotch: minimum in-band suppression strictly decreasing with spacing",
-            all(b[2] < a[2] for a, b in itertools.pairwise(rows)),
-            ",".join(repr(r[2]) for r in rows),
-        )
-    )
+    bandwidths = [bw for _, bw, _ in rows]
+    name = "multinotch: suppression bandwidth strictly increasing with spacing"
+    _check(checks, name, ",".join(map(repr, bandwidths)), itertools.pairwise(bandwidths), lambda a, b: b > a)
+    suppressions = [sup for _, _, sup in rows]
+    name = "multinotch: minimum in-band suppression strictly decreasing with spacing"
+    _check(checks, name, ",".join(map(repr, suppressions)), itertools.pairwise(suppressions), lambda a, b: b < a)
     return True
 
 
 def report(out_dir) -> ReportResult:
     """Aggregate study outputs under out_dir into summary.txt.
 
-    Zero discovered studies still writes the summary, which then ends
-    `result: nothing-run`, and studies with no check to make end it
-    `result: nothing-checked`; `ReportResult.passed` is then false, and the
-    front ends exit 1. A path that is not a directory is a ReportError, raised
-    before anything is written.
+    The summary ends with `ReportResult.verdict`, also when no study or no
+    check was found; any verdict but `pass` makes the front ends exit 1. A
+    path that is not a directory is a ReportError, raised before anything is
+    written.
     """
     out_dir = Path(out_dir)
     if not out_dir.is_dir():
@@ -645,7 +634,6 @@ def report(out_dir) -> ReportResult:
             lines.append(f"  [{'PASS' if ok else 'FAIL'}] {name} ({detail})")
     result = ReportResult(path=out_dir / "summary.txt", num_studies=num_studies, checks=checks)
     lines.append("")
-    verdict = "pass" if result.passed else "nothing-run" if not num_studies else "nothing-checked" if not checks else "fail"
-    lines.append(f"result: {verdict}")
+    lines.append(f"result: {result.verdict}")
     write_lines(result.path, lines)
     return result

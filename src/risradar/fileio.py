@@ -8,6 +8,7 @@ runs produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,8 +80,8 @@ def _write_table(path, table: Table, columns, comments=()) -> Path:
 
 def _parse_table(path, lines, table: Table) -> list[list]:
     """The typed columns of the `table` file `path` whose lines are `lines`; a wrong
-    header, a row with the wrong number of values or a value of the wrong kind is a
-    ValueError naming the path."""
+    header, a row with the wrong number of values, a value of the wrong kind or a
+    non-finite number is a ValueError naming the path."""
     lines = [line for line in lines if line and not line.startswith("#")]
     if not lines or lines[0] != table.header:
         raise ValueError(f"{path}: expected the header {table.header}")
@@ -89,9 +90,14 @@ def _parse_table(path, lines, table: Table) -> list[list]:
         if len(values) != len(table.kinds):
             raise ValueError(f"{path}: row {number} has {len(values)} values, expected {len(table.kinds)}")
     try:
-        return [list(map(kind, column)) for kind, column in zip(table.kinds, _columns(rows, len(table.kinds)))]
+        columns = [list(map(kind, column)) for kind, column in zip(table.kinds, _columns(rows, len(table.kinds)))]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    floats = [column for kind, column in zip(table.kinds, columns) if kind is float]
+    for number, values in enumerate(zip(*floats), 1):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: row {number} has a non-finite value")
+    return columns
 
 
 def _read_table(path, table: Table) -> list[list]:
@@ -157,9 +163,14 @@ def write_sweep_table(path, points, comments=()) -> Path:
 
 
 def read_sweep_file(path) -> tuple[list[tuple[float, float, float, float, int]], dict]:
-    """A sweep table's rows and its `# key=value` comments, from one read."""
+    """A sweep table's rows and its `# key=value` comments, from one read; a row
+    with fewer than one trial is a ValueError naming the file and the row."""
     lines = _lines(path)
-    return list(zip(*_parse_table(path, lines, SWEEP_TABLE))), _comment_meta(path, lines)
+    rows = list(zip(*_parse_table(path, lines, SWEEP_TABLE)))
+    for number, row in enumerate(rows, 1):
+        if row[4] < 1:
+            raise ValueError(f"{path}: row {number} has {row[4]} trials, expected at least 1")
+    return rows, _comment_meta(path, lines)
 
 
 def read_sweep_table(path) -> list[tuple[float, float, float, float, int]]:

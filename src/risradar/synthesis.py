@@ -86,7 +86,6 @@ class PeakNetwork:
         if num_elements < 1:
             raise ValueError("num_elements must be positive")
         self.num_elements = num_elements
-        self.spec = spec
         dims = [2] + [spec.hidden_width] * (spec.num_layers - 1) + [num_elements]
         self.params = np.empty(sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims[:-1], dims[1:])))
         self.grads = np.zeros_like(self.params)

@@ -146,6 +146,26 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
             f"# free text\n# range_bin_m=0.75\n# range_bin_m=100.0\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n",
             "line 3: repeated key range_bin_m",
         ),
+        (
+            "sweep.csv",
+            f"# range_bin_m=inf\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n",
+            "range_bin_m must be finite and positive, got inf",
+        ),
+        (
+            "sweep.csv",
+            f"# range_bin_m=0.75\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n30.0,0.0,nan,0.0,2\n",
+            "row 2 has a non-finite value",
+        ),
+        (
+            "pattern_metrics.txt",
+            "combined_argmax_deg = 72.0\ntarget_angle_deg = 72.0\ncombined_db_at_interferer = -inf\n",
+            "combined_db_at_interferer must be finite, got -inf",
+        ),
+        (
+            "sweep.csv",
+            f"# range_bin_m=0.75\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,0\n",
+            "row 1 has 0 trials, expected at least 1",
+        ),
     ],
     ids=[
         "sweep-without-rows",
@@ -155,6 +175,10 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
         "metrics-line-without-equals",
         "metrics-repeated-key",
         "sweep-repeated-comment-key",
+        "sweep-infinite-range-bin",
+        "sweep-nan-mean",
+        "metrics-infinite-level",
+        "sweep-zero-trials",
     ],
 )
 def test_report_on_unparsable_study_file_exits_two(name, text, reason, tmp_path, capsys):
@@ -673,3 +697,15 @@ def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
     )
     assert run.returncode == 2
     assert run.stderr == "error: the tables do not cover the same (ratio, offset) grid\n"
+
+
+def test_compare_sweeps_script_rejects_a_row_without_trials(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_sweeps.py"
+    write_sweep_table(tmp_path / "old.csv", [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 4)], ("range_bin_m=0.75",))
+    write_sweep_table(tmp_path / "new.csv", [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 0)], ("range_bin_m=0.75",))
+    run = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "new.csv")], capture_output=True, text=True
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"error: {tmp_path / 'new.csv'}: row 1 has 0 trials, expected at least 1\n"
+    assert run.stdout == ""

@@ -24,7 +24,7 @@ from risradar.experiments import (
     trial_seeds,
     write_sweep_files,
 )
-from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_file
+from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_file, write_sweep_table
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import InterferenceParams, TargetParams, draw_trial, frame_terms
 from risradar.synthesis import (
@@ -693,7 +693,42 @@ class TestHandedInputs:
         assert all(entry.sweep is not None for entry in result.entries)
 
 
+RATIO_TREND = "sweep: mean error non-decreasing in power ratio (one-bin tolerance)"
+OFFSET_TREND = "sweep: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)"
+
+
+@st.composite
+def sweep_tables(draw):
+    """A full grid of 1-4 ratios by 1-4 offsets, with or without a zero offset;
+    the offsets' magnitudes differ, and every mean and bin is a multiple of
+    0.25, so each comparison is exact."""
+    ratios = sorted(draw(st.lists(st.sampled_from((0.0, 20.0, 30.0, 50.0, 80.0)), min_size=1, max_size=4, unique=True)))
+    pool = (0.0, 0.01, -0.02, 0.05, -0.1)
+    offsets = sorted(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)))
+    means = {(r, o): 0.25 * draw(st.integers(0, 40)) for r in ratios for o in offsets}
+    return ratios, offsets, means, draw(st.sampled_from((0.25, 0.75, 1.0)))
+
+
+def drops_at_most(means, bin_m):
+    """No mean in the sequence is more than bin_m below the one before it."""
+    return all(earlier - later <= bin_m for earlier, later in zip(means, means[1:]))
+
+
 class TestReport:
+    @settings(max_examples=100, deadline=None)
+    @given(table=sweep_tables())
+    def test_a_sweep_trend_is_checked_when_it_has_a_pair_and_passes_within_one_bin(self, tmp_path_factory, table):
+        ratios, offsets, means, bin_m = table
+        out = tmp_path_factory.mktemp("trend")
+        points = [experiments.SweepPoint(r, o, means[r, o], 0.0, 5) for r in ratios for o in offsets]
+        write_sweep_table(out / "sweep.csv", points, (f"range_bin_m={bin_m!r}",))
+        checks = {name: ok for name, ok, _detail in report(out).checks}
+        by_ratio = [[means[r, o] for r in ratios] for o in offsets]
+        expected = {RATIO_TREND: all(drops_at_most(series, bin_m) for series in by_ratio)} if len(ratios) > 1 else {}
+        if len(offsets) > 1:
+            expected[OFFSET_TREND] = drops_at_most([means[ratios[-1], o] for o in sorted(offsets, key=abs)], bin_m)
+        assert {name: ok for name, ok in checks.items() if name in (RATIO_TREND, OFFSET_TREND)} == expected
+
     def test_empty_directory_reports_nothing_run(self, tmp_path):
         result = report(tmp_path)
         assert result.num_studies == 0

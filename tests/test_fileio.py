@@ -190,6 +190,7 @@ FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 INTS = st.integers(0, 2**32 - 1)
+TRIALS = st.integers(1, 2**32 - 1)
 
 
 def _pattern(path, rows):
@@ -224,13 +225,14 @@ def _summary(path, rows):
     return rows, read_multinotch_summary(path)
 
 
+# name: (round trip, one strategy a column, the fewest rows); a sweep row needs a trial
 ROUND_TRIPS = {
-    "pattern": (_pattern, (float, float), 0),
-    "records": (_records, (int, float, float, float), 0),
-    "sweep": (_sweep, (float, float, float, float, int), 0),
-    "loss": (_loss, (float,), 0),
-    "config": (_config, (float, float), 1),
-    "multinotch-summary": (_summary, (float,) * 5, 0),
+    "pattern": (_pattern, (FLOATS, FLOATS), 0),
+    "records": (_records, (INTS, FLOATS, FLOATS, FLOATS), 0),
+    "sweep": (_sweep, (FLOATS, FLOATS, FLOATS, FLOATS, TRIALS), 0),
+    "loss": (_loss, (FLOATS,), 0),
+    "config": (_config, (FLOATS, FLOATS), 1),
+    "multinotch-summary": (_summary, (FLOATS,) * 5, 0),
 }
 
 
@@ -243,8 +245,8 @@ def _exact(rows):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_every_writer_round_trips_exactly(name, data, tmp_path_factory):
-    round_trip, kinds, min_rows = ROUND_TRIPS[name]
-    row = st.tuples(*(INTS if kind is int else FLOATS for kind in kinds))
+    round_trip, columns, min_rows = ROUND_TRIPS[name]
+    row = st.tuples(*columns)
     rows = data.draw(st.lists(row, min_size=min_rows, max_size=12))
     written, read = round_trip(tmp_path_factory.mktemp(name) / "table.csv", rows)
     assert _exact(read) == _exact(written)
@@ -275,6 +277,19 @@ def test_row_with_wrong_value_count_names_the_path(name, extra, tmp_path):
     with pytest.raises(ValueError) as excinfo:
         read(path)
     assert str(excinfo.value).startswith(f"{path}: row 2 has {len(values) + extra} values, expected {len(values)}")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["pattern", "config", "records", "sweep", "multinotch-summary"])
+def test_non_finite_value_names_the_path_and_row(name, value, tmp_path):
+    path, read = _valid_tables(tmp_path)[name]
+    lines = path.read_text().splitlines()
+    values = lines[-1].split(",")
+    lines[-1] = ",".join([values[0], value, *values[2:]])  # the second column is a float in every table
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}: row 2 has a non-finite value"
 
 
 def test_multinotch_summary_bytes_are_pinned(tmp_path):

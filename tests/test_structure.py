@@ -22,6 +22,9 @@
   to a key with no table. The notch angle alone has no key: it is the
   interferer's, whose rule the scenario checks first. The default scenario
   builds each domain type's defaults, so a default is stated once.
+* One rule per report check: every check `report` makes is appended by
+  `experiments._check`, and only `ReportResult.verdict` names the verdicts
+  other than pass and fail.
 
 The rules hold for the package and for `scripts/`. The first holds for the
 test references in `tests/oracles.py` too, so they stay independent of the
@@ -204,3 +207,29 @@ def test_domain_rules_raise_only_field_errors(cls):
     raised = [ast.unparse(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
     assert raised
     assert [text for text in raised if not text.startswith("FieldError(")] == []
+
+
+VERDICTS = ("nothing-run", "nothing-checked")
+
+
+def test_each_report_rule_is_stated_once():
+    trees = {path: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    tree = trees[PACKAGE / "experiments.py"]
+    appends = [
+        node.name
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "checks.append"
+    ]
+    assert appends == ["_check"]
+    result = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ReportResult")
+    verdict = next(node for node in result.body if isinstance(node, ast.FunctionDef) and node.name == "verdict")
+    inside = {id(node) for node in ast.walk(verdict)}
+    named = [
+        f"{path.stem} line {node.lineno}: {node.value!r}"
+        for path, module in trees.items()
+        for node in ast.walk(module)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(v in node.value for v in VERDICTS)
+        if id(node) not in inside
+    ]
+    assert named == []
