@@ -111,20 +111,19 @@ class RisConfig:
         return self.coefficients.size
 
     def static_column(self) -> np.ndarray:
-        """The coefficient vector; an alias of `coefficients` for existing callers."""
+        """The coefficient vector, an alias of `coefficients` that the benchmark calls."""
         return self.coefficients
 
 
-def subcarrier_ratios(params: OfdmParams, subcarrier_mode: str) -> np.ndarray | None:
-    """lambda / lambda_n = (f_c + n * df) / f_c for every subcarrier n, the
-    per-subcarrier phase stretch, in "all" mode; None in "carrier" mode, where
-    the carrier alone counts. An unknown mode is a ValueError."""
+def subcarrier_ratios(params: OfdmParams, subcarrier_mode: str) -> np.ndarray:
+    """lambda / lambda_n = (f_c + n * df) / f_c, the per-subcarrier phase
+    stretch, for every subcarrier n in "all" mode and for n = 0 alone, the
+    carrier's exact 1.0, in "carrier" mode. An unknown mode is a ValueError."""
     if subcarrier_mode not in _MODES:
         raise ValueError(f"subcarrier_mode must be one of {_MODES}")
-    if subcarrier_mode == CARRIER_ONLY:
-        return None
+    count = params.num_subcarriers if subcarrier_mode == ALL_SUBCARRIERS else 1
     fc = params.carrier_freq_hz
-    return (fc + np.arange(params.num_subcarriers) * params.subcarrier_spacing) / fc
+    return (fc + np.arange(count) * params.subcarrier_spacing) / fc
 
 
 def steering(num_elements: int, thetas, ratios=None) -> np.ndarray:
@@ -172,7 +171,7 @@ def power_patterns(configs, params: OfdmParams, angles, subcarrier_mode: str = C
     ratios = subcarrier_ratios(params, subcarrier_mode)
     totals = [np.zeros(angles.shape) for _ in coeffs]
     # one (angles x elements) block per subcarrier, freed before the next, keeps memory flat in N
-    for ratio in (None,) if ratios is None else ratios:
+    for ratio in ratios:
         block = steering(max((c.size for c in coeffs), default=1), angles, ratio)
         for total, c in zip(totals, coeffs):
             total += np.abs(block[:, : c.size] @ c) ** 2

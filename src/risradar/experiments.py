@@ -90,12 +90,15 @@ class SynthesisBundle:
     combined: RisConfig
 
 
+def _combined(peak: RisConfig, notch: RisConfig) -> RisConfig:
+    """The peak convolved with the notch, rescaled into the unit disk."""
+    return normalize_coefficients(combine_convolve(peak, notch))
+
+
 def synthesize_configs(scenario: Scenario, training: TrainingResult) -> SynthesisBundle:
-    """Build the notch, convolve the trained peak with it, and rescale the
-    combination into the unit disk."""
+    """Build the scenario's notch and its combination with the trained peak."""
     notch = multi_notch(scenario.notch_spec())
-    combined = normalize_coefficients(combine_convolve(training.config, notch))
-    return SynthesisBundle(notch=notch, combined=combined)
+    return SynthesisBundle(notch=notch, combined=_combined(training.config, notch))
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +186,8 @@ class SweepResult:
 
 def trial_seeds(master_seed: int, ratio_idx: int, offset_idx: int, trial: int) -> int:
     """Fixed splitting rule: the one seed of a trial's generator, which the
-    records keep. It is the first word of the SeedSequence's state, the word
-    that seeded the radar symbols when a trial drew from four generators, so
-    the records' seed column kept its values."""
+    records keep, is the first word of the state of the SeedSequence of
+    (master seed, ratio index, offset index, trial)."""
     seq = np.random.SeedSequence([int(master_seed), int(ratio_idx), int(offset_idx), int(trial)])
     return int(seq.generate_state(1)[0])
 
@@ -440,7 +442,7 @@ def run_multinotch_study(
     if training is not None:
         # every spacing is swept at each point on the same draws, in one pool
         # forked before the pattern blocks leave freed heap behind
-        combined = [normalize_coefficients(combine_convolve(training.config, notch)) for notch in notches]
+        combined = [_combined(training.config, notch) for notch in notches]
         sweeps = _sweep_results(scenario, combined, subcarrier_mode, workers)
     center = scenario.interferer_angle_rad
     patterns = power_patterns(notches, params, grid_rad, subcarrier_mode)

@@ -44,66 +44,47 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in items)
 
 
-# key -> (attribute, converter)
-_SCHEMA = {
-    "ofdm.carrier_freq_hz": ("carrier_freq_hz", float),
-    "ofdm.bandwidth_hz": ("bandwidth_hz", float),
-    "ofdm.num_subcarriers": ("num_subcarriers", int),
-    "ofdm.num_symbols": ("num_symbols", int),
-    "ofdm.cp_ratio": ("cp_ratio", float),
-    "geometry.num_peak_elements": ("num_peak_elements", int),
-    "angles.target_rad": ("target_angle_rad", float),
-    "angles.interferer_rad": ("interferer_angle_rad", float),
-    "network.num_layers": ("net_num_layers", int),
-    "network.hidden_width": ("net_hidden_width", int),
-    "network.learning_rate": ("net_learning_rate", float),
-    "network.num_iterations": ("net_num_iterations", int),
-    "network.init_seed": ("net_init_seed", int),
-    "notch.num_notches": ("num_notches", int),
-    "notch.spacing_rad": ("notch_spacing_rad", float),
-    "sweep.power_ratios_db": ("power_ratios_db", _float_list),
-    "sweep.angle_offsets_rad": ("angle_offsets_rad", _float_list),
-    "sweep.trials": ("trials", int),
-    "sweep.target_range_m": ("target_range_m", float),
-    "sweep.target_velocity_mps": ("target_velocity_mps", float),
-    "sweep.interferer_delay_s": ("interferer_delay_s", float),
-    "sweep.interferer_doppler_scale": ("interferer_doppler_scale", float),
-    "sweep.noise_variance": ("noise_variance", float),
-    "sweep.pad_range": ("pad_range", int),
-    "sweep.pad_velocity": ("pad_velocity", int),
-    "master_seed": ("master_seed", int),
-    "output_dir": ("output_dir", str),
-}
+_CONVERTERS = {"float": float, "int": int, "str": str, "tuple[float, ...]": _float_list}
+# the key sections whose fields are those of a domain type
+_DOMAINS = {"ofdm.": OfdmParams, "network.": PeakNetSpec, "notch.": NotchSpec}
+
+
+def _key(key: str, default):
+    """A Scenario field that the text sets under `key`; its annotation picks the converter."""
+    return dataclasses.field(default=default, metadata={"key": key})
+
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    carrier_freq_hz: float = 77e9
-    bandwidth_hz: float = 200e6
-    num_subcarriers: int = 100
-    num_symbols: int = 50
-    cp_ratio: float = OfdmParams.cp_ratio
-    num_peak_elements: int = 200
-    target_angle_rad: float = 2.0 * np.pi / 5.0
-    interferer_angle_rad: float = np.pi / 4.0
-    net_num_layers: int = PeakNetSpec.num_layers
-    net_hidden_width: int = PeakNetSpec.hidden_width
-    net_learning_rate: float = PeakNetSpec.learning_rate
-    net_num_iterations: int = PeakNetSpec.num_iterations
-    net_init_seed: int = PeakNetSpec.init_seed
-    num_notches: int = NotchSpec.num_notches
-    notch_spacing_rad: float = NotchSpec.spacing_rad
-    power_ratios_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-    angle_offsets_rad: tuple[float, ...] = (-0.02, -0.015, -0.01, -0.005, 0.0, 0.005, 0.01, 0.015, 0.02)
-    trials: int = 50
-    target_range_m: float = 30.0
-    target_velocity_mps: float = 0.0
-    interferer_delay_s: float = 3e-7
-    interferer_doppler_scale: float = 0.0
-    noise_variance: float = 1.0
-    pad_range: int = 4
-    pad_velocity: int = 4
-    master_seed: int = 0
-    output_dir: str = "out"
+    carrier_freq_hz: float = _key("ofdm.carrier_freq_hz", 77e9)
+    bandwidth_hz: float = _key("ofdm.bandwidth_hz", 200e6)
+    num_subcarriers: int = _key("ofdm.num_subcarriers", 100)
+    num_symbols: int = _key("ofdm.num_symbols", 50)
+    cp_ratio: float = _key("ofdm.cp_ratio", OfdmParams.cp_ratio)
+    num_peak_elements: int = _key("geometry.num_peak_elements", 200)
+    target_angle_rad: float = _key("angles.target_rad", 2.0 * np.pi / 5.0)
+    interferer_angle_rad: float = _key("angles.interferer_rad", np.pi / 4.0)
+    net_num_layers: int = _key("network.num_layers", PeakNetSpec.num_layers)
+    net_hidden_width: int = _key("network.hidden_width", PeakNetSpec.hidden_width)
+    net_learning_rate: float = _key("network.learning_rate", PeakNetSpec.learning_rate)
+    net_num_iterations: int = _key("network.num_iterations", PeakNetSpec.num_iterations)
+    net_init_seed: int = _key("network.init_seed", PeakNetSpec.init_seed)
+    num_notches: int = _key("notch.num_notches", NotchSpec.num_notches)
+    notch_spacing_rad: float = _key("notch.spacing_rad", NotchSpec.spacing_rad)
+    power_ratios_db: tuple[float, ...] = _key("sweep.power_ratios_db", (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0))
+    angle_offsets_rad: tuple[float, ...] = _key(
+        "sweep.angle_offsets_rad", (-0.02, -0.015, -0.01, -0.005, 0.0, 0.005, 0.01, 0.015, 0.02)
+    )
+    trials: int = _key("sweep.trials", 50)
+    target_range_m: float = _key("sweep.target_range_m", 30.0)
+    target_velocity_mps: float = _key("sweep.target_velocity_mps", 0.0)
+    interferer_delay_s: float = _key("sweep.interferer_delay_s", 3e-7)
+    interferer_doppler_scale: float = _key("sweep.interferer_doppler_scale", 0.0)
+    noise_variance: float = _key("sweep.noise_variance", 1.0)
+    pad_range: int = _key("sweep.pad_range", 4)
+    pad_velocity: int = _key("sweep.pad_velocity", 4)
+    master_seed: int = _key("master_seed", 0)
+    output_dir: str = _key("output_dir", "out")
 
     def __post_init__(self):
         for key, (attr, conv) in _SCHEMA.items():
@@ -139,29 +120,21 @@ class Scenario:
         _require(self.pad_velocity >= 1, "sweep.pad_velocity", "must be a padding factor >= 1")
         _require(self.master_seed >= 0, "master_seed", "must be non-negative")
 
+    def _domain(self, section: str, **given):
+        """The section's domain object from its keys' values; a value given, unless None, sets its field."""
+        fields = {field: getattr(self, attr) for field, attr in _SECTIONS[section]}
+        fields.update((field, value) for field, value in given.items() if value is not None)
+        return _DOMAINS[section](**fields)
+
     def ofdm_params(self) -> OfdmParams:
-        return OfdmParams(
-            carrier_freq_hz=self.carrier_freq_hz,
-            bandwidth_hz=self.bandwidth_hz,
-            num_subcarriers=self.num_subcarriers,
-            num_symbols=self.num_symbols,
-            cp_ratio=self.cp_ratio,
-        )
+        return self._domain("ofdm.")
 
     def network_spec(self) -> PeakNetSpec:
-        return PeakNetSpec(
-            num_layers=self.net_num_layers,
-            hidden_width=self.net_hidden_width,
-            learning_rate=self.net_learning_rate,
-            num_iterations=self.net_num_iterations,
-            init_seed=self.net_init_seed,
-        )
+        return self._domain("network.")
 
     def notch_spec(self, num_notches: int | None = None, spacing_rad: float | None = None) -> NotchSpec:
-        return NotchSpec(
-            notch_angle_rad=self.interferer_angle_rad,
-            num_notches=self.num_notches if num_notches is None else num_notches,
-            spacing_rad=self.notch_spacing_rad if spacing_rad is None else spacing_rad,
+        return self._domain(
+            "notch.", notch_angle_rad=self.interferer_angle_rad, num_notches=num_notches, spacing_rad=spacing_rad
         )
 
     def replace(self, **changes) -> "Scenario":
@@ -180,6 +153,15 @@ class Scenario:
                 rendered = str(value)
             lines.append(f"{key} = {rendered}")
         return "\n".join(lines) + "\n"
+
+
+# key -> (attribute, converter), in field order
+_SCHEMA = {f.metadata["key"]: (f.name, _CONVERTERS[f.type]) for f in dataclasses.fields(Scenario)}
+# section -> (domain field, attribute) of each of its keys
+_SECTIONS = {
+    section: tuple((key.removeprefix(section), attr) for key, (attr, _) in _SCHEMA.items() if key.startswith(section))
+    for section in _DOMAINS
+}
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -79,9 +79,9 @@ class InterferenceParams:
     amplitude: complex = 1.0 + 0.0j
 
 
-def _gain_column(config: RisConfig, theta: float, ratios: np.ndarray | None) -> np.ndarray:
-    """g[n] = c^T b_n(theta) as an (N, 1) column, or (1, 1) with b at the
-    carrier when `ratios` is None, for broadcasting over the symbols."""
+def _gain_column(config: RisConfig, theta: float, ratios: np.ndarray) -> np.ndarray:
+    """g[n] = c^T b_n(theta) as a (len(ratios), 1) column, for broadcasting
+    over the symbols."""
     coeffs = config.coefficients
     return np.reshape(steering(coeffs.size, theta, ratios) @ coeffs, (-1, 1))
 

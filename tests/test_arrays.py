@@ -63,7 +63,7 @@ class TestOfdmParams:
         assert params.unambiguous_range == 75.0
 
     def test_subcarrier_wavelengths(self, params):
-        assert subcarrier_ratios(params, CARRIER_ONLY) is None
+        assert subcarrier_ratios(params, CARRIER_ONLY).tolist() == [1.0]
         ratios = subcarrier_ratios(params, ALL_SUBCARRIERS)
         assert ratios[0] == 1.0
         n = 99

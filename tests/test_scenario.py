@@ -1,3 +1,4 @@
+import hashlib
 import string
 
 import numpy as np
@@ -125,6 +126,14 @@ class TestDefaults:
 
 
 class TestParsing:
+    def test_default_echo_is_pinned(self):
+        # every scenario_used.txt holds this echo: its key order and each value's rendering
+        text = default_scenario().to_text()
+        assert len(text.splitlines()) == 27
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "627bc4d1ddc9f513496e82e377f0d2c8e03a40d76c5b8a767bb2c47973f5bef9"
+        )
+
     def test_round_trip_is_exact(self):
         sc = default_scenario().replace(master_seed=99, power_ratios_db=(0.0, 12.5))
         assert parse_scenario(sc.to_text()) == sc

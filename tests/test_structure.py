@@ -22,6 +22,9 @@
   to a key with no table. The notch angle alone has no key: it is the
   interferer's, whose rule the scenario checks first. The default scenario
   builds each domain type's defaults, so a default is stated once.
+* One declaration per scenario key: each `Scenario` field carries its key
+  and an annotation the parser converts, and `_SCHEMA` is those keys in
+  field order, so the schema and the domain builders are derived from it.
 * One rule per report check: every check `report` makes is appended by
   `experiments._check`, and only `ReportResult.verdict` names the verdicts
   other than pass and fail.
@@ -40,7 +43,7 @@ from pathlib import Path
 import pytest
 
 from risradar.arrays import OfdmParams
-from risradar.scenario import _SCHEMA, default_scenario
+from risradar.scenario import _SCHEMA, Scenario, default_scenario
 from risradar.synthesis import NotchSpec, PeakNetSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +185,16 @@ def test_training_has_one_owner():
 
 def test_only_the_cli_runs_a_study_or_the_report():
     assert strays(STUDY_OWNERS) == []
+
+
+SCENARIO_ANNOTATIONS = {"float", "int", "str", "tuple[float, ...]"}
+
+
+def test_each_scenario_key_is_declared_once_on_its_field():
+    fields = dataclasses.fields(Scenario)
+    assert [f.name for f in fields if set(f.metadata) != {"key"} or f.type not in SCENARIO_ANNOTATIONS] == []
+    assert list(_SCHEMA) == [f.metadata["key"] for f in fields]
+    assert [attr for attr, _ in _SCHEMA.values()] == [f.name for f in fields]
 
 
 DOMAIN_SECTIONS = {OfdmParams: "ofdm.", PeakNetSpec: "network.", NotchSpec: "notch."}
