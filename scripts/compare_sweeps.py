@@ -18,13 +18,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from risradar.fileio import read_sweep_file  # noqa: E402
+from risradar.fileio import SweepPoint, read_sweep_file  # noqa: E402
 
 
-def z_score(old, new) -> float:
-    """|m1 - m2| / sqrt(se1^2 + se2^2) of two sweep rows (ratio, offset, mean, std, trials)."""
-    gap = abs(old[2] - new[2])
-    se2 = old[3] ** 2 / old[4] + new[3] ** 2 / new[4]
+def z_score(old: SweepPoint, new: SweepPoint) -> float:
+    """|m1 - m2| / sqrt(se1^2 + se2^2) of two sweep points."""
+    gap = abs(old.mean_range_error_m - new.mean_range_error_m)
+    se2 = old.std_range_error_m**2 / old.trials + new.std_range_error_m**2 / new.trials
     if gap == 0.0:
         return 0.0
     return gap / math.sqrt(se2) if se2 > 0.0 else math.inf
@@ -39,7 +39,7 @@ def main(argv: list[str]) -> int:
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if [row[:2] for row in old] != [row[:2] for row in new]:
+    if [(p.power_ratio_db, p.angle_offset_rad) for p in old] != [(p.power_ratio_db, p.angle_offset_rad) for p in new]:
         print("error: the tables do not cover the same (ratio, offset) grid", file=sys.stderr)
         return 2
     print("power_ratio_db,angle_offset_rad,old_mean_m,new_mean_m,z")
@@ -47,7 +47,7 @@ def main(argv: list[str]) -> int:
     for a, b in zip(old, new):
         z = z_score(a, b)
         within += z <= 3.0
-        print(f"{a[0]!r},{a[1]!r},{a[2]!r},{b[2]!r},{z:.3f}")
+        print(f"{a.power_ratio_db!r},{a.angle_offset_rad!r},{a.mean_range_error_m!r},{b.mean_range_error_m!r},{z:.3f}")
     print(f"within 3 standard errors: {within} of {len(old)}")
     return 0
 

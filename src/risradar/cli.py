@@ -49,9 +49,9 @@ def _integer_at_least(minimum: int):
 
 def _spacings(text: str) -> list[float]:
     """--epsilon value: a comma list of distinct, finite, non-negative notch spacings,
-    compared as floats (1e-3 repeats 0.001, and -0 repeats 0)."""
+    compared as floats (1e-3 repeats 0.001, and -0 repeats 0), with no empty item."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         values = []
     if not values or not all(math.isfinite(v) and v >= 0.0 for v in values) or len(set(values)) < len(values):
@@ -162,10 +162,10 @@ def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
     """The body of `command` on the loaded scenario and the trained peak it is handed."""
     if command == "pattern":
         result = run_pattern_study(scenario, out_dir, training, args.mode, args.grid)
-        print(f"combined argmax: {result.argmax_deg} deg")
-        print(f"combined level at interferer: {result.combined_db_at_interferer} dB")
-        print(f"peak gain ratio: {result.gain_ratio}")
-        for path in (result.peak_path, result.notch_path, result.combined_path, result.metrics_path):
+        print(f"combined argmax: {result.metrics['combined_argmax_deg']} deg")
+        print(f"combined level at interferer: {result.metrics['combined_db_at_interferer']} dB")
+        print(f"peak gain ratio: {result.metrics['peak_gain_ratio']}")
+        for path in result.paths.values():
             print(f"wrote {path}")
     elif command == "train-peak":
         config_path = write_config_file(

@@ -42,6 +42,7 @@ from .arrays import (
     steering,
 )
 from .fileio import (
+    SweepPoint,
     read_keyvals,
     read_multinotch_summary,
     read_sweep_file,
@@ -107,13 +108,11 @@ def synthesize_configs(scenario: Scenario, training: TrainingResult) -> Synthesi
 
 @dataclass
 class PatternStudyResult:
-    peak_path: Path
-    notch_path: Path
-    combined_path: Path
-    metrics_path: Path
-    argmax_deg: float
-    combined_db_at_interferer: float
-    gain_ratio: float
+    """What the pattern study wrote: its files by name, the three tables then
+    the metrics file, and the metrics that file holds."""
+
+    paths: dict[str, Path]
+    metrics: dict
 
 
 def run_pattern_study(
@@ -126,54 +125,32 @@ def run_pattern_study(
     """Emit normalized dB patterns for the trained peak, the notch, and
     their combination over the angle grid, plus a metrics file."""
     out_dir = Path(out_dir)
-    params = scenario.ofdm_params()
     bundle = synthesize_configs(scenario, training)
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
 
-    configs = (training.config, bundle.notch, bundle.combined)
-    linear = power_patterns(configs, params, grid_rad, subcarrier_mode)
-    patterns = dict(zip(("peak", "notch", "combined"), map(normalize_pattern_db, linear)))
+    configs = {"peak": training.config, "notch": bundle.notch, "combined": bundle.combined}
+    linear = power_patterns(configs.values(), scenario.ofdm_params(), grid_rad, subcarrier_mode)
+    patterns = dict(zip(configs, map(normalize_pattern_db, linear)))
+    paths = {name: write_pattern_table(out_dir / f"pattern_{name}.csv", grid_deg, db) for name, db in patterns.items()}
 
-    peak_path = write_pattern_table(out_dir / "pattern_peak.csv", grid_deg, patterns["peak"])
-    notch_path = write_pattern_table(out_dir / "pattern_notch.csv", grid_deg, patterns["notch"])
-    combined_path = write_pattern_table(out_dir / "pattern_combined.csv", grid_deg, patterns["combined"])
-
-    argmax_deg = float(grid_deg[int(np.argmax(patterns["combined"]))])
+    combined = patterns["combined"]
     interferer_idx = int(np.argmin(np.abs(grid_rad - scenario.interferer_angle_rad)))
-    db_at_interferer = float(patterns["combined"][interferer_idx])
     metrics = {
         "target_angle_deg": float(np.degrees(scenario.target_angle_rad)),
         "interferer_angle_deg": float(np.degrees(scenario.interferer_angle_rad)),
-        "combined_argmax_deg": argmax_deg,
-        "combined_db_at_interferer": db_at_interferer,
+        "combined_argmax_deg": float(grid_deg[int(np.argmax(combined))]),
+        "combined_db_at_interferer": float(combined[interferer_idx]),
         "peak_gain_ratio": training.gain_ratio,
         "grid_points": grid_points,
         "subcarrier_mode": subcarrier_mode,
     }
-    metrics_path = write_keyvals(out_dir / "pattern_metrics.txt", metrics)
-    return PatternStudyResult(
-        peak_path=peak_path,
-        notch_path=notch_path,
-        combined_path=combined_path,
-        metrics_path=metrics_path,
-        argmax_deg=argmax_deg,
-        combined_db_at_interferer=db_at_interferer,
-        gain_ratio=training.gain_ratio,
-    )
+    paths["metrics"] = write_keyvals(out_dir / "pattern_metrics.txt", metrics)
+    return PatternStudyResult(paths, metrics)
 
 
 # ---------------------------------------------------------------------------
 # interference sweep
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    power_ratio_db: float
-    angle_offset_rad: float
-    mean_range_error_m: float
-    std_range_error_m: float
-    trials: int
 
 
 @dataclass
@@ -555,15 +532,15 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
         return False
     artifacts.append(path)
     with _parsing(path):
-        rows, comments = read_sweep_file(path)
-        if not rows:
+        points, comments = read_sweep_file(path)
+        if not points:
             raise ValueError("no data rows")
         bin_m = float(comments["range_bin_m"])
         if not 0.0 < bin_m < math.inf:
             raise ValueError(f"range_bin_m must be finite and positive, got {bin_m}")
     by_offset: dict = {}
-    for ratio, offset, mean, _std, _trials in rows:
-        by_offset.setdefault(offset, []).append((ratio, mean))
+    for p in points:
+        by_offset.setdefault(p.angle_offset_rad, []).append((p.power_ratio_db, p.mean_range_error_m))
 
     def within_one_bin(a, b):
         return b >= a - bin_m
@@ -574,8 +551,8 @@ def _check_sweep(out_dir: Path, checks: list, artifacts: list, stem: str = "swee
     ratio_steps = [step for series in by_offset.values() for step in _steps(series)]
     name = f"{stem}: mean error non-decreasing in power ratio (one-bin tolerance)"
     _check(checks, name, f"offsets={len(by_offset)}", ratio_steps, within_one_bin)
-    top_ratio = max(r for r, *_ in rows)
-    top_steps = _steps((abs(offset), mean) for ratio, offset, mean, _s, _t in rows if ratio == top_ratio)
+    top_ratio = max(p.power_ratio_db for p in points)
+    top_steps = _steps((abs(p.angle_offset_rad), p.mean_range_error_m) for p in points if p.power_ratio_db == top_ratio)
     name = f"{stem}: mean error non-decreasing in |offset| at the top ratio (one-bin tolerance)"
     _check(checks, name, f"ratio={top_ratio}", top_steps, within_one_bin)
     return True

@@ -22,8 +22,18 @@ class Table(NamedTuple):
     kinds: tuple[type, ...]
 
 
+class SweepPoint(NamedTuple):
+    """One row of the sweep table: the range-error statistics of a grid point."""
+
+    power_ratio_db: float
+    angle_offset_rad: float
+    mean_range_error_m: float
+    std_range_error_m: float
+    trials: int
+
+
 PEAK_RECORD_HEADER = "seed,power_ratio_db,angle_rad,range_err_m"
-SWEEP_HEADER = "power_ratio_db,angle_offset_rad,mean_range_error_m,std_range_error_m,trials"
+SWEEP_HEADER = ",".join(SweepPoint._fields)
 MULTINOTCH_SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
 
 PATTERN_TABLE = Table("angle_deg,power_db", (float, float))
@@ -157,23 +167,22 @@ def read_peak_records(path) -> list[tuple[int, float, float, float]]:
 
 
 def write_sweep_table(path, points, comments=()) -> Path:
-    """Sweep statistics table; comment lines document the estimator choices."""
-    rows = [(p.power_ratio_db, p.angle_offset_rad, p.mean_range_error_m, p.std_range_error_m, p.trials) for p in points]
-    return _write_table(path, SWEEP_TABLE, _columns(rows, 5), comments)
+    """One row per `SweepPoint`; comment lines document the estimator choices."""
+    return _write_table(path, SWEEP_TABLE, _columns(points, len(SweepPoint._fields)), comments)
 
 
-def read_sweep_file(path) -> tuple[list[tuple[float, float, float, float, int]], dict]:
-    """A sweep table's rows and its `# key=value` comments, from one read; a row
-    with fewer than one trial is a ValueError naming the file and the row."""
+def read_sweep_file(path) -> tuple[list[SweepPoint], dict]:
+    """A sweep table's points and its `# key=value` comments, from one read; a
+    row with fewer than one trial is a ValueError naming the file and the row."""
     lines = _lines(path)
-    rows = list(zip(*_parse_table(path, lines, SWEEP_TABLE)))
-    for number, row in enumerate(rows, 1):
-        if row[4] < 1:
-            raise ValueError(f"{path}: row {number} has {row[4]} trials, expected at least 1")
-    return rows, _comment_meta(path, lines)
+    points = list(map(SweepPoint._make, zip(*_parse_table(path, lines, SWEEP_TABLE))))
+    for number, point in enumerate(points, 1):
+        if point.trials < 1:
+            raise ValueError(f"{path}: row {number} has {point.trials} trials, expected at least 1")
+    return points, _comment_meta(path, lines)
 
 
-def read_sweep_table(path) -> list[tuple[float, float, float, float, int]]:
+def read_sweep_table(path) -> list[SweepPoint]:
     return read_sweep_file(path)[0]
 
 

@@ -38,9 +38,10 @@ def _require(ok: bool, key: str, requirement: str) -> None:
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    if not items:
-        raise ValueError("empty list")
+    """A comma list of floats; an empty item, as a leading, doubled or trailing comma gives, is a ValueError."""
+    items = [part.strip() for part in str(text).split(",")]
+    if not all(items):
+        raise ValueError(f"empty item in {text!r}")
     return tuple(float(v) for v in items)
 
 

@@ -9,7 +9,15 @@ import pytest
 
 from risradar import cli, experiments
 from risradar.cli import main
-from risradar.fileio import SWEEP_HEADER, read_config_file, read_pattern_table, read_sweep_file, write_sweep_table
+from risradar.fileio import (
+    SWEEP_HEADER,
+    SweepPoint,
+    read_config_file,
+    read_keyvals,
+    read_pattern_table,
+    read_sweep_file,
+    write_sweep_table,
+)
 from risradar.scenario import default_scenario
 
 SMALL_SCENARIO = """
@@ -36,12 +44,17 @@ def scenario_file(tmp_path):
 
 
 def test_pattern_command(scenario_file, tmp_path, capsys):
+    # it prints what the study wrote: three metrics, then the tables and the metrics file
     out = tmp_path / "out"
     assert main(["pattern", "--scenario", str(scenario_file), "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "combined argmax" in printed
-    for name in ("pattern_peak.csv", "pattern_notch.csv", "pattern_combined.csv", "pattern_metrics.txt"):
-        assert (out / name).exists()
+    lines = capsys.readouterr().out.splitlines()
+    metrics = read_keyvals(out / "pattern_metrics.txt")
+    printed = dict(line.split(": ") for line in lines[:3])
+    assert list(printed) == ["combined argmax", "combined level at interferer", "peak gain ratio"]
+    keys = ("combined_argmax_deg", "combined_db_at_interferer", "peak_gain_ratio")
+    assert [float(text.split()[0]) for text in printed.values()] == [float(metrics[key]) for key in keys]
+    names = ("pattern_peak.csv", "pattern_notch.csv", "pattern_combined.csv", "pattern_metrics.txt")
+    assert lines[3:] == [f"wrote {out / name}" for name in names]
     assert (out / "scenario_used.txt").exists()
 
 
@@ -77,7 +90,7 @@ def test_sweep_then_report(scenario_file, tmp_path, capsys):
 
 def test_report_with_a_failed_check_exits_one(tmp_path, capsys):
     # zero-offset mean error of 5 m at 0 dB, above the 0.75 m bin
-    points = [experiments.SweepPoint(0.0, 0.0, 5.0, 1.0, 2), experiments.SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
+    points = [SweepPoint(0.0, 0.0, 5.0, 1.0, 2), SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
     write_sweep_table(tmp_path / "sweep.csv", points, ("range_bin_m=0.75",))
     assert main(["report", "--out", str(tmp_path)]) == 1
     summary = capsys.readouterr().out
@@ -106,7 +119,7 @@ def test_report_on_empty_directory_signals_nothing_run(tmp_path):
 
 def test_report_counts_no_study_from_multinotch_sweeps_alone(tmp_path, capsys):
     # a multi-notch sweep is checked but is not a study: its checks pass, yet nothing was run
-    points = [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 2), experiments.SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
+    points = [SweepPoint(0.0, 0.0, 0.0, 0.0, 2), SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
     write_sweep_table(tmp_path / "multinotch_sweep_eps0.0.csv", points, ("range_bin_m=0.75",))
     assert main(["report", "--out", str(tmp_path)]) == 1
     summary = capsys.readouterr().out
@@ -337,6 +350,22 @@ def test_sweep_grid_out_of_domain_exits_two_for_every_command(command, key, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pattern", "train-peak", "sweep", "multinotch"])
+@pytest.mark.parametrize(
+    "key, value", [("sweep.power_ratios_db", "0,,5"), ("sweep.angle_offsets_rad", ",0.01"), ("sweep.power_ratios_db", "0,30,")]
+)
+def test_empty_sweep_axis_item_exits_two_for_every_command(command, key, value, tmp_path, capsys):
+    # a dropped item would shrink the grid without a word
+    lines = [f"{key} = {value}" if line.startswith(key) else line for line in SMALL_SCENARIO.splitlines()]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key))
+    assert capsys.readouterr().err == f"scenario error: line {lineno}: bad value for {key!r}: empty item in {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("sweep.power_ratios_db", "0,30,-0.0"), ("sweep.angle_offsets_rad", "0,0.01,0.0")])
 def test_repeated_sweep_axis_value_exits_two(key, value, tmp_path, capsys):
     lines = [f"{key} = {value}" if line.startswith(key) else line for line in SMALL_SCENARIO.splitlines()]
@@ -533,6 +562,9 @@ def test_full_study_script_report_error_exits_two(tmp_path):
         ["multinotch", "--epsilon", "0,nan"],
         ["multinotch", "--epsilon", "inf"],
         ["multinotch", "--epsilon", ","],
+        ["multinotch", "--epsilon", "0,,1e-2"],
+        ["multinotch", "--epsilon", ",0.01"],
+        ["multinotch", "--epsilon", "0.01,"],
         ["multinotch", "--workers", "0"],
         ["sweep", "--workers", "0"],
         ["sweep", "--workers", "-3"],
@@ -676,8 +708,8 @@ def test_repeat_runs_are_byte_identical(scenario_file, tmp_path):
 def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "compare_sweeps.py"
     comments = ("range_bin_m=0.75",)
-    old = [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 4), experiments.SweepPoint(30.0, 0.0, 2.0, 2.0, 4)]
-    new = [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 4), experiments.SweepPoint(30.0, 0.0, 8.0, 2.0, 4)]
+    old = [SweepPoint(0.0, 0.0, 0.0, 0.0, 4), SweepPoint(30.0, 0.0, 2.0, 2.0, 4)]
+    new = [SweepPoint(0.0, 0.0, 0.0, 0.0, 4), SweepPoint(30.0, 0.0, 8.0, 2.0, 4)]
     write_sweep_table(tmp_path / "old.csv", old, comments)
     write_sweep_table(tmp_path / "new.csv", new, comments)
     run = subprocess.run(
@@ -701,8 +733,8 @@ def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
 
 def test_compare_sweeps_script_rejects_a_row_without_trials(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "compare_sweeps.py"
-    write_sweep_table(tmp_path / "old.csv", [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 4)], ("range_bin_m=0.75",))
-    write_sweep_table(tmp_path / "new.csv", [experiments.SweepPoint(0.0, 0.0, 0.0, 0.0, 0)], ("range_bin_m=0.75",))
+    write_sweep_table(tmp_path / "old.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, 4)], ("range_bin_m=0.75",))
+    write_sweep_table(tmp_path / "new.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, 0)], ("range_bin_m=0.75",))
     run = subprocess.run(
         [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "new.csv")], capture_output=True, text=True
     )

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import hashlib
 import pickle
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from risradar.experiments import (
     trial_seeds,
     write_sweep_files,
 )
-from risradar.fileio import read_keyvals, read_pattern_table, read_peak_records, read_sweep_file, write_sweep_table
+from risradar.fileio import SweepPoint, read_keyvals, read_pattern_table, read_peak_records, read_sweep_file, write_sweep_table
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import InterferenceParams, TargetParams, draw_trial, frame_terms
 from risradar.synthesis import (
@@ -134,32 +136,41 @@ class TestTrialSeeds:
 class TestPatternStudy:
     def test_emits_three_parseable_patterns(self, study):
         result, _ = study
-        for path in (result.peak_path, result.notch_path, result.combined_path):
+        for path in (result.paths["peak"], result.paths["notch"], result.paths["combined"]):
             angles, power = read_pattern_table(path)
             assert angles.size == 721
             assert power.max() == 0.0  # normalized
 
     def test_metrics_file(self, study):
         result, _ = study
-        metrics = read_keyvals(result.metrics_path)
+        metrics = read_keyvals(result.paths["metrics"])
         assert float(metrics["target_angle_deg"]) == pytest.approx(72.0, abs=1e-9)
         assert float(metrics["peak_gain_ratio"]) > 0.85
         assert abs(float(metrics["combined_argmax_deg"]) - 72.0) <= 1.5  # 32-element lobe
 
+    def test_returns_what_it_wrote(self, study):
+        result, out = study
+        assert [field.name for field in dataclasses.fields(result)] == ["paths", "metrics"]
+        names = {"peak": "pattern_peak.csv", "notch": "pattern_notch.csv", "combined": "pattern_combined.csv"}
+        assert list(result.paths.items()) == [(k, out / name) for k, name in [*names.items(), ("metrics", "pattern_metrics.txt")]]
+        written = read_keyvals(result.paths["metrics"])
+        assert list(written) == list(result.metrics)
+        assert {key: type(value)(written[key]) for key, value in result.metrics.items()} == result.metrics
+
     def test_notch_has_exactly_one_null(self, study):
         result, _ = study
-        _, power = read_pattern_table(result.notch_path)
+        _, power = read_pattern_table(result.paths["notch"])
         assert int(np.sum(power <= -100.0)) == 1
 
     def test_combined_null_at_interferer(self, study):
         result, _ = study
-        assert result.combined_db_at_interferer <= -60.0
+        assert result.metrics["combined_db_at_interferer"] <= -60.0
 
     def test_round_trips_bytes(self, study, tmp_path):
         result, _ = study
         again = run_pattern_study(SMALL, tmp_path, small_training())
-        assert again.peak_path.read_bytes() == result.peak_path.read_bytes()
-        assert again.combined_path.read_bytes() == result.combined_path.read_bytes()
+        assert again.paths["peak"].read_bytes() == result.paths["peak"].read_bytes()
+        assert again.paths["combined"].read_bytes() == result.paths["combined"].read_bytes()
 
     def test_all_subcarrier_study_builds_one_block_per_subcarrier(self, monkeypatch, tmp_path):
         sizes = []
@@ -501,27 +512,33 @@ class TestSharedSweepPoint:
     """Every configuration swept at a grid point shares each trial's draws."""
 
     # sha256 of the multi-notch sweep files on NONZERO (noise 5.0), recorded
-    # when a trial went to one draw; at spacing 0.1 no trial's error depends
-    # on the mode, so both modes pin the same two files there
-    SPACINGS = (0.0, 0.05, 0.1)
+    # when a trial went to one draw; the spacings are chosen so that some
+    # trial's error depends on the subcarrier mode at each of them (2, 2 and 4
+    # trials), so every file tells the two modes apart
+    SPACINGS = (0.0, 0.05, 0.07)
     SWEEPS = {
         "carrier": {
             "multinotch_sweep_eps0.0.csv": "395f1b4ed47a59a1eada2b077f945cb753efe4959dd4348085cd1eb725f9f366",
             "multinotch_sweep_eps0.0_records.csv": "a8a1278763edb3cb81bd125a789ef3e95a2a2e5cc0b067b7dfc6fa2e36ac5516",
             "multinotch_sweep_eps0.05.csv": "bda742caed309c025aae7e94e7f9c0aa7ca720504b5a77394164002369cb9d05",
             "multinotch_sweep_eps0.05_records.csv": "50a0389ecabec71e90f7ca54db4328cfecf7c4f7e1e6027a9917ff0bd354c059",
-            "multinotch_sweep_eps0.1.csv": "ea8e1db99cb0e1ecb249aab2874680b8a008aebb330df256565e9c2e459a8ea3",
-            "multinotch_sweep_eps0.1_records.csv": "84cd1c00ab4312f25136dccb5178392279be50aae9d88b9c3a431b1edeb6b312",
+            "multinotch_sweep_eps0.07.csv": "ea732814e955f7924e07b13429df9d1c9c7bcb0e8ac468b735cd4682cde7738e",
+            "multinotch_sweep_eps0.07_records.csv": "6b91ef01a62238e514fe29e7df999e501e0027fb29d45f0e4bb32b021323262d",
         },
         "all": {
             "multinotch_sweep_eps0.0.csv": "70af01b7cc74df22ae42b7853f34b1ac641d6a424cf921659aca6717fb0736ba",
             "multinotch_sweep_eps0.0_records.csv": "7ac5d0194489af976173bf209956a0fb4bda12d513af3de1f5a26ffffae8cbb9",
             "multinotch_sweep_eps0.05.csv": "c6ffa4639e35d4f34e313e9e7ac05edb2c1fb13bb8df63893ecac977f5f8d70c",
             "multinotch_sweep_eps0.05_records.csv": "8cbef48c72fb87770bc5146c4b1bfdec1a5500ff0fbfde4f48ca66aed82b8ea9",
-            "multinotch_sweep_eps0.1.csv": "ea8e1db99cb0e1ecb249aab2874680b8a008aebb330df256565e9c2e459a8ea3",
-            "multinotch_sweep_eps0.1_records.csv": "84cd1c00ab4312f25136dccb5178392279be50aae9d88b9c3a431b1edeb6b312",
+            "multinotch_sweep_eps0.07.csv": "68fcb2a121c5bb93ca6ab51970454f324a82934de65daa1cea8a3386ab5acc0b",
+            "multinotch_sweep_eps0.07_records.csv": "237a3b36b3c76feede0e01e1dc90189b7d5278e1c8860d08f37328d44be926ae",
         },
     }
+    NONZERO_ERRORS = {"carrier": 72, "all": 71}  # trials whose range error is not zero, over the three spacings
+
+    def test_every_pinned_file_tells_the_modes_apart(self):
+        assert list(self.SWEEPS["carrier"]) == list(self.SWEEPS["all"])
+        assert [name for name, digest in self.SWEEPS["carrier"].items() if self.SWEEPS["all"][name] == digest] == []
 
     @pytest.mark.parametrize("mode", sorted(SWEEPS))
     def test_multinotch_sweeps_with_range_errors_are_pinned(self, mode, tmp_path):
@@ -529,7 +546,7 @@ class TestSharedSweepPoint:
         result = run_multinotch_study(
             scenario, tmp_path, notch_specs(scenario, self.SPACINGS), analytic_training(scenario), subcarrier_mode=mode
         )
-        assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == 75
+        assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == self.NONZERO_ERRORS[mode]
         tables = [(tmp_path / f"multinotch_sweep_eps{eps!r}.csv").read_bytes() for eps in self.SPACINGS]
         assert len(set(tables)) == len(self.SPACINGS)
         digests = file_digests(tmp_path)
@@ -578,6 +595,50 @@ class TestSharedSweepPoint:
         assert [len(e.sweep.records) for e in result.entries] == [points * trials] * len(spacings)
         assert len(generators) == points * trials  # one generator a trial, not one a spacing or a draw
         assert generators == [record[0] for record in result.entries[0].sweep.records]
+
+
+def rows_the_records_miss(table_path, records_path) -> list:
+    """The sweep table's rows that its records do not reproduce bit for bit,
+    then the record groups that no row names. A row's trials, mean and sample
+    spread (0.0 at one trial) are those of the records at its power ratio and
+    interferer angle plus offset."""
+    points, comments = read_sweep_file(table_path)
+    center = float(comments["interferer_angle_rad"])
+    groups: dict = {}
+    for _seed, ratio, angle, error in read_peak_records(records_path):
+        groups.setdefault((ratio, angle), []).append(error)
+    missed = []
+    for p in points:
+        errors = groups.pop((p.power_ratio_db, float(center + p.angle_offset_rad)), [])
+        std = float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0
+        got = (len(errors), float(np.mean(errors)).hex(), std.hex()) if errors else None
+        if got != (p.trials, p.mean_range_error_m.hex(), p.std_range_error_m.hex()):
+            missed.append(p)
+    return missed + list(groups)
+
+
+class TestSweepTableFromRecords:
+    """A sweep table is a pure function of its per-trial records."""
+
+    @pytest.mark.parametrize("mode, trials", [("carrier", 3), ("all", 3), ("carrier", 1)])
+    def test_nonzero_sweep(self, mode, trials, tmp_path):
+        scenario = NONZERO.replace(noise_variance=5.0, trials=trials)
+        table, records = write_sweep_files(run_interference_sweep(scenario, small_combined(NONZERO), mode), tmp_path)
+        assert rows_the_records_miss(table, records) == []
+
+    def test_quick_scenario_multinotch_sweeps(self, tmp_path):
+        overrides = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"))
+        quick = default_scenario().replace(**overrides["QUICK_OVERRIDES"])
+        result = run_multinotch_study(quick, tmp_path, notch_specs(quick, (0.0, 1e-3, 1e-2)), analytic_training(quick))
+        stems = [f"multinotch_sweep_eps{entry.epsilon_rad!r}" for entry in result.entries]
+        assert [rows_the_records_miss(tmp_path / f"{stem}.csv", tmp_path / f"{stem}_records.csv") for stem in stems] == [[]] * 3
+
+    def test_records_of_another_master_seed_miss(self, tmp_path):
+        scenario = NONZERO.replace(noise_variance=5.0)
+        for seed in (3, 4):
+            result = run_interference_sweep(scenario.replace(master_seed=seed), small_combined(NONZERO))
+            write_sweep_files(result, tmp_path, stem=f"seed{seed}")
+        assert rows_the_records_miss(tmp_path / "seed3.csv", tmp_path / "seed4_records.csv") != []
 
 
 def notch_band(num_notches, spacing_rad, center_rad=np.pi / 4):
@@ -720,7 +781,7 @@ class TestReport:
     def test_a_sweep_trend_is_checked_when_it_has_a_pair_and_passes_within_one_bin(self, tmp_path_factory, table):
         ratios, offsets, means, bin_m = table
         out = tmp_path_factory.mktemp("trend")
-        points = [experiments.SweepPoint(r, o, means[r, o], 0.0, 5) for r in ratios for o in offsets]
+        points = [SweepPoint(r, o, means[r, o], 0.0, 5) for r in ratios for o in offsets]
         write_sweep_table(out / "sweep.csv", points, (f"range_bin_m={bin_m!r}",))
         checks = {name: ok for name, ok, _detail in report(out).checks}
         by_ratio = [[means[r, o] for r in ratios] for o in offsets]

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risradar.arrays import RisConfig
-from risradar.experiments import SweepPoint
 from risradar.fileio import (
     LOSS_TABLE,
     MULTINOTCH_SUMMARY_HEADER,
+    SweepPoint,
     _read_table,
     read_config_file,
     read_keyvals,

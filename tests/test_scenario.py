@@ -170,6 +170,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="sweep.trials"):
             parse_scenario("sweep.trials = many\n")
 
+    @pytest.mark.parametrize("key", ["sweep.power_ratios_db", "sweep.angle_offsets_rad"])
+    @pytest.mark.parametrize("value", ["0,,0.01", ",0.01", "0.01,", ",", ""])
+    def test_empty_list_item_is_rejected(self, key, value):
+        with pytest.raises(ScenarioError, match=f"^line 2: bad value for '{key}': empty item in '{value}'$"):
+            parse_scenario(f"sweep.trials = 3\n{key} = {value}\n")
+
     @pytest.mark.parametrize("key", ["geometry.element_spacing_wavelengths", "network.optimizer"])
     def test_removed_keys_are_unknown(self, key):
         # the array is fixed at half-wavelength spacing and training uses Adam
