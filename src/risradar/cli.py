@@ -20,9 +20,9 @@ from .experiments import (
     train_peak,
     write_sweep_files,
 )
-from .fileio import write_config_file, write_lines, write_loss_history
+from .fileio import read_config_file, read_loss_history, write_config_file, write_lines, write_loss_history
 from .scenario import ScenarioError, default_scenario, load_scenario
-from .synthesis import TrainingDivergedError
+from .synthesis import TrainingDivergedError, TrainingResult, peak_gain_ratio
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,9 +153,36 @@ def _command(args) -> int:
     if args.command == "report":
         return _report(args.out)
     scenario, out_dir, specs = _load(args)
-    training = None if getattr(args, "no_sweeps", False) else train_peak(scenario)
+    training = None if getattr(args, "no_sweeps", False) else _peak(scenario, out_dir)
     _run(args.command, scenario, out_dir, specs, training, args)
     return 0
+
+
+def _peak(scenario, out_dir: Path) -> TrainingResult:
+    """The scenario's trained peak, kept in `out_dir` as `peak_config.txt`, whose header
+    records the seven inputs it was trained from, and `training_loss.csv`. The peak kept
+    there is reused when its inputs are the scenario's; otherwise (no files, other
+    inputs, a file cut short or unparsable) the peak is trained and the two files written."""
+    spec = scenario.network_spec()
+    network = {
+        "layers": spec.num_layers,
+        "width": spec.hidden_width,
+        "learning_rate": spec.learning_rate,
+        "iterations": spec.num_iterations,
+    }
+    inputs = {"elements": scenario.num_peak_elements, "theta_t": scenario.target_angle_rad, "seed": spec.init_seed, **network}
+    config_path, loss_path = out_dir / "peak_config.txt", out_dir / "training_loss.csv"
+    try:
+        config, header = read_config_file(config_path)
+        losses = read_loss_history(loss_path)
+    except (OSError, ValueError):
+        header, losses = {}, ()
+    if {key: header.get(key) for key in inputs} == inputs and len(losses) == spec.num_iterations:
+        return TrainingResult(config, losses, peak_gain_ratio(config, scenario.target_angle_rad))
+    training = train_peak(scenario)
+    write_config_file(config_path, training.config, theta_t=scenario.target_angle_rad, seed=spec.init_seed, **network)
+    write_loss_history(loss_path, training.loss_history)
+    return training
 
 
 def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
@@ -168,13 +195,9 @@ def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
         for path in result.paths.values():
             print(f"wrote {path}")
     elif command == "train-peak":
-        config_path = write_config_file(
-            out_dir / "peak_config.txt", training.config, theta_t=scenario.target_angle_rad, seed=scenario.net_init_seed
-        )
-        loss_path = write_loss_history(out_dir / "training_loss.csv", training.loss_history)
         print(f"gain ratio vs analytic optimum: {training.gain_ratio}")
-        print(f"wrote {config_path}")
-        print(f"wrote {loss_path}")
+        print(f"peak configuration: {out_dir / 'peak_config.txt'}")
+        print(f"loss history: {out_dir / 'training_loss.csv'}")
     elif command == "sweep":
         config = synthesize_configs(scenario, training).combined
         result = run_interference_sweep(scenario, config, subcarrier_mode=args.mode, workers=args.workers)
@@ -200,8 +223,8 @@ def _report(out_dir) -> int:
 
 def study_script(quick_overrides: dict) -> int:
     """`scripts/run_full_study.py`: the CLI's scenario load, check of the default notch spacings and echo
-    (`--quick` applies `quick_overrides`), one training, the `pattern`, `sweep` and `multinotch` bodies on it,
-    then `report`, all under the CLI's exit statuses."""
+    (`--quick` applies `quick_overrides`), the peak its output directory holds or one training, the `pattern`,
+    `sweep` and `multinotch` bodies on it, then `report`, all under the CLI's exit statuses."""
     parser = _Parser(description="Run every study end to end and write the summary report.")
     _common_flags(parser, seed=False, grid=False, mode=False)
     parser.add_argument("--workers", type=_integer_at_least(1), default=1)
@@ -211,7 +234,7 @@ def study_script(quick_overrides: dict) -> int:
 
     def run() -> int:
         scenario, out_dir, specs = _load(args, quick_overrides if args.quick else None)
-        training = train_peak(scenario)
+        training = _peak(scenario, out_dir)
         for command in ("pattern", "sweep", "multinotch"):
             _run(command, scenario, out_dir, specs, training, args)
         return _report(out_dir)

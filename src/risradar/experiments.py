@@ -42,6 +42,7 @@ from .arrays import (
     steering,
 )
 from .fileio import (
+    PeakRecord,
     SweepPoint,
     read_keyvals,
     read_multinotch_summary,
@@ -156,7 +157,7 @@ def run_pattern_study(
 @dataclass
 class SweepResult:
     points: list[SweepPoint]
-    records: list[tuple[int, float, float, float]]
+    records: list[PeakRecord]
     interferer_angle_rad: float
     range_bin_m: float
 
@@ -262,7 +263,9 @@ def _sweep_results(scenario: Scenario, configs, subcarrier_mode: str, workers: i
                     trials=scenario.trials,
                 )
             )
-            result.records.extend((seed, float(ratio_db), angle, float(error)) for seed, error in zip(seeds, config_errors))
+            result.records.extend(
+                PeakRecord(seed, float(ratio_db), angle, float(error)) for seed, error in zip(seeds, config_errors)
+            )
     return results
 
 

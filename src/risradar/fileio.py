@@ -32,7 +32,16 @@ class SweepPoint(NamedTuple):
     trials: int
 
 
-PEAK_RECORD_HEADER = "seed,power_ratio_db,angle_rad,range_err_m"
+class PeakRecord(NamedTuple):
+    """One row of a sweep's records: the range error of one trial, with the seed it replays from."""
+
+    seed: int
+    power_ratio_db: float
+    angle_rad: float
+    range_err_m: float
+
+
+PEAK_RECORD_HEADER = ",".join(PeakRecord._fields)
 SWEEP_HEADER = ",".join(SweepPoint._fields)
 MULTINOTCH_SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
 
@@ -42,6 +51,17 @@ PEAK_RECORD_TABLE = Table(PEAK_RECORD_HEADER, (int, float, float, float))
 SWEEP_TABLE = Table(SWEEP_HEADER, (float, float, float, float, int))
 LOSS_TABLE = Table("iteration,loss", (int, float))
 MULTINOTCH_SUMMARY_TABLE = Table(MULTINOTCH_SUMMARY_HEADER, (float, float, float, float, float))
+# the kind of each key a configuration file's header may carry besides `slots`; a
+# trained peak's file adds the four network keys to the angle and the seed
+CONFIG_HEADER_KINDS = {
+    "elements": int,
+    "theta_t": float,
+    "seed": int,
+    "layers": int,
+    "width": int,
+    "learning_rate": float,
+    "iterations": int,
+}
 
 
 def write_lines(path, lines) -> Path:
@@ -55,6 +75,15 @@ def write_lines(path, lines) -> Path:
 def _lines(path) -> list[str]:
     """The lines of a file, read once; every reader parses from them."""
     return Path(path).read_text().splitlines()
+
+
+def _whole_lines(path) -> list[str]:
+    """The lines of a file that a later run reads back as its input; every
+    writer ends a file with a newline, so one that does not was cut short."""
+    text = Path(path).read_text()
+    if text and not text.endswith("\n"):
+        raise ValueError(f"{path}: the last line is cut short")
+    return text.splitlines()
 
 
 def _put(pairs: dict, path, number: int, key: str, value: str) -> None:
@@ -124,16 +153,21 @@ def read_pattern_table(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(angles, dtype=float), np.array(power, dtype=float)
 
 
-def write_config_file(path, config: RisConfig, *, theta_t: float, seed: int) -> Path:
+def write_config_file(path, config: RisConfig, *, theta_t: float, seed: int, **network) -> Path:
     """One (real, imaginary) row per element, under a comment carrying the element
-    count, the fixed `slots=1`, the trained angle and the seed."""
-    header = f"elements={config.num_elements} slots=1 theta_t={float(theta_t)!r} seed={int(seed)}"
+    count, the fixed `slots=1`, the trained angle, the seed and then the `network`
+    keys of CONFIG_HEADER_KINDS given, so a trained peak's file names all it was trained from."""
+    pairs = {"theta_t": theta_t, "seed": seed, **network}
+    tokens = (f"{key}={CONFIG_HEADER_KINDS[key](value)!r}" for key, value in pairs.items())
+    header = " ".join([f"elements={config.num_elements} slots=1", *tokens])
     coeffs = config.coefficients
     return _write_table(path, CONFIG_TABLE, (coeffs.real, coeffs.imag), comments=(header,))
 
 
 def read_config_file(path) -> tuple[RisConfig, dict]:
-    lines = _lines(path)
+    """The configuration and its header's `key=value` pairs, each key of
+    CONFIG_HEADER_KINDS converted to its kind; a file cut short is a ValueError."""
+    lines = _whole_lines(path)
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing configuration header")
     meta: dict = {}
@@ -142,7 +176,7 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
         _put(meta, path, 1, key, value)
     if "elements" not in meta:
         raise ValueError(f"{path}: header key elements is missing")
-    for key, kind in (("elements", int), ("theta_t", float), ("seed", int)):
+    for key, kind in CONFIG_HEADER_KINDS.items():
         if key in meta:
             try:
                 meta[key] = kind(meta[key])
@@ -158,12 +192,12 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
 
 
 def write_peak_records(path, records) -> Path:
-    """Per-trial records: (trial seed, power ratio, interferer angle, range error) tuples."""
-    return _write_table(path, PEAK_RECORD_TABLE, _columns(records, 4))
+    """Per-trial records: one row per `PeakRecord`."""
+    return _write_table(path, PEAK_RECORD_TABLE, _columns(records, len(PeakRecord._fields)))
 
 
-def read_peak_records(path) -> list[tuple[int, float, float, float]]:
-    return list(zip(*_read_table(path, PEAK_RECORD_TABLE)))
+def read_peak_records(path) -> list[PeakRecord]:
+    return list(map(PeakRecord._make, zip(*_read_table(path, PEAK_RECORD_TABLE))))
 
 
 def write_sweep_table(path, points, comments=()) -> Path:
@@ -188,6 +222,15 @@ def read_sweep_table(path) -> list[SweepPoint]:
 
 def write_loss_history(path, losses) -> Path:
     return _write_table(path, LOSS_TABLE, (range(len(losses)), losses))
+
+
+def read_loss_history(path) -> np.ndarray:
+    """The losses of a training run, one an iteration from 0; a file cut short
+    or whose iterations do not count up from 0 is a ValueError."""
+    iterations, losses = _parse_table(path, _whole_lines(path), LOSS_TABLE)
+    if iterations != list(range(len(iterations))):
+        raise ValueError(f"{path}: iterations must count up from 0")
+    return np.array(losses, dtype=float)
 
 
 def write_multinotch_summary(path, rows, comments=()) -> Path:

@@ -160,9 +160,8 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec) -> 
 
     Full-batch Adam updates on the single encoded input (plain gradient
     descent on the 1/power loss stalls: the gradient scale collapses like
-    1/power^2 as the peak grows). The reported gain_ratio is
-    |c^T b(theta_t)| / L, i.e. relative to the coherent optimum attained
-    by analytic_peak.
+    1/power^2 as the peak grows). The reported gain_ratio is the trained
+    configuration's peak_gain_ratio.
 
     Raises TrainingDivergedError if the loss leaves the finite range;
     the overflow that leads there raises no floating-point warnings.
@@ -195,15 +194,17 @@ def train_peak_network(theta_t: float, num_elements: int, spec: PeakNetSpec) -> 
         net.params -= step
 
     coeffs = net.config_for(theta_t)
-    gain = np.abs(np.sum(coeffs * steering(num_elements, theta_t)))
-    final_loss = float(1.0 / gain**2)
-    if not np.isfinite(final_loss):
+    if not np.all(np.isfinite(coeffs)):
         raise TrainingDivergedError(spec.num_iterations)
-    return TrainingResult(
-        config=RisConfig(coeffs),
-        loss_history=history,
-        gain_ratio=float(gain / num_elements),
-    )
+    config = RisConfig(coeffs)
+    return TrainingResult(config=config, loss_history=history, gain_ratio=peak_gain_ratio(config, theta_t))
+
+
+def peak_gain_ratio(config: RisConfig, theta_t: float) -> float:
+    """|c^T b(theta_t)| / L at the carrier: the gain a peak attains at its
+    target angle, relative to the coherent optimum of analytic_peak."""
+    gain = np.abs(np.sum(config.coefficients * steering(config.num_elements, theta_t)))
+    return float(gain / config.num_elements)
 
 
 def analytic_peak(theta_t: float, num_elements: int) -> RisConfig:

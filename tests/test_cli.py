@@ -18,7 +18,7 @@ from risradar.fileio import (
     read_sweep_file,
     write_sweep_table,
 )
-from risradar.scenario import default_scenario
+from risradar.scenario import default_scenario, load_scenario
 
 SMALL_SCENARIO = """
 ofdm.num_subcarriers = 32
@@ -75,6 +75,106 @@ def test_train_peak_command(scenario_file, tmp_path):
     losses = (out / "training_loss.csv").read_text().splitlines()
     assert losses[0] == "iteration,loss"
     assert len(losses) == 1 + 300
+
+
+@pytest.fixture()
+def trainings(monkeypatch):
+    """The scenarios the CLI trains a peak for, in order."""
+    calls = []
+    train = cli.train_peak
+
+    def counted(scenario):
+        calls.append(scenario)
+        return train(scenario)
+
+    monkeypatch.setattr(cli, "train_peak", counted)
+    return calls
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_commands_sharing_a_directory_train_once(workers, scenario_file, tmp_path, trainings):
+    # pattern runs last, so its metrics carry the gain ratio of the peak read back from the directory
+    commands = {"sweep": ["--workers", workers], "multinotch": ["--workers", workers], "pattern": []}
+    for command, flags in commands.items():
+        assert main([command, "--scenario", str(scenario_file), "--out", str(tmp_path / command), *flags]) == 0
+    fresh = [_files(tmp_path / command) for command in commands]
+    trainings.clear()
+    shared = tmp_path / "shared"
+    for command, flags in commands.items():
+        assert main([command, "--scenario", str(scenario_file), "--out", str(shared), *flags]) == 0
+    assert len(trainings) == 1
+    written = _files(shared)
+    assert all(files.items() <= written.items() for files in fresh)
+    assert set(written) == {name for files in fresh for name in files}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target_angle_rad", 1.2),
+        ("num_peak_elements", 31),
+        ("net_num_layers", 4),
+        ("net_hidden_width", 17),
+        ("net_learning_rate", 0.02),
+        ("net_num_iterations", 301),
+        ("net_init_seed", 1),
+    ],
+)
+def test_a_changed_training_input_retrains(field, value, scenario_file, tmp_path, trainings):
+    changed = tmp_path / "changed.txt"
+    changed.write_text(load_scenario(scenario_file).replace(**{field: value}).to_text())
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(["train-peak", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+    assert main(["pattern", "--scenario", str(changed), "--out", str(out)]) == 0
+    assert [getattr(scenario, field) for scenario in trainings][1:] == [value]
+    assert main(["pattern", "--scenario", str(changed), "--out", str(fresh)]) == 0
+    assert _files(out) == _files(fresh)
+
+
+def test_a_change_outside_the_training_inputs_reuses_the_peak(scenario_file, tmp_path, trainings):
+    other = tmp_path / "other.txt"
+    other.write_text(load_scenario(scenario_file).replace(trials=3, power_ratios_db=(0.0,)).to_text())
+    out = tmp_path / "out"
+    assert main(["train-peak", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+    assert main(["sweep", "--scenario", str(other), "--out", str(out), "--seed", "7", "--all-subcarriers"]) == 0
+    assert len(trainings) == 1
+
+
+def _cut(path, size):
+    data = path.read_bytes()
+    path.write_bytes(data[: size(data)])
+
+
+def _last_line_dropped(data):
+    return data[:-1].rfind(b"\n") + 1
+
+
+DAMAGE = {
+    "config-unparsable": lambda out: (out / "peak_config.txt").write_text("not a configuration\n"),
+    "config-cut-in-half": lambda out: _cut(out / "peak_config.txt", lambda data: len(data) // 2),
+    "config-cut-in-the-last-value": lambda out: _cut(out / "peak_config.txt", lambda data: len(data) - 3),
+    "config-last-row-dropped": lambda out: _cut(out / "peak_config.txt", _last_line_dropped),
+    "loss-missing": lambda out: (out / "training_loss.csv").unlink(),
+    "loss-cut-in-the-last-value": lambda out: _cut(out / "training_loss.csv", lambda data: len(data) - 3),
+    "loss-last-row-dropped": lambda out: _cut(out / "training_loss.csv", _last_line_dropped),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_peak_file_retrains(damage, scenario_file, tmp_path, trainings):
+    out = tmp_path / "out"
+    argv = ["pattern", "--scenario", str(scenario_file), "--out", str(out)]
+    assert main(argv) == 0
+    written = _files(out)
+    DAMAGE[damage](out)
+    assert _files(out) != written
+    assert main(argv) == 0
+    assert len(trainings) == 2
+    assert _files(out) == written
 
 
 def test_sweep_then_report(scenario_file, tmp_path, capsys):
@@ -647,7 +747,7 @@ def test_exhausted_memory_exits_two(monkeypatch, tmp_path, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "train_peak", lambda scenario: None)
+    monkeypatch.setattr(cli, "_peak", lambda scenario, out_dir: None)
     monkeypatch.setattr(cli, "run_pattern_study", exhausted)
     assert main(["pattern", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -662,7 +762,7 @@ def test_full_study_script_exhausted_memory_exits_two(monkeypatch, tmp_path, cap
     def exhausted(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "train_peak", lambda scenario: None)
+    monkeypatch.setattr(cli, "_peak", lambda scenario, out_dir: None)
     monkeypatch.setattr(cli, "run_pattern_study", exhausted)
     monkeypatch.setattr(sys, "argv", ["run_full_study.py", "--out", str(tmp_path / "o")])
     assert cli.study_script({}) == 2

@@ -340,7 +340,7 @@ class TestInterferenceSweep:
         scenario = NONZERO.replace(noise_variance=noise_variance)
         result = run_interference_sweep(scenario, small_combined(NONZERO), subcarrier_mode=mode)
         write_sweep_files(result, tmp_path)
-        assert sum(record[3] != 0.0 for record in result.records) == nonzero
+        assert sum(record.range_err_m != 0.0 for record in result.records) == nonzero
         digests = file_digests(tmp_path)
         assert (digests["sweep.csv"], digests["sweep_records.csv"]) == (table_sha, records_sha)
 
@@ -432,7 +432,7 @@ class TestInterferenceSweep:
             for (ratio, offset), (seed, *_) in zip(points, records, strict=True)
         ]
         assert any(error != 0.0 for error in errors)
-        assert np.array(errors).tobytes() == np.array([record[3] for record in records]).tobytes()
+        assert np.array(errors).tobytes() == np.array([record.range_err_m for record in records]).tobytes()
 
     def test_rejects_offsets_leaving_domain(self):
         # the scenario itself refuses offsets the sweep could not run
@@ -546,7 +546,7 @@ class TestSharedSweepPoint:
         result = run_multinotch_study(
             scenario, tmp_path, notch_specs(scenario, self.SPACINGS), analytic_training(scenario), subcarrier_mode=mode
         )
-        assert sum(record[3] != 0.0 for e in result.entries for record in e.sweep.records) == self.NONZERO_ERRORS[mode]
+        assert sum(record.range_err_m != 0.0 for e in result.entries for record in e.sweep.records) == self.NONZERO_ERRORS[mode]
         tables = [(tmp_path / f"multinotch_sweep_eps{eps!r}.csv").read_bytes() for eps in self.SPACINGS]
         assert len(set(tables)) == len(self.SPACINGS)
         digests = file_digests(tmp_path)
@@ -594,7 +594,7 @@ class TestSharedSweepPoint:
         result = run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, spacings), analytic_training(SMALL))
         assert [len(e.sweep.records) for e in result.entries] == [points * trials] * len(spacings)
         assert len(generators) == points * trials  # one generator a trial, not one a spacing or a draw
-        assert generators == [record[0] for record in result.entries[0].sweep.records]
+        assert generators == [record.seed for record in result.entries[0].sweep.records]
 
 
 def rows_the_records_miss(table_path, records_path) -> list:

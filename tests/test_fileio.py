@@ -13,6 +13,7 @@ from risradar.fileio import (
     _read_table,
     read_config_file,
     read_keyvals,
+    read_loss_history,
     read_multinotch_summary,
     read_pattern_table,
     read_peak_records,
@@ -87,6 +88,42 @@ def test_config_file_bytes_are_pinned(tmp_path):
     )
 
 
+def test_config_file_records_the_network_keys_after_the_seed(tmp_path):
+    network = {"layers": 3, "width": 16, "learning_rate": 0.01, "iterations": 300}
+    path = write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j]), theta_t=0.75, seed=2, **network)
+    assert path.read_text().splitlines()[0] == (
+        "# elements=2 slots=1 theta_t=0.75 seed=2 layers=3 width=16 learning_rate=0.01 iterations=300"
+    )
+    _, meta = read_config_file(path)
+    assert meta == {"elements": 2, "slots": "1", "theta_t": 0.75, "seed": 2, **network}
+    assert [type(meta[key]) for key in network] == [int, int, float, int]
+
+
+@pytest.mark.parametrize("cut", [1, 3], ids=["final-newline", "last-value"])
+def test_a_file_read_back_as_an_input_is_rejected_when_cut_short(cut, tmp_path):
+    config = write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.123456789j]), theta_t=0.5, seed=1)
+    losses = write_loss_history(tmp_path / "l.csv", [0.5, 0.123456789])
+    for path, read in ((config, read_config_file), (losses, read_loss_history)):
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match="the last line is cut short") as excinfo:
+            read(path)
+        assert str(excinfo.value).startswith(str(path))
+
+
+def test_loss_history_round_trip_is_exact(tmp_path):
+    losses = [0.25, 1e-300, 3.0000000000000004]
+    back = read_loss_history(write_loss_history(tmp_path / "l.csv", losses))
+    assert back.dtype == float
+    assert back.tolist() == losses
+
+
+def test_loss_history_iterations_must_count_up_from_zero(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("iteration,loss\n0,0.5\n2,0.25\n")
+    with pytest.raises(ValueError, match="iterations must count up from 0"):
+        read_loss_history(path)
+
+
 def test_config_file_needs_no_angle_or_seed(tmp_path):
     # the writer always records both, but a file may come from elsewhere
     path = tmp_path / "c.txt"
@@ -146,6 +183,12 @@ def test_peak_records_round_trip(tmp_path):
     path = write_peak_records(tmp_path / "r.csv", records)
     assert read_peak_records(path) == records
     assert path.read_text().splitlines()[0] == "seed,power_ratio_db,angle_rad,range_err_m"
+
+
+def test_peak_records_are_read_as_named_rows(tmp_path):
+    path = write_peak_records(tmp_path / "r.csv", [(12, 30.0, 0.75, 1.5)])
+    (record,) = read_peak_records(path)
+    assert (record.seed, record.power_ratio_db, record.angle_rad, record.range_err_m) == (12, 30.0, 0.75, 1.5)
 
 
 def test_sweep_table_round_trip(tmp_path):

@@ -57,7 +57,6 @@ UNCALLED = {
     "synthesis.analytic_peak": "the closed-form peak training is tested against",
     "arrays.RisConfig.static_column": BENCH_REASON,
     "experiments.run_trial": BENCH_REASON,
-    "fileio.read_config_file": BENCH_REASON,
     "fileio.read_peak_records": BENCH_REASON,
     "fileio.read_sweep_table": BENCH_REASON,
 }

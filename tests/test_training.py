@@ -7,6 +7,7 @@ from risradar.synthesis import (
     PeakNetSpec,
     PeakNetwork,
     TrainingDivergedError,
+    peak_gain_ratio,
     train_peak_network,
 )
 
@@ -166,6 +167,13 @@ class TestTraining:
         result = train_peak_network(0.9, 16, spec)
         gain = np.abs(steering(16, 0.9) @ result.config.coefficients) / 16
         assert result.gain_ratio == pytest.approx(gain, rel=1e-12)
+
+    def test_gain_ratio_is_the_configs_own(self):
+        # a peak read back from its file states its gain through the same function, bit for bit
+        spec = PeakNetSpec(num_layers=3, hidden_width=8, num_iterations=100, init_seed=2)
+        result = train_peak_network(0.9, 16, spec)
+        copy = RisConfig(result.config.coefficients.tolist())
+        assert float(peak_gain_ratio(copy, 0.9)).hex() == float(result.gain_ratio).hex()
 
     def test_loss_history_is_pinned_bit_for_bit(self):
         result = train_peak_network(1.0, 16, PeakNetSpec(num_layers=3, hidden_width=8, num_iterations=30))
