@@ -206,10 +206,10 @@ def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
         print(f"wrote {records}")
     elif command == "multinotch":
         result = run_multinotch_study(scenario, out_dir, specs, training, args.mode, args.workers, args.grid)
-        for entry in result.entries:
+        for row in result.rows:
             print(
-                f"epsilon={entry.epsilon_rad}: bandwidth={entry.bandwidth_rad} rad, "
-                f"min in-band suppression={entry.min_inband_suppression_db} dB"
+                f"epsilon={row.epsilon_rad}: bandwidth={row.suppression_bandwidth_rad} rad, "
+                f"min in-band suppression={row.min_inband_suppression_db} dB"
             )
         print(f"wrote {result.summary_path}")
 

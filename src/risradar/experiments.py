@@ -42,6 +42,7 @@ from .arrays import (
     steering,
 )
 from .fileio import (
+    MultinotchRow,
     PeakRecord,
     SweepPoint,
     read_keyvals,
@@ -348,8 +349,8 @@ def suppression_band(column: np.ndarray, center_rad: float, peak: float) -> tupl
     crossings = _unit_circle_angles(shifted)
     left, right = crossings[crossings < center_rad], crossings[crossings > center_rad]
     low = find_edge(max(left.max() - 1e-7, 0.0)) if left.size else 0.0
-    high = find_edge(min(right.min() + 1e-7, np.pi)) if right.size else float(np.pi)
-    return (low, high)
+    high = find_edge(min(right.min() + 1e-7, np.pi)) if right.size else np.pi
+    return (float(low), float(high))
 
 
 def min_inband_suppression_db(column: np.ndarray, center_rad: float, peak: float, spacing_rad: float, num_notches: int) -> float:
@@ -368,19 +369,11 @@ def min_inband_suppression_db(column: np.ndarray, center_rad: float, peak: float
 
 
 @dataclass
-class MultinotchEntry:
-    epsilon_rad: float
-    notch: RisConfig
-    pattern_path: Path
-    sweep: SweepResult | None
-    band: tuple[float, float]
-    bandwidth_rad: float
-    min_inband_suppression_db: float
-
-
-@dataclass
 class MultinotchStudyResult:
-    entries: list[MultinotchEntry]
+    """What the multi-notch study wrote: the summary's rows, one a spacing in
+    the order of its specs, and the summary's path."""
+
+    rows: list[MultinotchRow]
     summary_path: Path
 
 
@@ -412,39 +405,27 @@ def run_multinotch_study(
     """Widened notches for each of `notch_specs`: pattern file, suppression
     metrics, and, when handed a trained peak, the error sweep with each
     combined config, all written under out_dir with the summary table."""
-    params = scenario.ofdm_params()
     grid_deg = angle_grid_deg(grid_points)
     grid_rad = angle_grid(grid_points)
     out_dir = Path(out_dir)
 
     notches = [multi_notch(spec) for spec in specs]
-    sweeps = [None] * len(notches)
     if training is not None:
         # every spacing is swept at each point on the same draws, in one pool
         # forked before the pattern blocks leave freed heap behind
         combined = [_combined(training.config, notch) for notch in notches]
-        sweeps = _sweep_results(scenario, combined, subcarrier_mode, workers)
+        for spec, sweep in zip(specs, _sweep_results(scenario, combined, subcarrier_mode, workers)):
+            write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{float(spec.spacing_rad)!r}")
     center = scenario.interferer_angle_rad
-    patterns = power_patterns(notches, params, grid_rad, subcarrier_mode)
-    entries = []
-    for spec, notch, sweep, pattern in zip(specs, notches, sweeps, patterns):
+    patterns = power_patterns(notches, scenario.ofdm_params(), grid_rad, subcarrier_mode)
+    rows = []
+    for spec, notch, pattern in zip(specs, notches, patterns):
         epsilon = float(spec.spacing_rad)
+        write_pattern_table(out_dir / f"multinotch_pattern_eps{epsilon!r}.csv", grid_deg, normalize_pattern_db(pattern))
         peak = carrier_peak(notch.coefficients)
-        band = suppression_band(notch.coefficients, center, peak)
-        entry = MultinotchEntry(
-            epsilon_rad=epsilon,
-            notch=notch,
-            pattern_path=write_pattern_table(
-                out_dir / f"multinotch_pattern_eps{epsilon!r}.csv", grid_deg, normalize_pattern_db(pattern)
-            ),
-            sweep=sweep,
-            band=band,
-            bandwidth_rad=float(band[1] - band[0]),
-            min_inband_suppression_db=min_inband_suppression_db(notch.coefficients, center, peak, epsilon, spec.num_notches),
-        )
-        if sweep is not None:
-            write_sweep_files(sweep, out_dir, stem=f"multinotch_sweep_eps{epsilon!r}")
-        entries.append(entry)
+        low, high = suppression_band(notch.coefficients, center, peak)
+        depth = min_inband_suppression_db(notch.coefficients, center, peak, epsilon, spec.num_notches)
+        rows.append(MultinotchRow(epsilon, high - low, low, high, depth))
 
     comments = (
         f"suppression_threshold_db={SUPPRESSION_THRESHOLD_DB!r}",
@@ -452,9 +433,8 @@ def run_multinotch_study(
         f"num_notches={_study_notches(scenario)}",
         "peak and edge brackets from the roots of the carrier pattern's polynomial; edges bisected on the pattern",
     )
-    rows = [(e.epsilon_rad, e.bandwidth_rad, *e.band, e.min_inband_suppression_db) for e in entries]
     summary_path = write_multinotch_summary(out_dir / "multinotch_summary.csv", rows, comments)
-    return MultinotchStudyResult(entries=entries, summary_path=summary_path)
+    return MultinotchStudyResult(rows, summary_path)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +548,11 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
     artifacts.append(path)
     artifacts.extend(sorted(out_dir.glob("multinotch_pattern_eps*.csv")))
     with _parsing(path):
-        rows = sorted((eps, bw, sup) for eps, bw, _lo, _hi, sup in read_multinotch_summary(path))
-    bandwidths = [bw for _, bw, _ in rows]
+        rows = sorted(read_multinotch_summary(path))
+    bandwidths = [row.suppression_bandwidth_rad for row in rows]
     name = "multinotch: suppression bandwidth strictly increasing with spacing"
     _check(checks, name, ",".join(map(repr, bandwidths)), itertools.pairwise(bandwidths), lambda a, b: b > a)
-    suppressions = [sup for _, _, sup in rows]
+    suppressions = [row.min_inband_suppression_db for row in rows]
     name = "multinotch: minimum in-band suppression strictly decreasing with spacing"
     _check(checks, name, ",".join(map(repr, suppressions)), itertools.pairwise(suppressions), lambda a, b: b < a)
     return True

@@ -41,9 +41,19 @@ class PeakRecord(NamedTuple):
     range_err_m: float
 
 
+class MultinotchRow(NamedTuple):
+    """One row of the multi-notch summary: a notch spacing's suppression band and in-band depth."""
+
+    epsilon_rad: float
+    suppression_bandwidth_rad: float
+    band_low_rad: float
+    band_high_rad: float
+    min_inband_suppression_db: float
+
+
 PEAK_RECORD_HEADER = ",".join(PeakRecord._fields)
 SWEEP_HEADER = ",".join(SweepPoint._fields)
-MULTINOTCH_SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
+MULTINOTCH_SUMMARY_HEADER = ",".join(MultinotchRow._fields)
 
 PATTERN_TABLE = Table("angle_deg,power_db", (float, float))
 CONFIG_TABLE = Table("re,im", (float, float))
@@ -73,12 +83,7 @@ def write_lines(path, lines) -> Path:
 
 
 def _lines(path) -> list[str]:
-    """The lines of a file, read once; every reader parses from them."""
-    return Path(path).read_text().splitlines()
-
-
-def _whole_lines(path) -> list[str]:
-    """The lines of a file that a later run reads back as its input; every
+    """The lines of a file, read once; every reader parses from them. Every
     writer ends a file with a newline, so one that does not was cut short."""
     text = Path(path).read_text()
     if text and not text.endswith("\n"):
@@ -166,8 +171,8 @@ def write_config_file(path, config: RisConfig, *, theta_t: float, seed: int, **n
 
 def read_config_file(path) -> tuple[RisConfig, dict]:
     """The configuration and its header's `key=value` pairs, each key of
-    CONFIG_HEADER_KINDS converted to its kind; a file cut short is a ValueError."""
-    lines = _whole_lines(path)
+    CONFIG_HEADER_KINDS converted to its kind."""
+    lines = _lines(path)
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing configuration header")
     meta: dict = {}
@@ -225,22 +230,21 @@ def write_loss_history(path, losses) -> Path:
 
 
 def read_loss_history(path) -> np.ndarray:
-    """The losses of a training run, one an iteration from 0; a file cut short
-    or whose iterations do not count up from 0 is a ValueError."""
-    iterations, losses = _parse_table(path, _whole_lines(path), LOSS_TABLE)
+    """The losses of a training run, one an iteration from 0; a file whose
+    iterations do not count up from 0 is a ValueError."""
+    iterations, losses = _parse_table(path, _lines(path), LOSS_TABLE)
     if iterations != list(range(len(iterations))):
         raise ValueError(f"{path}: iterations must count up from 0")
     return np.array(losses, dtype=float)
 
 
 def write_multinotch_summary(path, rows, comments=()) -> Path:
-    """One (spacing, bandwidth, band low, band high, minimum in-band
-    suppression) row per notch spacing."""
-    return _write_table(path, MULTINOTCH_SUMMARY_TABLE, _columns(rows, 5), comments)
+    """One row per `MultinotchRow`, one a notch spacing."""
+    return _write_table(path, MULTINOTCH_SUMMARY_TABLE, _columns(rows, len(MultinotchRow._fields)), comments)
 
 
-def read_multinotch_summary(path) -> list[tuple[float, float, float, float, float]]:
-    return list(zip(*_read_table(path, MULTINOTCH_SUMMARY_TABLE)))
+def read_multinotch_summary(path) -> list[MultinotchRow]:
+    return list(map(MultinotchRow._make, zip(*_read_table(path, MULTINOTCH_SUMMARY_TABLE))))
 
 
 def write_keyvals(path, pairs: dict) -> Path:

@@ -198,8 +198,8 @@ def test_criterion_7_multinotch_tradeoff(tmp_path):
     result = run_multinotch_study(
         scenario, tmp_path, notch_specs(scenario, (0.0, 1e-3, 1e-2)), None
     )
-    widths = [entry.bandwidth_rad for entry in result.entries]
-    depths = [entry.min_inband_suppression_db for entry in result.entries]
+    widths = [row.suppression_bandwidth_rad for row in result.rows]
+    depths = [row.min_inband_suppression_db for row in result.rows]
     ordered = widths[2] > widths[1] > widths[0] and depths[2] < depths[1] < depths[0]
     elapsed = time.monotonic() - start
     announce(

@@ -251,6 +251,7 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
         ("sweep.csv", SWEEP_HEADER + "\n", "no data rows"),
         ("sweep.csv", f"# interferer_angle_rad=0.8\n{SWEEP_HEADER}\n0.0,0.0,0.0,0.0,2\n", "missing key 'range_bin_m'"),
         ("multinotch_summary.csv", f"{SUMMARY_HEADER}\n0.0,wide,0.1,1.1,300.0\n", "could not convert string to float"),
+        ("multinotch_summary.csv", f"{SUMMARY_HEADER}\n0.0,0.1,0.7,0.8,300.0\n0.01,0.2,0.6,0.8,156.0", "the last line is cut short"),
         ("pattern_metrics.txt", "target_angle_deg=72.0\ncombined_db_at_interferer=-80.0\n", "missing key 'combined_argmax_deg'"),
         ("pattern_metrics.txt", f"{PASSING_METRICS}result: pass\n", "line 4: expected key = value"),
         ("pattern_metrics.txt", f"combined_argmax_deg = 10.0\n{PASSING_METRICS}", "line 2: repeated key combined_argmax_deg"),
@@ -284,6 +285,7 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
         "sweep-without-rows",
         "sweep-without-range-bin",
         "summary-non-numeric",
+        "summary-cut-short",
         "metrics-missing-key",
         "metrics-line-without-equals",
         "metrics-repeated-key",
@@ -297,9 +299,10 @@ SUMMARY_HEADER = "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_r
 def test_report_on_unparsable_study_file_exits_two(name, text, reason, tmp_path, capsys):
     (tmp_path / name).write_text(text)
     assert main(["report", "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"report error: {tmp_path / name}: {reason}")
     assert err.count("\n") == 1
+    assert out == ""
 
 
 def test_report_on_missing_directory_exits_two_and_creates_nothing(tmp_path, capsys):
@@ -831,13 +834,19 @@ def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
     assert run.stderr == "error: the tables do not cover the same (ratio, offset) grid\n"
 
 
-def test_compare_sweeps_script_rejects_a_row_without_trials(tmp_path):
+@pytest.mark.parametrize(
+    "trials, cut, reason",
+    [(0, 0, "row 1 has 0 trials, expected at least 1"), (40, 2, "the last line is cut short")],
+    ids=["row-without-trials", "cut-short"],  # the cut reads 40 trials as 4
+)
+def test_compare_sweeps_script_rejects_an_unreadable_table(trials, cut, reason, tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "compare_sweeps.py"
     write_sweep_table(tmp_path / "old.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, 4)], ("range_bin_m=0.75",))
-    write_sweep_table(tmp_path / "new.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, 0)], ("range_bin_m=0.75",))
+    new = write_sweep_table(tmp_path / "new.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, trials)], ("range_bin_m=0.75",))
+    new.write_bytes(new.read_bytes()[: len(new.read_bytes()) - cut])
     run = subprocess.run(
-        [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "new.csv")], capture_output=True, text=True
+        [sys.executable, str(script), str(tmp_path / "old.csv"), str(new)], capture_output=True, text=True
     )
     assert run.returncode == 2
-    assert run.stderr == f"error: {tmp_path / 'new.csv'}: row 1 has 0 trials, expected at least 1\n"
+    assert run.stderr == f"error: {new}: {reason}\n"
     assert run.stdout == ""

@@ -26,7 +26,15 @@ from risradar.experiments import (
     trial_seeds,
     write_sweep_files,
 )
-from risradar.fileio import SweepPoint, read_keyvals, read_pattern_table, read_peak_records, read_sweep_file, write_sweep_table
+from risradar.fileio import (
+    SweepPoint,
+    read_keyvals,
+    read_multinotch_summary,
+    read_pattern_table,
+    read_peak_records,
+    read_sweep_file,
+    write_sweep_table,
+)
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import InterferenceParams, TargetParams, draw_trial, frame_terms
 from risradar.synthesis import (
@@ -443,26 +451,31 @@ class TestInterferenceSweep:
 class TestMultinotchStudy:
     def test_defaults_to_four_notches(self, multi):
         result, _ = multi
-        assert all(e.notch.num_elements == 5 for e in result.entries)
+        assert "# num_notches=4" in result.summary_path.read_text().splitlines()
 
     def test_bandwidth_grows_with_spacing(self, multi):
         result, _ = multi
-        widths = [e.bandwidth_rad for e in result.entries]
+        widths = [row.suppression_bandwidth_rad for row in result.rows]
         assert widths[0] < widths[1] < widths[2]
 
     def test_suppression_shrinks_with_spacing(self, multi):
         result, _ = multi
-        depths = [e.min_inband_suppression_db for e in result.entries]
+        depths = [row.min_inband_suppression_db for row in result.rows]
         assert depths[0] > depths[1] > depths[2]
         assert depths[2] > 30.0  # still well below the -30 dB threshold in-band
+
+    def test_returns_the_rows_it_wrote(self, multi):
+        result, _ = multi
+        assert [row.epsilon_rad for row in result.rows] == [0.0, 1e-3, 1e-2]
+        assert repr(result.rows) == repr(read_multinotch_summary(result.summary_path))
 
     def test_summary_and_patterns_on_disk(self, multi):
         result, out = multi
         assert result.summary_path.exists()
         text = result.summary_path.read_text()
         assert "suppression_threshold_db=-30.0" in text
-        for entry in result.entries:
-            angles, power = read_pattern_table(entry.pattern_path)
+        for row in result.rows:
+            angles, power = read_pattern_table(out / f"multinotch_pattern_eps{row.epsilon_rad!r}.csv")
             assert angles.size == 721
 
     def test_builds_no_steering_block_beyond_the_grid_or_the_depth_span(self, monkeypatch, tmp_path):
@@ -477,19 +490,18 @@ class TestMultinotchStudy:
         run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, (0.0, 1e-3, 1e-2)), None)
         assert sizes and max(sizes) <= max(arrays.GRID_POINTS, 4001)
 
-    def test_sweeps_attached_when_requested(self, tmp_path):
+    def test_sweeps_written_when_requested(self, tmp_path):
         scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
         result = run_multinotch_study(
             scenario, tmp_path, notch_specs(scenario, (0.0, 1e-2)), small_training()
         )
-        for entry in result.entries:
-            assert entry.sweep is not None
-            assert entry.sweep.points[0].mean_range_error_m == 0.0
-        assert (tmp_path / "multinotch_sweep_eps0.0.csv").exists()
+        for row in result.rows:
+            points, _ = read_sweep_file(tmp_path / f"multinotch_sweep_eps{row.epsilon_rad!r}.csv")
+            assert [point.mean_range_error_m for point in points] == [0.0]
 
     def test_no_spacings_writes_an_empty_summary(self, tmp_path):
         result = run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, ()), None)
-        assert result.entries == []
+        assert result.rows == []
         assert result.summary_path.read_text().splitlines()[-1].startswith("epsilon_rad,")
 
     def test_shared_pool_writes_the_one_worker_bytes(self, tmp_path):
@@ -546,7 +558,8 @@ class TestSharedSweepPoint:
         result = run_multinotch_study(
             scenario, tmp_path, notch_specs(scenario, self.SPACINGS), analytic_training(scenario), subcarrier_mode=mode
         )
-        assert sum(record.range_err_m != 0.0 for e in result.entries for record in e.sweep.records) == self.NONZERO_ERRORS[mode]
+        records = [read_peak_records(tmp_path / f"multinotch_sweep_eps{row.epsilon_rad!r}_records.csv") for row in result.rows]
+        assert sum(record.range_err_m != 0.0 for spacing in records for record in spacing) == self.NONZERO_ERRORS[mode]
         tables = [(tmp_path / f"multinotch_sweep_eps{eps!r}.csv").read_bytes() for eps in self.SPACINGS]
         assert len(set(tables)) == len(self.SPACINGS)
         digests = file_digests(tmp_path)
@@ -591,10 +604,11 @@ class TestSharedSweepPoint:
         real_default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng", counting)
         spacings, points, trials = (0.0, 1e-3, 1e-2), 4, SMALL.trials
-        result = run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, spacings), analytic_training(SMALL))
-        assert [len(e.sweep.records) for e in result.entries] == [points * trials] * len(spacings)
+        run_multinotch_study(SMALL, tmp_path, notch_specs(SMALL, spacings), analytic_training(SMALL))
+        records = [read_peak_records(tmp_path / f"multinotch_sweep_eps{eps!r}_records.csv") for eps in spacings]
+        assert [len(spacing) for spacing in records] == [points * trials] * len(spacings)
         assert len(generators) == points * trials  # one generator a trial, not one a spacing or a draw
-        assert generators == [record.seed for record in result.entries[0].sweep.records]
+        assert generators == [record.seed for record in records[0]]
 
 
 def rows_the_records_miss(table_path, records_path) -> list:
@@ -630,7 +644,7 @@ class TestSweepTableFromRecords:
         overrides = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"))
         quick = default_scenario().replace(**overrides["QUICK_OVERRIDES"])
         result = run_multinotch_study(quick, tmp_path, notch_specs(quick, (0.0, 1e-3, 1e-2)), analytic_training(quick))
-        stems = [f"multinotch_sweep_eps{entry.epsilon_rad!r}" for entry in result.entries]
+        stems = [f"multinotch_sweep_eps{row.epsilon_rad!r}" for row in result.rows]
         assert [rows_the_records_miss(tmp_path / f"{stem}.csv", tmp_path / f"{stem}_records.csv") for stem in stems] == [[]] * 3
 
     def test_records_of_another_master_seed_miss(self, tmp_path):
@@ -750,8 +764,9 @@ class TestHandedInputs:
         scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
         run_pattern_study(scenario, tmp_path / "pattern", training)
         run_interference_sweep(scenario, synthesize_configs(scenario, training).combined)
-        result = run_multinotch_study(scenario, tmp_path / "multinotch", notch_specs(scenario, (0.0, 1e-2)), training)
-        assert all(entry.sweep is not None for entry in result.entries)
+        run_multinotch_study(scenario, tmp_path / "multinotch", notch_specs(scenario, (0.0, 1e-2)), training)
+        assert (tmp_path / "multinotch" / "multinotch_sweep_eps0.0.csv").exists()
+        assert (tmp_path / "multinotch" / "multinotch_sweep_eps0.01.csv").exists()
 
 
 RATIO_TREND = "sweep: mean error non-decreasing in power ratio (one-bin tolerance)"

@@ -100,10 +100,13 @@ def test_config_file_records_the_network_keys_after_the_seed(tmp_path):
 
 
 @pytest.mark.parametrize("cut", [1, 3], ids=["final-newline", "last-value"])
-def test_a_file_read_back_as_an_input_is_rejected_when_cut_short(cut, tmp_path):
-    config = write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.123456789j]), theta_t=0.5, seed=1)
-    losses = write_loss_history(tmp_path / "l.csv", [0.5, 0.123456789])
-    for path, read in ((config, read_config_file), (losses, read_loss_history)):
+def test_every_reader_rejects_a_file_cut_short(cut, tmp_path):
+    readers = [
+        *_valid_tables(tmp_path).values(),
+        (write_loss_history(tmp_path / "l.csv", [0.5, 0.123456789]), read_loss_history),
+        (write_keyvals(tmp_path / "k.txt", {"grid_points": 721, "level": 0.123456789}), read_keyvals),
+    ]
+    for path, read in readers:
         path.write_bytes(path.read_bytes()[:-cut])
         with pytest.raises(ValueError, match="the last line is cut short") as excinfo:
             read(path)

@@ -25,6 +25,8 @@
 * One declaration per scenario key: each `Scenario` field carries its key
   and an annotation the parser converts, and `_SCHEMA` is those keys in
   field order, so the schema and the domain builders are derived from it.
+* One declaration per table row: each named-tuple row of `fileio` gives
+  its table's header by its fields and its table's kinds by their annotations.
 * One rule per report check: every check `report` makes is appended by
   `experiments._check`, and only `ReportResult.verdict` names the verdicts
   other than pass and fail.
@@ -38,11 +40,20 @@ import ast
 import dataclasses
 import inspect
 import textwrap
+import typing
 from pathlib import Path
 
 import pytest
 
 from risradar.arrays import OfdmParams
+from risradar.fileio import (
+    MULTINOTCH_SUMMARY_TABLE,
+    PEAK_RECORD_TABLE,
+    SWEEP_TABLE,
+    MultinotchRow,
+    PeakRecord,
+    SweepPoint,
+)
 from risradar.scenario import _SCHEMA, Scenario, default_scenario
 from risradar.synthesis import NotchSpec, PeakNetSpec
 
@@ -219,6 +230,16 @@ def test_domain_rules_raise_only_field_errors(cls):
     raised = [ast.unparse(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
     assert raised
     assert [text for text in raised if not text.startswith("FieldError(")] == []
+
+
+ROW_TABLES = {SweepPoint: SWEEP_TABLE, PeakRecord: PEAK_RECORD_TABLE, MultinotchRow: MULTINOTCH_SUMMARY_TABLE}
+
+
+@pytest.mark.parametrize("row", list(ROW_TABLES), ids=lambda row: row.__name__)
+def test_each_table_row_is_declared_once(row):
+    table = ROW_TABLES[row]
+    assert table.header == ",".join(row._fields)
+    assert table.kinds == tuple(typing.get_type_hints(row).values())
 
 
 VERDICTS = ("nothing-run", "nothing-checked")
