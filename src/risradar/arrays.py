@@ -10,6 +10,7 @@ one place that phase is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,11 @@ class OfdmParams:
             raise FieldError("num_symbols", "must be a positive integer")
         if not 0.0 <= self.cp_ratio < 1.0:
             raise FieldError("cp_ratio", "must lie in [0, 1)")
+        # f_n / f_c < 2 keeps the element spacing under a wavelength and every steering phase finite
+        if not (self.bandwidth_hz <= self.carrier_freq_hz and math.isfinite(self.carrier_freq_hz + self.bandwidth_hz)):
+            raise FieldError("carrier_freq_hz", "must be at least bandwidth_hz, with a finite sum")
+        if not (self.subcarrier_spacing > 0.0 and math.isfinite(self.carrier_freq_hz * self.total_symbol_time)):
+            raise FieldError("bandwidth_hz", "must keep carrier_freq_hz * total symbol time finite")
 
     @property
     def subcarrier_spacing(self) -> float:
@@ -183,9 +189,11 @@ def normalize_pattern_db(pattern) -> np.ndarray:
     """Normalize a linear power pattern to peak 0 dB.
 
     Exact zeros map to DB_FLOOR so log-scale plots stay finite; an
-    all-zero pattern is rejected.
+    all-zero pattern and a non-finite power are rejected.
     """
     p = np.atleast_1d(np.asarray(pattern, dtype=float))
+    if not np.all(np.isfinite(p)):
+        raise ValueError("power pattern must be finite")
     if np.any(p < 0.0):
         raise ValueError("power pattern must be non-negative")
     peak = p.max() if p.size else 0.0

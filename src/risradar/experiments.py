@@ -46,14 +46,12 @@ from .fileio import (
     PeakRecord,
     SweepPoint,
     read_keyvals,
-    read_multinotch_summary,
+    read_rows,
     read_sweep_file,
     write_keyvals,
     write_lines,
-    write_multinotch_summary,
     write_pattern_table,
-    write_peak_records,
-    write_sweep_table,
+    write_rows,
 )
 from .scenario import Scenario, ScenarioError
 from .simulation import (
@@ -290,8 +288,8 @@ def write_sweep_files(result: SweepResult, out_dir: Path, stem: str = "sweep") -
         f"interferer_angle_rad={float(result.interferer_angle_rad)!r}",
         f"range_bin_m={float(result.range_bin_m)!r}",
     )
-    table = write_sweep_table(out_dir / f"{stem}.csv", result.points, comments)
-    records = write_peak_records(out_dir / f"{stem}_records.csv", result.records)
+    table = write_rows(out_dir / f"{stem}.csv", SweepPoint, result.points, comments)
+    records = write_rows(out_dir / f"{stem}_records.csv", PeakRecord, result.records)
     return table, records
 
 
@@ -433,7 +431,7 @@ def run_multinotch_study(
         f"num_notches={_study_notches(scenario)}",
         "peak and edge brackets from the roots of the carrier pattern's polynomial; edges bisected on the pattern",
     )
-    summary_path = write_multinotch_summary(out_dir / "multinotch_summary.csv", rows, comments)
+    summary_path = write_rows(out_dir / "multinotch_summary.csv", MultinotchRow, rows, comments)
     return MultinotchStudyResult(rows, summary_path)
 
 
@@ -548,7 +546,7 @@ def _check_multinotch(out_dir: Path, checks: list, artifacts: list) -> bool:
     artifacts.append(path)
     artifacts.extend(sorted(out_dir.glob("multinotch_pattern_eps*.csv")))
     with _parsing(path):
-        rows = sorted(read_multinotch_summary(path))
+        rows = sorted(read_rows(path, MultinotchRow))
     bandwidths = [row.suppression_bandwidth_rad for row in rows]
     name = "multinotch: suppression bandwidth strictly increasing with spacing"
     _check(checks, name, ",".join(map(repr, bandwidths)), itertools.pairwise(bandwidths), lambda a, b: b > a)

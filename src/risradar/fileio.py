@@ -1,25 +1,22 @@
 """Plain-text export/import for patterns, configurations, metrics, and sweeps.
 
-Each table is declared once, as its header and the kind of each column.
-Its values are written with repr (shortest round-trip form) so parsing
-an emitted file reproduces the in-memory values exactly, and repeated
-runs produce byte-identical files.
+Each table is declared once, as a NamedTuple row type: its fields are the
+header and its annotations the kind of each column. Its values are written
+with repr (shortest round-trip form) so parsing an emitted file reproduces
+the in-memory values exactly, and repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import typing
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .arrays import RisConfig
-
-
-class Table(NamedTuple):
-    header: str
-    kinds: tuple[type, ...]
 
 
 class SweepPoint(NamedTuple):
@@ -51,16 +48,9 @@ class MultinotchRow(NamedTuple):
     min_inband_suppression_db: float
 
 
-PEAK_RECORD_HEADER = ",".join(PeakRecord._fields)
-SWEEP_HEADER = ",".join(SweepPoint._fields)
-MULTINOTCH_SUMMARY_HEADER = ",".join(MultinotchRow._fields)
-
-PATTERN_TABLE = Table("angle_deg,power_db", (float, float))
-CONFIG_TABLE = Table("re,im", (float, float))
-PEAK_RECORD_TABLE = Table(PEAK_RECORD_HEADER, (int, float, float, float))
-SWEEP_TABLE = Table(SWEEP_HEADER, (float, float, float, float, int))
-LOSS_TABLE = Table("iteration,loss", (int, float))
-MULTINOTCH_SUMMARY_TABLE = Table(MULTINOTCH_SUMMARY_HEADER, (float, float, float, float, float))
+PatternRow = NamedTuple("PatternRow", [("angle_deg", float), ("power_db", float)])
+ConfigRow = NamedTuple("ConfigRow", [("re", float), ("im", float)])
+LossRow = NamedTuple("LossRow", [("iteration", int), ("loss", float)])
 # the kind of each key a configuration file's header may carry besides `slots`; a
 # trained peak's file adds the four network keys to the angle and the seed
 CONFIG_HEADER_KINDS = {
@@ -114,47 +104,65 @@ def _columns(rows, width: int) -> list:
     return list(zip(*rows, strict=True)) or [()] * width
 
 
-def _write_table(path, table: Table, columns, comments=()) -> Path:
-    """`# ` comment lines, the header, then one comma-separated row per record;
+@functools.cache
+def _table(row) -> tuple[str, tuple[type, ...]]:
+    """The header and the column kinds of the `row` table: its fields and its annotations, resolved once."""
+    return ",".join(row._fields), tuple(typing.get_type_hints(row).values())
+
+
+def _write_table(path, row, columns, comments=()) -> Path:
+    """`# ` comment lines, the header of `row`, then one comma-separated line per record;
     each column is converted to its kind once, and columns of unequal length are a ValueError."""
-    cells = [np.asarray(column, dtype=kind).tolist() for column, kind in zip(columns, table.kinds, strict=True)]
-    rows = map(",".join, zip(*(map(repr, column) for column in cells), strict=True))
-    return write_lines(path, [*(f"# {c}" for c in comments), table.header, *rows])
+    header, kinds = _table(row)
+    cells = [np.asarray(column, dtype=kind).tolist() for column, kind in zip(columns, kinds, strict=True)]
+    lines = map(",".join, zip(*(map(repr, column) for column in cells), strict=True))
+    return write_lines(path, [*(f"# {c}" for c in comments), header, *lines])
 
 
-def _parse_table(path, lines, table: Table) -> list[list]:
-    """The typed columns of the `table` file `path` whose lines are `lines`; a wrong
-    header, a row with the wrong number of values, a value of the wrong kind or a
-    non-finite number is a ValueError naming the path."""
+def write_rows(path, row, rows, comments=()) -> Path:
+    """The `row` table of `rows`, each a `row` or a tuple in its field order, under `comments`."""
+    return _write_table(path, row, _columns(rows, len(row._fields)), comments)
+
+
+def _parse_table(path, lines, row) -> list[list]:
+    """The typed columns of the `row` table file `path` whose lines are `lines`; a
+    wrong header, a row with the wrong number of values, a value of the wrong kind
+    or a non-finite number is a ValueError naming the path."""
+    header, kinds = _table(row)
     lines = [line for line in lines if line and not line.startswith("#")]
-    if not lines or lines[0] != table.header:
-        raise ValueError(f"{path}: expected the header {table.header}")
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: expected the header {header}")
     rows = [line.split(",") for line in lines[1:]]
     for number, values in enumerate(rows, 1):
-        if len(values) != len(table.kinds):
-            raise ValueError(f"{path}: row {number} has {len(values)} values, expected {len(table.kinds)}")
+        if len(values) != len(kinds):
+            raise ValueError(f"{path}: row {number} has {len(values)} values, expected {len(kinds)}")
     try:
-        columns = [list(map(kind, column)) for kind, column in zip(table.kinds, _columns(rows, len(table.kinds)))]
+        columns = [list(map(kind, column)) for kind, column in zip(kinds, _columns(rows, len(kinds)))]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    floats = [column for kind, column in zip(table.kinds, columns) if kind is float]
+    floats = [column for kind, column in zip(kinds, columns) if kind is float]
     for number, values in enumerate(zip(*floats), 1):
         if not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: row {number} has a non-finite value")
     return columns
 
 
-def _read_table(path, table: Table) -> list[list]:
-    return _parse_table(path, _lines(path), table)
+def _parse_rows(path, lines, row) -> list:
+    return list(map(row._make, zip(*_parse_table(path, lines, row))))
+
+
+def read_rows(path, row) -> list:
+    """The records of the `row` table file `path`, each a `row`."""
+    return _parse_rows(path, _lines(path), row)
 
 
 def write_pattern_table(path, angles_deg, power_db) -> Path:
     """The pattern table: one (angle in degrees, power in dB) row per grid point."""
-    return _write_table(path, PATTERN_TABLE, (angles_deg, power_db))
+    return _write_table(path, PatternRow, (angles_deg, power_db))
 
 
 def read_pattern_table(path) -> tuple[np.ndarray, np.ndarray]:
-    angles, power = _read_table(path, PATTERN_TABLE)
+    angles, power = _parse_table(path, _lines(path), PatternRow)
     return np.array(angles, dtype=float), np.array(power, dtype=float)
 
 
@@ -166,9 +174,7 @@ def write_config_file(path, config: RisConfig, *, theta_t: float, seed: int, **n
     tokens = (f"{key}={CONFIG_HEADER_KINDS[key](value)!r}" for key, value in pairs.items())
     header = " ".join([f"elements={config.num_elements} slots=1", *tokens])
     coeffs = config.coefficients
-    return _write_table(path, CONFIG_TABLE, (coeffs.real, coeffs.imag), comments=(header,))
-
-
+    return _write_table(path, ConfigRow, (coeffs.real, coeffs.imag), comments=(header,))
 def read_config_file(path) -> tuple[RisConfig, dict]:
     """The configuration and its header's `key=value` pairs, each key of
     CONFIG_HEADER_KINDS converted to its kind."""
@@ -190,31 +196,21 @@ def read_config_file(path) -> tuple[RisConfig, dict]:
     elements = meta["elements"]
     if meta.get("slots") != "1":
         raise ValueError(f"{path}: expected slots=1, found slots={meta.get('slots')}")
-    real, imag = _parse_table(path, lines, CONFIG_TABLE)
+    real, imag = _parse_table(path, lines, ConfigRow)
     if len(real) != elements:
         raise ValueError(f"{path}: expected {elements} element rows, found {len(real)}")
     return RisConfig([complex(re, im) for re, im in zip(real, imag)]), meta
 
 
-def write_peak_records(path, records) -> Path:
-    """Per-trial records: one row per `PeakRecord`."""
-    return _write_table(path, PEAK_RECORD_TABLE, _columns(records, len(PeakRecord._fields)))
-
-
 def read_peak_records(path) -> list[PeakRecord]:
-    return list(map(PeakRecord._make, zip(*_read_table(path, PEAK_RECORD_TABLE))))
-
-
-def write_sweep_table(path, points, comments=()) -> Path:
-    """One row per `SweepPoint`; comment lines document the estimator choices."""
-    return _write_table(path, SWEEP_TABLE, _columns(points, len(SweepPoint._fields)), comments)
+    return read_rows(path, PeakRecord)
 
 
 def read_sweep_file(path) -> tuple[list[SweepPoint], dict]:
     """A sweep table's points and its `# key=value` comments, from one read; a
     row with fewer than one trial is a ValueError naming the file and the row."""
     lines = _lines(path)
-    points = list(map(SweepPoint._make, zip(*_parse_table(path, lines, SWEEP_TABLE))))
+    points = _parse_rows(path, lines, SweepPoint)
     for number, point in enumerate(points, 1):
         if point.trials < 1:
             raise ValueError(f"{path}: row {number} has {point.trials} trials, expected at least 1")
@@ -226,25 +222,16 @@ def read_sweep_table(path) -> list[SweepPoint]:
 
 
 def write_loss_history(path, losses) -> Path:
-    return _write_table(path, LOSS_TABLE, (range(len(losses)), losses))
+    return _write_table(path, LossRow, (range(len(losses)), losses))
 
 
 def read_loss_history(path) -> np.ndarray:
     """The losses of a training run, one an iteration from 0; a file whose
     iterations do not count up from 0 is a ValueError."""
-    iterations, losses = _parse_table(path, _lines(path), LOSS_TABLE)
+    iterations, losses = _parse_table(path, _lines(path), LossRow)
     if iterations != list(range(len(iterations))):
         raise ValueError(f"{path}: iterations must count up from 0")
     return np.array(losses, dtype=float)
-
-
-def write_multinotch_summary(path, rows, comments=()) -> Path:
-    """One row per `MultinotchRow`, one a notch spacing."""
-    return _write_table(path, MULTINOTCH_SUMMARY_TABLE, _columns(rows, len(MultinotchRow._fields)), comments)
-
-
-def read_multinotch_summary(path) -> list[MultinotchRow]:
-    return list(map(MultinotchRow._make, zip(*_read_table(path, MULTINOTCH_SUMMARY_TABLE))))
 
 
 def write_keyvals(path, pairs: dict) -> Path:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import DB_FLOOR, FieldError, OfdmParams
+from .simulation import TargetParams
 from .synthesis import NotchSpec, PeakNetSpec
 
 
@@ -110,7 +111,18 @@ class Scenario:
         for key, axis in (("sweep.power_ratios_db", self.power_ratios_db), ("sweep.angle_offsets_rad", self.angle_offsets_rad)):
             _require(len(set(map(float, axis))) == len(axis), key, "must not repeat a value")  # -0.0 repeats 0.0
         _require(self.trials >= 1, "sweep.trials", "must be a positive integer")
-        max_range = self.ofdm_params().unambiguous_range
+        params = self.ofdm_params()
+        # the largest phases of the delay and Doppler ramps, formed in the order the simulation forms them
+        delay_phase = 2.0 * np.pi * (params.num_subcarriers - 1) * params.subcarrier_spacing
+        doppler_phase = 2.0 * np.pi * (params.carrier_freq_hz * params.total_symbol_time)
+        target_scale = TargetParams(self.target_range_m, self.target_angle_rad, self.target_velocity_mps).doppler_scale
+        for key, phase in (
+            ("sweep.interferer_delay_s", delay_phase * abs(self.interferer_delay_s)),
+            ("sweep.interferer_doppler_scale", doppler_phase * abs(self.interferer_doppler_scale) * (self.num_symbols - 1)),
+            ("sweep.target_velocity_mps", doppler_phase * abs(target_scale) * (self.num_symbols - 1)),
+        ):
+            _require(bool(np.isfinite(phase)), key, "must keep its phase ramp over the frame finite")
+        max_range = params.unambiguous_range
         _require(
             0.0 <= self.target_range_m < max_range,
             "sweep.target_range_m",

@@ -88,6 +88,10 @@ class TestOfdmParams:
             dict(carrier_freq_hz=float("nan")),
             dict(bandwidth_hz=float("nan")),
             dict(cp_ratio=float("nan")),
+            dict(carrier_freq_hz=1e8),  # below the 200 MHz band: f_n / f_c reaches 2
+            dict(carrier_freq_hz=1e-300),
+            dict(bandwidth_hz=1e-300),  # carrier cycles per symbol overflow
+            dict(bandwidth_hz=5e-324),  # the subcarrier spacing rounds to zero
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -96,6 +100,12 @@ class TestOfdmParams:
         with pytest.raises(FieldError) as excinfo:
             OfdmParams(**base)
         assert [excinfo.value.field] == list(kwargs)
+
+    def test_rejects_a_band_whose_top_frequency_overflows(self):
+        # bandwidth below the carrier, but f_c + (N-1) * df is not finite
+        with pytest.raises(FieldError) as excinfo:
+            OfdmParams(1.79e308, 1.01e306, num_subcarriers=100, num_symbols=50)
+        assert excinfo.value.field == "carrier_freq_hz"
 
 
 class TestSteeringVector:
@@ -296,6 +306,12 @@ class TestNormalizePatternDb:
             normalize_pattern_db([0.0, 0.0])
         with pytest.raises(ValueError):
             normalize_pattern_db([1.0, -0.5])
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    def test_rejects_a_non_finite_power(self, power):
+        # flooring it wrote a pattern of -300 dB everywhere
+        with pytest.raises(ValueError, match="power pattern must be finite"):
+            normalize_pattern_db([1.0, power])
 
 
 class TestRisConfig:

@@ -10,15 +10,16 @@ import pytest
 from risradar import cli, experiments
 from risradar.cli import main
 from risradar.fileio import (
-    SWEEP_HEADER,
     SweepPoint,
     read_config_file,
     read_keyvals,
     read_pattern_table,
     read_sweep_file,
-    write_sweep_table,
+    write_rows,
 )
 from risradar.scenario import default_scenario, load_scenario
+
+SWEEP_HEADER = "power_ratio_db,angle_offset_rad,mean_range_error_m,std_range_error_m,trials"
 
 SMALL_SCENARIO = """
 ofdm.num_subcarriers = 32
@@ -191,7 +192,7 @@ def test_sweep_then_report(scenario_file, tmp_path, capsys):
 def test_report_with_a_failed_check_exits_one(tmp_path, capsys):
     # zero-offset mean error of 5 m at 0 dB, above the 0.75 m bin
     points = [SweepPoint(0.0, 0.0, 5.0, 1.0, 2), SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
-    write_sweep_table(tmp_path / "sweep.csv", points, ("range_bin_m=0.75",))
+    write_rows(tmp_path / "sweep.csv", SweepPoint, points, ("range_bin_m=0.75",))
     assert main(["report", "--out", str(tmp_path)]) == 1
     summary = capsys.readouterr().out
     assert "[FAIL] sweep: mean error at zero offset <= one range bin" in summary
@@ -220,7 +221,7 @@ def test_report_on_empty_directory_signals_nothing_run(tmp_path):
 def test_report_counts_no_study_from_multinotch_sweeps_alone(tmp_path, capsys):
     # a multi-notch sweep is checked but is not a study: its checks pass, yet nothing was run
     points = [SweepPoint(0.0, 0.0, 0.0, 0.0, 2), SweepPoint(0.0, 0.01, 0.0, 0.0, 2)]
-    write_sweep_table(tmp_path / "multinotch_sweep_eps0.0.csv", points, ("range_bin_m=0.75",))
+    write_rows(tmp_path / "multinotch_sweep_eps0.0.csv", SweepPoint, points, ("range_bin_m=0.75",))
     assert main(["report", "--out", str(tmp_path)]) == 1
     summary = capsys.readouterr().out
     assert summary.startswith("studies: 0\n")
@@ -431,6 +432,34 @@ def test_out_of_domain_scenario_exits_two_before_any_work(line, tmp_path, capsys
     assert err.startswith(f"scenario error: line {last_line}: ")
     assert err.count("\n") == 1
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("sweep", "sweep.interferer_delay_s", "1e308"),
+        ("sweep", "sweep.interferer_delay_s", "-1e308"),
+        ("sweep", "sweep.interferer_delay_s", "1e305"),
+        ("multinotch --all-subcarriers", "sweep.interferer_doppler_scale", "1e308"),
+        ("sweep", "sweep.interferer_doppler_scale", "1e305"),
+        ("sweep", "sweep.target_velocity_mps", "1e308"),
+        ("sweep", "sweep.target_velocity_mps", "-1e308"),
+        ("sweep", "ofdm.bandwidth_hz", "1e-300"),
+        ("multinotch --all-subcarriers", "ofdm.carrier_freq_hz", "1e-300"),
+        ("pattern --all-subcarriers", "ofdm.carrier_freq_hz", "1e-300"),
+    ],
+)
+def test_finite_value_whose_phases_overflow_exits_two_before_any_work(command, key, value, tmp_path, capsys):
+    # each value is finite, but a delay, Doppler or steering phase built from it is not
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{SMALL_SCENARIO}{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main([*command.split(), "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    lineno = SMALL_SCENARIO.count("\n") + 1  # the line that set the key
+    assert err.startswith(f"scenario error: line {lineno}: {key} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["pattern", "train-peak", "sweep", "multinotch"])
@@ -813,8 +842,8 @@ def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
     comments = ("range_bin_m=0.75",)
     old = [SweepPoint(0.0, 0.0, 0.0, 0.0, 4), SweepPoint(30.0, 0.0, 2.0, 2.0, 4)]
     new = [SweepPoint(0.0, 0.0, 0.0, 0.0, 4), SweepPoint(30.0, 0.0, 8.0, 2.0, 4)]
-    write_sweep_table(tmp_path / "old.csv", old, comments)
-    write_sweep_table(tmp_path / "new.csv", new, comments)
+    write_rows(tmp_path / "old.csv", SweepPoint, old, comments)
+    write_rows(tmp_path / "new.csv", SweepPoint, new, comments)
     run = subprocess.run(
         [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "new.csv")], capture_output=True, text=True
     )
@@ -826,7 +855,7 @@ def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
         f"30.0,0.0,2.0,8.0,{6 / np.sqrt(2):.3f}",
         "within 3 standard errors: 1 of 2",
     ]
-    write_sweep_table(tmp_path / "other.csv", old[:1], comments)
+    write_rows(tmp_path / "other.csv", SweepPoint, old[:1], comments)
     run = subprocess.run(
         [sys.executable, str(script), str(tmp_path / "old.csv"), str(tmp_path / "other.csv")], capture_output=True, text=True
     )
@@ -841,8 +870,8 @@ def test_compare_sweeps_script_prints_z_and_the_count_within_three(tmp_path):
 )
 def test_compare_sweeps_script_rejects_an_unreadable_table(trials, cut, reason, tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "compare_sweeps.py"
-    write_sweep_table(tmp_path / "old.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, 4)], ("range_bin_m=0.75",))
-    new = write_sweep_table(tmp_path / "new.csv", [SweepPoint(0.0, 0.0, 0.0, 0.0, trials)], ("range_bin_m=0.75",))
+    write_rows(tmp_path / "old.csv", SweepPoint, [SweepPoint(0.0, 0.0, 0.0, 0.0, 4)], ("range_bin_m=0.75",))
+    new = write_rows(tmp_path / "new.csv", SweepPoint, [SweepPoint(0.0, 0.0, 0.0, 0.0, trials)], ("range_bin_m=0.75",))
     new.write_bytes(new.read_bytes()[: len(new.read_bytes()) - cut])
     run = subprocess.run(
         [sys.executable, str(script), str(tmp_path / "old.csv"), str(new)], capture_output=True, text=True

@@ -27,13 +27,14 @@ from risradar.experiments import (
     write_sweep_files,
 )
 from risradar.fileio import (
+    MultinotchRow,
     SweepPoint,
     read_keyvals,
-    read_multinotch_summary,
     read_pattern_table,
     read_peak_records,
+    read_rows,
     read_sweep_file,
-    write_sweep_table,
+    write_rows,
 )
 from risradar.scenario import Scenario, ScenarioError, default_scenario
 from risradar.simulation import InterferenceParams, TargetParams, draw_trial, frame_terms
@@ -467,7 +468,7 @@ class TestMultinotchStudy:
     def test_returns_the_rows_it_wrote(self, multi):
         result, _ = multi
         assert [row.epsilon_rad for row in result.rows] == [0.0, 1e-3, 1e-2]
-        assert repr(result.rows) == repr(read_multinotch_summary(result.summary_path))
+        assert repr(result.rows) == repr(read_rows(result.summary_path, MultinotchRow))
 
     def test_summary_and_patterns_on_disk(self, multi):
         result, out = multi
@@ -797,7 +798,7 @@ class TestReport:
         ratios, offsets, means, bin_m = table
         out = tmp_path_factory.mktemp("trend")
         points = [SweepPoint(r, o, means[r, o], 0.0, 5) for r in ratios for o in offsets]
-        write_sweep_table(out / "sweep.csv", points, (f"range_bin_m={bin_m!r}",))
+        write_rows(out / "sweep.csv", SweepPoint, points, (f"range_bin_m={bin_m!r}",))
         checks = {name: ok for name, ok, _detail in report(out).checks}
         by_ratio = [[means[r, o] for r in ratios] for o in offsets]
         expected = {RATIO_TREND: all(drops_at_most(series, bin_m) for series in by_ratio)} if len(ratios) > 1 else {}

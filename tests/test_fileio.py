@@ -7,24 +7,22 @@ from hypothesis import strategies as st
 
 from risradar.arrays import RisConfig
 from risradar.fileio import (
-    LOSS_TABLE,
-    MULTINOTCH_SUMMARY_HEADER,
+    LossRow,
+    MultinotchRow,
+    PeakRecord,
     SweepPoint,
-    _read_table,
     read_config_file,
     read_keyvals,
     read_loss_history,
-    read_multinotch_summary,
     read_pattern_table,
     read_peak_records,
+    read_rows,
     read_sweep_file,
     write_config_file,
     write_keyvals,
     write_loss_history,
-    write_multinotch_summary,
     write_pattern_table,
-    write_peak_records,
-    write_sweep_table,
+    write_rows,
 )
 
 
@@ -183,13 +181,13 @@ def test_config_file_rejects_a_repeated_header_key(tmp_path):
 
 def test_peak_records_round_trip(tmp_path):
     records = [(12, 30.0, 0.7853981633974483, 0.75), (13, 35.0, 0.79, 0.0)]
-    path = write_peak_records(tmp_path / "r.csv", records)
+    path = write_rows(tmp_path / "r.csv", PeakRecord, records)
     assert read_peak_records(path) == records
     assert path.read_text().splitlines()[0] == "seed,power_ratio_db,angle_rad,range_err_m"
 
 
 def test_peak_records_are_read_as_named_rows(tmp_path):
-    path = write_peak_records(tmp_path / "r.csv", [(12, 30.0, 0.75, 1.5)])
+    path = write_rows(tmp_path / "r.csv", PeakRecord, [(12, 30.0, 0.75, 1.5)])
     (record,) = read_peak_records(path)
     assert (record.seed, record.power_ratio_db, record.angle_rad, record.range_err_m) == (12, 30.0, 0.75, 1.5)
 
@@ -199,7 +197,7 @@ def test_sweep_table_round_trip(tmp_path):
         SweepPoint(0.0, -0.01, 0.123456789012345, 0.01, 50),
         SweepPoint(5.0, 0.0, 0.0, 0.0, 50),
     ]
-    path = write_sweep_table(tmp_path / "s.csv", points, comments=("range_bin_m=0.75",))
+    path = write_rows(tmp_path / "s.csv", SweepPoint, points, comments=("range_bin_m=0.75",))
     rows = read_sweep_file(path)[0]
     assert rows == [(p.power_ratio_db, p.angle_offset_rad, p.mean_range_error_m, p.std_range_error_m, p.trials) for p in points]
     assert path.read_text().startswith("# range_bin_m=0.75\n")
@@ -229,7 +227,7 @@ def test_writes_are_byte_stable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the one table path: every writer and reader shares _write_table/_read_table
+# the one table path: every writer and reader goes through the row type of its table
 
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308]),
@@ -245,19 +243,19 @@ def _pattern(path, rows):
 
 
 def _records(path, rows):
-    write_peak_records(path, rows)
+    write_rows(path, PeakRecord, rows)
     return rows, read_peak_records(path)
 
 
 def _sweep(path, rows):
-    write_sweep_table(path, [SweepPoint(*row) for row in rows], comments=("range_bin_m=0.75",))
+    write_rows(path, SweepPoint, [SweepPoint(*row) for row in rows], comments=("range_bin_m=0.75",))
     return rows, read_sweep_file(path)[0]
 
 
 def _loss(path, rows):
     losses = [loss for (loss,) in rows]
     write_loss_history(path, losses)
-    return list(enumerate(losses)), list(zip(*_read_table(path, LOSS_TABLE)))
+    return list(enumerate(losses)), read_rows(path, LossRow)
 
 
 def _config(path, rows):
@@ -267,8 +265,8 @@ def _config(path, rows):
 
 
 def _summary(path, rows):
-    write_multinotch_summary(path, rows, comments=("num_notches=4",))
-    return rows, read_multinotch_summary(path)
+    write_rows(path, MultinotchRow, rows, comments=("num_notches=4",))
+    return rows, read_rows(path, MultinotchRow)
 
 
 # name: (round trip, one strategy a column, the fewest rows); a sweep row needs a trial
@@ -303,11 +301,11 @@ def _valid_tables(tmp_path):
     return {
         "pattern": (write_pattern_table(tmp_path / "p.csv", [0.0, 1.0], [-3.0, 0.0]), read_pattern_table),
         "config": (write_config_file(tmp_path / "c.txt", RisConfig([1.0, 0.5j]), theta_t=0.5, seed=1), read_config_file),
-        "records": (write_peak_records(tmp_path / "r.csv", [(1, 0.0, 0.5, 0.75), (2, 5.0, 0.5, 0.0)]), read_peak_records),
-        "sweep": (write_sweep_table(tmp_path / "s.csv", [SweepPoint(0.0, 0.0, 0.1, 0.0, 2)] * 2), read_sweep_file),
+        "records": (write_rows(tmp_path / "r.csv", PeakRecord, [(1, 0.0, 0.5, 0.75), (2, 5.0, 0.5, 0.0)]), read_peak_records),
+        "sweep": (write_rows(tmp_path / "s.csv", SweepPoint, [SweepPoint(0.0, 0.0, 0.1, 0.0, 2)] * 2), read_sweep_file),
         "multinotch-summary": (
-            write_multinotch_summary(tmp_path / "m.csv", [(0.0, 0.1, 0.7, 0.8, 300.0), (0.01, 0.2, 0.6, 0.8, 40.0)]),
-            read_multinotch_summary,
+            write_rows(tmp_path / "m.csv", MultinotchRow, [(0.0, 0.1, 0.7, 0.8, 300.0), (0.01, 0.2, 0.6, 0.8, 40.0)]),
+            lambda path: read_rows(path, MultinotchRow),
         ),
     }
 
@@ -340,10 +338,7 @@ def test_non_finite_value_names_the_path_and_row(name, value, tmp_path):
 
 def test_multinotch_summary_bytes_are_pinned(tmp_path):
     rows = [(0.0, 0.0027925268031909274, 0.784, 0.7867925268031909, 300.0), (1e-3, -0.0, 5e-324, 1.0, 61.25)]
-    path = write_multinotch_summary(tmp_path / "m.csv", rows, comments=("num_notches=4", "center_rad=0.75"))
-    assert MULTINOTCH_SUMMARY_HEADER == (
-        "epsilon_rad,suppression_bandwidth_rad,band_low_rad,band_high_rad,min_inband_suppression_db"
-    )
+    path = write_rows(tmp_path / "m.csv", MultinotchRow, rows, comments=("num_notches=4", "center_rad=0.75"))
     assert path.read_bytes() == (
         b"# num_notches=4\n"
         b"# center_rad=0.75\n"

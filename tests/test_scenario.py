@@ -61,8 +61,8 @@ def _list_with(bad):
 # default (interferer at pi/4, one notch, 75 m unambiguous range).
 # output_dir takes any string, so it has none.
 OUT_OF_DOMAIN = {
-    "ofdm.carrier_freq_hz": st.floats(max_value=0.0) | NON_FINITE,
-    "ofdm.bandwidth_hz": st.floats(max_value=0.0) | NON_FINITE,
+    "ofdm.carrier_freq_hz": st.floats(max_value=0.0) | NON_FINITE | st.floats(1e-300, 1e8),  # below the bandwidth
+    "ofdm.bandwidth_hz": st.floats(max_value=0.0) | NON_FINITE | st.floats(5e-324, 1e-300),  # carrier cycles overflow
     "ofdm.num_subcarriers": st.integers(max_value=0),
     "ofdm.num_symbols": st.integers(max_value=0),
     "ofdm.cp_ratio": NEGATIVE | st.floats(min_value=1.0) | NON_FINITE,
@@ -84,9 +84,9 @@ OUT_OF_DOMAIN = {
     ),
     "sweep.trials": st.integers(max_value=0),
     "sweep.target_range_m": NEGATIVE | st.floats(min_value=75.0) | NON_FINITE,
-    "sweep.target_velocity_mps": NON_FINITE,
-    "sweep.interferer_delay_s": NON_FINITE,
-    "sweep.interferer_doppler_scale": NON_FINITE,
+    "sweep.target_velocity_mps": NON_FINITE | st.sampled_from([1e308, -1e308]),  # 2v/c overflows
+    "sweep.interferer_delay_s": NON_FINITE | st.floats(min_value=1e305) | st.floats(max_value=-1e305),
+    "sweep.interferer_doppler_scale": NON_FINITE | st.floats(min_value=1e305) | st.floats(max_value=-1e305),
     "sweep.noise_variance": NEGATIVE | NON_FINITE,
     "sweep.pad_range": st.integers(max_value=0),
     "sweep.pad_velocity": st.integers(max_value=0),

@@ -25,8 +25,9 @@
 * One declaration per scenario key: each `Scenario` field carries its key
   and an annotation the parser converts, and `_SCHEMA` is those keys in
   field order, so the schema and the domain builders are derived from it.
-* One declaration per table row: each named-tuple row of `fileio` gives
-  its table's header by its fields and its table's kinds by their annotations.
+* One declaration per table: each named-tuple row of `fileio` is its
+  table, whose header is its fields and whose column kinds are its
+  annotations, each an `int` or a `float`, the kinds the writer formats.
 * One rule per report check: every check `report` makes is appended by
   `experiments._check`, and only `ReportResult.verdict` names the verdicts
   other than pass and fail.
@@ -45,15 +46,8 @@ from pathlib import Path
 
 import pytest
 
+from risradar import fileio
 from risradar.arrays import OfdmParams
-from risradar.fileio import (
-    MULTINOTCH_SUMMARY_TABLE,
-    PEAK_RECORD_TABLE,
-    SWEEP_TABLE,
-    MultinotchRow,
-    PeakRecord,
-    SweepPoint,
-)
 from risradar.scenario import _SCHEMA, Scenario, default_scenario
 from risradar.synthesis import NotchSpec, PeakNetSpec
 
@@ -232,14 +226,19 @@ def test_domain_rules_raise_only_field_errors(cls):
     assert [text for text in raised if not text.startswith("FieldError(")] == []
 
 
-ROW_TABLES = {SweepPoint: SWEEP_TABLE, PeakRecord: PEAK_RECORD_TABLE, MultinotchRow: MULTINOTCH_SUMMARY_TABLE}
+ROWS = {name: value for name, value in vars(fileio).items() if isinstance(value, type) and hasattr(value, "_fields")}
 
 
-@pytest.mark.parametrize("row", list(ROW_TABLES), ids=lambda row: row.__name__)
-def test_each_table_row_is_declared_once(row):
-    table = ROW_TABLES[row]
-    assert table.header == ",".join(row._fields)
-    assert table.kinds == tuple(typing.get_type_hints(row).values())
+def test_fileio_declares_six_row_types():
+    assert sorted(ROWS) == ["ConfigRow", "LossRow", "MultinotchRow", "PatternRow", "PeakRecord", "SweepPoint"]
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_each_row_type_is_its_table(name, tmp_path):
+    row = ROWS[name]
+    path = fileio.write_rows(tmp_path / "table.csv", row, [])
+    assert path.read_text() == ",".join(row._fields) + "\n"
+    assert set(typing.get_type_hints(row).values()) <= {int, float}
 
 
 VERDICTS = ("nothing-run", "nothing-checked")
