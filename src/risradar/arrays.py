@@ -70,6 +70,8 @@ class OfdmParams:
             raise FieldError("carrier_freq_hz", "must be at least bandwidth_hz, with a finite sum")
         if not (self.subcarrier_spacing > 0.0 and math.isfinite(self.carrier_freq_hz * self.total_symbol_time)):
             raise FieldError("bandwidth_hz", "must keep carrier_freq_hz * total symbol time finite")
+        if not math.isfinite(self.unambiguous_range):
+            raise FieldError("bandwidth_hz", "must keep the unambiguous range c * num_subcarriers / (2 * bandwidth_hz) finite")
 
     @property
     def subcarrier_spacing(self) -> float:

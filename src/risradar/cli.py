@@ -17,12 +17,13 @@ from .experiments import (
     run_multinotch_study,
     run_pattern_study,
     synthesize_configs,
-    train_peak,
     write_sweep_files,
 )
 from .fileio import read_config_file, read_loss_history, write_config_file, write_lines, write_loss_history
 from .scenario import ScenarioError, default_scenario, load_scenario
-from .synthesis import TrainingDivergedError, TrainingResult, peak_gain_ratio
+from .synthesis import TrainingDivergedError, TrainingResult, peak_gain_ratio, train_peak_network
+
+_PEAK_FILES = ("peak_config.txt", "training_loss.csv")  # the peak configuration, its loss history
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,16 +147,20 @@ def _exit_status(run, *args) -> int:
 
 
 def main(argv=None) -> int:
-    return _exit_status(_command, build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    return _exit_status(_commands, args, (args.command,))
 
 
-def _command(args) -> int:
-    if args.command == "report":
-        return _report(args.out)
-    scenario, out_dir, specs = _load(args)
+def _commands(args, commands, overrides: dict | None = None) -> int:
+    """Run the bodies of `commands` in order on one loaded scenario and one taken peak
+    (none under `--no-sweeps`, and no scenario for a bare `report`); the last body's status."""
+    if commands == ("report",):
+        return _run("report", None, args.out, (), None, args)
+    scenario, out_dir, specs = _load(args, overrides)
     training = None if getattr(args, "no_sweeps", False) else _peak(scenario, out_dir)
-    _run(args.command, scenario, out_dir, specs, training, args)
-    return 0
+    for command in commands:
+        status = _run(command, scenario, out_dir, specs, training, args)
+    return status
 
 
 def _peak(scenario, out_dir: Path) -> TrainingResult:
@@ -164,29 +169,31 @@ def _peak(scenario, out_dir: Path) -> TrainingResult:
     there is reused when its inputs are the scenario's; otherwise (no files, other
     inputs, a file cut short or unparsable) the peak is trained and the two files written."""
     spec = scenario.network_spec()
-    network = {
+    header = {
+        "theta_t": scenario.target_angle_rad,
+        "seed": spec.init_seed,
         "layers": spec.num_layers,
         "width": spec.hidden_width,
         "learning_rate": spec.learning_rate,
         "iterations": spec.num_iterations,
     }
-    inputs = {"elements": scenario.num_peak_elements, "theta_t": scenario.target_angle_rad, "seed": spec.init_seed, **network}
-    config_path, loss_path = out_dir / "peak_config.txt", out_dir / "training_loss.csv"
+    inputs = {"elements": scenario.num_peak_elements, **header}
+    config_path, loss_path = (out_dir / name for name in _PEAK_FILES)
     try:
-        config, header = read_config_file(config_path)
+        config, kept = read_config_file(config_path)
         losses = read_loss_history(loss_path)
     except (OSError, ValueError):
-        header, losses = {}, ()
-    if {key: header.get(key) for key in inputs} == inputs and len(losses) == spec.num_iterations:
+        kept, losses = {}, ()
+    if {key: kept.get(key) for key in inputs} == inputs and len(losses) == spec.num_iterations:
         return TrainingResult(config, losses, peak_gain_ratio(config, scenario.target_angle_rad))
-    training = train_peak(scenario)
-    write_config_file(config_path, training.config, theta_t=scenario.target_angle_rad, seed=spec.init_seed, **network)
+    training = train_peak_network(scenario.target_angle_rad, scenario.num_peak_elements, spec)
+    write_config_file(config_path, training.config, **header)
     write_loss_history(loss_path, training.loss_history)
     return training
 
 
-def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
-    """The body of `command` on the loaded scenario and the trained peak it is handed."""
+def _run(command: str, scenario, out_dir: Path, specs, training, args) -> int:
+    """The body of `command` on the loaded scenario and the trained peak it is handed; 0, or the report's status."""
     if command == "pattern":
         result = run_pattern_study(scenario, out_dir, training, args.mode, args.grid)
         print(f"combined argmax: {result.metrics['combined_argmax_deg']} deg")
@@ -196,8 +203,8 @@ def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
             print(f"wrote {path}")
     elif command == "train-peak":
         print(f"gain ratio vs analytic optimum: {training.gain_ratio}")
-        print(f"peak configuration: {out_dir / 'peak_config.txt'}")
-        print(f"loss history: {out_dir / 'training_loss.csv'}")
+        for label, name in zip(("peak configuration", "loss history"), _PEAK_FILES):
+            print(f"{label}: {out_dir / name}")
     elif command == "sweep":
         config = synthesize_configs(scenario, training).combined
         result = run_interference_sweep(scenario, config, subcarrier_mode=args.mode, workers=args.workers)
@@ -212,34 +219,25 @@ def _run(command: str, scenario, out_dir: Path, specs, training, args) -> None:
                 f"min in-band suppression={row.min_inband_suppression_db} dB"
             )
         print(f"wrote {result.summary_path}")
-
-
-def _report(out_dir) -> int:
-    """Write and print the summary of the studies in `out_dir`; 0 when it passes, else 1."""
-    result = report(out_dir)
-    print(result.path.read_text(), end="")
-    return 0 if result.passed else 1
+    elif command == "report":  # write and print the summary of the studies in `out_dir`: 0 when it passes, else 1
+        result = report(out_dir)
+        print(result.path.read_text(), end="")
+        return 0 if result.passed else 1
+    return 0
 
 
 def study_script(quick_overrides: dict) -> int:
-    """`scripts/run_full_study.py`: the CLI's scenario load, check of the default notch spacings and echo
-    (`--quick` applies `quick_overrides`), the peak its output directory holds or one training, the `pattern`,
-    `sweep` and `multinotch` bodies on it, then `report`, all under the CLI's exit statuses."""
+    """`scripts/run_full_study.py`: the commands' one flow over the `pattern`, `sweep`, `multinotch` and
+    `report` bodies, with the default notch spacings (`--quick` applies `quick_overrides`), under the
+    CLI's exit statuses."""
     parser = _Parser(description="Run every study end to end and write the summary report.")
     _common_flags(parser, seed=False, grid=False, mode=False)
     parser.add_argument("--workers", type=_integer_at_least(1), default=1)
     parser.add_argument("--quick", action="store_true", help="scaled-down scenario")
     parser.set_defaults(mode=CARRIER_ONLY, grid=GRID_POINTS, epsilon=SPACINGS)
     args = parser.parse_args()
-
-    def run() -> int:
-        scenario, out_dir, specs = _load(args, quick_overrides if args.quick else None)
-        training = _peak(scenario, out_dir)
-        for command in ("pattern", "sweep", "multinotch"):
-            _run(command, scenario, out_dir, specs, training, args)
-        return _report(out_dir)
-
-    return _exit_status(run)
+    commands = ("pattern", "sweep", "multinotch", "report")
+    return _exit_status(_commands, args, commands, quick_overrides if args.quick else None)
 
 
 if __name__ == "__main__":

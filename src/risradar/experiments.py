@@ -70,7 +70,6 @@ from .synthesis import (
     combine_convolve,
     multi_notch,
     normalize_coefficients,
-    train_peak_network,
 )
 
 SUPPRESSION_THRESHOLD_DB = -30.0
@@ -78,11 +77,6 @@ SUPPRESSION_THRESHOLD_DB = -30.0
 
 # ---------------------------------------------------------------------------
 # configuration synthesis shared by the studies
-
-
-def train_peak(scenario: Scenario) -> TrainingResult:
-    """The scenario's peak network, trained for its target angle."""
-    return train_peak_network(scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec())
 
 
 @dataclass

@@ -15,6 +15,10 @@ helper with the code under test:
   (`network_loss`), from the configuration the network emits and a
   steering vector written out here: backpropagation's gradients are held to
   its central differences.
+* The sweep's error rate from detection theory (`range_error_rate`): the
+  probability that the unpadded map's largest cell lies outside the
+  target's range row, with Rayleigh non-target cells and a Rician target
+  cell, integrated in numpy.
 """
 
 from __future__ import annotations
@@ -133,3 +137,34 @@ def network_loss(net, theta):
     coeffs = net.config_for(theta)
     steer = np.exp(-1j * np.pi * np.arange(coeffs.size) * np.cos(theta))
     return float(1.0 / np.abs(np.sum(coeffs * steer)) ** 2)
+
+
+def _log_i0(x):
+    """log I0(x), from `np.i0` while it stays finite and from its large-x
+    expansion x - log(2 pi x) / 2 beyond."""
+    small = x < 500.0
+    return np.where(small, np.log(np.i0(np.where(small, x, 0.0))), x - 0.5 * np.log(2.0 * np.pi * np.maximum(x, 1.0)))
+
+
+def range_error_rate(gain_t, gain_i, amplitude, noise_variance, num_subcarriers, num_symbols, points=20001):
+    """Detection theory's probability that the unpadded map's peak leaves the
+    target's range row: P(error) = integral of f_Z(z) F_R(z) F_Y(z) dz.
+
+    Every non-target cell sums N*M independent zero-mean terms, so its
+    magnitude is Rayleigh with E|cell|^2 = s^2 = N*M*(a^2 |g_i|^2 + sigma^2/2)
+    and CDF F(z) = 1 - exp(-z^2 / s^2). Y, the largest of the M - 1 other cells
+    of the target's row, has CDF F^(M-1); Z, the largest of the (N - 1)*M cells
+    of the other rows, F^((N-1)M). The target cell R is Rician with
+    nu = |g_t|*N*M and sigma_R^2 = s^2 / 2 a part."""
+    n, m = num_subcarriers, num_symbols
+    s2 = n * m * (amplitude**2 * abs(gain_i) ** 2 + noise_variance / 2.0)
+    nu, part = abs(gain_t) * n * m, s2 / 2.0
+    z = np.linspace(0.0, nu + 12.0 * np.sqrt(s2), points)
+    rayleigh = -np.expm1(-(z**2) / s2)
+    log_rice = np.log(np.maximum(z, 1e-300) / part) - (z**2 + nu**2) / (2.0 * part) + _log_i0(z * nu / part)
+    rice = np.exp(log_rice)
+    rice_cdf = np.concatenate(([0.0], np.cumsum((rice[1:] + rice[:-1]) / 2.0 * np.diff(z))))
+    k = (n - 1) * m  # f_Z = K F^(K-1) f with the Rayleigh density f(z) = 2 z / s^2 exp(-z^2 / s^2)
+    f_z = k * rayleigh ** (k - 1) * (2.0 * z / s2) * np.exp(-(z**2) / s2)
+    integrand = f_z * rice_cdf * rayleigh ** (m - 1)
+    return float(np.sum((integrand[1:] + integrand[:-1]) / 2.0 * np.diff(z)))

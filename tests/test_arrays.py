@@ -92,14 +92,19 @@ class TestOfdmParams:
             dict(carrier_freq_hz=1e-300),
             dict(bandwidth_hz=1e-300),  # carrier cycles per symbol overflow
             dict(bandwidth_hz=5e-324),  # the subcarrier spacing rounds to zero
+            dict(carrier_freq_hz=1e-300, bandwidth_hz=1e-300),  # the unambiguous range overflows
         ],
     )
     def test_rejects_bad_values(self, kwargs):
+        # the field named is the last one given
         base = dict(carrier_freq_hz=77e9, bandwidth_hz=200e6, num_subcarriers=100, num_symbols=50)
         base.update(kwargs)
         with pytest.raises(FieldError) as excinfo:
             OfdmParams(**base)
-        assert [excinfo.value.field] == list(kwargs)
+        assert excinfo.value.field == list(kwargs)[-1]
+
+    def test_a_single_subcarrier_keeps_a_sub_hertz_band_finite(self):
+        assert OfdmParams(1e-300, 1e-300, 1, 8).unambiguous_range == 1.5e308
 
     def test_rejects_a_band_whose_top_frequency_overflows(self):
         # bandwidth below the carrier, but f_c + (N-1) * df is not finite

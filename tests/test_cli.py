@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from risradar import cli, experiments
+from risradar import cli
 from risradar.cli import main
 from risradar.fileio import (
     SweepPoint,
@@ -80,16 +80,20 @@ def test_train_peak_command(scenario_file, tmp_path):
 
 @pytest.fixture()
 def trainings(monkeypatch):
-    """The scenarios the CLI trains a peak for, in order."""
+    """The (target angle, element count, network spec) of each peak the CLI trains, in order."""
     calls = []
-    train = cli.train_peak
+    train = cli.train_peak_network
 
-    def counted(scenario):
-        calls.append(scenario)
-        return train(scenario)
+    def counted(theta_t, num_elements, spec):
+        calls.append((theta_t, num_elements, spec))
+        return train(theta_t, num_elements, spec)
 
-    monkeypatch.setattr(cli, "train_peak", counted)
+    monkeypatch.setattr(cli, "train_peak_network", counted)
     return calls
+
+
+def _training_inputs(scenario):
+    return scenario.target_angle_rad, scenario.num_peak_elements, scenario.network_spec()
 
 
 def _files(out):
@@ -131,7 +135,7 @@ def test_a_changed_training_input_retrains(field, value, scenario_file, tmp_path
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     assert main(["train-peak", "--scenario", str(scenario_file), "--out", str(out)]) == 0
     assert main(["pattern", "--scenario", str(changed), "--out", str(out)]) == 0
-    assert [getattr(scenario, field) for scenario in trainings][1:] == [value]
+    assert trainings == [_training_inputs(load_scenario(path)) for path in (scenario_file, changed)]
     assert main(["pattern", "--scenario", str(changed), "--out", str(fresh)]) == 0
     assert _files(out) == _files(fresh)
 
@@ -462,6 +466,19 @@ def test_finite_value_whose_phases_overflow_exits_two_before_any_work(command, k
     assert not out.exists()
 
 
+def test_sub_hertz_band_whose_unambiguous_range_overflows_exits_two(tmp_path, capsys):
+    # every phase stays finite, but c * N / (2 * B) does not, so no target range could be checked against it
+    bad = tmp_path / "bad.txt"
+    keys = ("ofdm.carrier_freq_hz = 1e-300", "ofdm.bandwidth_hz = 1e-300", "ofdm.num_subcarriers = 16")
+    bad.write_text("\n".join([*keys, "ofdm.num_symbols = 8", "geometry.num_peak_elements = 16"]) + "\n")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: line 2: ofdm.bandwidth_hz ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pattern", "train-peak", "sweep", "multinotch"])
 @pytest.mark.parametrize(
     "key, value, problem",
@@ -737,7 +754,7 @@ def test_input_error_exits_two_before_any_training(argv, extra, problem, monkeyp
     def training(*args, **kwargs):
         raise AssertionError("training ran before the input was checked")
 
-    monkeypatch.setattr(experiments, "train_peak_network", training)
+    monkeypatch.setattr(cli, "train_peak_network", training)
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(SMALL_SCENARIO + extra)
     out = tmp_path / "o"

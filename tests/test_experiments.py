@@ -47,6 +47,7 @@ from risradar.synthesis import (
     multi_notch,
     normalize_coefficients,
     notch_config,
+    train_peak_network,
 )
 
 from oracles import PairDraws, frame_difference, frame_pair
@@ -94,7 +95,7 @@ def small_combined(scenario=SMALL):
 @functools.cache
 def small_training():
     """SMALL's trained peak, trained once for every study on SMALL's network."""
-    return experiments.train_peak(SMALL)
+    return train_peak_network(SMALL.target_angle_rad, SMALL.num_peak_elements, SMALL.network_spec())
 
 
 def file_digests(directory):
@@ -755,13 +756,9 @@ class TestSynthesizeConfigs:
 
 
 class TestHandedInputs:
-    def test_a_study_handed_its_inputs_never_trains(self, monkeypatch, tmp_path):
-        training = experiments.train_peak(SMALL)
-
-        def refuse(*args):
-            raise AssertionError("trained")
-
-        monkeypatch.setattr(experiments, "train_peak_network", refuse)
+    def test_a_study_handed_its_inputs_never_trains(self, tmp_path):
+        training = small_training()
+        assert not hasattr(experiments, "train_peak_network")
         scenario = SMALL.replace(trials=1, power_ratios_db=(30.0,), angle_offsets_rad=(0.0,))
         run_pattern_study(scenario, tmp_path / "pattern", training)
         run_interference_sweep(scenario, synthesize_configs(scenario, training).combined)

@@ -216,6 +216,7 @@ class TestValidation:
             (dict(pad_range=0), "padding"),
             (dict(carrier_freq_hz=0.0), "^ofdm.carrier_freq_hz must be positive$"),
             (dict(bandwidth_hz=-1.0), "^ofdm.bandwidth_hz must be positive$"),
+            (dict(carrier_freq_hz=1e-300, bandwidth_hz=1e-300), r"^ofdm.bandwidth_hz must keep the unambiguous range .* finite$"),
             (dict(cp_ratio=1.0), r"^ofdm.cp_ratio must lie in \[0, 1\)$"),
             (dict(cp_ratio=-0.1), r"^ofdm.cp_ratio must lie in \[0, 1\)$"),
             (dict(target_range_m=75.0), r"^sweep.target_range_m must lie in \[0, 75.0\) m"),

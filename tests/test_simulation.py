@@ -28,6 +28,7 @@ from oracles import (
     full_map_range,
     generate_symbols,
     padded_map,
+    range_error_rate,
     velocity_bin_mps,
 )
 
@@ -789,3 +790,30 @@ class TestRangeErrorMetric:
         bin_m = small.range_bin_size
         assert all(b >= a - bin_m for a, b in zip(means, means[1:]))
         assert means[-1] > means[0]
+
+    @pytest.mark.parametrize("mode", ["noise", "interferer"])
+    def test_error_rate_follows_detection_theory(self, mode):
+        """One element on a 32 x 8 grid, unpadded, the target on range bin 5 at
+        zero velocity: at cell SINR |g_t|^2 N M / (a^2 |g_i|^2 + sigma^2/2) of
+        6, 8 and 10 dB, from noise alone or from the interferer alone, the
+        rate of trials whose peak leaves the target's row lies within K
+        binomial standard errors of `range_error_rate`."""
+        k = 4.0
+        trials = 1500
+        params = OfdmParams(77e9, 200e6, num_subcarriers=32, num_symbols=8)
+        n_m = params.num_subcarriers * params.num_symbols
+        true_range = 5 * params.range_bin_size
+        target = TargetParams(range_m=true_range, angle_rad=np.pi / 3)
+        for level, sinr_db in enumerate((6.0, 8.0, 10.0)):
+            sinr = 10 ** (sinr_db / 10)
+            amplitude, noise_variance = (0.0, 2 * n_m / sinr) if mode == "noise" else (np.sqrt(n_m / sinr), 0.0)
+            # the interferer's delay puts it on range bin 12, off the target's
+            interference = InterferenceParams(delay_s=12 / params.bandwidth_hz, angle_rad=np.pi / 4, amplitude=amplitude)
+            terms = single_element_terms(params, target, interference, noise_variance)
+            errors = sum(
+                estimate_target(trial_grid(terms, draw_trial(terms, seed)), params) != true_range
+                for seed in range(level * trials, (level + 1) * trials)
+            )
+            theory = range_error_rate(1.0, 1.0, amplitude, noise_variance, params.num_subcarriers, params.num_symbols)
+            standard_error = np.sqrt(theory * (1 - theory) / trials)
+            assert abs(errors / trials - theory) <= k * standard_error, (sinr_db, errors / trials, theory)

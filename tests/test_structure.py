@@ -11,11 +11,12 @@
 * No public function or method takes a `bool` parameter, by annotation or
   by a True/False default: a flag forks one function into two code paths.
   FLAGS would name an exception with the reason it stays; it is empty.
-* Training has one owner: only the CLI calls `train_peak`, and only
-  `experiments.train_peak` calls `train_peak_network`, so a study takes the
-  trained peak it is handed and never trains.
-* One front end: only the CLI runs a study or the report, so the study
-  script runs the CLI's own command bodies and holds no study flow.
+* Training has one owner: only `cli._peak` calls `train_peak_network`, so
+  every command takes the peak its output directory holds or one training,
+  and a study takes the trained peak it is handed and never trains.
+* One front end: only the CLI runs a study or the report, and only
+  `cli._commands` takes the peak and runs the command bodies, for `main` and
+  the study script alike, so the script holds no study flow.
 * One rule per input: `OfdmParams`, `PeakNetSpec` and `NotchSpec` raise only
   `FieldError` from `__post_init__`, and each of their fields is the scenario
   key `section + field` (DOMAIN_SECTIONS), so the scenario maps every failure
@@ -69,10 +70,7 @@ UNCALLED = {
 FLAGS = {}
 
 # name: (the module that may use it, the definition there it is confined to, or None)
-TRAINING_OWNERS = {
-    "train_peak": ("cli", None),
-    "train_peak_network": ("experiments", "train_peak"),
-}
+TRAINING_OWNERS = {"train_peak_network": ("cli", "_peak")}
 STUDY_OWNERS = {
     name: ("cli", None) for name in ("run_pattern_study", "run_interference_sweep", "run_multinotch_study", "report")
 }
@@ -172,7 +170,11 @@ def strays(owners):
     found = []
     for path in PROGRAM:
         tree = parse(path)
-        spans = {name: range(node.lineno, node.end_lineno + 1) for name, node in definitions(tree)}
+        spans = {
+            node.name: range(node.lineno, node.end_lineno + 1)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
         imports = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         for used, line, _ in references(tree):
             if used not in owners:
@@ -189,6 +191,10 @@ def test_training_has_one_owner():
 
 def test_only_the_cli_runs_a_study_or_the_report():
     assert strays(STUDY_OWNERS) == []
+
+
+def test_one_flow_runs_the_command_bodies():
+    assert strays({name: ("cli", "_commands") for name in ("_peak", "_run")}) == []
 
 
 SCENARIO_ANNOTATIONS = {"float", "int", "str", "tuple[float, ...]"}
